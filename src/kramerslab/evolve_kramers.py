@@ -11,15 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from .grid_forms import Field, _vec
 
-__all__ = ["SolverError", "LinearSolver", "Trajectory", "step_theta",
-           "solve", "energy_identity_residual", "regularization_check",
-           "RegularityFlags"]
-
-DIRECT_LIMIT = 50_000
+__all__ = ["SolverError", "KroneckerSystem", "LinearSolver", "Trajectory",
+           "step_theta", "solve", "energy_identity_residual",
+           "regularization_check", "RegularityFlags"]
 
 
 class SolverError(RuntimeError):
@@ -28,12 +27,86 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-class LinearSolver:
-    """Linear solve with a relative-residual certificate.
+def _bands(T):
+    """(3, n) rows of a symmetric tridiagonal matrix: the coefficient of the
+    left neighbour, the diagonal, the coefficient of the right neighbour
+    (zero past either end)."""
+    off = T.diagonal(1)
+    return np.stack([np.concatenate([[0.0], off]), T.diagonal(),
+                     np.concatenate([off, [0.0]])])
 
-    Sparse LU with iterative refinement below ``DIRECT_LIMIT`` unknowns;
-    diagonally preconditioned conjugate gradients above (the diagonal
-    absorbs the reference-weight scaling across the barrier).
+
+class KroneckerSystem:
+    """The theta-step matrix M + cA of ``forms``, kept as its 1-D factors:
+    (M_x + c K_x) (x) M_xi + c M_x (x) K_xi.
+
+    ``S @ v`` is the exact action, with the stiffness in incidence form.
+    """
+
+    def __init__(self, forms, c):
+        self.forms = forms
+        self.c = float(c)
+
+    def __matmul__(self, v):
+        return self.forms.M @ v + self.c * self.forms.apply_a(v)
+
+    def norm_inf(self):
+        """||M + cA||_inf, exactly: per row, the nine-term stencil of
+        absolute values of P (x) M_xi + c M_x (x) K_xi, P = M_x + c K_x."""
+        f, c = self.forms, self.c
+        m_x, k_x = _bands(f.M_x), _bands(f.K_x)
+        p_x = m_x + c * k_x
+        m_xi, k_xi = _bands(f.M_xi), _bands(f.K_xi)
+        entries = (p_x[:, None, :, None] * m_xi[None, :, None, :]
+                   + c * m_x[:, None, :, None] * k_xi[None, :, None, :])
+        return float(np.abs(entries).sum(axis=(0, 1)).max())
+
+    def factorize(self):
+        """Inner solver r -> (M + cA)^{-1} r by fast diagonalization in x.
+
+        In the M_x-orthonormal eigenbasis of (K_x, M_x) the system splits
+        into nx tridiagonal blocks (1 + c lam_k) M_xi + c K_xi. They are
+        never diagonalized in xi (M_xi has condition ~exp(1/eps)); each is
+        factored as L D L^T with GTH pivots: the K_xi rows sum to zero, so
+        the row excess of block k is exactly (1 + c lam_k) times the M_xi
+        row sums, and D_j = r'_j - e_j, r'_{j+1} = r_{j+1} - e_j r'_j / D_j
+        has no cancellation where the off-diagonals e_j are <= 0.
+        """
+        f, c = self.forms, self.c
+        nx, nxi = f.grid.nx, f.grid.nxi
+        lam, V = la.eigh(f.K_x.toarray(), f.M_x.toarray())
+        scale = 1.0 + c * lam
+        m_xi = _bands(f.M_xi)
+        off = scale[:, None] * m_xi[2, :-1] - c * f.g_xi
+        excess = scale[:, None] * m_xi.sum(axis=0)
+        D = np.empty((nx, nxi))
+        L = np.zeros((nx, nxi))
+        r = excess[:, 0]
+        for j in range(nxi - 1):
+            D[:, j] = r - off[:, j]
+            L[:, j] = off[:, j] / D[:, j]
+            r = excess[:, j + 1] - L[:, j] * r
+        D[:, -1] = r
+        if not np.all(D > 0.0):
+            raise SolverError(f"tensor factorization of M + {c:g} A at "
+                              f"eps = {f.eps:g} lost positive pivots")
+        d, e = D.reshape(-1), L.reshape(-1)[:-1]
+
+        def inner(rhs):
+            Y = V.T @ rhs.reshape(nx, nxi)
+            Z, _ = la.lapack.dpttrs(d, e, Y.reshape(-1, 1), overwrite_b=1)
+            return (V @ Z.reshape(nx, nxi)).reshape(-1)
+        return inner
+
+
+class LinearSolver:
+    """Linear solve with a backward-error certificate.
+
+    ``S`` is a :class:`KroneckerSystem`, solved through its tensor
+    factorization, or a sparse matrix, factored by SuperLU. Either way the
+    first solve is refined to residual-norm stagnation against ``op`` (by
+    default ``S @ v``), the exact operator action; conserved functionals of
+    the update then see the exact operator algebra.
 
     The certificate is the normwise backward error
     ||rhs - S x|| / (||S|| ||x|| + ||rhs||): on the stiff rows the plain
@@ -41,56 +114,27 @@ class LinearSolver:
     matvec itself (observed ~2e-11 at default grids) and cannot certify
     anything tighter, while the backward error stays meaningful down to
     machine precision. A :class:`SolverError` carrying the achieved value is
-    raised when the target cannot be met.
-
-    ``op``, when given, is the exact operator action the system matrix
-    approximates (the assembled matrix rounds entries at eps_mach * |S|);
-    residuals and refinement then run against ``op`` with the factorization
-    as the inner solver, so conserved functionals of the update see the
-    exact operator algebra.
+    raised when the target is not met or the solution is not finite.
     """
 
-    def __init__(self, S, target=1e-11, method=None, max_refine=6,
-                 cg_maxiter=20_000, op=None):
-        self.S = S.tocsr()
+    def __init__(self, S, target=1e-11, max_refine=6, op=None):
         self.target = float(target)
         self.max_refine = max_refine
-        self.cg_maxiter = cg_maxiter
-        self.op = op if op is not None else (lambda v: self.S @ v)
-        self.norm_S = float(np.abs(self.S).sum(axis=1).max())
-        n = S.shape[0]
-        self.method = method or ("direct" if n < DIRECT_LIMIT else "pcg")
-        if self.method == "direct":
-            self._lu = spla.splu(S.tocsc())
-            self._precond = None
-        elif self.method == "pcg":
-            diag = self.S.diagonal()
-            if np.any(diag <= 0.0):
-                raise SolverError("system diagonal is not positive; cannot "
-                                  "build the Jacobi preconditioner")
-            self._precond = spla.LinearOperator(
-                S.shape, matvec=lambda r, d=1.0 / diag: d * r)
-            self._lu = None
+        if isinstance(S, KroneckerSystem):
+            self.norm_S = S.norm_inf()
+            self._inner = S.factorize()
         else:
-            raise ValueError(f"unknown method {method!r}")
-
-    def _inner(self, r):
-        if self.method == "direct":
-            return self._lu.solve(r)
-        corr, _ = spla.cg(self.S, r, rtol=1e-6, atol=0.0,
-                          M=self._precond, maxiter=self.cg_maxiter)
-        return corr
+            S = S.tocsr()
+            self.norm_S = float(np.abs(S).sum(axis=1).max())
+            self._inner = spla.splu(S.tocsc()).solve
+        self.op = op if op is not None else (lambda v: S @ v)
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
         norm_rhs = float(np.linalg.norm(rhs))
         if norm_rhs == 0.0:
             return np.zeros_like(rhs)
-        if self.method == "direct":
-            x = self._lu.solve(rhs)
-        else:
-            x, _ = spla.cg(self.S, rhs, rtol=0.01 * self.target, atol=0.0,
-                           M=self._precond, maxiter=self.cg_maxiter)
+        x = self._inner(rhs)
         # refine to residual-norm stagnation, not merely to the certificate:
         # the first solve can leave a residual aligned with the constant
         # vector, invisible to normwise measures but a direct leak of the
@@ -103,14 +147,16 @@ class LinearSolver:
             better = x + self._inner(r)
             r_new = rhs - self.op(better)
             nr_new = float(np.linalg.norm(r_new))
-            if nr_new >= 0.9 * nr:
+            if not nr_new < 0.9 * nr:
                 if nr_new < nr:
                     x, r, nr = better, r_new, nr_new
                 break
             x, r, nr = better, r_new, nr_new
-        denom = self.norm_S * float(np.linalg.norm(x)) + norm_rhs
-        res = nr / denom
-        if res > self.target:
+        res = nr / (self.norm_S * float(np.linalg.norm(x)) + norm_rhs)
+        if not np.all(np.isfinite(x)):
+            raise SolverError("linear solve returned a non-finite solution",
+                              residual=res)
+        if not res <= self.target:
             raise SolverError(
                 f"linear solve stagnated at relative residual {res:.3e} "
                 f"(target {self.target:.1e})", residual=res)
@@ -130,39 +176,29 @@ def step_theta(forms, u, dt, theta, residual_target=1e-11, solver=None):
     if not 0.5 <= theta <= 1.0:
         raise ValueError("theta must lie in [1/2, 1]")
     uu = _vec(u)
-    M = forms.M
     if solver is None:
-        c = theta * dt
-        solver = LinearSolver((M + c * forms.A).tocsr(), residual_target,
-                              op=lambda v: M @ v + c * forms.apply_a(v))
+        solver = LinearSolver(KroneckerSystem(forms, theta * dt),
+                              residual_target)
     out = uu + solver.solve(-dt * forms.apply_a(uu))
     if isinstance(u, Field):
         return Field(out.reshape(u.values.shape), u.grid, u.eps)
     return out
 
 
-def theta_plan(M, A, T, dt, scheme, residual_target=1e-11, method=None,
-               apply_a=None):
+def theta_plan(T, dt, scheme, make_solver):
     """Pre-factorized sub-step plan covering [0, T] in steps of ``dt``.
 
-    Returns (n_steps, groups): each group is a list of sub-steps
-    (theta, dt_sub, solver) that together advance one dt. The damped-start
-    scheme shares one factorization because the trapezoidal system matrix
-    M + (dt/2) A equals the half-step damped one. ``apply_a`` is the exact
-    stiffness action when the assembled matrix is only its rounded image.
+    ``make_solver(c)`` returns the solver of M + c A. Returns
+    (n_steps, groups): each group is a list of sub-steps (theta, dt_sub,
+    solver) that together advance one dt. The damped-start scheme shares one
+    factorization because the trapezoidal system matrix M + (dt/2) A equals
+    the half-step damped one.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     n_steps = int(round(T / dt))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError(f"T = {T!r} is not a positive multiple of dt = {dt!r}")
-
-    def make_solver(c):
-        S = (M + c * A).tocsr()
-        op = None
-        if apply_a is not None:
-            op = lambda v, c=c: M @ v + c * apply_a(v)
-        return LinearSolver(S, residual_target, method=method, op=op)
 
     if scheme == "CN_rannacher":
         solver = make_solver(0.5 * dt)
@@ -230,9 +266,10 @@ def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=(),
     """
     if not isinstance(u0, Field):
         raise TypeError("u0 must be a Field")
-    M, A = forms.M, forms.A
-    n_steps, groups = theta_plan(M, A, T, dt, scheme, residual_target,
-                                 apply_a=forms.apply_a)
+    M = forms.M
+    n_steps, groups = theta_plan(
+        T, dt, scheme,
+        lambda c: LinearSolver(KroneckerSystem(forms, c), residual_target))
     want = _snapshot_steps(snapshot_times, dt, n_steps)
 
     u = u0.ravel().copy()

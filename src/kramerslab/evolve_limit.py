@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve_kramers import theta_plan, _snapshot_steps
+from .evolve_kramers import LinearSolver, theta_plan, _snapshot_steps
 from .grid_forms import LimitField
 
 __all__ = ["LimitTrajectory", "solve_limit", "limit_energy_identity",
@@ -41,8 +41,8 @@ def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=(),
                 residual_target=1e-11):
     """Integrate the block system M dw/dt + A w = 0 for w = (u_minus, u_plus).
 
-    With distinct exchange rates the reaction block is nonsymmetric and the
-    solver is forced onto the direct path.
+    The block system is small and, with distinct exchange rates,
+    nonsymmetric; it is solved by sparse LU.
     """
     if not isinstance(u0, LimitField):
         raise TypeError("u0 must be a LimitField")
@@ -50,9 +50,8 @@ def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=(),
             u0.x_nodes, lforms.x_nodes):
         raise ValueError("initial data and forms live on different x-grids")
     M, A = lforms.M, lforms.A
-    method = None if lforms.symmetric else "direct"
-    n_steps, groups = theta_plan(M, A, T, dt, scheme, residual_target,
-                                 method=method)
+    n_steps, groups = theta_plan(
+        T, dt, scheme, lambda c: LinearSolver(M + c * A, residual_target))
     want = _snapshot_steps(snapshot_times, dt, n_steps)
 
     nx = len(lforms.x_nodes)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kramerslab.evolve_kramers import (LinearSolver, SolverError,
-                                       energy_identity_residual,
+from kramerslab.evolve_kramers import (KroneckerSystem, LinearSolver,
+                                       SolverError, energy_identity_residual,
                                        regularization_check, solve,
                                        step_theta)
 from kramerslab.grid_forms import Field, assemble, build_grid
@@ -176,16 +176,67 @@ def test_solver_error_surfaces():
     assert info.value.residual > 1e-30
 
 
-def test_pcg_path_matches_direct(setup):
-    grid, forms = setup
-    dt = 1e-3
-    S = (forms.M + 0.5 * dt * forms.A).tocsr()
+def test_solver_rejects_nan_residual():
+    # a NaN residual compares False against any target; it must not certify
+    S = sp.diags(np.linspace(1.0, 2.0, 20)).tocsr()
+    solver = LinearSolver(S, target=1e-11, op=lambda v: np.full_like(v, np.nan))
+    with pytest.raises(SolverError):
+        solver.solve(np.ones(20))
+
+
+def test_solver_rejects_overflowed_solution():
+    # an infinite x drives the backward error to 0; it must not certify
+    S = sp.diags(np.full(20, 1e-300)).tocsr()
+    solver = LinearSolver(S, target=1e-11, op=lambda v: np.zeros_like(v))
+    with pytest.raises(SolverError):
+        solver.solve(np.full(20, 1e10))
+
+
+@pytest.fixture(scope="module")
+def forms_65(quartic):
+    grid = build_grid(65, 81)
+    return {eps: assemble(grid, quartic, eps) for eps in (0.8, 0.2, 0.05)}
+
+
+# eps = 0.8 gives blocks with positive off-diagonals
+@pytest.mark.parametrize("eps", [0.8, 0.2, 0.05])
+@pytest.mark.parametrize("c", [0.5e-3, 1e-3])
+def test_tensor_solver_matches_sparse_lu(forms_65, eps, c):
+    forms = forms_65[eps]
+    system = KroneckerSystem(forms, c)
+    S = (forms.M + c * forms.A).tocsr()
     rng = np.random.default_rng(17)
     rhs = forms.M @ rng.normal(size=forms.n)
-    direct = LinearSolver(S, target=1e-11, method="direct").solve(rhs)
-    pcg = LinearSolver(S, target=1e-11, method="pcg").solve(rhs)
-    denom = np.linalg.norm(direct)
-    assert np.linalg.norm(direct - pcg) <= 1e-7 * denom
+    tensor = LinearSolver(system, target=1e-11).solve(rhs)
+    # the factorization alone, without refinement, is backward stable
+    LinearSolver(system, target=1e-14, max_refine=0).solve(rhs)
+    direct = LinearSolver(S, target=1e-11, op=lambda v: system @ v).solve(rhs)
+    assert np.linalg.norm(tensor - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("eps", [0.8, 0.2, 0.05])
+@pytest.mark.parametrize("c", [0.5e-3, 1e-3])
+def test_tensor_norm_is_exact(forms_65, eps, c):
+    forms = forms_65[eps]
+    S = (forms.M + c * forms.A).tocsr()
+    exact = float(np.abs(S).sum(axis=1).max())
+    assert KroneckerSystem(forms, c).norm_inf() == pytest.approx(exact,
+                                                                 rel=1e-14)
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.03, 0.025])
+def test_small_eps_certificates(quartic, eps):
+    # README claim: mass drift and energy identity at machine level on the
+    # default grid, down to the small-eps end
+    grid = build_grid(129, 161)
+    forms = assemble(grid, quartic, eps)
+    x = grid.x_nodes
+    u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, eps, grid)
+    traj = solve(forms, u0, T=0.02, dt=1e-3)
+    assert np.all(np.isfinite(traj.mass)) and np.all(np.isfinite(traj.b))
+    assert np.abs(np.diff(traj.mass)).max() <= 1e-10
+    assert np.abs(traj.energy_residual[1:]).max() <= 1e-9 * max(1.0, traj.b[0])
+    assert traj.energy_residual[0] <= 1e-9 * max(1.0, traj.b[0])
 
 
 def test_step_doubling_accuracy(quartic):
