@@ -4,6 +4,7 @@ Subcommands: ``rates`` (scale-dependent coefficients vs their limits),
 ``simulate`` (one eps-level run), ``limit`` (the two-species system),
 ``converge`` (the full ladder certification). Runs are deterministic for a
 fixed configuration; ``converge`` exits nonzero iff any report boolean fails.
+A run whose solve breaks a per-step certificate prints the error and exits 1.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import gibbs
 from .convergence import StudyConfig, run_ladder_study
 from .enthalpy import from_coefficients, quartic_default, validate
-from .evolve_kramers import solve
+from .evolve_kramers import SolverError, solve
 from .evolve_limit import solve_limit
 from .grid_forms import (LimitField, assemble, assemble_limit,
                          assemble_limit_rates, build_grid)
@@ -462,6 +463,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

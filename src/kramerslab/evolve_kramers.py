@@ -102,8 +102,10 @@ class KroneckerSystem:
 class LinearSolver:
     """Linear solve with a backward-error certificate.
 
-    ``S`` is a :class:`KroneckerSystem`, solved through its tensor
-    factorization, or a sparse matrix, factored by SuperLU. Either way the
+    ``S`` is a structured system (:class:`KroneckerSystem`, or
+    ``evolve_limit.LimitSystem``) that supplies its own ``norm_inf`` and
+    ``factorize``, or a sparse matrix, factored by SuperLU (a reference for
+    the structured solvers). Either way the
     first solve is refined to residual-norm stagnation against ``op`` (by
     default ``S @ v``), the exact operator action; conserved functionals of
     the update then see the exact operator algebra.
@@ -120,7 +122,7 @@ class LinearSolver:
     def __init__(self, S, target=1e-11, max_refine=6, op=None):
         self.target = float(target)
         self.max_refine = max_refine
-        if isinstance(S, KroneckerSystem):
+        if hasattr(S, "factorize"):
             self.norm_S = S.norm_inf()
             self._inner = S.factorize()
         else:
@@ -245,6 +247,30 @@ class Trajectory:
         raise KeyError(f"no snapshot stored at t = {t!r}")
 
 
+# the README's per-step certificates
+MASS_DRIFT_BOUND = 1e-10
+ENERGY_RESIDUAL_BOUND = 1e-9
+
+
+def _certify_step(where, step, t, drift, residual, theta, b0):
+    """Raise :class:`SolverError` if one step broke a certificate.
+
+    The mass may move by at most MASS_DRIFT_BOUND. The energy-identity
+    residual is bounded by ENERGY_RESIDUAL_BOUND * max(1, b0): in absolute
+    value on trapezoidal steps (theta = 1/2), from above only on damped
+    steps, where it is nonpositive. A NaN breaks either bound.
+    """
+    bound = ENERGY_RESIDUAL_BOUND * max(1.0, b0)
+    if not abs(drift) <= MASS_DRIFT_BOUND:
+        quantity = (f"mass drift {drift:.3e} exceeds {MASS_DRIFT_BOUND:.0e}")
+    elif not (abs(residual) if theta == 0.5 else residual) <= bound:
+        quantity = (f"energy-identity residual {residual:.3e} exceeds "
+                    f"{bound:.3e}")
+    else:
+        return
+    raise SolverError(f"{where}, step {step} (t = {t:g}): {quantity}")
+
+
 def _snapshot_steps(snapshot_times, dt, n_steps):
     steps = {}
     for t in snapshot_times:
@@ -262,7 +288,9 @@ def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=(),
 
     Records mass, the squared norm b and the energy split (a1, a2) at every
     step, the per-step residual of the discrete energy identity, and full
-    states at ``snapshot_times``.
+    states at ``snapshot_times``. Raises :class:`SolverError`, naming eps,
+    the step, t and the quantity, as soon as a step drifts the mass or
+    breaks the energy identity beyond the certificates.
     """
     if not isinstance(u0, Field):
         raise TypeError("u0 must be a Field")
@@ -309,6 +337,8 @@ def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=(),
             u = u_new
             t += dt_sub
         record(step, t, u)
+        _certify_step(f"eps = {forms.eps:g}", step, t,
+                      mass[step] - mass[step - 1], residual, theta_used, b[0])
         e_res[step - 1] = residual
         thetas[step - 1] = theta_used
         if step in want:

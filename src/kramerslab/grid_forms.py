@@ -430,6 +430,11 @@ def assemble_limit_rates(x_nodes, rate_forward, rate_backward, quad_order=4):
     Mass is half the diagonal pair of x-mass blocks; the stiffness adds the
     reaction coupling, which is nonsymmetric unless the two rates coincide.
     """
+    for name, rate in (("rate_forward", rate_forward),
+                       ("rate_backward", rate_backward)):
+        if not 0.0 <= rate < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, "
+                             f"got {rate!r}")
     x_nodes = np.asarray(x_nodes, dtype=float)
     M_x = mass_matrix_1d(x_nodes, order=quad_order)
     K_x = stiffness_matrix_1d(x_nodes, order=quad_order)
@@ -448,8 +453,6 @@ def assemble_limit_rates(x_nodes, rate_forward, rate_backward, quad_order=4):
 
 def assemble_limit(x_nodes, k, quad_order=4):
     """Symmetric limit forms: equal exchange rate ``k`` between the wells."""
-    if not k >= 0.0:
-        raise ValueError(f"rate k must be nonnegative, got {k!r}")
     return assemble_limit_rates(x_nodes, k, k, quad_order=quad_order)
 
 

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kramerslab import cli
 from kramerslab.cli import (Config, ConfigError, config_from_dict, main,
                             parse_config)
+from kramerslab.evolve_kramers import SolverError
 
 MINI = {
     "ladder": [0.2, 0.1],
@@ -136,6 +138,29 @@ def test_config_error_exit_code(tmp_path, capsys):
     code = main(["rates", "--ladder", "0.001"])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_simulate_certificate_failure_exit_code(tmp_path, capsys):
+    # eps = 0.02 at 193 x 257 breaks the mass certificate within 40 steps
+    code = main(["simulate", "--eps", "0.02", "--nx", "193", "--nxi", "257",
+                 "--dt", "0.001", "--T", "0.04", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: eps = 0.02, step ")
+    assert "mass drift" in err and "Traceback" not in err
+
+
+def test_limit_certificate_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise SolverError("limit system, step 3 (t = 0.03): mass drift "
+                          "2.000e-10 exceeds 1e-10")
+    monkeypatch.setattr(cli, "solve_limit", broken)
+    code = main(["limit", "--u0", "0,1", "--nx", "9", "--dt", "0.01",
+                 "--T", "0.1", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("solver error: limit system, step 3 (t = 0.03): mass "
+                   "drift 2.000e-10 exceeds 1e-10\n")
 
 
 def test_profile_coeffs_roundtrip():

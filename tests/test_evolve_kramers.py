@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from kramerslab.evolve_kramers import (KroneckerSystem, LinearSolver,
-                                       SolverError, energy_identity_residual,
+                                       SolverError, _certify_step,
+                                       energy_identity_residual,
                                        regularization_check, solve,
                                        step_theta)
 from kramerslab.grid_forms import Field, assemble, build_grid
@@ -237,6 +238,38 @@ def test_small_eps_certificates(quartic, eps):
     assert np.abs(np.diff(traj.mass)).max() <= 1e-10
     assert np.abs(traj.energy_residual[1:]).max() <= 1e-9 * max(1.0, traj.b[0])
     assert traj.energy_residual[0] <= 1e-9 * max(1.0, traj.b[0])
+
+
+def test_step_certificate_bounds():
+    # damped steps may dissipate without limit; trapezoidal steps may not
+    _certify_step("eps = 0.1", 1, 1e-3, 1e-11, -1.0, 1.0, 1.0)
+    _certify_step("eps = 0.1", 2, 2e-3, -1e-11, -5e-10, 0.5, 0.0)
+    _certify_step("eps = 0.1", 2, 2e-3, 0.0, 4e-9, 0.5, 5.0)
+    cases = [(2e-10, 0.0, 0.5, "mass drift"),
+             (float("nan"), 0.0, 0.5, "mass drift"),
+             (0.0, -2e-9, 0.5, "energy-identity residual"),
+             (0.0, 2e-9, 1.0, "energy-identity residual"),
+             (0.0, float("nan"), 1.0, "energy-identity residual")]
+    for drift, residual, theta, quantity in cases:
+        with pytest.raises(SolverError,
+                           match=rf"eps = 0\.1, step 3 \(t = 0\.003\): "
+                                 rf"{quantity}"):
+            _certify_step("eps = 0.1", 3, 3e-3, drift, residual, theta, 1.0)
+
+
+def test_guard_stops_uncertified_run(quartic):
+    # eps = 0.02 at 193 x 257 drifts by just over 1e-10 per step at several
+    # steps in the first 40 (first at step 13); the run must raise, not
+    # return a trajectory that breaks the README's mass certificate
+    eps = 0.02
+    grid = build_grid(193, 257)
+    forms = assemble(grid, quartic, eps)
+    x = grid.x_nodes
+    u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, eps, grid)
+    with pytest.raises(SolverError,
+                       match=r"eps = 0\.02, step \d+ \(t = [0-9.]+\): "
+                             r"mass drift"):
+        solve(forms, u0, T=0.04, dt=1e-3)
 
 
 def test_step_doubling_accuracy(quartic):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from kramerslab.evolve_limit import (homogeneous_pair_solution,
+from kramerslab.evolve_kramers import LinearSolver, SolverError
+from kramerslab.evolve_limit import (LimitSystem, homogeneous_pair_solution,
                                      limit_energy_identity, solve_limit)
 from kramerslab.grid_forms import (LimitField, assemble_limit,
                                    assemble_limit_rates)
@@ -128,3 +130,65 @@ def test_grid_mismatch_rejected():
     with pytest.raises(ValueError):
         solve_limit(lf, LimitField(np.zeros(17), np.zeros(17), other),
                     T=0.1, dt=1e-3)
+
+
+# equal, skewed (ratio e) and zero exchange rates
+RATES = [(K, K), (K * math.exp(0.5), K * math.exp(-0.5)), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("rates", RATES)
+@pytest.mark.parametrize("c", [0.5e-3, 1e-3])
+def test_limit_system_matches_sparse_lu(rates, c):
+    x = np.linspace(0.0, 1.0, 257)
+    lf = assemble_limit_rates(x, *rates)
+    system = LimitSystem(lf, c)
+    S = (lf.M + c * lf.A).tocsr()
+    rng = np.random.default_rng(41)
+    rhs = lf.M @ rng.normal(size=lf.n)
+    structured = LinearSolver(system, target=1e-11).solve(rhs)
+    # the two tridiagonal solves alone, without refinement, are backward
+    # stable
+    LinearSolver(system, target=1e-14, max_refine=0).solve(rhs)
+    direct = LinearSolver(S, target=1e-11, op=lambda v: system @ v).solve(rhs)
+    assert (np.linalg.norm(structured - direct)
+            <= 1e-12 * np.linalg.norm(direct))
+
+
+@pytest.mark.parametrize("rates", RATES)
+@pytest.mark.parametrize("c", [0.5e-3, 1e-3])
+def test_limit_norm_is_exact(rates, c):
+    lf = assemble_limit_rates(np.linspace(0.0, 1.0, 257), *rates)
+    exact = float(np.abs((lf.M + c * lf.A).tocsr()).sum(axis=1).max())
+    assert LimitSystem(lf, c).norm_inf() == pytest.approx(exact, rel=1e-14)
+
+
+def test_limit_factorization_rejects_indefinite():
+    # rates below -1/c make P1 = P0 + c (k_f + k_b) M_x indefinite;
+    # assemble_limit_rates refuses them, so they are put in afterwards
+    _, lf = make_setup()
+    lf = dataclasses.replace(lf, rate_forward=-2000.0, rate_backward=-1000.0)
+    with pytest.raises(SolverError, match=r"M \+ 0\.001 A.*k_f = -2000, "
+                                          r"k_b = -1000"):
+        LimitSystem(lf, 1e-3).factorize()
+
+
+def test_skewed_fine_grid_certificates():
+    x = np.linspace(0.0, 1.0, 4097)
+    lf = assemble_limit_rates(x, K * math.exp(0.5), K * math.exp(-0.5))
+    w0 = LimitField(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), x)
+    traj = solve_limit(lf, w0, T=2e-3, dt=1e-4)
+    assert len(traj.energy_residual) == 20
+    assert np.abs(np.diff(traj.mass)).max() <= 1e-10
+    assert np.abs(traj.energy_residual[1:]).max() <= 1e-9 * max(1.0, traj.b[0])
+    assert traj.energy_residual[0] <= 1e-9 * max(1.0, traj.b[0])
+
+
+def test_guard_stops_nonconservative_step():
+    # a stiffness whose columns do not sum to zero leaks mass at every step
+    x, lf = make_setup()
+    leaky = dataclasses.replace(lf, A=(lf.A + 0.1 * lf.M).tocsr())
+    w0 = LimitField(np.zeros(33), np.ones(33), x)
+    with pytest.raises(SolverError,
+                       match=r"limit system, step 1 \(t = 0\.001\): "
+                             r"mass drift"):
+        solve_limit(leaky, w0, T=0.01, dt=1e-3)

@@ -202,6 +202,13 @@ def test_limit_forms_reject_negative_rate():
         assemble_limit(np.linspace(0.0, 1.0, 9), -1.0)
 
 
+@pytest.mark.parametrize("rates", [(-1.0, 1.0), (1.0, -1e-300),
+                                   (float("nan"), 1.0), (1.0, float("inf"))])
+def test_limit_rates_reject_bad_rates(rates):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        assemble_limit_rates(np.linspace(0.0, 1.0, 9), *rates)
+
+
 def test_limit_rates_pair_nonsymmetric():
     x = np.linspace(0.0, 1.0, 9)
     lf = assemble_limit_rates(x, 1.0, 2.0)
