@@ -14,14 +14,11 @@ from .grid_forms import (Field, FormMatrices, Grid, LimitField,
 from .transition import (TransitionProfile, k_eps, lift, limit_rate, q_eps,
                          transition_cost, transition_mass, transition_profile)
 from .evolve_kramers import (LinearSolver, SolverError, Trajectory,
-                             energy_identity_residual, regularization_check,
-                             solve, step_theta)
-from .evolve_limit import (LimitTrajectory, homogeneous_pair_solution,
-                           limit_energy_identity, solve_limit)
+                             regularization_check, solve, step_theta)
+from .evolve_limit import homogeneous_pair_solution, solve_limit
 from .convergence import (ConvergenceReport, StudyConfig, cutoff_average,
                           cutoff_mass, gamma_limsup_check,
                           nonlinear_observable, nonlinear_observable_limit,
-                          regime_study, run_ladder_study, theorem1_study,
-                          theorem2_study, traces)
+                          regime_study, run_ladder_study, traces)
 
 __version__ = "0.1.0"

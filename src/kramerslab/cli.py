@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gibbs
-from .convergence import StudyConfig, run_ladder_study
+from .convergence import REGIMES, StudyConfig, run_ladder_study
 from .enthalpy import from_coefficients, quartic_default, validate
 from .evolve_kramers import SolverError, solve
 from .evolve_limit import solve_limit
@@ -31,7 +31,6 @@ from .transition import k_eps, lift, limit_rate, q_eps
 __all__ = ["Config", "ConfigError", "parse_config", "run", "main"]
 
 _SCHEMES = ("CN_rannacher", "BE")
-_REGIMES = ("critical", "sub", "super")
 
 
 class ConfigError(ValueError):
@@ -167,8 +166,8 @@ def config_from_dict(data):
                 f"times: {t} must be a positive step multiple within t_final")
     if merged["scheme"] not in _SCHEMES:
         raise ConfigError(f"scheme: must be one of {_SCHEMES}")
-    if merged["regime"] not in _REGIMES:
-        raise ConfigError(f"regime: must be one of {_REGIMES}")
+    if merged["regime"] not in REGIMES:
+        raise ConfigError(f"regime: must be one of {REGIMES}")
     if merged["rate"] is not None and not float(merged["rate"]) >= 0.0:
         raise ConfigError("rate: must be nonnegative or null")
 
@@ -327,13 +326,17 @@ def cmd_limit(cfg):
 
 
 def _study_config(cfg, prof):
-    return StudyConfig(profile=prof, ladder=cfg.ladder, nx=cfg.nx,
-                       nxi=cfg.nxi, dt=cfg.dt, t_final=cfg.t_final,
-                       times=cfg.times, scheme=cfg.scheme, regime=cfg.regime,
-                       quad_order=cfg.quad_order,
-                       u0_minus=_u0_callable(cfg.u0["minus"]),
-                       u0_plus=_u0_callable(cfg.u0["plus"]),
-                       grading=cfg.grading)
+    # a study needs more than the one rung that `rates` accepts
+    try:
+        return StudyConfig(profile=prof, ladder=cfg.ladder, nx=cfg.nx,
+                           nxi=cfg.nxi, dt=cfg.dt, t_final=cfg.t_final,
+                           times=cfg.times, scheme=cfg.scheme,
+                           regime=cfg.regime, quad_order=cfg.quad_order,
+                           u0_minus=_u0_callable(cfg.u0["minus"]),
+                           u0_plus=_u0_callable(cfg.u0["plus"]),
+                           grading=cfg.grading)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_converge(cfg, max_workers=1):
@@ -425,15 +428,13 @@ def main(argv=None):
     p.add_argument("--skew-gap", type=float, dest="skew_gap",
                    help="well-depth gap; nonzero selects the two-rate variant")
     p.add_argument("--times", help="comma-separated output times")
-    p.add_argument("--from-profile", action="store_true",
-                   help="derive the rate from the profile (the default)")
     p.add_argument("--u0", help="constants shorthand 'c_minus,c_plus'")
 
     p = sub.add_parser("converge", help="ladder certification study; exit "
                        "status reflects the report booleans")
     _add_common(p)
     p.add_argument("--ladder")
-    p.add_argument("--regime", choices=_REGIMES)
+    p.add_argument("--regime", choices=REGIMES)
     p.add_argument("--times", help="comma-separated sample times")
 
     args = parser.parse_args(argv)

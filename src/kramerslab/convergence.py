@@ -18,16 +18,17 @@ from . import gibbs
 from .enthalpy import EnthalpyProfile
 from .evolve_kramers import SolverError, solve
 from .evolve_limit import solve_limit
-from .grid_forms import (AssemblyError, LimitField, assemble, assemble_limit,
-                         b_form, build_grid, l2_norm_x, mass_matrix_1d,
-                         pair_limit, pair_measure, xi_node_functional)
-from .quadrature import QuadratureError, gauss_rule, panel_points
+from .grid_forms import (AssemblyError, LimitField, _panel_interp, assemble,
+                         assemble_limit, b_form, build_grid, l2_norm_x,
+                         mass_matrix_1d, nonlinear_observable, pair_limit,
+                         pair_measure, xi_node_functional)
+from .quadrature import QuadratureError, panel_points
 from .transition import k_eps, lift, limit_rate, q_eps
 
 __all__ = [
     "StudyConfig", "EpsRow", "ConvergenceReport", "traces", "cutoff_bump",
     "cutoff_average", "cutoff_mass", "gamma_limsup_check", "LimsupTable",
-    "run_ladder_study", "theorem1_study", "theorem2_study", "regime_study",
+    "run_ladder_study", "regime_study", "REGIMES",
     "nonlinear_observable", "nonlinear_observable_limit",
     "fiber_bound_margin", "gradient_bound_margin", "xi_flatness",
     "default_test_functions", "MONOTONE_FLOOR",
@@ -131,36 +132,11 @@ def xi_flatness(field, delta=0.5):
     return float(np.einsum("ic,ic->c", dU, W) @ h[sel])
 
 
-def nonlinear_observable(forms, field, f):
-    """Quadrature of f(x, xi, u) against the reference measure."""
-    grid = forms.grid
-    order = grid.quad_order
-    xq, xw = panel_points(grid.x_nodes, order)
-    xiq, xiw = panel_points(grid.xi_nodes, order)
-    gamma_w = xiw * np.exp(
-        -np.asarray(forms.profile.eval(xiq), dtype=float) / forms.eps
-        - forms.log_z)
-    g, _ = gauss_rule(order)
-    s = 0.5 * (1.0 + g)
-    U = field.values
-    Ux = U[:-1, None, :] * (1.0 - s)[None, :, None] + U[1:, None, :] * s[None, :, None]
-    Uq = (Ux[:, :, :-1, None] * (1.0 - s)[None, None, None, :]
-          + Ux[:, :, 1:, None] * s[None, None, None, :])
-    F = np.asarray(f(xq[:, :, None, None], xiq[None, None, :, :], Uq), dtype=float)
-    F = np.broadcast_to(F, Uq.shape)
-    return float(np.einsum("ca,db,cadb->", xw, gamma_w, F))
-
-
 def nonlinear_observable_limit(lf, f, quad_order=4):
     """Limit counterpart: averaged f over the two well lines."""
     xq, xw = panel_points(lf.x_nodes, quad_order)
-    g, _ = gauss_rule(quad_order)
-    s = 0.5 * (1.0 + g)
-
-    def interp(v):
-        return v[:-1, None] * (1.0 - s)[None, :] + v[1:, None] * s[None, :]
-
-    um, up = interp(lf.u_minus), interp(lf.u_plus)
+    um = _panel_interp(lf.u_minus, quad_order)
+    up = _panel_interp(lf.u_plus, quad_order)
     fm = np.broadcast_to(np.asarray(f(xq, -1.0, um), dtype=float), um.shape)
     fp = np.broadcast_to(np.asarray(f(xq, 1.0, up), dtype=float), up.shape)
     return 0.5 * (float((xw * fm).sum()) + float((xw * fp).sum()))
@@ -489,20 +465,6 @@ def run_ladder_study(cfg, max_workers=1):
                              times=cfg.times, limit_rate=k, rows=rows,
                              limit_values=limit_values, checks=checks,
                              row_errors=row_errors)
-
-
-def theorem1_study(cfg, max_workers=1):
-    """Weak-* certification: pairing and trace errors shrink down the ladder."""
-    if cfg.regime != "critical":
-        cfg = dataclasses.replace(cfg, regime="critical")
-    return run_ladder_study(cfg, max_workers=max_workers)
-
-
-def theorem2_study(cfg, max_workers=1):
-    """Norm certification: form values converge to the limit form values."""
-    if cfg.regime != "critical":
-        cfg = dataclasses.replace(cfg, regime="critical")
-    return run_ladder_study(cfg, max_workers=max_workers)
 
 
 def regime_study(scaling, cfg, max_workers=1):

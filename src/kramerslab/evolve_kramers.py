@@ -5,6 +5,10 @@ knob. The default starts with two damped half-steps before switching to the
 trapezoidal rule: the reaction-coordinate operator carries the huge rescaled
 clock, and the damped start kills its stiff transients while the trapezoidal
 steps preserve the discrete energy identity exactly.
+
+The same integrator steps the two-species limit system (``evolve_limit``):
+both levels are gradient flows of an energy ``a`` in the metric ``b`` and
+differ only in their forms and in the structured solver of M + cA.
 """
 from __future__ import annotations
 
@@ -17,8 +21,7 @@ import scipy.sparse.linalg as spla
 from .grid_forms import Field, _vec
 
 __all__ = ["SolverError", "KroneckerSystem", "LinearSolver", "Trajectory",
-           "step_theta", "solve", "energy_identity_residual",
-           "regularization_check", "RegularityFlags"]
+           "step_theta", "solve", "regularization_check", "RegularityFlags"]
 
 
 class SolverError(RuntimeError):
@@ -36,12 +39,10 @@ def _bands(T):
                      np.concatenate([off, [0.0]])])
 
 
-class KroneckerSystem:
-    """The theta-step matrix M + cA of ``forms``, kept as its 1-D factors:
-    (M_x + c K_x) (x) M_xi + c M_x (x) K_xi.
-
-    ``S @ v`` is the exact action, with the stiffness in incidence form.
-    """
+class _ThetaSystem:
+    """The theta-step matrix M + cA of ``forms``; ``S @ v`` is the exact
+    action, with the stiffness applied by ``forms.apply_a``. Subclasses add
+    ``norm_inf`` and ``factorize`` from the 1-D factors of the forms."""
 
     def __init__(self, forms, c):
         self.forms = forms
@@ -49,6 +50,13 @@ class KroneckerSystem:
 
     def __matmul__(self, v):
         return self.forms.M @ v + self.c * self.forms.apply_a(v)
+
+
+class KroneckerSystem(_ThetaSystem):
+    """M + cA of the eps-level forms, kept as its 1-D factors:
+    (M_x + c K_x) (x) M_xi + c M_x (x) K_xi; the stiffness acts in
+    incidence form.
+    """
 
     def norm_inf(self):
         """||M + cA||_inf, exactly: per row, the nine-term stencil of
@@ -221,6 +229,8 @@ class Trajectory:
 
     Diagnostic arrays are aligned with ``times`` (length n_steps + 1);
     ``energy_residual`` and ``thetas`` are per step (length n_steps).
+    ``a1`` and ``a2`` split the energy: x- and xi-parts at the eps level,
+    diffusion and reaction parts for the limit system (``eps`` = 0).
     States are stored only at the requested snapshot times.
     """
 
@@ -282,80 +292,78 @@ def _snapshot_steps(snapshot_times, dt, n_steps):
     return steps
 
 
-def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=(),
-          residual_target=1e-11):
-    """Integrate M du/dt + A u = 0 from the nodal field ``u0`` to time T.
+def _integrate(forms, system, u, T, dt, scheme, snapshot_times,
+               residual_target, wrap, where):
+    """The theta loop of both levels, from the flat initial state ``u``.
 
-    Records mass, the squared norm b and the energy split (a1, a2) at every
-    step, the per-step residual of the discrete energy identity, and full
-    states at ``snapshot_times``. Raises :class:`SolverError`, naming eps,
-    the step, t and the quantity, as soon as a step drifts the mass or
-    breaks the energy identity beyond the certificates.
+    ``system(forms, c)`` is the structured M + cA, ``wrap(vec)`` builds a
+    snapshot from a private copy of the state, and ``where`` names the run
+    in a :class:`SolverError`. The squared norm b is computed once per state
+    and serves both the record and the energy-identity residual.
     """
-    if not isinstance(u0, Field):
-        raise TypeError("u0 must be a Field")
     M = forms.M
     n_steps, groups = theta_plan(
         T, dt, scheme,
-        lambda c: LinearSolver(KroneckerSystem(forms, c), residual_target))
+        lambda c: LinearSolver(system(forms, c), residual_target))
     want = _snapshot_steps(snapshot_times, dt, n_steps)
 
-    u = u0.ravel().copy()
+    u = np.array(u, dtype=float)
     mass_vec = M @ np.ones_like(u)
-
-    times = np.zeros(n_steps + 1)
-    mass = np.zeros(n_steps + 1)
-    b = np.zeros(n_steps + 1)
-    a1 = np.zeros(n_steps + 1)
-    a2 = np.zeros(n_steps + 1)
+    times, mass, b, a1, a2 = (np.zeros(n_steps + 1) for _ in range(5))
     e_res = np.zeros(n_steps)
     thetas = np.zeros(n_steps)
     snapshots = []
 
-    def record(idx, t, vec):
+    def record(idx, t, vec, b_vec):
         times[idx] = t
         mass[idx] = float(mass_vec @ vec)
-        b[idx] = float(vec @ (M @ vec))
+        b[idx] = b_vec
         a1[idx] = forms.a1_energy(vec)
         a2[idx] = forms.a2_energy(vec)
+        if idx in want:
+            snapshots.append((want[idx], wrap(vec.copy())))
 
-    record(0, 0.0, u)
-    if 0 in want:
-        snapshots.append((want[0], Field(u.reshape(u0.values.shape).copy(),
-                                         u0.grid, u0.eps)))
-
+    b_u = float(u @ (M @ u))
+    record(0, 0.0, u, b_u)
     t = 0.0
     for step, group in enumerate(groups, start=1):
         residual = 0.0
-        theta_used = group[0][0]
         for theta, dt_sub, solver in group:
             u_new = u + solver.solve(-dt_sub * forms.apply_a(u))
             ubar = theta * u_new + (1.0 - theta) * u
-            residual += (0.5 * float(u_new @ (M @ u_new))
-                         - 0.5 * float(u @ (M @ u))
-                         + dt_sub * forms.a_energy(ubar))
-            u = u_new
+            b_new = float(u_new @ (M @ u_new))
+            residual += 0.5 * b_new - 0.5 * b_u + dt_sub * forms.a_energy(ubar)
+            u, b_u = u_new, b_new
             t += dt_sub
-        record(step, t, u)
-        _certify_step(f"eps = {forms.eps:g}", step, t,
-                      mass[step] - mass[step - 1], residual, theta_used, b[0])
         e_res[step - 1] = residual
-        thetas[step - 1] = theta_used
-        if step in want:
-            snapshots.append((want[step],
-                              Field(u.reshape(u0.values.shape).copy(),
-                                    u0.grid, u0.eps)))
+        thetas[step - 1] = group[0][0]
+        record(step, t, u, b_u)
+        _certify_step(where, step, t, mass[step] - mass[step - 1], residual,
+                      thetas[step - 1], b[0])
     return Trajectory(times=times, mass=mass, b=b, a1=a1, a2=a2,
                       energy_residual=e_res, thetas=thetas,
                       snapshots=snapshots, scheme=scheme, dt=dt, eps=forms.eps)
 
 
-def energy_identity_residual(trajectory):
-    """Per-step residual of the discrete energy identity
-    b(u_next)/2 - b(u)/2 + dt * a(u_theta) with u_theta the scheme's
-    collocation state. Zero up to solver tolerance on trapezoidal steps,
-    nonpositive on damped steps."""
-    return trajectory.energy_residual
+def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=(),
+          residual_target=1e-11):
+    """Integrate M du/dt + A u = 0 from the nodal field ``u0`` to time T.
+
+    Records mass, the squared norm b and the energy split (a1, a2) at every
+    step, the per-step residual of the discrete energy identity
+    b(u_next)/2 - b(u)/2 + dt a(u_theta) (zero up to solver tolerance on
+    trapezoidal steps, nonpositive on damped ones), and full states at
+    ``snapshot_times``. Raises :class:`SolverError`, naming eps, the step, t
+    and the quantity, as soon as a step drifts the mass or breaks the energy
+    identity beyond the certificates.
+    """
+    if not isinstance(u0, Field):
+        raise TypeError("u0 must be a Field")
+    shape = u0.values.shape
+    return _integrate(
+        forms, KroneckerSystem, u0.ravel(), T, dt, scheme, snapshot_times,
+        residual_target, lambda v: Field(v.reshape(shape), u0.grid, u0.eps),
+        f"eps = {forms.eps:g}")
 
 
 @dataclass

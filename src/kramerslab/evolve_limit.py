@@ -1,45 +1,37 @@
 """Theta-scheme solver for the two-species reaction-diffusion limit system.
 
-Same variational structure and the same stepping machinery as the eps-level
-solver, acting on the block forms over the pair of well densities.
+Same variational structure and the same integrator as the eps-level solver
+(``evolve_kramers``), acting on the block forms over the pair of well
+densities; this module supplies the structured solver of M + cA.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 
-from .evolve_kramers import (LinearSolver, SolverError, _bands,
-                             _certify_step, _snapshot_steps, theta_plan)
+from .evolve_kramers import SolverError, _bands, _integrate, _ThetaSystem
 from .grid_forms import LimitField
 
-__all__ = ["LimitSystem", "LimitTrajectory", "solve_limit",
-           "limit_energy_identity", "homogeneous_pair_solution"]
+__all__ = ["LimitSystem", "solve_limit", "homogeneous_pair_solution"]
 
 
-class LimitSystem:
-    """The theta-step matrix M + cA of the limit forms ``lforms``, kept as
-    its 1-D factors: 1/2 [I (x) P0 + c R (x) M_x], P0 = M_x + c K_x, with
-    the reaction matrix R = [[k_f, -k_b], [-k_f, k_b]].
-
-    ``S @ v`` is the exact action of the assembled block forms.
+class LimitSystem(_ThetaSystem):
+    """M + cA of the limit forms, kept as its 1-D factors:
+    1/2 [I (x) P0 + c R (x) M_x], P0 = M_x + c K_x, with the reaction
+    matrix R = [[k_f, -k_b], [-k_f, k_b]]; ``S @ v`` is the exact action of
+    the assembled block forms.
     """
 
     def __init__(self, lforms, c):
-        self.lforms = lforms
-        self.c = float(c)
+        super().__init__(lforms, c)
         self._m = _bands(lforms.M_x)
         self._p0 = self._m + self.c * _bands(lforms.K_x)
-
-    def __matmul__(self, v):
-        return self.lforms.M @ v + self.c * (self.lforms.A @ v)
 
     def norm_inf(self):
         """||M + cA||_inf, exactly: row i of the minus block row sums
         |P0 + c k_f M_x| along row i plus c k_b times the M_x row sum, all
         halved; the plus block row swaps the rates."""
-        lf, c, m, p0 = self.lforms, self.c, self._m, self._p0
+        lf, c, m, p0 = self.forms, self.c, self._m, self._p0
         kf, kb = lf.rate_forward, lf.rate_backward
         m_row = np.abs(m).sum(axis=0)
         minus = np.abs(p0 + c * kf * m).sum(axis=0) + c * kb * m_row
@@ -56,7 +48,7 @@ class LimitSystem:
         P1 = P0 + c (k_f + k_b) M_x. Nothing is divided by k_f + k_b, so
         zero rates need no special case.
         """
-        lf, c, m, p0 = self.lforms, self.c, self._m, self._p0
+        lf, c, m, p0 = self.forms, self.c, self._m, self._p0
         kf, kb = lf.rate_forward, lf.rate_backward
         factors = []
         for p in (p0, p0 + c * (kf + kb) * m):
@@ -79,105 +71,28 @@ class LimitSystem:
         return inner
 
 
-@dataclass
-class LimitTrajectory:
-    """Trajectory of the limit system with per-step diagnostics."""
-
-    times: np.ndarray
-    mass: np.ndarray
-    b: np.ndarray
-    a: np.ndarray
-    energy_residual: np.ndarray
-    thetas: np.ndarray
-    snapshots: list
-    scheme: str
-    dt: float
-
-    def snapshot_at(self, t):
-        for ts, state in self.snapshots:
-            if abs(ts - t) <= 1e-9 * max(abs(t), 1.0):
-                return state
-        raise KeyError(f"no snapshot stored at t = {t!r}")
-
-
 def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=(),
                 residual_target=1e-11):
     """Integrate the block system M dw/dt + A w = 0 for w = (u_minus, u_plus).
 
     Each theta step is solved through :class:`LimitSystem`: two SPD
     tridiagonal solves per inner solve, factored once per plan, refined and
-    certified against the exact block action. Raises :class:`SolverError`,
-    naming the step, t and the quantity, as soon as a step drifts the mass
-    or breaks the energy identity beyond the certificates.
+    certified against the exact block action. Returns an
+    ``evolve_kramers.Trajectory`` whose energy split is (diffusion,
+    reaction). Raises :class:`SolverError`, naming the step, t and the
+    quantity, as soon as a step drifts the mass or breaks the energy
+    identity beyond the certificates.
     """
     if not isinstance(u0, LimitField):
         raise TypeError("u0 must be a LimitField")
-    if len(u0.x_nodes) != len(lforms.x_nodes) or not np.array_equal(
-            u0.x_nodes, lforms.x_nodes):
+    x = lforms.x_nodes
+    if not np.array_equal(u0.x_nodes, x):
         raise ValueError("initial data and forms live on different x-grids")
-    M, A = lforms.M, lforms.A
-    n_steps, groups = theta_plan(
-        T, dt, scheme,
-        lambda c: LinearSolver(LimitSystem(lforms, c), residual_target))
-    want = _snapshot_steps(snapshot_times, dt, n_steps)
-
-    nx = len(lforms.x_nodes)
-    w = u0.stack()
-    mass_vec = M @ np.ones_like(w)
-
-    times = np.zeros(n_steps + 1)
-    mass = np.zeros(n_steps + 1)
-    b = np.zeros(n_steps + 1)
-    a = np.zeros(n_steps + 1)
-    e_res = np.zeros(n_steps)
-    thetas = np.zeros(n_steps)
-    snapshots = []
-
-    def norm2(vec):
-        return float(vec @ (M @ vec))
-
-    def record(idx, t, vec, b_vec):
-        times[idx] = t
-        mass[idx] = float(mass_vec @ vec)
-        b[idx] = b_vec
-        a[idx] = float(vec @ (A @ vec))
-
-    def snap(t, vec):
-        snapshots.append((t, LimitField(vec[:nx].copy(), vec[nx:].copy(),
-                                        lforms.x_nodes)))
-
-    b_w = norm2(w)
-    record(0, 0.0, w, b_w)
-    if 0 in want:
-        snap(want[0], w)
-
-    t = 0.0
-    for step, group in enumerate(groups, start=1):
-        residual = 0.0
-        theta_used = group[0][0]
-        for theta, dt_sub, solver in group:
-            w_new = w + solver.solve(-dt_sub * (A @ w))
-            wbar = theta * w_new + (1.0 - theta) * w
-            b_new = norm2(w_new)
-            residual += (0.5 * b_new - 0.5 * b_w
-                         + dt_sub * float(wbar @ (A @ wbar)))
-            w, b_w = w_new, b_new
-            t += dt_sub
-        record(step, t, w, b_w)
-        _certify_step("limit system", step, t, mass[step] - mass[step - 1],
-                      residual, theta_used, b[0])
-        e_res[step - 1] = residual
-        thetas[step - 1] = theta_used
-        if step in want:
-            snap(want[step], w)
-    return LimitTrajectory(times=times, mass=mass, b=b, a=a,
-                           energy_residual=e_res, thetas=thetas,
-                           snapshots=snapshots, scheme=scheme, dt=dt)
-
-
-def limit_energy_identity(trajectory):
-    """Per-step residual of the discrete energy identity of the limit flow."""
-    return trajectory.energy_residual
+    nx = len(x)
+    return _integrate(
+        lforms, LimitSystem, u0.stack(), T, dt, scheme, snapshot_times,
+        residual_target, lambda v: LimitField(v[:nx], v[nx:], x),
+        "limit system")
 
 
 def homogeneous_pair_solution(c_minus, c_plus, rate_forward, rate_backward, t):

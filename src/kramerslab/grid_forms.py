@@ -22,8 +22,9 @@ __all__ = [
     "AssemblyError", "Grid", "Field", "LimitField", "FormMatrices",
     "LimitFormMatrices", "graded_nodes", "build_grid", "assemble",
     "assemble_limit", "assemble_limit_rates", "b_form", "a_form",
-    "energy_split", "pair_measure", "pair_limit", "mass_matrix_1d",
-    "stiffness_matrix_1d", "xi_node_functional", "l2_norm_x",
+    "energy_split", "pair_measure", "pair_limit", "nonlinear_observable",
+    "mass_matrix_1d", "stiffness_matrix_1d", "xi_node_functional",
+    "l2_norm_x",
 ]
 
 
@@ -163,15 +164,20 @@ class LimitField:
         return LimitField(self.u_minus.copy(), self.u_plus.copy(), self.x_nodes)
 
 
-def _mass_cells(nodes, order, weight=None, log_weight=None):
-    """Per-cell 2x2 hat-function mass blocks (m00, m01, m11) and cell masses."""
+def _weighted_points(nodes, order, weight=None, log_weight=None):
+    """Panel Gauss weights times the weight (or exp of ``log_weight``)
+    sampled at the panel Gauss points; shape (ncells, order)."""
     pts, wts = panel_points(nodes, order)
     if log_weight is not None:
-        wq = wts * np.exp(log_weight(pts))
-    elif weight is not None:
-        wq = wts * weight(pts)
-    else:
-        wq = wts
+        return wts * np.exp(log_weight(pts))
+    if weight is not None:
+        return wts * weight(pts)
+    return wts
+
+
+def _mass_cells(nodes, order, weight=None, log_weight=None):
+    """Per-cell 2x2 hat-function mass blocks (m00, m01, m11) and cell masses."""
+    wq = _weighted_points(nodes, order, weight, log_weight)
     g, _ = gauss_rule(order)
     s = 0.5 * (1.0 + g)
     n0 = 1.0 - s
@@ -202,13 +208,7 @@ def stiffness_cells(nodes, weight=None, order=4, log_weight=None):
     floating-point product is proportional to the true local flux.
     """
     nodes = np.asarray(nodes, dtype=float)
-    pts, wts = panel_points(nodes, order)
-    if log_weight is not None:
-        wq = wts * np.exp(log_weight(pts))
-    elif weight is not None:
-        wq = wts * weight(pts)
-    else:
-        wq = wts
+    wq = _weighted_points(nodes, order, weight, log_weight)
     h = np.diff(nodes)
     return wq.sum(axis=1) / (h * h)
 
@@ -405,7 +405,12 @@ def energy_split(A1, A2, u):
 
 @dataclass(frozen=True)
 class LimitFormMatrices:
-    """Block forms of the two-species limit system over (u_minus, u_plus)."""
+    """Block forms of the two-species limit system over (u_minus, u_plus).
+
+    Offers the forms interface of :class:`FormMatrices` that the theta
+    integrator uses; the energy splits into the diffusion part ``a1`` and
+    the reaction part ``a2``.
+    """
 
     M: sp.csr_matrix
     A: sp.csr_matrix
@@ -415,6 +420,8 @@ class LimitFormMatrices:
     rate_forward: float   # minus -> plus
     rate_backward: float  # plus -> minus
 
+    eps = 0.0  # the limit of the eps-level forms
+
     @property
     def symmetric(self):
         return self.rate_forward == self.rate_backward
@@ -422,6 +429,24 @@ class LimitFormMatrices:
     @property
     def n(self):
         return self.M.shape[0]
+
+    def apply_a(self, w):
+        return self.A @ w
+
+    def a_energy(self, w):
+        return float(w @ (self.A @ w))
+
+    def a1_energy(self, w):
+        """Diffusion energy, half the K_x-energy of each density."""
+        um, up = _vec(w).reshape(2, -1)
+        return 0.5 * (float(um @ (self.K_x @ um)) + float(up @ (self.K_x @ up)))
+
+    def a2_energy(self, w):
+        """Reaction energy (k_f u_minus - k_b u_plus, u_minus - u_plus)/2 in
+        the x-mass; with equal rates k it is k/2 times the squared gap."""
+        um, up = _vec(w).reshape(2, -1)
+        flux = self.rate_forward * um - self.rate_backward * up
+        return 0.5 * float(flux @ (self.M_x @ (um - up)))
 
 
 def assemble_limit_rates(x_nodes, rate_forward, rate_backward, quad_order=4):
@@ -456,16 +481,18 @@ def assemble_limit(x_nodes, k, quad_order=4):
     return assemble_limit_rates(x_nodes, k, k, quad_order=quad_order)
 
 
-def _x_interp(values, order):
-    """Values of the nodal piecewise-linear interpolant at the panel Gauss
-    points of its own partition; shape (ncells, order)."""
+def _panel_interp(values, order):
+    """Values of the nodal piecewise-linear interpolant, along the last axis,
+    at the panel Gauss points of its own partition; shape
+    (..., ncells, order)."""
     g, _ = gauss_rule(order)
     s = 0.5 * (1.0 + g)
-    return values[:-1, None] * (1.0 - s)[None, :] + values[1:, None] * s[None, :]
+    return values[..., :-1, None] * (1.0 - s) + values[..., 1:, None] * s
 
 
-def pair_measure(forms, field, phi):
-    """Duality pairing of the measure (field * reference) with ``phi(x, xi)``."""
+def nonlinear_observable(forms, field, f):
+    """Quadrature of f(x, xi, u) against the reference measure, with u the
+    bilinear interpolant of ``field`` at the tensor panel Gauss points."""
     grid = forms.grid
     order = grid.quad_order
     xq, xw = panel_points(grid.x_nodes, order)
@@ -473,23 +500,27 @@ def pair_measure(forms, field, phi):
     gamma_w = xiw * np.exp(
         -np.asarray(forms.profile.eval(xiq), dtype=float) / forms.eps
         - forms.log_z)
-    g, _ = gauss_rule(order)
-    s = 0.5 * (1.0 + g)
-    U = field.values
-    # bilinear interpolation onto the tensor quadrature points
-    Ux = U[:-1, None, :] * (1.0 - s)[None, :, None] + U[1:, None, :] * s[None, :, None]
-    Uq = (Ux[:, :, :-1, None] * (1.0 - s)[None, None, None, :]
-          + Ux[:, :, 1:, None] * s[None, None, None, :])
-    raw = phi(xq[:, :, None, None], xiq[None, None, :, :])
-    Phi = np.broadcast_to(np.asarray(raw, dtype=float), Uq.shape)
-    return float(np.einsum("ca,db,cadb->", xw, gamma_w, Uq * Phi))
+    # interpolate in x, then in xi: shape (x-cells, order, xi-cells, order);
+    # einsum sums in memory order, so Uq must be C-ordered for its rounding
+    # not to depend on how it was built
+    Ux = np.moveaxis(_panel_interp(field.values.T, order), 0, -1)
+    Uq = _panel_interp(np.ascontiguousarray(Ux), order)
+    F = np.asarray(f(xq[:, :, None, None], xiq[None, None, :, :], Uq), dtype=float)
+    F = np.broadcast_to(F, Uq.shape)
+    return float(np.einsum("ca,db,cadb->", xw, gamma_w, F))
+
+
+def pair_measure(forms, field, phi):
+    """Duality pairing of the measure (field * reference) with ``phi(x, xi)``."""
+    return nonlinear_observable(forms, field,
+                                lambda x, xi, u: phi(x, xi) * u)
 
 
 def pair_limit(lf, phi, quad_order=4):
     """Pairing of the two-line limit measure with ``phi(x, xi)``."""
     xq, xw = panel_points(lf.x_nodes, quad_order)
-    um = _x_interp(lf.u_minus, quad_order)
-    up = _x_interp(lf.u_plus, quad_order)
+    um = _panel_interp(lf.u_minus, quad_order)
+    up = _panel_interp(lf.u_plus, quad_order)
     pm = np.broadcast_to(np.asarray(phi(xq, -1.0), dtype=float), um.shape)
     pp = np.broadcast_to(np.asarray(phi(xq, 1.0), dtype=float), up.shape)
     return 0.5 * (float((xw * um * pm).sum()) + float((xw * up * pp).sum()))

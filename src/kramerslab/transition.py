@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gibbs
-from .grid_forms import Field, graded_nodes
-from .quadrature import gauss_rule, panel_integrals, panel_points
+from .grid_forms import Field, _panel_interp, graded_nodes
+from .quadrature import panel_integrals, panel_points
 
 __all__ = [
     "TransitionProfile", "default_xi_nodes", "transition_profile",
@@ -106,9 +106,7 @@ def q_eps(profile, eps, xi_nodes=None, tol=1e-12):
     log_z = gibbs.log_partition(profile, eps, tol)
     order = 8
     pts, wts = panel_points(tp.xi_nodes, order)
-    g, _ = gauss_rule(order)
-    s = 0.5 * (1.0 + g)
-    vq = tp.values[:-1, None] * (1.0 - s)[None, :] + tp.values[1:, None] * s[None, :]
+    vq = _panel_interp(tp.values, order)
     h = profile.eval
     dens = np.exp(-np.asarray(h(pts), dtype=float) / eps - log_z)
     return float((wts * dens * vq * vq).sum())

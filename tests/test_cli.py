@@ -195,3 +195,14 @@ def test_skew_gap_limit_run(tmp_path):
     # relaxed close to the detailed-balance split u_minus/u_plus = exp(-gap)
     assert um < up
     assert abs((um / up) / 0.5 - 1.0) < 0.05
+
+
+def test_converge_rejects_single_rung_ladder(tmp_path, capsys):
+    # one rung is a valid `rates` ladder but not a convergence study
+    code = main(["converge", "--ladder", "0.1", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ladder ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+    assert main(["rates", "--ladder", "0.1", "--out", str(tmp_path)]) == 0

@@ -9,8 +9,7 @@ from kramerslab.convergence import (StudyConfig, cutoff_average, cutoff_bump,
                                     gamma_limsup_check, gradient_bound_margin,
                                     nonlinear_observable,
                                     nonlinear_observable_limit, regime_study,
-                                    run_ladder_study, theorem1_study,
-                                    theorem2_study, traces, xi_flatness)
+                                    run_ladder_study, traces, xi_flatness)
 from kramerslab.grid_forms import Field, LimitField, assemble, b_form, build_grid
 from kramerslab.transition import k_eps, lift
 
@@ -137,12 +136,11 @@ def test_report_serializes(mini_report):
     json.dumps(d)
 
 
-def test_theorem_wrappers_force_critical(quartic):
+def test_critical_study_overrides_regime(quartic, mini_report):
     cfg = StudyConfig(profile=quartic, regime="super", **MINI)
-    rep = theorem1_study(cfg)
+    rep = regime_study("critical", cfg)
     assert rep.regime == "critical"
-    rep2 = theorem2_study(cfg)
-    assert rep2.regime == "critical"
+    assert rep.to_dict() == mini_report.to_dict()
 
 
 def test_constant_data_is_exact(quartic):

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from kramerslab.evolve_kramers import (KroneckerSystem, LinearSolver,
                                        SolverError, _certify_step,
-                                       energy_identity_residual,
                                        regularization_check, solve,
                                        step_theta)
 from kramerslab.grid_forms import Field, assemble, build_grid
@@ -160,7 +159,6 @@ def test_regularization_flags(setup):
     traj = solve(forms, rough, T=0.05, dt=1e-3)
     flags = regularization_check(traj)
     assert np.all(flags.bounded)
-    assert energy_identity_residual(traj) is traj.energy_residual
 
 
 def test_solver_error_surfaces():

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from kramerslab.evolve_kramers import LinearSolver, SolverError
+from kramerslab.evolve_kramers import (LinearSolver, SolverError, Trajectory,
+                                       solve)
 from kramerslab.evolve_limit import (LimitSystem, homogeneous_pair_solution,
-                                     limit_energy_identity, solve_limit)
-from kramerslab.grid_forms import (LimitField, assemble_limit,
-                                   assemble_limit_rates)
+                                     solve_limit)
+from kramerslab.enthalpy import quartic_default
+from kramerslab.grid_forms import (LimitField, assemble, assemble_limit,
+                                   assemble_limit_rates, build_grid)
+from kramerslab.transition import lift
 
 import oracles
 
@@ -74,7 +77,6 @@ def test_mass_conservation_and_energy_identity():
     traj = solve_limit(lf, w0, T=0.05, dt=1e-3)
     assert np.abs(np.diff(traj.mass)).max() <= 1e-10
     assert np.abs(traj.energy_residual[1:]).max() <= 1e-9 * traj.b[0]
-    assert limit_energy_identity(traj) is traj.energy_residual
 
 
 def test_discrete_maximum_principle():
@@ -192,3 +194,64 @@ def test_guard_stops_nonconservative_step():
                        match=r"limit system, step 1 \(t = 0\.001\): "
                              r"mass drift"):
         solve_limit(leaky, w0, T=0.01, dt=1e-3)
+
+
+def _kramers_run(T, snapshot_times):
+    grid = build_grid(17, 21)
+    profile = quartic_default()
+    forms = assemble(grid, profile, 0.1)
+    x = grid.x_nodes
+    u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), profile, 0.1, grid)
+    traj = solve(forms, u0, T=T, dt=1e-3, snapshot_times=snapshot_times)
+    return u0.ravel(), traj
+
+
+def _limit_run(T, snapshot_times, rates=(K, K)):
+    x = np.linspace(0.0, 1.0, 33)
+    lf = assemble_limit_rates(x, *rates)
+    w0 = LimitField(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), x)
+    traj = solve_limit(lf, w0, T=T, dt=1e-3, snapshot_times=snapshot_times)
+    return w0.stack(), traj
+
+
+def test_both_levels_share_one_trajectory():
+    _, kt = _kramers_run(0.01, (0.01,))
+    _, lt = _limit_run(0.01, (0.01,))
+    for traj, eps in ((kt, 0.1), (lt, 0.0)):
+        assert type(traj) is Trajectory
+        assert traj.eps == eps
+        for name in ("times", "mass", "b", "a1", "a2", "a"):
+            assert getattr(traj, name).shape == (11,)
+        assert traj.energy_residual.shape == traj.thetas.shape == (10,)
+        assert list(traj.thetas) == [1.0] + [0.5] * 9
+        assert traj.times[-1] == pytest.approx(0.01, abs=1e-15)
+
+
+@pytest.mark.parametrize("rates", RATES[:2])
+def test_limit_energy_split_matches_block_form(rates):
+    times = tuple(k * 1e-3 for k in range(11))
+    _, traj = _limit_run(0.01, times, rates)
+    lf = assemble_limit_rates(np.linspace(0.0, 1.0, 33), *rates)
+    assert len(traj.snapshots) == 11
+    for idx, (t, state) in enumerate(traj.snapshots):
+        w = state.stack()
+        exact = float(w @ (lf.A @ w))
+        assert abs(traj.a1[idx] + traj.a2[idx] - exact) <= 1e-13 * abs(exact)
+        if rates[0] == rates[1]:
+            # equal rates: the reaction part is k/2 times the squared gap
+            gap = state.u_plus - state.u_minus
+            assert traj.a2[idx] == pytest.approx(
+                0.5 * K * float(gap @ (lf.M_x @ gap)), rel=1e-12)
+
+
+@pytest.mark.parametrize("run, flat", [
+    (_kramers_run, lambda s: s.values.reshape(-1)),
+    (_limit_run, lambda s: s.stack()),
+])
+def test_snapshots_are_not_changed_by_later_steps(run, flat):
+    initial, traj = run(0.01, (0.0, 0.003, 0.01))
+    _, short = run(0.003, (0.003,))
+    assert np.array_equal(flat(traj.snapshot_at(0.0)), initial)
+    assert np.array_equal(flat(traj.snapshot_at(0.003)),
+                          flat(short.snapshot_at(0.003)))
+    assert not np.array_equal(flat(traj.snapshot_at(0.01)), initial)
