@@ -19,6 +19,6 @@ from .evolve_limit import homogeneous_pair_solution, solve_limit
 from .convergence import (ConvergenceReport, StudyConfig, cutoff_average,
                           cutoff_mass, gamma_limsup_check,
                           nonlinear_observable, nonlinear_observable_limit,
-                          regime_study, run_ladder_study, traces)
+                          run_ladder_study, traces)
 
 __version__ = "0.1.0"

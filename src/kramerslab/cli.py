@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import gibbs
-from .convergence import REGIMES, StudyConfig, run_ladder_study
+from .convergence import (REGIMES, ConfigError, StudyConfig, check_eps,
+                          check_study, check_times, run_ladder_study)
 from .enthalpy import from_coefficients, quartic_default, validate
-from .evolve_kramers import SolverError, solve
+from .evolve_kramers import SCHEMES, SolverError, solve
 from .evolve_limit import solve_limit
 from .grid_forms import (LimitField, assemble, assemble_limit,
                          assemble_limit_rates, build_grid)
@@ -30,11 +31,21 @@ from .transition import k_eps, lift, limit_rate, q_eps
 
 __all__ = ["Config", "ConfigError", "parse_config", "run", "main"]
 
-_SCHEMES = ("CN_rannacher", "BE")
+
+def _number(field, value):
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    return x
 
 
-class ConfigError(ValueError):
-    pass
+def _numbers(field, value):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{field}: expected a list, got {value!r}")
+    return tuple(_number(field, v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -68,46 +79,44 @@ class Config:
         d["times"] = list(self.times)
         return d
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, **kw)
+
+_U0_KEYS = {"constant": {"value"}, "cosine": {"offset", "amplitude", "mode"},
+            "tabulated": {"x", "values"}}
 
 
-_U0_KINDS = ("constant", "cosine", "tabulated")
-
-
-def _check_u0_side(side, spec):
+def _u0_callable(u0, side):
+    """The initial density of one well, x -> u, from its spec in ``u0``;
+    every violation of the spec format is a ConfigError."""
+    path, spec = f"u0.{side}", u0.get(side)
     if not isinstance(spec, dict):
-        raise ConfigError(f"u0.{side}: expected an object, got {type(spec).__name__}")
+        raise ConfigError(f"{path}: expected an object, got {spec!r}")
     kind = spec.get("kind")
-    if kind not in _U0_KINDS:
-        raise ConfigError(f"u0.{side}.kind: must be one of {_U0_KINDS}, got {kind!r}")
-    allowed = {
-        "constant": {"kind", "value"},
-        "cosine": {"kind", "offset", "amplitude", "mode"},
-        "tabulated": {"kind", "x", "values"},
-    }[kind]
-    unknown = set(spec) - allowed
+    if kind not in tuple(_U0_KEYS):
+        raise ConfigError(
+            f"{path}.kind: must be one of {tuple(_U0_KEYS)}, got {kind!r}")
+    unknown = set(spec) - _U0_KEYS[kind] - {"kind"}
     if unknown:
-        raise ConfigError(f"u0.{side}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     if kind == "tabulated":
-        xs, vs = spec.get("x"), spec.get("values")
-        if not xs or not vs or len(xs) != len(vs):
-            raise ConfigError(f"u0.{side}: 'x' and 'values' must be equal-length, nonempty")
-
-
-def _u0_callable(spec):
-    kind = spec["kind"]
+        xs = np.array(_numbers(f"{path}.x", spec.get("x")))
+        vs = np.array(_numbers(f"{path}.values", spec.get("values")))
+        if not xs.size or xs.shape != vs.shape:
+            raise ConfigError(
+                f"{path}: 'x' and 'values' must be equal-length, nonempty")
+        if np.any(np.diff(xs) <= 0.0):
+            raise ConfigError(f"{path}.x: must be strictly increasing")
+        return lambda x: np.interp(np.asarray(x, dtype=float), xs, vs)
+    c = {key: _number(f"{path}.{key}", spec[key])
+         for key in _U0_KEYS[kind] & set(spec)}
     if kind == "constant":
-        c = float(spec.get("value", 0.0))
-        return lambda x: np.full_like(np.asarray(x, dtype=float), c)
-    if kind == "cosine":
-        off = float(spec.get("offset", 0.0))
-        amp = float(spec.get("amplitude", 1.0))
-        mode = int(spec.get("mode", 1))
-        return lambda x: off + amp * np.cos(mode * np.pi * np.asarray(x, dtype=float))
-    xs = np.asarray(spec["x"], dtype=float)
-    vs = np.asarray(spec["values"], dtype=float)
-    return lambda x: np.interp(np.asarray(x, dtype=float), xs, vs)
+        value = c.get("value", 0.0)
+        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
+    off, amp = c.get("offset", 0.0), c.get("amplitude", 1.0)
+    mode = c.get("mode", 1.0)
+    if not mode.is_integer():
+        raise ConfigError(f"{path}.mode: must be an integer, got {mode!r}")
+    mode = int(mode)
+    return lambda x: off + amp * np.cos(mode * np.pi * np.asarray(x, dtype=float))
 
 
 def config_from_dict(data):
@@ -129,16 +138,23 @@ def config_from_dict(data):
         raise ConfigError("profile: expected {'name': ...} or {'coeffs': [...]}")
     if "name" in prof and prof["name"] != "quartic":
         raise ConfigError(f"profile.name: unknown profile {prof['name']!r}")
+    if "coeffs" in prof:
+        _numbers("profile.coeffs", prof["coeffs"])
 
-    ladder = tuple(float(e) for e in merged["ladder"])
-    if len(ladder) < 1 or any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("ladder: must be strictly decreasing")
-    for e in ladder + (float(merged["eps"]),):
-        if not gibbs.EPS_FLOOR <= e <= gibbs.EPS_CEIL:
-            raise ConfigError(
-                f"ladder/eps: {e} outside [{gibbs.EPS_FLOOR}, {gibbs.EPS_CEIL}] "
-                "(double-precision floor: the barrier weight exp(-1/eps) "
-                "drowns in roundoff during form assembly below it)")
+    ladder = _numbers("ladder", merged["ladder"])
+    eps = _number("eps", merged["eps"])
+    dt, t_final, quad_tol, skew_gap = (
+        _number(name, merged[name])
+        for name in ("dt", "t_final", "quad_tol", "skew_gap"))
+    if "times" not in data:
+        # default sample times follow a shortened horizon
+        kept = [t for t in merged["times"] if t <= t_final + 1e-12]
+        merged["times"] = kept or [t_final]
+    times = _numbers("times", merged["times"])
+    # one rung is a valid `rates` ladder; a study needs two
+    check_study(ladder, dt, t_final, times, merged["scheme"], merged["regime"],
+                min_rungs=1)
+    check_eps("eps", eps)
 
     for name, lo in (("nx", 4), ("nxi", 4), ("quad_order", 1)):
         v = merged[name]
@@ -149,46 +165,24 @@ def config_from_dict(data):
     if merged["grading"] not in ("three_zone", "uniform"):
         raise ConfigError(f"grading: unknown grading {merged['grading']!r}")
 
-    for name in ("dt", "t_final", "quad_tol"):
-        if not float(merged[name]) > 0.0:
-            raise ConfigError(f"{name}: must be positive, got {merged[name]!r}")
-    if "times" not in data:
-        # default sample times follow a shortened horizon
-        kept = [t for t in merged["times"]
-                if t <= float(merged["t_final"]) + 1e-12]
-        merged["times"] = kept or [float(merged["t_final"])]
-    times = tuple(float(t) for t in merged["times"])
-    for t in times:
-        n = round(t / float(merged["dt"]))
-        if t <= 0 or t > float(merged["t_final"]) + 1e-12 \
-                or abs(n * float(merged["dt"]) - t) > 1e-9:
-            raise ConfigError(
-                f"times: {t} must be a positive step multiple within t_final")
-    if merged["scheme"] not in _SCHEMES:
-        raise ConfigError(f"scheme: must be one of {_SCHEMES}")
-    if merged["regime"] not in REGIMES:
-        raise ConfigError(f"regime: must be one of {REGIMES}")
-    if merged["rate"] is not None and not float(merged["rate"]) >= 0.0:
+    if not quad_tol > 0.0:
+        raise ConfigError(f"quad_tol: must be positive, got {quad_tol!r}")
+    rate = None if merged["rate"] is None else _number("rate", merged["rate"])
+    if rate is not None and rate < 0.0:
         raise ConfigError("rate: must be nonnegative or null")
 
     u0 = merged["u0"]
     if not isinstance(u0, dict) or set(u0) - {"minus", "plus"}:
         raise ConfigError("u0: expected {'minus': {...}, 'plus': {...}}")
     for side in ("minus", "plus"):
-        if side not in u0:
-            raise ConfigError(f"u0.{side}: missing")
-        _check_u0_side(side, u0[side])
+        _u0_callable(u0, side)
 
-    return Config(profile=prof, skew_gap=float(merged["skew_gap"]),
-                  ladder=ladder, eps=float(merged["eps"]),
+    return Config(profile=prof, skew_gap=skew_gap, ladder=ladder, eps=eps,
                   nx=merged["nx"], nxi=merged["nxi"],
                   grading=merged["grading"], quad_order=merged["quad_order"],
-                  dt=float(merged["dt"]), t_final=float(merged["t_final"]),
-                  times=times, scheme=merged["scheme"],
-                  regime=merged["regime"],
-                  rate=None if merged["rate"] is None else float(merged["rate"]),
-                  u0=u0, quad_tol=float(merged["quad_tol"]),
-                  out=str(merged["out"]))
+                  dt=dt, t_final=t_final, times=times, scheme=merged["scheme"],
+                  regime=merged["regime"], rate=rate, u0=u0,
+                  quad_tol=quad_tol, out=str(merged["out"]))
 
 
 def parse_config(path=None, overrides=None):
@@ -204,7 +198,7 @@ def parse_config(path=None, overrides=None):
                 f"{exc.colno}: {exc.msg}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if overrides:
+    if overrides and isinstance(data, dict):
         data.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_dict(data)
 
@@ -273,12 +267,15 @@ def cmd_rates(cfg):
 
 def cmd_simulate(cfg, snapshots=()):
     """One eps-level run: per-step diagnostics CSV, optional field snapshots."""
+    # t = 0 is the lifted initial state
+    check_times("snapshots", [t for t in snapshots if t != 0.0], cfg.dt,
+                cfg.t_final)
     prof = profile_from_config(cfg)
     grid = build_grid(cfg.nx, cfg.nxi, grading=cfg.grading,
                       quad_order=cfg.quad_order)
     forms = assemble(grid, prof, cfg.eps, tol=cfg.quad_tol)
     x = grid.x_nodes
-    u0 = lift(_u0_callable(cfg.u0["minus"])(x), _u0_callable(cfg.u0["plus"])(x),
+    u0 = lift(_u0_callable(cfg.u0, "minus")(x), _u0_callable(cfg.u0, "plus")(x),
               prof, cfg.eps, grid)
     traj = solve(forms, u0, cfg.t_final, cfg.dt, scheme=cfg.scheme,
                  snapshot_times=tuple(snapshots))
@@ -307,16 +304,20 @@ def cmd_limit(cfg):
     x = np.linspace(0.0, 1.0, cfg.nx)
     if cfg.skew_gap != 0.0:
         half = 0.5 * cfg.skew_gap
-        lforms = assemble_limit_rates(x, k * math.exp(half),
-                                      k * math.exp(-half),
-                                      quad_order=cfg.quad_order)
+        try:
+            rates = k * math.exp(half), k * math.exp(-half)
+        except OverflowError:
+            rates = (math.inf,)
+        if not max(rates) < math.inf:
+            raise ConfigError(f"skew_gap: {cfg.skew_gap!r} puts a rate k "
+                              "exp(+-gap/2) past the float range")
+        lforms = assemble_limit_rates(x, *rates, quad_order=cfg.quad_order)
     else:
         lforms = assemble_limit(x, k, quad_order=cfg.quad_order)
-    w0 = LimitField(_u0_callable(cfg.u0["minus"])(x),
-                    _u0_callable(cfg.u0["plus"])(x), x)
-    snap = tuple(sorted(set((0.0,) + cfg.times)))
+    w0 = LimitField(_u0_callable(cfg.u0, "minus")(x),
+                    _u0_callable(cfg.u0, "plus")(x), x)
     traj = solve_limit(lforms, w0, cfg.t_final, cfg.dt, scheme=cfg.scheme,
-                       snapshot_times=snap)
+                       snapshot_times=(0.0,) + cfg.times)
     rows = [(t, xv, state.u_minus[i], state.u_plus[i])
             for t, state in traj.snapshots for i, xv in enumerate(x)]
     csv_path = _write_csv(Path(cfg.out) / "limit.csv",
@@ -325,24 +326,15 @@ def cmd_limit(cfg):
     return 0
 
 
-def _study_config(cfg, prof):
-    # a study needs more than the one rung that `rates` accepts
-    try:
-        return StudyConfig(profile=prof, ladder=cfg.ladder, nx=cfg.nx,
-                           nxi=cfg.nxi, dt=cfg.dt, t_final=cfg.t_final,
-                           times=cfg.times, scheme=cfg.scheme,
-                           regime=cfg.regime, quad_order=cfg.quad_order,
-                           u0_minus=_u0_callable(cfg.u0["minus"]),
-                           u0_plus=_u0_callable(cfg.u0["plus"]),
-                           grading=cfg.grading)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_converge(cfg, max_workers=1):
     """Full ladder certification; exit status mirrors the report booleans."""
-    prof = profile_from_config(cfg)
-    report = run_ladder_study(_study_config(cfg, prof), max_workers=max_workers)
+    study = StudyConfig(profile=profile_from_config(cfg), ladder=cfg.ladder,
+                        nx=cfg.nx, nxi=cfg.nxi, dt=cfg.dt, t_final=cfg.t_final,
+                        times=cfg.times, scheme=cfg.scheme, regime=cfg.regime,
+                        quad_order=cfg.quad_order, grading=cfg.grading,
+                        u0_minus=_u0_callable(cfg.u0, "minus"),
+                        u0_plus=_u0_callable(cfg.u0, "plus"))
+    report = run_ladder_study(study, max_workers=max_workers)
     out = Path(cfg.out)
     _write_json(out / "report.json", report.to_dict())
 
@@ -357,9 +349,7 @@ def cmd_converge(cfg, max_workers=1):
     form_rows = []
     for row in report.rows:
         for t in report.times:
-            form_rows.append([row.eps, t, row.b_vals[t][0], row.b_vals[t][1],
-                              row.b_vals[t][2], row.a_vals[t][0],
-                              row.a_vals[t][1], row.a_vals[t][2],
+            form_rows.append([row.eps, t, *row.b_vals[t], *row.a_vals[t],
                               row.trace_err[t]])
     _write_csv(out / "forms.csv",
                ["eps", "t", "b_eps", "b_limit", "b_error", "a_eps", "a_limit",
@@ -390,12 +380,12 @@ def _add_common(p):
     p.add_argument("--nxi", type=int)
     p.add_argument("--dt", type=float)
     p.add_argument("--T", type=float, dest="t_final")
-    p.add_argument("--scheme", choices=_SCHEMES)
+    p.add_argument("--scheme", choices=SCHEMES)
     p.add_argument("--quad-order", type=int, dest="quad_order")
 
 
-def _parse_floats(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _parse_floats(field, text):
+    return tuple(_number(field, v) for v in text.split(",") if v.strip())
 
 
 def main(argv=None):
@@ -440,26 +430,26 @@ def main(argv=None):
     args = parser.parse_args(argv)
     overrides = {k: v for k, v in vars(args).items()
                  if k in Config.__dataclass_fields__ and v is not None}
-    if getattr(args, "ladder", None):
-        overrides["ladder"] = _parse_floats(args.ladder)
-    if getattr(args, "times", None):
-        overrides["times"] = _parse_floats(args.times)
-    if getattr(args, "profile", None):
-        overrides["profile"] = {"name": args.profile}
-    if getattr(args, "u0", None):
-        cm, cp = _parse_floats(args.u0)
-        overrides["u0"] = {
-            "minus": {"kind": "constant", "value": cm},
-            "plus": {"kind": "constant", "value": cp},
-        }
-
     try:
+        for name in ("ladder", "times"):
+            if getattr(args, name, None):
+                overrides[name] = _parse_floats(name, getattr(args, name))
+        if getattr(args, "profile", None):
+            overrides["profile"] = {"name": args.profile}
+        if getattr(args, "u0", None):
+            pair = _parse_floats("u0", args.u0)
+            if len(pair) != 2:
+                raise ConfigError(
+                    f"u0: expected 'c_minus,c_plus', got {args.u0!r}")
+            overrides["u0"] = {side: {"kind": "constant", "value": c}
+                               for side, c in zip(("minus", "plus"), pair)}
         cfg = parse_config(getattr(args, "config", None), overrides)
         kw = {}
         if args.command == "simulate" and getattr(args, "snapshots", None):
-            kw["snapshots"] = _parse_floats(args.snapshots)
+            kw["snapshots"] = _parse_floats("snapshots", args.snapshots)
         if args.command == "converge":
-            kw["max_workers"] = max(1, int(os.environ.get("KRAMERS_THREADS", "1")))
+            env = os.environ.get("KRAMERS_THREADS", "1")
+            kw["max_workers"] = max(1, int(_number("KRAMERS_THREADS", env)))
         return run(args.command, cfg, **kw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ lower-bound booleans that certify the convergence statements at desk scale.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import gibbs
 from .enthalpy import EnthalpyProfile
-from .evolve_kramers import SolverError, solve
+from .evolve_kramers import SCHEMES, SolverError, solve
 from .evolve_limit import solve_limit
 from .grid_forms import (AssemblyError, LimitField, _panel_interp, assemble,
                          assemble_limit, b_form, build_grid, l2_norm_x,
@@ -28,7 +29,8 @@ from .transition import k_eps, lift, limit_rate, q_eps
 __all__ = [
     "StudyConfig", "EpsRow", "ConvergenceReport", "traces", "cutoff_bump",
     "cutoff_average", "cutoff_mass", "gamma_limsup_check", "LimsupTable",
-    "run_ladder_study", "regime_study", "REGIMES",
+    "run_ladder_study", "ConfigError", "check_study", "check_eps",
+    "check_times", "REGIMES",
     "nonlinear_observable", "nonlinear_observable_limit",
     "fiber_bound_margin", "gradient_bound_margin", "xi_flatness",
     "default_test_functions", "MONOTONE_FLOOR",
@@ -163,6 +165,48 @@ def _default_observables():
     }
 
 
+class ConfigError(ValueError):
+    """A configuration breaks a rule; the message starts with its field."""
+
+
+def check_eps(field, eps):
+    """Reject a scale outside [EPS_FLOOR, EPS_CEIL]."""
+    if not gibbs.EPS_FLOOR <= eps <= gibbs.EPS_CEIL:
+        raise ConfigError(
+            f"{field}: {eps} outside [{gibbs.EPS_FLOOR}, {gibbs.EPS_CEIL}] "
+            "(double-precision floor: the barrier weight exp(-1/eps) "
+            "drowns in roundoff during form assembly below it)")
+
+
+def check_times(field, times, dt, t_final):
+    """Reject a time that is not a positive whole number of steps dt within
+    t_final, to the tolerance of the integrator's plan."""
+    for t in times:
+        q = t / dt
+        if not (t <= t_final + 1e-12 and 0.5 < q < math.inf
+                and abs(round(q) * dt - t) <= 1e-9 * max(t, 1.0)):
+            raise ConfigError(f"{field}: {t!r} is not a positive multiple of "
+                              f"dt = {dt!r} up to t_final = {t_final!r}")
+
+
+def check_study(ladder, dt, t_final, times, scheme, regime, min_rungs=2):
+    """Raise ``ConfigError("<field>: ...")`` for the first rule a study
+    breaks, before any work starts; a ladder needs ``min_rungs`` scales."""
+    if len(ladder) < min_rungs or any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError("ladder: must be strictly decreasing with at least "
+                          f"{min_rungs} entries, got {list(ladder)}")
+    for eps in ladder:
+        check_eps("ladder", eps)
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"dt: must be finite and positive, got {dt!r}")
+    check_times("t_final", (t_final,), dt, t_final)
+    check_times("times", times, dt, t_final)
+    if scheme not in SCHEMES:
+        raise ConfigError(f"scheme: must be one of {SCHEMES}, got {scheme!r}")
+    if regime not in REGIMES:
+        raise ConfigError(f"regime: must be one of {REGIMES}, got {regime!r}")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Ladder study setup; defaults match the desk-scale certification runs."""
@@ -183,18 +227,10 @@ class StudyConfig:
     grading: str = "three_zone"
 
     def __post_init__(self):
-        lad = tuple(float(e) for e in self.ladder)
-        object.__setattr__(self, "ladder", lad)
+        object.__setattr__(self, "ladder", tuple(float(e) for e in self.ladder))
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        if len(lad) < 2 or any(b >= a for a, b in zip(lad, lad[1:])):
-            raise ValueError("ladder must be strictly decreasing with >= 2 entries")
-        if not all(gibbs.EPS_FLOOR <= e <= gibbs.EPS_CEIL for e in lad):
-            raise ValueError(
-                f"ladder must lie within [{gibbs.EPS_FLOOR}, {gibbs.EPS_CEIL}]")
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}")
-        if any(t <= 0 or t > self.t_final + 1e-12 for t in self.times):
-            raise ValueError("sampled times must lie in (0, t_final]")
+        check_study(self.ladder, self.dt, self.t_final, self.times,
+                    self.scheme, self.regime)
 
 
 @dataclass
@@ -244,190 +280,139 @@ class ConvergenceReport:
         return sorted(name for name, ok in self.checks.items() if not ok)
 
     def to_dict(self):
-        def _num(v):
-            if isinstance(v, (np.floating, np.integer)):
-                return float(v)
-            return v
+        d = _plain(dataclasses.asdict(self))
+        for row in d["rows"]:
+            row["b"], row["a"] = row.pop("b_vals"), row.pop("a_vals")
+        # per-name limit tables keep float t keys, which json sorts as numbers
+        d["limit_values"] = {
+            n: {str(k): _plain(v, str_keys=False) for k, v in tv.items()}
+            for n, tv in self.limit_values.items()}
+        d["all_ok"] = self.all_ok
+        return d
 
-        def _table(d):
-            return {str(k): ([_num(x) for x in v] if isinstance(v, tuple)
-                             else _num(v)) for k, v in d.items()}
 
-        rows = []
-        for r in self.rows:
-            rows.append({
-                "eps": r.eps,
-                "rate": r.rate,
-                "rate_effective": r.rate_effective,
-                "q": r.q,
-                "pairing": {n: _table(tv) for n, tv in r.pairing.items()},
-                "trace_err": _table(r.trace_err),
-                "b": _table(r.b_vals),
-                "a": _table(r.a_vals),
-                "a_split": _table(r.a_split),
-                "observables": {n: _table(tv) for n, tv in r.observables.items()},
-                "gap_norm": _table(r.gap_norm),
-                "fiber_margin": _table(r.fiber_margin),
-                "jensen_margin": _table(r.jensen_margin),
-                "flatness": _table(r.flatness),
-                "mass_drift": r.mass_drift,
-                "energy_residual_max": r.energy_residual_max,
-            })
-        return {
-            "regime": self.regime,
-            "ladder": list(self.ladder),
-            "times": list(self.times),
-            "limit_rate": self.limit_rate,
-            "rows": rows,
-            "limit_values": {n: _table(tv) if isinstance(tv, dict) else tv
-                             for n, tv in self.limit_values.items()},
-            "checks": {k: bool(v) for k, v in self.checks.items()},
-            "row_errors": {str(k): v for k, v in self.row_errors.items()},
-            "all_ok": self.all_ok,
-        }
+def _plain(value, str_keys=True):
+    """JSON-ready copy: tuples become lists, numpy scalars floats (np.bool_
+    bool) and, with ``str_keys``, dict keys strings."""
+    if isinstance(value, dict):
+        return {str(k) if str_keys else k: _plain(v, str_keys)
+                for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v, str_keys) for v in value]
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.generic):
+        return float(value)
+    return value
 
 
 def _monotone(errs, floor=MONOTONE_FLOOR):
     return all(b < a or b <= floor for a, b in zip(errs, errs[1:]))
 
 
-def _limit_targets(cfg, x, k):
-    um0 = np.asarray(cfg.u0_minus(x), dtype=float)
-    up0 = np.asarray(cfg.u0_plus(x), dtype=float)
-    if cfg.regime == "critical":
-        return k, um0, up0
-    if cfg.regime == "sub":
-        return 0.0, um0, up0
-    mean = 0.5 * (um0 + up0)
-    return 0.0, mean, mean
-
-
-def _log_tau_shift(regime, eps):
-    if regime == "critical":
-        return 0.0
-    if regime == "sub":
-        return math.log(eps)
-    return -math.log(eps)
-
-
-def run_ladder_study(cfg, max_workers=1):
-    """Run the full ladder and assemble the report with its certificates."""
-    grid = build_grid(cfg.nx, cfg.nxi, grading=cfg.grading,
-                      quad_order=cfg.quad_order)
-    x = grid.x_nodes
-    k = limit_rate(cfg.profile)
-    um0 = np.asarray(cfg.u0_minus(x), dtype=float)
-    up0 = np.asarray(cfg.u0_plus(x), dtype=float)
-    k_target, lm0, lp0 = _limit_targets(cfg, x, k)
-
+def _limit_reference(cfg, x, k, um0, up0):
+    """The limit side of the study: its forms, its trajectory and its
+    values at the sample times, against which every rung is measured."""
+    # off the critical scaling the limit has no reaction: the sub regime
+    # keeps the initial pair, the super regime starts it at equilibrium
+    k_target = k if cfg.regime == "critical" else 0.0
+    lm0, lp0 = um0, up0
+    if cfg.regime == "super":
+        lm0 = lp0 = 0.5 * (um0 + up0)
     lforms = assemble_limit(x, k_target, quad_order=cfg.quad_order)
-    snap_times = tuple(sorted(set((0.0,) + cfg.times)))
     ltraj = solve_limit(lforms, LimitField(lm0, lp0, x), cfg.t_final, cfg.dt,
-                        scheme=cfg.scheme, snapshot_times=snap_times,
+                        scheme=cfg.scheme, snapshot_times=(0.0,) + cfg.times,
                         residual_target=cfg.residual_target)
-
-    test_fns = default_test_functions()
-    observables = _default_observables()
-
-    limit_values = {"pairing": {}, "b": {}, "a": {}, "observables": {},
-                    "gap": {}}
+    values = {"pairing": {}, "b": {}, "a": {}, "observables": {}, "gap": {}}
     for t in cfg.times:
         w = ltraj.snapshot_at(t)
         sv = w.stack()
-        limit_values["b"][t] = float(sv @ (lforms.M @ sv))
-        limit_values["a"][t] = float(sv @ (lforms.A @ sv))
-        gap = w.u_plus - w.u_minus
-        limit_values["gap"][t] = l2_norm_x(lforms.M_x, gap)
-        for name, fn in test_fns.items():
-            limit_values["pairing"].setdefault(name, {})[t] = pair_limit(
+        values["b"][t] = float(ltraj.b[round(t / cfg.dt)])
+        # the recorded a1 + a2 differs from the block form in the last bits
+        values["a"][t] = float(sv @ (lforms.A @ sv))
+        values["gap"][t] = l2_norm_x(lforms.M_x, w.u_plus - w.u_minus)
+        for name, fn in default_test_functions().items():
+            values["pairing"].setdefault(name, {})[t] = pair_limit(
                 w, fn, cfg.quad_order)
-        for name, fn in observables.items():
-            limit_values["observables"].setdefault(name, {})[t] = (
+        for name, fn in _default_observables().items():
+            values["observables"].setdefault(name, {})[t] = (
                 nonlinear_observable_limit(w, fn, cfg.quad_order))
+    return lforms, ltraj, values
 
-    def run_one(eps):
-        shift = _log_tau_shift(cfg.regime, eps)
+
+def _rung(cfg, grid, limit, um0, up0, eps):
+    """One rung: assemble -> lift -> integrate -> diagnose. A failed
+    sub-solve aborts this rung only, returning (eps, reason) for the row."""
+    try:
+        shift = {"critical": 0.0, "sub": math.log(eps),
+                 "super": -math.log(eps)}[cfg.regime]
         forms = assemble(grid, cfg.profile, eps, log_tau_shift=shift,
                          quad_order=cfg.quad_order)
-        rate = k_eps(cfg.profile, eps)
         rate_eff = math.exp(math.log(eps) + shift - gibbs.log_partition(
             cfg.profile, eps) - gibbs.log_barrier_integral(cfg.profile, eps))
         u0 = lift(um0, up0, cfg.profile, eps, grid)
         traj = solve(forms, u0, cfg.t_final, cfg.dt, scheme=cfg.scheme,
-                     snapshot_times=snap_times,
+                     snapshot_times=(0.0,) + cfg.times,
                      residual_target=cfg.residual_target)
-        row = EpsRow(eps=eps, rate=rate, rate_effective=rate_eff,
-                     q=q_eps(cfg.profile, eps), pairing={}, trace_err={},
-                     b_vals={}, a_vals={}, a_split={}, observables={},
-                     gap_norm={}, fiber_margin={}, jensen_margin={},
-                     flatness={},
-                     mass_drift=float(np.abs(np.diff(traj.mass)).max()),
-                     energy_residual_max=float(
-                         np.abs(traj.energy_residual[1:]).max()
-                         if len(traj.energy_residual) > 1 else 0.0))
-        for t, state in traj.snapshots:
-            fm = fiber_bound_margin(forms, state, rate_eff)
-            jm = gradient_bound_margin(forms, state)
-            if t == 0.0:
-                row.fiber_margin[t] = fm
-                row.jensen_margin[t] = jm
-                continue
-            lw = ltraj.snapshot_at(t)
-            tr = traces(state)
-            err2 = (l2_norm_x(lforms.M_x, tr.u_minus - lw.u_minus) ** 2
-                    + l2_norm_x(lforms.M_x, tr.u_plus - lw.u_plus) ** 2)
-            row.trace_err[t] = math.sqrt(err2)
-            gap = tr.u_plus - tr.u_minus
-            row.gap_norm[t] = l2_norm_x(lforms.M_x, gap)
-            b_eps_val = b_form(forms.M, state, state)
-            a1v = forms.a1_energy(state)
-            a2v = forms.a2_energy(state)
-            a_eps_val = a1v + a2v
-            bl = limit_values["b"][t]
-            al = limit_values["a"][t]
-            row.b_vals[t] = (b_eps_val, bl, abs(b_eps_val - bl))
-            row.a_vals[t] = (a_eps_val, al, abs(a_eps_val - al))
-            row.a_split[t] = (a1v, a2v,
-                              0.5 * k_target * limit_values["gap"][t] ** 2)
-            row.fiber_margin[t] = fm
-            row.jensen_margin[t] = jm
-            row.flatness[t] = xi_flatness(state)
-            for name, fn in test_fns.items():
-                ve = pair_measure(forms, state, fn)
-                vl = limit_values["pairing"][name][t]
-                row.pairing.setdefault(name, {})[t] = (ve, vl, abs(ve - vl))
-            for name, fn in observables.items():
-                ve = nonlinear_observable(forms, state, fn)
-                vl = limit_values["observables"][name][t]
-                row.observables.setdefault(name, {})[t] = (ve, vl, abs(ve - vl))
-        return row
+        return _diagnose(cfg, limit, forms, traj, rate_eff)
+    except (SolverError, AssemblyError, QuadratureError) as exc:
+        return eps, f"{type(exc).__name__}: {exc}"
 
-    def run_guarded(eps):
-        # a failed sub-solve aborts its own rung only, with the reason kept
-        try:
-            return run_one(eps)
-        except (SolverError, AssemblyError, QuadratureError) as exc:
-            return (eps, f"{type(exc).__name__}: {exc}")
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            outcomes = list(ex.map(run_guarded, cfg.ladder))
-    else:
-        outcomes = [run_guarded(eps) for eps in cfg.ladder]
-    rows = [o for o in outcomes if isinstance(o, EpsRow)]
-    row_errors = {o[0]: o[1] for o in outcomes if not isinstance(o, EpsRow)}
+def _diagnose(cfg, limit, forms, traj, rate_eff):
+    """The rung's row, each snapshot measured against the limit; b, a1 and
+    a2 at t are the trajectory's record at step round(t / dt)."""
+    lforms, ltraj, lv = limit
+    eps = forms.eps
+    row = EpsRow(eps=eps, rate=k_eps(cfg.profile, eps),
+                 rate_effective=rate_eff, q=q_eps(cfg.profile, eps),
+                 pairing={}, trace_err={}, b_vals={}, a_vals={}, a_split={},
+                 observables={}, gap_norm={}, fiber_margin={},
+                 jensen_margin={}, flatness={},
+                 mass_drift=float(np.abs(np.diff(traj.mass)).max()),
+                 energy_residual_max=float(
+                     np.abs(traj.energy_residual[1:]).max()
+                     if len(traj.energy_residual) > 1 else 0.0))
+    test_fns, observables = default_test_functions(), _default_observables()
+    for t, state in traj.snapshots:
+        row.fiber_margin[t] = fiber_bound_margin(forms, state, rate_eff)
+        row.jensen_margin[t] = gradient_bound_margin(forms, state)
+        if t == 0.0:
+            continue
+        lw = ltraj.snapshot_at(t)
+        tr = traces(state)
+        err2 = (l2_norm_x(lforms.M_x, tr.u_minus - lw.u_minus) ** 2
+                + l2_norm_x(lforms.M_x, tr.u_plus - lw.u_plus) ** 2)
+        row.trace_err[t] = math.sqrt(err2)
+        row.gap_norm[t] = l2_norm_x(lforms.M_x, tr.u_plus - tr.u_minus)
+        n = round(t / cfg.dt)
+        b, a1, a2 = float(traj.b[n]), float(traj.a1[n]), float(traj.a2[n])
+        row.b_vals[t] = (b, lv["b"][t], abs(b - lv["b"][t]))
+        row.a_vals[t] = (a1 + a2, lv["a"][t], abs(a1 + a2 - lv["a"][t]))
+        row.a_split[t] = (a1, a2,
+                          0.5 * lforms.rate_forward * lv["gap"][t] ** 2)
+        row.flatness[t] = xi_flatness(state)
+        for name, fn in test_fns.items():
+            ve = pair_measure(forms, state, fn)
+            vl = lv["pairing"][name][t]
+            row.pairing.setdefault(name, {})[t] = (ve, vl, abs(ve - vl))
+        for name, fn in observables.items():
+            ve = nonlinear_observable(forms, state, fn)
+            vl = lv["observables"][name][t]
+            row.observables.setdefault(name, {})[t] = (ve, vl, abs(ve - vl))
+    return row
 
+
+def _certificates(cfg, rows, row_errors):
+    """The report's booleans; a ladder with a failed rung certifies
+    nothing beyond ``ladder_complete``."""
     checks = {"ladder_complete": not row_errors}
     if row_errors:
-        return ConvergenceReport(regime=cfg.regime, ladder=cfg.ladder,
-                                 times=cfg.times, limit_rate=k, rows=rows,
-                                 limit_values=limit_values, checks=checks,
-                                 row_errors=row_errors)
-    for name in test_fns:
-        for t in cfg.times:
+        return checks
+    for t in cfg.times:
+        for name in default_test_functions():
             errs = [r.pairing[name][t][2] for r in rows]
             checks[f"pairing_monotone[{name}][t={t:g}]"] = _monotone(errs)
-    for t in cfg.times:
         checks[f"mass_pairing_small[t={t:g}]"] = all(
             r.pairing["1"][t][2] <= 1e-9 for r in rows)
         checks[f"trace_monotone[t={t:g}]"] = _monotone(
@@ -438,7 +423,7 @@ def run_ladder_study(cfg, max_workers=1):
             [r.a_vals[t][2] for r in rows])
         checks[f"flatness_decreasing[t={t:g}]"] = _monotone(
             [r.flatness[t] for r in rows], floor=1e-14)
-        for name in observables:
+        for name in _default_observables():
             errs = [r.observables[name][t][2] for r in rows]
             checks[f"observable_monotone[{name}][t={t:g}]"] = _monotone(errs)
     checks["fiber_bound"] = all(m >= -1e-8 for r in rows
@@ -460,20 +445,34 @@ def run_ladder_study(cfg, max_workers=1):
         for t in cfg.times:
             checks[f"gap_decreasing[t={t:g}]"] = all(
                 b.gap_norm[t] < a.gap_norm[t] for a, b in zip(rows, rows[1:]))
+    return checks
 
+
+def run_ladder_study(cfg, max_workers=1):
+    """Run the full ladder and assemble the report with its certificates:
+    the limit reference first, then one rung per eps (on ``max_workers``
+    threads when more than one), then the certificates."""
+    grid = build_grid(cfg.nx, cfg.nxi, grading=cfg.grading,
+                      quad_order=cfg.quad_order)
+    x = grid.x_nodes
+    k = limit_rate(cfg.profile)
+    um0 = np.asarray(cfg.u0_minus(x), dtype=float)
+    up0 = np.asarray(cfg.u0_plus(x), dtype=float)
+    limit = _limit_reference(cfg, x, k, um0, up0)
+
+    rung = functools.partial(_rung, cfg, grid, limit, um0, up0)
+    if max_workers > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as ex:
+            outcomes = list(ex.map(rung, cfg.ladder))
+    else:
+        outcomes = [rung(eps) for eps in cfg.ladder]
+    rows = [o for o in outcomes if isinstance(o, EpsRow)]
+    row_errors = {o[0]: o[1] for o in outcomes if not isinstance(o, EpsRow)}
     return ConvergenceReport(regime=cfg.regime, ladder=cfg.ladder,
                              times=cfg.times, limit_rate=k, rows=rows,
-                             limit_values=limit_values, checks=checks,
+                             limit_values=limit[2],
+                             checks=_certificates(cfg, rows, row_errors),
                              row_errors=row_errors)
-
-
-def regime_study(scaling, cfg, max_workers=1):
-    """Off-critical clock scalings: 'sub' slows the reaction to extinction,
-    'super' equilibrates it instantly; 'critical' reproduces the plain study."""
-    if scaling not in REGIMES:
-        raise ValueError(f"scaling must be one of {REGIMES}")
-    cfg = dataclasses.replace(cfg, regime=scaling)
-    return run_ladder_study(cfg, max_workers=max_workers)
 
 
 @dataclass

@@ -21,7 +21,8 @@ import scipy.sparse.linalg as spla
 from .grid_forms import Field, _vec
 
 __all__ = ["SolverError", "KroneckerSystem", "LinearSolver", "Trajectory",
-           "step_theta", "solve", "regularization_check", "RegularityFlags"]
+           "SCHEMES", "step_theta", "solve", "regularization_check",
+           "RegularityFlags"]
 
 
 class SolverError(RuntimeError):
@@ -195,6 +196,9 @@ def step_theta(forms, u, dt, theta, residual_target=1e-11, solver=None):
     return out
 
 
+SCHEMES = ("CN_rannacher", "BE")
+
+
 def theta_plan(T, dt, scheme, make_solver):
     """Pre-factorized sub-step plan covering [0, T] in steps of ``dt``.
 
@@ -219,7 +223,7 @@ def theta_plan(T, dt, scheme, make_solver):
         solver = make_solver(dt)
         groups = [[(1.0, dt, solver)]] * n_steps
     else:
-        raise ValueError(f"unknown scheme {scheme!r}; use CN_rannacher or BE")
+        raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
     return n_steps, groups
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kramerslab import cli
 from kramerslab.cli import (Config, ConfigError, config_from_dict, main,
                             parse_config)
+from kramerslab.convergence import StudyConfig
 from kramerslab.evolve_kramers import SolverError
 
 MINI = {
@@ -202,7 +203,70 @@ def test_converge_rejects_single_rung_ladder(tmp_path, capsys):
     code = main(["converge", "--ladder", "0.1", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ladder ")
+    assert err.startswith("config error: ladder: ")
     assert "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
     assert main(["rates", "--ladder", "0.1", "--out", str(tmp_path)]) == 0
+
+
+# malformed or out-of-range input: rejected before any work, with exit 2
+_TAB = {"kind": "tabulated", "x": [1.0, 0.0], "values": [0.0, 1.0]}
+_COS = {"kind": "cosine", "offset": 0.0, "amplitude": 1.0, "mode": "a"}
+_CONST = {"kind": "constant", "value": 1.0}
+_SMALL = ["--nx", "9", "--dt", "0.01", "--T", "0.1"]
+
+
+@pytest.mark.parametrize("argv, config, env", [
+    (["limit", "--k", "inf", *_SMALL], None, None),
+    (["limit", "--skew-gap", "nan", *_SMALL], None, None),
+    (["limit", "--skew-gap", "2000", *_SMALL], None, None),
+    (["simulate", "--T", "inf", "--nx", "9", "--nxi", "11"], None, None),
+    (["converge"], {"ladder": 0.2}, None),
+    (["converge"], {"dt": "abc"}, None),
+    (["converge"], None, "abc"),
+    (["limit", *_SMALL], {"u0": {"minus": _COS, "plus": _CONST}}, None),
+    (["limit", "--u0", "1", *_SMALL], None, None),
+    (["limit", *_SMALL], {"u0": {"minus": _CONST, "plus": _TAB}}, None),
+    (["simulate", "--snapshots", "0.005", "--nxi", "11", *_SMALL], None, None),
+    (["converge", "--T", "0.0105", "--times", "0.01"], None, None),
+    (["converge", "--ladder", "0.2,abc"], None, None),
+    (["limit", *_SMALL], {"u0": {"minus": {"kind": ["x"]}, "plus": _CONST}},
+     None),
+    (["rates"], {"profile": {"coeffs": [1.0, "a"]}}, None),
+    (["rates", "--ladder", "0.2"], [1], None),
+], ids=["k-inf", "skew-nan", "skew-overflow", "T-inf", "ladder-scalar",
+        "dt-string", "threads", "cosine-mode", "u0-one-value",
+        "tabulated-x-decreasing", "snapshot-off-step", "T-off-step",
+        "ladder-text", "u0-kind-list", "profile-coeffs", "config-root-list"])
+def test_malformed_input_is_a_config_error(argv, config, env, tmp_path,
+                                           capsys, monkeypatch):
+    out = tmp_path / "out"
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    if env is not None:
+        monkeypatch.setenv("KRAMERS_THREADS", env)
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [
+    {"times": (0.015,), "dt": 0.01},
+    {"scheme": "RK4"},
+    {"dt": -0.01},
+    {"t_final": float("inf")},
+    {"t_final": 0.105},
+    {"ladder": (0.1, 0.2)},
+    {"ladder": (0.2, 0.001)},
+], ids=["time-off-step", "scheme", "dt-negative", "t_final-inf",
+        "t_final-off-step", "ladder-increasing", "eps-below-floor"])
+def test_study_and_cli_configs_reject_the_same_studies(bad, quartic):
+    study = {**MINI, "ladder": (0.2, 0.1), "times": (0.1,), **bad}
+    with pytest.raises(ValueError):
+        StudyConfig(profile=quartic, **study)
+    with pytest.raises(ConfigError):
+        config_from_dict(study)

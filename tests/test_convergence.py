@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from kramerslab.convergence import (StudyConfig, cutoff_average, cutoff_bump,
                                     cutoff_mass, fiber_bound_margin,
                                     gamma_limsup_check, gradient_bound_margin,
                                     nonlinear_observable,
-                                    nonlinear_observable_limit, regime_study,
+                                    nonlinear_observable_limit,
                                     run_ladder_study, traces, xi_flatness)
 from kramerslab.grid_forms import Field, LimitField, assemble, b_form, build_grid
 from kramerslab.transition import k_eps, lift
@@ -138,7 +139,7 @@ def test_report_serializes(mini_report):
 
 def test_critical_study_overrides_regime(quartic, mini_report):
     cfg = StudyConfig(profile=quartic, regime="super", **MINI)
-    rep = regime_study("critical", cfg)
+    rep = run_ladder_study(dataclasses.replace(cfg, regime="critical"))
     assert rep.regime == "critical"
     assert rep.to_dict() == mini_report.to_dict()
 
@@ -213,7 +214,7 @@ def test_flatness_of_lift_decreases(quartic):
 
 
 def test_sub_regime_scaling(quartic):
-    rep = regime_study("sub", StudyConfig(profile=quartic, **MINI))
+    rep = run_ladder_study(StudyConfig(profile=quartic, regime="sub", **MINI))
     assert rep.regime == "sub"
     for row in rep.rows:
         assert row.rate_effective == pytest.approx(row.eps * row.rate,
@@ -225,7 +226,7 @@ def test_sub_regime_scaling(quartic):
 
 
 def test_super_regime_gap_shrinks(quartic):
-    rep = regime_study("super", StudyConfig(profile=quartic, **MINI))
+    rep = run_ladder_study(StudyConfig(profile=quartic, regime="super", **MINI))
     assert rep.regime == "super"
     for t in MINI["times"]:
         gaps = [r.gap_norm[t] for r in rep.rows]
@@ -237,7 +238,8 @@ def test_super_regime_gap_shrinks(quartic):
 
 def test_regime_validation(quartic):
     with pytest.raises(ValueError):
-        regime_study("weird", StudyConfig(profile=quartic, **MINI))
+        dataclasses.replace(StudyConfig(profile=quartic, **MINI),
+                            regime="weird")
     with pytest.raises(ValueError):
         StudyConfig(profile=quartic, ladder=(0.1, 0.2), nx=17, nxi=21,
                     dt=5e-3, t_final=0.1, times=(0.1,))
