@@ -21,8 +21,9 @@ from .evolve_kramers import SCHEMES, SolverError, solve
 from .evolve_limit import solve_limit
 from .grid_forms import (AssemblyError, LimitField, _panel_interp, assemble,
                          assemble_limit, b_form, build_grid, l2_norm_x,
-                         mass_matrix_1d, nonlinear_observable, pair_limit,
-                         pair_measure, xi_node_functional)
+                         mass_matrix_1d, nonlinear_observable,
+                         nonlinear_observables, pair_limit, pair_measure,
+                         paired, xi_node_functional)
 from .quadrature import QuadratureError, panel_points
 from .transition import k_eps, lift, limit_rate, q_eps
 
@@ -31,7 +32,7 @@ __all__ = [
     "cutoff_average", "cutoff_mass", "gamma_limsup_check", "LimsupTable",
     "run_ladder_study", "ConfigError", "check_study", "check_eps",
     "check_times", "REGIMES",
-    "nonlinear_observable", "nonlinear_observable_limit",
+    "nonlinear_observable", "nonlinear_observable_limit", "pair_measure",
     "fiber_bound_margin", "gradient_bound_margin", "xi_flatness",
     "default_test_functions", "MONOTONE_FLOOR",
 ]
@@ -180,13 +181,18 @@ def check_eps(field, eps):
 
 def check_times(field, times, dt, t_final):
     """Reject a time that is not a positive whole number of steps dt within
-    t_final, to the tolerance of the integrator's plan."""
+    t_final, to the tolerance of the integrator's plan, or that falls on the
+    step of an earlier time."""
+    steps = set()
     for t in times:
         q = t / dt
         if not (t <= t_final + 1e-12 and 0.5 < q < math.inf
                 and abs(round(q) * dt - t) <= 1e-9 * max(t, 1.0)):
             raise ConfigError(f"{field}: {t!r} is not a positive multiple of "
                               f"dt = {dt!r} up to t_final = {t_final!r}")
+        if round(q) in steps:
+            raise ConfigError(f"{field}: {t!r} repeats an earlier time")
+        steps.add(round(q))
 
 
 def check_study(ladder, dt, t_final, times, scheme, regime, min_rungs=2):
@@ -374,6 +380,9 @@ def _diagnose(cfg, limit, forms, traj, rate_eff):
                      np.abs(traj.energy_residual[1:]).max()
                      if len(traj.energy_residual) > 1 else 0.0))
     test_fns, observables = default_test_functions(), _default_observables()
+    keys = ([("pairing", n) for n in test_fns]
+            + [("observables", n) for n in observables])
+    fns = [paired(phi) for phi in test_fns.values()] + list(observables.values())
     for t, state in traj.snapshots:
         row.fiber_margin[t] = fiber_bound_margin(forms, state, rate_eff)
         row.jensen_margin[t] = gradient_bound_margin(forms, state)
@@ -392,14 +401,11 @@ def _diagnose(cfg, limit, forms, traj, rate_eff):
         row.a_split[t] = (a1, a2,
                           0.5 * lforms.rate_forward * lv["gap"][t] ** 2)
         row.flatness[t] = xi_flatness(state)
-        for name, fn in test_fns.items():
-            ve = pair_measure(forms, state, fn)
-            vl = lv["pairing"][name][t]
-            row.pairing.setdefault(name, {})[t] = (ve, vl, abs(ve - vl))
-        for name, fn in observables.items():
-            ve = nonlinear_observable(forms, state, fn)
-            vl = lv["observables"][name][t]
-            row.observables.setdefault(name, {})[t] = (ve, vl, abs(ve - vl))
+        # every pairing and observable from one interpolant of the snapshot
+        for (kind, name), ve in zip(keys, nonlinear_observables(forms, state,
+                                                                 fns)):
+            vl = lv[kind][name][t]
+            getattr(row, kind).setdefault(name, {})[t] = (ve, vl, abs(ve - vl))
     return row
 
 

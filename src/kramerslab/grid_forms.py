@@ -23,6 +23,7 @@ __all__ = [
     "LimitFormMatrices", "graded_nodes", "build_grid", "assemble",
     "assemble_limit", "assemble_limit_rates", "b_form", "a_form",
     "energy_split", "pair_measure", "pair_limit", "nonlinear_observable",
+    "nonlinear_observables", "paired",
     "mass_matrix_1d", "stiffness_matrix_1d", "xi_node_functional",
     "l2_norm_x",
 ]
@@ -490,9 +491,11 @@ def _panel_interp(values, order):
     return values[..., :-1, None] * (1.0 - s) + values[..., 1:, None] * s
 
 
-def nonlinear_observable(forms, field, f):
-    """Quadrature of f(x, xi, u) against the reference measure, with u the
-    bilinear interpolant of ``field`` at the tensor panel Gauss points."""
+def nonlinear_observables(forms, field, fns):
+    """Quadrature of each f(x, xi, u) in ``fns`` against the reference
+    measure, with u the bilinear interpolant of ``field`` at the tensor
+    panel Gauss points; the interpolant and the weights are built once for
+    all of them. Returns a list of floats, one per function."""
     grid = forms.grid
     order = grid.quad_order
     xq, xw = panel_points(grid.x_nodes, order)
@@ -503,17 +506,28 @@ def nonlinear_observable(forms, field, f):
     # interpolate in x, then in xi: shape (x-cells, order, xi-cells, order);
     # einsum sums in memory order, so Uq must be C-ordered for its rounding
     # not to depend on how it was built
-    Ux = np.moveaxis(_panel_interp(field.values.T, order), 0, -1)
-    Uq = _panel_interp(np.ascontiguousarray(Ux), order)
-    F = np.asarray(f(xq[:, :, None, None], xiq[None, None, :, :], Uq), dtype=float)
-    F = np.broadcast_to(F, Uq.shape)
-    return float(np.einsum("ca,db,cadb->", xw, gamma_w, F))
+    Uq = _panel_interp(np.ascontiguousarray(np.moveaxis(
+        _panel_interp(field.values.T, order), 0, -1)), order)
+    xq, xiq = xq[:, :, None, None], xiq[None, None, :, :]
+    # each f's values are freed as soon as they are summed
+    return [float(np.einsum("ca,db,cadb->", xw, gamma_w, np.broadcast_to(
+        np.asarray(f(xq, xiq, Uq), dtype=float), Uq.shape))) for f in fns]
+
+
+def nonlinear_observable(forms, field, f):
+    """Quadrature of f(x, xi, u) against the reference measure, with u the
+    bilinear interpolant of ``field`` at the tensor panel Gauss points."""
+    return nonlinear_observables(forms, field, [f])[0]
+
+
+def paired(phi):
+    """The observable f(x, xi, u) = phi(x, xi) u of a test function."""
+    return lambda x, xi, u: phi(x, xi) * u
 
 
 def pair_measure(forms, field, phi):
     """Duality pairing of the measure (field * reference) with ``phi(x, xi)``."""
-    return nonlinear_observable(forms, field,
-                                lambda x, xi, u: phi(x, xi) * u)
+    return nonlinear_observable(forms, field, paired(phi))
 
 
 def pair_limit(lf, phi, quad_order=4):

@@ -230,6 +230,7 @@ _SMALL = ["--nx", "9", "--dt", "0.01", "--T", "0.1"]
     (["simulate", "--snapshots", "0.005", "--nxi", "11", *_SMALL], None, None),
     (["converge", "--T", "0.0105", "--times", "0.01"], None, None),
     (["converge", "--ladder", "0.2,abc"], None, None),
+    (["converge", "--times", "0.1,0.1"], None, None),
     (["limit", *_SMALL], {"u0": {"minus": {"kind": ["x"]}, "plus": _CONST}},
      None),
     (["rates"], {"profile": {"coeffs": [1.0, "a"]}}, None),
@@ -237,7 +238,8 @@ _SMALL = ["--nx", "9", "--dt", "0.01", "--T", "0.1"]
 ], ids=["k-inf", "skew-nan", "skew-overflow", "T-inf", "ladder-scalar",
         "dt-string", "threads", "cosine-mode", "u0-one-value",
         "tabulated-x-decreasing", "snapshot-off-step", "T-off-step",
-        "ladder-text", "u0-kind-list", "profile-coeffs", "config-root-list"])
+        "ladder-text", "times-repeated", "u0-kind-list", "profile-coeffs",
+        "config-root-list"])
 def test_malformed_input_is_a_config_error(argv, config, env, tmp_path,
                                            capsys, monkeypatch):
     out = tmp_path / "out"
@@ -262,8 +264,10 @@ def test_malformed_input_is_a_config_error(argv, config, env, tmp_path,
     {"t_final": 0.105},
     {"ladder": (0.1, 0.2)},
     {"ladder": (0.2, 0.001)},
+    {"times": (0.05, 0.1, 0.05)},
 ], ids=["time-off-step", "scheme", "dt-negative", "t_final-inf",
-        "t_final-off-step", "ladder-increasing", "eps-below-floor"])
+        "t_final-off-step", "ladder-increasing", "eps-below-floor",
+        "times-repeated"])
 def test_study_and_cli_configs_reject_the_same_studies(bad, quartic):
     study = {**MINI, "ladder": (0.2, 0.1), "times": (0.1,), **bad}
     with pytest.raises(ValueError):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kramerslab.evolve_kramers import (KroneckerSystem, LinearSolver,
-                                       SolverError, _certify_step,
-                                       regularization_check, solve,
-                                       step_theta)
+from kramerslab.evolve_kramers import (MASS_RESIDUAL_BOUND, KroneckerSystem,
+                                       LinearSolver, SolverError,
+                                       _certify_step, regularization_check,
+                                       solve, step_theta)
 from kramerslab.grid_forms import Field, assemble, build_grid
 from kramerslab.transition import k_eps, lift
 
@@ -189,6 +189,69 @@ def test_solver_rejects_overflowed_solution():
     solver = LinearSolver(S, target=1e-11, op=lambda v: np.zeros_like(v))
     with pytest.raises(SolverError):
         solver.solve(np.full(20, 1e10))
+
+
+def test_refinement_sweeps_out_the_residual_mass():
+    # op = S + delta 1 1^T / n: the SuperLU solve of S alone is certified,
+    # but its residual -delta (1^T x / n) 1 is all mass; one sweep removes it
+    n, delta = 1000, 1e-12
+    S = sp.diags(np.linspace(1.0, 2.0, n)).tocsr()
+    calls = []
+
+    def op(v):
+        calls.append(v)
+        return S @ v + delta * v.sum() / n
+    rhs = np.random.default_rng(5).uniform(1.0, 2.0, size=n)
+    solver = LinearSolver(S, target=1e-11, op=op)
+    x0 = solver._inner(rhs)
+    r0 = rhs - op(x0)
+    assert np.linalg.norm(r0) <= 1e-11 * (
+        solver.norm_S * np.linalg.norm(x0) + np.linalg.norm(rhs))
+    assert abs(r0.sum()) > MASS_RESIDUAL_BOUND
+    calls.clear()
+    x = solver.solve(rhs)
+    assert len(calls) == 2
+    assert abs((rhs - op(x)).sum()) <= MASS_RESIDUAL_BOUND
+
+
+def test_refinement_stops_without_progress():
+    # an op whose constant offset flips sign at every call leaves a residual
+    # mass no sweep can remove; one sweep without progress ends refinement
+    n = 50
+    S = sp.diags(np.linspace(1.0, 2.0, n)).tocsr()
+    calls = []
+
+    def op(v):
+        calls.append(v)
+        return S @ v + (-1.0) ** len(calls) * 1e-13
+    solver = LinearSolver(S, target=1e-11, op=op)
+    solver.solve(np.ones(n))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05])
+def test_certified_run_takes_one_inner_solve_per_solve(quartic, op_counts,
+                                                       eps):
+    grid = build_grid(129, 161)
+    forms = assemble(grid, quartic, eps)
+    x = grid.x_nodes
+    u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, eps, grid)
+    solve(forms, u0, T=0.02, dt=1e-3)
+    assert op_counts["solve"] == 21
+    assert op_counts["op"] == op_counts["solve"]
+
+
+def test_fine_grid_drift_stays_at_machine_level(quartic):
+    # the stop rule leaves at most MASS_RESIDUAL_BOUND of each step's mass
+    # in the residual, so the finer default-lift run still conserves mass
+    # far below the 1e-10 certificate
+    eps = 0.025
+    grid = build_grid(193, 257)
+    forms = assemble(grid, quartic, eps)
+    x = grid.x_nodes
+    u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, eps, grid)
+    traj = solve(forms, u0, T=0.04, dt=1e-3)
+    assert np.abs(np.diff(traj.mass)).max() <= 1e-13
 
 
 @pytest.fixture(scope="module")

@@ -185,6 +185,15 @@ def test_skewed_fine_grid_certificates():
     assert traj.energy_residual[0] <= 1e-9 * max(1.0, traj.b[0])
 
 
+def test_skewed_run_takes_one_inner_solve_per_solve(op_counts):
+    x = np.linspace(0.0, 1.0, 4097)
+    lf = assemble_limit_rates(x, K * math.exp(0.5), K * math.exp(-0.5))
+    w0 = LimitField(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), x)
+    solve_limit(lf, w0, T=2e-3, dt=1e-4)
+    assert op_counts["solve"] == 21
+    assert op_counts["op"] == op_counts["solve"]
+
+
 def test_guard_stops_nonconservative_step():
     # a stiffness whose columns do not sum to zero leaks mass at every step
     x, lf = make_setup()

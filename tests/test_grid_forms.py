@@ -9,7 +9,9 @@ from kramerslab.grid_forms import (AssemblyError, Field, LimitField, a_form,
                                    assemble, assemble_limit,
                                    assemble_limit_rates, b_form, build_grid,
                                    energy_split, graded_nodes, l2_norm_x,
-                                   pair_limit, pair_measure)
+                                   nonlinear_observable,
+                                   nonlinear_observables, pair_limit,
+                                   pair_measure, paired)
 from kramerslab.transition import k_eps, lift, q_eps, transition_mass
 
 import oracles
@@ -241,6 +243,24 @@ def test_pairing_second_moment_ladder(quartic):
         assert val == pytest.approx(m2, abs=1e-8)
         errs.append(abs(val - 1.0))
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("eps", LADDER)
+def test_batched_observables_match_single_calls_bitwise(quartic, eps):
+    grid = build_grid(33, 41)
+    forms = assemble(grid, quartic, eps)
+    x = grid.x_nodes
+    u = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, eps, grid)
+    u = Field(u.values * (1.0 + 0.1 * np.random.default_rng(3).normal(
+        size=u.values.shape)), grid, eps)
+    tests = [lambda x, xi: 1.0, lambda x, xi: np.cos(np.pi * x) * xi]
+    observables = [lambda x, xi, r: r * r,
+                   lambda x, xi, r: np.abs(r) ** 1.5]
+    batched = nonlinear_observables(
+        forms, u, [paired(phi) for phi in tests] + observables)
+    single = ([pair_measure(forms, u, phi) for phi in tests]
+              + [nonlinear_observable(forms, u, f) for f in observables])
+    assert batched == single
 
 
 def test_pair_limit_values():
