@@ -19,12 +19,12 @@ from . import gibbs
 from .enthalpy import EnthalpyProfile
 from .evolve_kramers import SCHEMES, SolverError, solve
 from .evolve_limit import solve_limit
-from .grid_forms import (AssemblyError, LimitField, _panel_interp, assemble,
-                         assemble_limit, b_form, build_grid, l2_norm_x,
-                         mass_matrix_1d, nonlinear_observable,
-                         nonlinear_observables, pair_limit, pair_measure,
-                         paired, xi_node_functional)
-from .quadrature import QuadratureError, panel_points
+from .grid_forms import (AssemblyError, LimitField, assemble, assemble_limit,
+                         b_form, build_grid, l2_norm_x, mass_matrix_1d,
+                         nonlinear_observable, nonlinear_observable_limit,
+                         nonlinear_observables, pair_measure, paired,
+                         xi_node_functional)
+from .quadrature import QuadratureError
 from .transition import k_eps, lift, limit_rate, q_eps
 
 __all__ = [
@@ -135,16 +135,6 @@ def xi_flatness(field, delta=0.5):
     return float(np.einsum("ic,ic->c", dU, W) @ h[sel])
 
 
-def nonlinear_observable_limit(lf, f, quad_order=4):
-    """Limit counterpart: averaged f over the two well lines."""
-    xq, xw = panel_points(lf.x_nodes, quad_order)
-    um = _panel_interp(lf.u_minus, quad_order)
-    up = _panel_interp(lf.u_plus, quad_order)
-    fm = np.broadcast_to(np.asarray(f(xq, -1.0, um), dtype=float), um.shape)
-    fp = np.broadcast_to(np.asarray(f(xq, 1.0, up), dtype=float), up.shape)
-    return 0.5 * (float((xw * fm).sum()) + float((xw * fp).sum()))
-
-
 def default_test_functions():
     """Smooth dictionary with both spatial and reaction-coordinate content."""
     return {
@@ -159,11 +149,16 @@ def default_test_functions():
     }
 
 
-def _default_observables():
-    return {
-        "u^2": lambda x, xi, r: r * r,
-        "|u|^1.5": lambda x, xi, r: np.abs(r) ** 1.5,
-    }
+def _snapshot_observables():
+    """The (kind, name) keys and the f(x, xi, u) of every pairing and
+    observable measured at a snapshot, in report order."""
+    test_fns = default_test_functions()
+    observables = {"u^2": lambda x, xi, r: r * r,
+                   "|u|^1.5": lambda x, xi, r: np.abs(r) ** 1.5}
+    keys = ([("pairing", n) for n in test_fns]
+            + [("observables", n) for n in observables])
+    fns = [paired(phi) for phi in test_fns.values()] + list(observables.values())
+    return keys, fns
 
 
 class ConfigError(ValueError):
@@ -330,6 +325,7 @@ def _limit_reference(cfg, x, k, um0, up0):
                         scheme=cfg.scheme, snapshot_times=(0.0,) + cfg.times,
                         residual_target=cfg.residual_target)
     values = {"pairing": {}, "b": {}, "a": {}, "observables": {}, "gap": {}}
+    keys, fns = _snapshot_observables()
     for t in cfg.times:
         w = ltraj.snapshot_at(t)
         sv = w.stack()
@@ -337,12 +333,9 @@ def _limit_reference(cfg, x, k, um0, up0):
         # the recorded a1 + a2 differs from the block form in the last bits
         values["a"][t] = float(sv @ (lforms.A @ sv))
         values["gap"][t] = l2_norm_x(lforms.M_x, w.u_plus - w.u_minus)
-        for name, fn in default_test_functions().items():
-            values["pairing"].setdefault(name, {})[t] = pair_limit(
+        for (kind, name), fn in zip(keys, fns):
+            values[kind].setdefault(name, {})[t] = nonlinear_observable_limit(
                 w, fn, cfg.quad_order)
-        for name, fn in _default_observables().items():
-            values["observables"].setdefault(name, {})[t] = (
-                nonlinear_observable_limit(w, fn, cfg.quad_order))
     return lforms, ltraj, values
 
 
@@ -379,10 +372,7 @@ def _diagnose(cfg, limit, forms, traj, rate_eff):
                  energy_residual_max=float(
                      np.abs(traj.energy_residual[1:]).max()
                      if len(traj.energy_residual) > 1 else 0.0))
-    test_fns, observables = default_test_functions(), _default_observables()
-    keys = ([("pairing", n) for n in test_fns]
-            + [("observables", n) for n in observables])
-    fns = [paired(phi) for phi in test_fns.values()] + list(observables.values())
+    keys, fns = _snapshot_observables()
     for t, state in traj.snapshots:
         row.fiber_margin[t] = fiber_bound_margin(forms, state, rate_eff)
         row.jensen_margin[t] = gradient_bound_margin(forms, state)
@@ -398,8 +388,8 @@ def _diagnose(cfg, limit, forms, traj, rate_eff):
         b, a1, a2 = float(traj.b[n]), float(traj.a1[n]), float(traj.a2[n])
         row.b_vals[t] = (b, lv["b"][t], abs(b - lv["b"][t]))
         row.a_vals[t] = (a1 + a2, lv["a"][t], abs(a1 + a2 - lv["a"][t]))
-        row.a_split[t] = (a1, a2,
-                          0.5 * lforms.rate_forward * lv["gap"][t] ** 2)
+        # the limit trajectory records lforms.a2_energy of its state
+        row.a_split[t] = (a1, a2, float(ltraj.a2[n]))
         row.flatness[t] = xi_flatness(state)
         # every pairing and observable from one interpolant of the snapshot
         for (kind, name), ve in zip(keys, nonlinear_observables(forms, state,
@@ -429,7 +419,7 @@ def _certificates(cfg, rows, row_errors):
             [r.a_vals[t][2] for r in rows])
         checks[f"flatness_decreasing[t={t:g}]"] = _monotone(
             [r.flatness[t] for r in rows], floor=1e-14)
-        for name in _default_observables():
+        for name in rows[0].observables:
             errs = [r.observables[name][t][2] for r in rows]
             checks[f"observable_monotone[{name}][t={t:g}]"] = _monotone(errs)
     checks["fiber_bound"] = all(m >= -1e-8 for r in rows

@@ -23,7 +23,7 @@ __all__ = [
     "LimitFormMatrices", "graded_nodes", "build_grid", "assemble",
     "assemble_limit", "assemble_limit_rates", "b_form", "a_form",
     "energy_split", "pair_measure", "pair_limit", "nonlinear_observable",
-    "nonlinear_observables", "paired",
+    "nonlinear_observables", "nonlinear_observable_limit", "paired",
     "mass_matrix_1d", "stiffness_matrix_1d", "xi_node_functional",
     "l2_norm_x",
 ]
@@ -530,14 +530,20 @@ def pair_measure(forms, field, phi):
     return nonlinear_observable(forms, field, paired(phi))
 
 
-def pair_limit(lf, phi, quad_order=4):
-    """Pairing of the two-line limit measure with ``phi(x, xi)``."""
+def nonlinear_observable_limit(lf, f, quad_order=4):
+    """Limit counterpart of :func:`nonlinear_observable`: f(x, xi, u)
+    averaged over the two well lines xi = -1 and xi = 1."""
     xq, xw = panel_points(lf.x_nodes, quad_order)
     um = _panel_interp(lf.u_minus, quad_order)
     up = _panel_interp(lf.u_plus, quad_order)
-    pm = np.broadcast_to(np.asarray(phi(xq, -1.0), dtype=float), um.shape)
-    pp = np.broadcast_to(np.asarray(phi(xq, 1.0), dtype=float), up.shape)
-    return 0.5 * (float((xw * um * pm).sum()) + float((xw * up * pp).sum()))
+    fm = np.broadcast_to(np.asarray(f(xq, -1.0, um), dtype=float), um.shape)
+    fp = np.broadcast_to(np.asarray(f(xq, 1.0, up), dtype=float), up.shape)
+    return 0.5 * (float((xw * fm).sum()) + float((xw * fp).sum()))
+
+
+def pair_limit(lf, phi, quad_order=4):
+    """Pairing of the two-line limit measure with ``phi(x, xi)``."""
+    return nonlinear_observable_limit(lf, paired(phi), quad_order)
 
 
 def xi_node_functional(grid, fn, order=None):

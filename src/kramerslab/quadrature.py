@@ -3,14 +3,15 @@
 Two routes are provided on purpose: an adaptive integrator with a certified
 error estimate (for scalar integrals of sharply peaked weights) and plain
 per-panel Gauss rules on a fixed partition (for cumulative integrals and
-Galerkin assembly).
+Galerkin assembly). Both use numpy only.
 """
 from __future__ import annotations
 
+import heapq
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class QuadratureError(RuntimeError):
@@ -22,29 +23,77 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
-# Cap on adaptive subdivisions; the integrands here are smooth with at most
+# Cap on adaptive bisections; the integrands here are smooth with at most
 # three sharp features, so this is never the binding constraint in practice.
 SUBDIVISION_LIMIT = 1000
 
+# The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21, as doubles):
+# the positive Kronrod nodes, decreasing, with their weights, the weight of
+# the centre, and the 10-point Gauss weights of the odd-indexed nodes, which
+# are the Gauss nodes. Kronrod is exact to degree 31, Gauss to degree 19.
+_XK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+       0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+       0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+       0.14887433898163122)
+_WK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+       0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+       0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+       0.14773910490133849)
+_WK_CENTRE = 0.1494455540029169
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+       0.26926671930999635, 0.29552422471475287)
+
+
+def gauss_kronrod(f, a, b):
+    """The 21-point Kronrod and the embedded 10-point Gauss values of the
+    integral of the scalar function ``f`` over ``[a, b]``."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    pairs = [f(mid - half * x) + f(mid + half * x) for x in _XK]
+    kronrod = _WK_CENTRE * f(mid) + sum(w * p for w, p in zip(_WK, pairs))
+    gauss = sum(w * p for w, p in zip(_WG, pairs[1::2]))
+    return half * kronrod, half * gauss
+
 
 def adaptive_integral(f, a, b, tol=1e-12, abs_floor=0.0):
-    """Integrate ``f`` over ``[a, b]`` to relative error ``tol``.
+    """Integrate the scalar function ``f`` over ``[a, b]`` to relative error
+    ``tol``, by globally adaptive Gauss-Kronrod bisection.
 
+    Each panel's error estimate is |K21 - G10|; the panel with the largest
+    one is bisected until their sum is at most max(tol * |value|,
+    abs_floor), or ``SUBDIVISION_LIMIT`` bisections are spent.
     ``abs_floor`` is an absolute error target for integrals that vanish by
     symmetry, where a purely relative criterion is unattainable. Returns
     ``(value, error_estimate)``; raises :class:`QuadratureError` with the
-    achieved estimate attached when neither target can be certified.
+    achieved estimate attached when neither target can be certified, and
+    when the value or the estimate is not finite.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    out = quad(f, a, b, epsabs=abs_floor, epsrel=tol,
-               limit=SUBDIVISION_LIMIT, full_output=True)
-    value, estimate = out[0], out[1]
-    target = max(tol * abs(value), abs_floor, np.finfo(float).tiny)
-    if estimate > target:
+    panels = []  # heap of (-estimate, lo, hi, value)
+
+    def push(lo, hi):
+        k, g = gauss_kronrod(f, lo, hi)
+        heapq.heappush(panels, (-abs(k - g), lo, hi, k))
+
+    push(a, b)
+    for bisection in range(SUBDIVISION_LIMIT + 1):
+        # plain sums let a NaN or an infinity through (math.fsum raises)
+        value = sum(p[3] for p in panels)
+        estimate = -sum(p[0] for p in panels)
+        target = max(tol * abs(value), abs_floor, np.finfo(float).tiny)
+        # a panel that is not finite stops the refinement: its NaN would
+        # break the heap order and no bisection can certify it
+        if (estimate <= target or not math.isfinite(estimate)
+                or bisection == SUBDIVISION_LIMIT):
+            break
+        _, lo, hi, _ = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        push(lo, mid)
+        push(mid, hi)
+    if not (math.isfinite(value) and estimate <= target):
         raise QuadratureError(
-            "adaptive quadrature stalled: error estimate "
-            f"{estimate:.3e} exceeds target {target:.3e}",
+            f"adaptive quadrature not certified: value {value!r}, error "
+            f"estimate {estimate:.3e}, target {target:.3e}",
             value=value, estimate=estimate)
     return value, estimate
 

@@ -1,12 +1,14 @@
 """Independent numerical oracles for the test suite.
 
 Everything here deliberately avoids the package's own quadrature and
-assembly paths: fixed-grid composite rules, finite differences, and the
-closed chain solution of the piecewise-linear connection program.
+assembly paths: fixed-grid composite rules, scipy's QUADPACK integrator,
+finite differences, and the closed chain solution of the piecewise-linear
+connection program. Only the tests import ``scipy.integrate``.
 """
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 
 def fixed_quad(f, a, b, panels=100_000, order=6):
@@ -17,6 +19,13 @@ def fixed_quad(f, a, b, panels=100_000, order=6):
     half = 0.5 * (edges[1] - edges[0])
     pts = mid[:, None] + half * g[None, :]
     return half * float(w @ f(pts).sum(axis=0))
+
+
+def quad_reference(f, a, b, tol=1e-12):
+    """Adaptive QUADPACK integral of the scalar function ``f`` over [a, b]
+    at relative tolerance ``tol``."""
+    value, _ = quad(f, a, b, epsabs=0.0, epsrel=tol, limit=1000)
+    return value
 
 
 def central_diff(f, x, h=1e-5):
