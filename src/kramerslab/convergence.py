@@ -347,8 +347,8 @@ def _rung(cfg, grid, limit, um0, up0, eps):
                  "super": -math.log(eps)}[cfg.regime]
         forms = assemble(grid, cfg.profile, eps, log_tau_shift=shift,
                          quad_order=cfg.quad_order)
-        rate_eff = math.exp(math.log(eps) + shift - gibbs.log_partition(
-            cfg.profile, eps) - gibbs.log_barrier_integral(cfg.profile, eps))
+        rate_eff = math.exp(math.log(eps) + shift - forms.log_z
+                            - gibbs.log_barrier_integral(cfg.profile, eps))
         u0 = lift(um0, up0, cfg.profile, eps, grid)
         traj = solve(forms, u0, cfg.t_final, cfg.dt, scheme=cfg.scheme,
                      snapshot_times=(0.0,) + cfg.times,
@@ -505,7 +505,7 @@ def gamma_limsup_check(u_minus, u_plus, ladder, grid, profile,
     for eps in ladder:
         forms = assemble(grid, profile, eps, quad_order=grid.quad_order)
         v = lift(um, up, profile, eps, grid)
-        b_vals.append(b_form(forms.M, v, v))
+        b_vals.append(b_form(forms.apply_m, v, v))
         a_vals.append(forms.a_energy(v))
     b_err = [abs(bv - b_lim) for bv in b_vals]
     a_err = [abs(av - a_lim) for av in a_vals]

@@ -42,7 +42,8 @@ def _bands(T):
 
 class _ThetaSystem:
     """The theta-step matrix M + cA of ``forms``; ``S @ v`` is the exact
-    action, with the stiffness applied by ``forms.apply_a``. Subclasses add
+    action, with the mass applied by ``forms.apply_m`` and the stiffness by
+    ``forms.apply_a``. Subclasses add
     ``norm_inf`` and ``factorize`` from the 1-D factors of the forms."""
 
     def __init__(self, forms, c):
@@ -50,7 +51,7 @@ class _ThetaSystem:
         self.c = float(c)
 
     def __matmul__(self, v):
-        return self.forms.M @ v + self.c * self.forms.apply_a(v)
+        return self.forms.apply_m(v) + self.c * self.forms.apply_a(v)
 
 
 class KroneckerSystem(_ThetaSystem):
@@ -311,46 +312,52 @@ def _integrate(forms, system, u, T, dt, scheme, snapshot_times,
 
     ``system(forms, c)`` is the structured M + cA, ``wrap(vec)`` builds a
     snapshot from a private copy of the state, and ``where`` names the run
-    in a :class:`SolverError`. The squared norm b is computed once per state
+    in a :class:`SolverError`. Each state gets one ``forms.stencil``: its
+    A u is the next right-hand side, its energy split is recorded, and the
+    energy a(u_theta) of the step into it follows by polarization with the
+    previous state's stencil. The squared norm b is computed once per state
     and serves both the record and the energy-identity residual.
     """
-    M = forms.M
     n_steps, groups = theta_plan(
         T, dt, scheme,
         lambda c: LinearSolver(system(forms, c), residual_target))
     want = _snapshot_steps(snapshot_times, dt, n_steps)
 
     u = np.array(u, dtype=float)
-    mass_vec = M @ np.ones_like(u)
+    mass_vec = forms.apply_m(np.ones_like(u))
     times, mass, b, a1, a2 = (np.zeros(n_steps + 1) for _ in range(5))
     e_res = np.zeros(n_steps)
     thetas = np.zeros(n_steps)
     snapshots = []
 
-    def record(idx, t, vec, b_vec):
+    def record(idx, t, vec, b_vec, st):
         times[idx] = t
         mass[idx] = float(mass_vec @ vec)
         b[idx] = b_vec
-        a1[idx] = forms.a1_energy(vec)
-        a2[idx] = forms.a2_energy(vec)
+        a1[idx] = st.a1
+        a2[idx] = st.a2
         if idx in want:
             snapshots.append((want[idx], wrap(vec.copy())))
 
-    b_u = float(u @ (M @ u))
-    record(0, 0.0, u, b_u)
+    st = forms.stencil(u)
+    b_u = float(u @ forms.apply_m(u))
+    record(0, 0.0, u, b_u, st)
     t = 0.0
     for step, group in enumerate(groups, start=1):
         residual = 0.0
         for theta, dt_sub, solver in group:
-            u_new = u + solver.solve(-dt_sub * forms.apply_a(u))
-            ubar = theta * u_new + (1.0 - theta) * u
-            b_new = float(u_new @ (M @ u_new))
-            residual += 0.5 * b_new - 0.5 * b_u + dt_sub * forms.a_energy(ubar)
-            u, b_u = u_new, b_new
+            u_new = u + solver.solve(-dt_sub * st.au)
+            st_new = forms.stencil(u_new)
+            b_new = float(u_new @ forms.apply_m(u_new))
+            # a(theta u_new + (1 - theta) u)
+            a_bar = (theta * theta * st_new.a + (1.0 - theta) ** 2 * st.a
+                     + theta * (1.0 - theta) * st_new.cross(st))
+            residual += 0.5 * b_new - 0.5 * b_u + dt_sub * a_bar
+            u, b_u, st = u_new, b_new, st_new
             t += dt_sub
         e_res[step - 1] = residual
         thetas[step - 1] = group[0][0]
-        record(step, t, u, b_u)
+        record(step, t, u, b_u, st)
         _certify_step(where, step, t, mass[step] - mass[step - 1], residual,
                       thetas[step - 1], b[0])
     return Trajectory(times=times, mass=mass, b=b, a1=a1, a2=a2,

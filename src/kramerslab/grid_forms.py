@@ -8,6 +8,7 @@ variational formulation hold exactly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .quadrature import gauss_rule, panel_points
 
 __all__ = [
     "AssemblyError", "Grid", "Field", "LimitField", "FormMatrices",
-    "LimitFormMatrices", "graded_nodes", "build_grid", "assemble",
+    "LimitFormMatrices", "Stencil", "graded_nodes", "build_grid", "assemble",
     "assemble_limit", "assemble_limit_rates", "b_form", "a_form",
     "energy_split", "pair_measure", "pair_limit", "nonlinear_observable",
     "nonlinear_observables", "nonlinear_observable_limit", "paired",
@@ -230,23 +231,61 @@ def stiffness_matrix_1d(nodes, weight=None, order=4, log_weight=None):
                         log_weight=log_weight))
 
 
-@dataclass(frozen=True)
-class FormMatrices:
-    """Assembled sparse forms for one value of eps.
+def _pair(v, f):
+    """The sum of v * f over all entries."""
+    return float(np.vdot(v, f))
 
-    ``M`` is the weighted mass, ``A1`` the x-stiffness, ``A2`` the
-    time-rescaled xi-stiffness, ``A = A1 + A2``. The 1D factors and the
-    per-cell conductances ``g_x``, ``g_xi`` are kept so the stiffness can be
-    applied and its energies evaluated in incidence form: the xi-conductances
-    are of size clock * density and a plain sparse matvec against an O(1)
-    field would drown conserved functionals in eps_mach * |A| noise, while
-    the incidence form keeps every product proportional to the local flux.
+
+class Stencil:
+    """The stiffness at one state u, in incidence form.
+
+    ``au`` is A u; ``parts`` holds, per part of the energy, the differences
+    D u and the fluxes F u, such that the bilinear form of two states pairs
+    the differences of one with the fluxes of the other:
+    u^T A w = sum over parts of D u . F w. So a1 and a2 are sums of
+    difference times flux. At the eps level F u is the conductance times
+    the 1-D mass across D u.
     """
 
-    M: sp.csr_matrix
-    A1: sp.csr_matrix
-    A2: sp.csr_matrix
-    A: sp.csr_matrix
+    def __init__(self, au, parts):
+        self.au = au
+        self.parts = parts
+
+    @functools.cached_property
+    def a1(self):
+        return _pair(*self.parts[0])
+
+    @functools.cached_property
+    def a2(self):
+        return _pair(*self.parts[1])
+
+    @property
+    def a(self):
+        return self.a1 + self.a2
+
+    def cross(self, other):
+        """u^T A w + w^T A u of this state u and the state w of ``other``."""
+        return sum(_pair(v, g) + _pair(w, f) for (v, f), (w, g)
+                   in zip(self.parts, other.parts))
+
+
+@dataclass(frozen=True)
+class FormMatrices:
+    """The forms at one value of eps, kept as their 1-D factors.
+
+    The weighted mass is M = M_x (x) M_xi, the x-stiffness
+    A1 = K_x (x) M_xi, the time-rescaled xi-stiffness A2 = M_x (x) K_xi and
+    A = A1 + A2. They act through the factors: M u is M_x U M_xi on the
+    nodal grid U, and the stiffness is applied in incidence form, from the
+    per-cell conductances ``g_x``, ``g_xi``: differences first, then the
+    1-D mass across them, then the conductance. The xi-conductances are of
+    size clock * density and a plain sparse matvec against an O(1) field
+    would drown conserved functionals in eps_mach * |A| noise, while the
+    incidence form keeps every product proportional to the local flux. The
+    2-D sparse ``M``, ``A1``, ``A2`` and ``A`` are built only on first use,
+    as references.
+    """
+
     M_x: sp.csr_matrix
     K_x: sp.csr_matrix
     M_xi: sp.csr_matrix
@@ -260,51 +299,79 @@ class FormMatrices:
     log_tau_shift: float = 0.0
     underflow_cells: tuple = ()
 
+    @functools.cached_property
+    def M(self):
+        return sp.kron(self.M_x, self.M_xi, format="csr")
+
+    @functools.cached_property
+    def A1(self):
+        return sp.kron(self.K_x, self.M_xi, format="csr")
+
+    @functools.cached_property
+    def A2(self):
+        return sp.kron(self.M_x, self.K_xi, format="csr")
+
+    @functools.cached_property
+    def A(self):
+        return (self.A1 + self.A2).tocsr()
+
     @property
     def n(self):
-        return self.M.shape[0]
+        return self.grid.nx * self.grid.nxi
 
     def _as_grid(self, u):
         if isinstance(u, Field):
             return u.values
         return np.asarray(u, dtype=float).reshape(self.grid.nx, self.grid.nxi)
 
-    def apply_a1(self, u):
-        """(x-stiffness (x) xi-mass) applied in incidence form; flat output."""
+    def apply_m(self, u):
+        """M u = M_x U M_xi; flat output."""
         U = self._as_grid(u)
-        W = (self.M_xi @ U.T).T
-        flux = np.diff(W, axis=0) * self.g_x[:, None]
-        out = np.zeros_like(U)
-        out[:-1] -= flux
-        out[1:] += flux
+        return (self.M_x @ (self.M_xi @ U.T).T).reshape(-1)
+
+    def _x_part(self, U):
+        """x-differences of U and their fluxes g_x (dU M_xi)."""
+        V = np.diff(U, axis=0)
+        return V, np.multiply((self.M_xi @ V.T).T, self.g_x[:, None],
+                              order="C")
+
+    def _xi_part(self, U):
+        """xi-differences of U and their fluxes (M_x dU) g_xi."""
+        V = np.diff(U, axis=1)
+        F = self.M_x @ V
+        F *= self.g_xi
+        return V, F
+
+    def _parts(self, u):
+        U = self._as_grid(u)
+        return self._x_part(U), self._xi_part(U)
+
+    def _divergence(self, parts):
+        """A u = D^T F: each flux leaves the lower node of its cell and
+        enters the upper one; flat output."""
+        (_, F1), (_, F2) = parts
+        out = np.zeros((self.grid.nx, self.grid.nxi))
+        out[:-1] -= F1
+        out[1:] += F1
+        out[:, :-1] -= F2
+        out[:, 1:] += F2
         return out.reshape(-1)
 
-    def apply_a2(self, u):
-        """(x-mass (x) xi-stiffness) applied in incidence form; flat output."""
-        U = self._as_grid(u)
-        W = self.M_x @ U
-        flux = np.diff(W, axis=1) * self.g_xi[None, :]
-        out = np.zeros_like(U)
-        out[:, :-1] -= flux
-        out[:, 1:] += flux
-        return out.reshape(-1)
+    def stencil(self, u):
+        """A u and the energy split of ``u`` from one pass over the field."""
+        parts = self._parts(u)
+        return Stencil(self._divergence(parts), parts)
 
     def apply_a(self, u):
-        return self.apply_a1(u) + self.apply_a2(u)
+        return self._divergence(self._parts(u))
 
     def a1_energy(self, u):
         """x-part of the energy as a nonnegative sum over x-cells."""
-        U = self._as_grid(u)
-        V = np.diff(U, axis=0)
-        W = (self.M_xi @ V.T).T
-        return float(np.einsum("cj,cj->c", V, W) @ self.g_x)
+        return _pair(*self._x_part(self._as_grid(u)))
 
     def a2_energy(self, u):
         """xi-part of the energy as a nonnegative sum over xi-cells."""
-        U = self._as_grid(u)
-        V = np.diff(U, axis=1)
-        W = self.M_x @ V
-        return float(np.einsum("ic,ic->c", V, W) @ self.g_xi)
+        return _pair(*self._xi_part(self._as_grid(u)))
 
     def a_energy(self, u):
         return self.a1_energy(u) + self.a2_energy(u)
@@ -358,14 +425,10 @@ def assemble(grid, profile, eps, log_tau_shift=0.0, tol=1e-12,
                            log_weight=stiff_exponent)
     K_xi = stiffness_from_cells(g_xi)
 
-    M = sp.kron(M_x, M_xi, format="csr")
-    A1 = sp.kron(K_x, M_xi, format="csr")
-    A2 = sp.kron(M_x, K_xi, format="csr")
-    A = (A1 + A2).tocsr()
-    return FormMatrices(M=M, A1=A1, A2=A2, A=A, M_x=M_x, K_x=K_x, M_xi=M_xi,
-                        K_xi=K_xi, g_x=g_x, g_xi=g_xi, grid=grid,
-                        profile=profile, eps=eps, log_z=log_z,
-                        log_tau_shift=log_tau_shift, underflow_cells=underflow)
+    return FormMatrices(M_x=M_x, K_x=K_x, M_xi=M_xi, K_xi=K_xi, g_x=g_x,
+                        g_xi=g_xi, grid=grid, profile=profile, eps=eps,
+                        log_z=log_z, log_tau_shift=log_tau_shift,
+                        underflow_cells=underflow)
 
 
 def _vec(u):
@@ -377,20 +440,22 @@ def _vec(u):
 
 
 def _bilinear(mat, u, v):
+    apply = mat if callable(mat) else mat.__matmul__
     uu = _vec(u)
     vv = _vec(v)
     if uu.shape != vv.shape:
         raise ValueError(f"shape mismatch: {uu.shape} vs {vv.shape}")
     if uu is vv or np.array_equal(uu, vv):
-        return float(uu @ (mat @ uu))
+        return float(uu @ apply(uu))
     # polarization keeps the evaluation bitwise symmetric in (u, v)
     s = uu + vv
     d = uu - vv
-    return 0.25 * (float(s @ (mat @ s)) - float(d @ (mat @ d)))
+    return 0.25 * (float(s @ apply(s)) - float(d @ apply(d)))
 
 
 def b_form(M, u, v):
-    """Mass pairing u^T M v; symmetric in (u, v) bitwise."""
+    """Mass pairing u^T M v, with M a matrix or its action v -> M v;
+    symmetric in (u, v) bitwise."""
     return _bilinear(M, u, v)
 
 
@@ -431,23 +496,34 @@ class LimitFormMatrices:
     def n(self):
         return self.M.shape[0]
 
+    def apply_m(self, w):
+        return self.M @ w
+
     def apply_a(self, w):
         return self.A @ w
 
-    def a_energy(self, w):
-        return float(w @ (self.A @ w))
+    def _parts(self, w):
+        """Diffusion: both densities and half their K_x-fluxes; reaction:
+        the well gap u_minus - u_plus and half the x-mass of the net
+        transfer k_f u_minus - k_b u_plus."""
+        W = _vec(w).reshape(2, -1)
+        um, up = W
+        transfer = self.rate_forward * um - self.rate_backward * up
+        return ((W, 0.5 * (self.K_x @ W.T).T),
+                (um - up, 0.5 * (self.M_x @ transfer)))
+
+    def stencil(self, w):
+        """A w and the energy split of ``w``, as for the eps-level forms."""
+        return Stencil(self.apply_a(w), self._parts(w))
 
     def a1_energy(self, w):
         """Diffusion energy, half the K_x-energy of each density."""
-        um, up = _vec(w).reshape(2, -1)
-        return 0.5 * (float(um @ (self.K_x @ um)) + float(up @ (self.K_x @ up)))
+        return _pair(*self._parts(w)[0])
 
     def a2_energy(self, w):
         """Reaction energy (k_f u_minus - k_b u_plus, u_minus - u_plus)/2 in
         the x-mass; with equal rates k it is k/2 times the squared gap."""
-        um, up = _vec(w).reshape(2, -1)
-        flux = self.rate_forward * um - self.rate_backward * up
-        return 0.5 * float(flux @ (self.M_x @ (um - up)))
+        return _pair(*self._parts(w)[1])
 
 
 def assemble_limit_rates(x_nodes, rate_forward, rate_backward, quad_order=4):

@@ -3,11 +3,13 @@
 Everything here deliberately avoids the package's own quadrature and
 assembly paths: fixed-grid composite rules, scipy's QUADPACK integrator,
 finite differences, and the closed chain solution of the piecewise-linear
-connection program. Only the tests import ``scipy.integrate``.
+connection program, and the 2-D sparse Kronecker products of the 1-D form
+factors. Only the tests import ``scipy.integrate``.
 """
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 
@@ -95,3 +97,13 @@ def pair_ode_solution(c_minus, c_plus, rate, t):
     gap = c_plus - c_minus
     decay = math.exp(-2.0 * rate * t)
     return mean - 0.5 * gap * decay, mean + 0.5 * gap * decay
+
+
+def kron_forms(forms):
+    """The 2-D sparse mass M_x (x) M_xi and the stiffness parts
+    A1 = K_x (x) M_xi, A2 = M_x (x) K_xi of eps-level forms, assembled with
+    ``scipy.sparse.kron`` from their 1-D factors."""
+    M = sp.kron(forms.M_x, forms.M_xi, format="csr")
+    A1 = sp.kron(forms.K_x, forms.M_xi, format="csr")
+    A2 = sp.kron(forms.M_x, forms.K_xi, format="csr")
+    return M, A1, A2

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -135,6 +137,49 @@ def test_converge_mini(tmp_path):
     assert any(k.startswith("b_monotone") for k in report["checks"])
 
 
+def _old_writer_bytes(path):
+    """The bytes the row-by-row writer (csv.writer, every number formatted
+    with f"{float(x):.17g}") gives for the rows of the CSV at ``path``;
+    %.17g round-trips every double, so the parsed rows are the written
+    ones."""
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else f"{float(c):.17g}"
+                         for c in map(cell, row)])
+    return buf.getvalue().encode()
+
+
+def test_csv_artifacts_match_the_row_writer(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {**MINI, "nx": 33, "nxi": 41, "dt": 0.005, "t_final": 0.1,
+         "times": [0.05, 0.1]}))
+    assert main(["simulate", "--config", str(cfg_path), "--eps", "0.1",
+                 "--snapshots", "0.05", "--out", str(tmp_path / "sim")]) == 0
+    assert main(["limit", "--config", str(cfg_path), "--skew-gap", "0.5",
+                 "--out", str(tmp_path / "lim")]) == 0
+    assert main(["converge", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "conv")]) == 0
+    paths = [tmp_path / "sim" / "trajectory.csv",
+             tmp_path / "sim" / "field_t0.05.csv",
+             tmp_path / "lim" / "limit.csv",
+             tmp_path / "conv" / "pairings.csv"]
+    for path in paths:
+        data = path.read_bytes()
+        assert data.count(b"\r\n") > 2
+        assert data == _old_writer_bytes(path), path.name
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     code = main(["rates", "--ladder", "0.001"])
     assert code == 2
@@ -142,8 +187,8 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 def test_simulate_certificate_failure_exit_code(tmp_path, capsys):
-    # eps = 0.02 at 193 x 257 breaks the mass certificate within 40 steps
-    code = main(["simulate", "--eps", "0.02", "--nx", "193", "--nxi", "257",
+    # eps = 0.02 at 33 x 4097 breaks the mass certificate within 40 steps
+    code = main(["simulate", "--eps", "0.02", "--nx", "33", "--nxi", "4097",
                  "--dt", "0.001", "--T", "0.04", "--out", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err

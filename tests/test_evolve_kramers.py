@@ -93,6 +93,20 @@ def test_zero_field_zero_residual(setup):
     assert np.all(traj.energy_residual == 0.0)
 
 
+@pytest.mark.parametrize("scheme", ["CN_rannacher", "BE"])
+def test_recorded_energies_are_those_of_the_states(setup, scheme):
+    # the integrator's a1 and a2 come from each state's stencil; they must be
+    # the energies of the snapshot states
+    grid, forms = setup
+    times = (1e-3, 2e-3, 5e-3, 1e-2)
+    traj = solve(forms, random_field(grid, seed=3, scale=0.2), T=1e-2,
+                 dt=1e-3, scheme=scheme, snapshot_times=times)
+    for t, state in traj.snapshots:
+        n = round(t / 1e-3)
+        assert abs(traj.a1[n] - forms.a1_energy(state)) <= 1e-13 * traj.a1[n]
+        assert abs(traj.a2[n] - forms.a2_energy(state)) <= 1e-13 * traj.a2[n]
+
+
 def test_snapshots_and_validation(setup):
     grid, forms = setup
     u0 = random_field(grid, seed=4)
@@ -319,11 +333,12 @@ def test_step_certificate_bounds():
 
 
 def test_guard_stops_uncertified_run(quartic):
-    # eps = 0.02 at 193 x 257 drifts by just over 1e-10 per step at several
-    # steps in the first 40 (first at step 13); the run must raise, not
-    # return a trajectory that breaks the README's mass certificate
+    # eps = 0.02 at 33 x 4097 drifts by several times 1e-10 per step within
+    # the first 40 (first at step 3 or 4, with one or two BLAS threads); the
+    # run must raise, not return a trajectory that breaks the README's mass
+    # certificate
     eps = 0.02
-    grid = build_grid(193, 257)
+    grid = build_grid(33, 4097)
     forms = assemble(grid, quartic, eps)
     x = grid.x_nodes
     u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, eps, grid)

@@ -134,6 +134,62 @@ def test_energy_split_matches_total(small_forms):
     assert e2 == pytest.approx(forms.a2_energy(u), rel=1e-9)
 
 
+@pytest.mark.parametrize("eps", LADDER)
+def test_apply_m_matches_kron(small_forms, eps):
+    forms = small_forms[eps]
+    M, _, _ = oracles.kron_forms(forms)
+    u = np.random.default_rng(5).normal(size=forms.n)
+    exact = M @ u
+    assert np.abs(forms.apply_m(u) - exact).max() <= 1e-15 * (
+        abs(M) @ np.abs(u)).max()
+
+
+@pytest.mark.parametrize("eps", LADDER)
+def test_stencil_matches_sparse_stiffness(small_forms, eps):
+    forms = small_forms[eps]
+    _, A1, A2 = oracles.kron_forms(forms)
+    A = A1 + A2
+    rng = np.random.default_rng(6)
+    u, w = rng.normal(size=(2, forms.n))
+    st, sw = forms.stencil(u), forms.stencil(w)
+    # the incidence form and the sparse matvec agree to the matvec's noise
+    assert np.abs(st.au - A @ u).max() <= 1e-13 * (abs(A) @ np.abs(u)).max()
+    assert np.array_equal(forms.apply_a(u), st.au)
+    assert st.a1 == pytest.approx(float(u @ (A1 @ u)), rel=1e-12)
+    assert st.a2 == pytest.approx(float(u @ (A2 @ u)), rel=1e-12)
+    assert st.a1 == forms.a1_energy(u) and st.a2 == forms.a2_energy(u)
+    scale = float(np.abs(u) @ (abs(A) @ np.abs(w)))
+    exact = float(u @ (A @ w)) + float(w @ (A @ u))
+    assert abs(st.cross(sw) - exact) <= 1e-13 * scale
+    assert st.cross(sw) == sw.cross(st)
+
+
+def test_limit_stencil_matches_block_forms():
+    x = np.linspace(0.0, 1.0, 33)
+    lf = assemble_limit_rates(x, 2.0, 0.5)
+    rng = np.random.default_rng(7)
+    u, w = rng.normal(size=(2, lf.n))
+    st, sw = lf.stencil(u), lf.stencil(w)
+    assert np.array_equal(st.au, lf.A @ u)
+    assert st.a == pytest.approx(float(u @ (lf.A @ u)), rel=1e-12)
+    assert st.a1 == lf.a1_energy(u) and st.a2 == lf.a2_energy(u)
+    # the reaction block is nonsymmetric: the cross term is its symmetric part
+    exact = float(u @ (lf.A @ w)) + float(w @ (lf.A @ u))
+    assert st.cross(sw) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", LADDER)
+def test_assemble_builds_no_2d_matrix(quartic, eps):
+    forms = assemble(build_grid(17, 21), quartic, eps)
+    n = forms.n
+    for name, value in vars(forms).items():
+        if sp.issparse(value):
+            assert max(value.shape) < n, name
+    # the 2-D references are built on first use only
+    assert not {"M", "A1", "A2", "A"} & set(vars(forms))
+    assert forms.M.shape == (n, n) and "M" in vars(forms)
+
+
 def test_lift_mass_is_q_form(quartic):
     # the mass form of an embedded pair equals the 1D transition-mass value
     grid = build_grid(33, 81)
