@@ -8,13 +8,13 @@ from .gibbs import (EPS_CEIL, EPS_FLOOR, GibbsMeasure, LimitMeasure,
                     log_barrier_integral, log_laplace_i, log_partition,
                     log_tau, tau)
 from .grid_forms import (Field, FormMatrices, Grid, LimitField,
-                         LimitFormMatrices, a_form, assemble, assemble_limit,
+                         LimitFormMatrices, assemble, assemble_limit,
                          assemble_limit_rates, b_form, build_grid,
-                         energy_split, graded_nodes, pair_limit, pair_measure)
+                         graded_nodes, pair_limit, pair_measure)
 from .transition import (TransitionProfile, k_eps, lift, limit_rate, q_eps,
                          transition_cost, transition_mass, transition_profile)
 from .evolve_kramers import (LinearSolver, SolverError, Trajectory,
-                             regularization_check, solve, step_theta)
+                             regularization_check, solve)
 from .evolve_limit import homogeneous_pair_solution, solve_limit
 from .convergence import (ConvergenceReport, StudyConfig, cutoff_average,
                           cutoff_mass, gamma_limsup_check,

@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -340,7 +339,7 @@ def cmd_limit(cfg):
     return 0
 
 
-def cmd_converge(cfg, max_workers=1):
+def cmd_converge(cfg):
     """Full ladder certification; exit status mirrors the report booleans."""
     study = StudyConfig(profile=profile_from_config(cfg), ladder=cfg.ladder,
                         nx=cfg.nx, nxi=cfg.nxi, dt=cfg.dt, t_final=cfg.t_final,
@@ -348,7 +347,7 @@ def cmd_converge(cfg, max_workers=1):
                         quad_order=cfg.quad_order, grading=cfg.grading,
                         u0_minus=_u0_callable(cfg.u0, "minus"),
                         u0_plus=_u0_callable(cfg.u0, "plus"))
-    report = run_ladder_study(study, max_workers=max_workers)
+    report = run_ladder_study(study)
     out = Path(cfg.out)
     _write_json(out / "report.json", report.to_dict())
 
@@ -461,9 +460,6 @@ def main(argv=None):
         kw = {}
         if args.command == "simulate" and getattr(args, "snapshots", None):
             kw["snapshots"] = _parse_floats("snapshots", args.snapshots)
-        if args.command == "converge":
-            env = os.environ.get("KRAMERS_THREADS", "1")
-            kw["max_workers"] = max(1, int(_number("KRAMERS_THREADS", env)))
         return run(args.command, cfg, **kw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,9 +7,7 @@ lower-bound booleans that certify the convergence statements at desk scale.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -224,7 +222,6 @@ class StudyConfig:
     quad_order: int = 4
     u0_minus: Callable = staticmethod(lambda x: np.cos(np.pi * x))
     u0_plus: Callable = staticmethod(lambda x: 1.0 + np.cos(np.pi * x))
-    residual_target: float = 1e-11
     grading: str = "three_zone"
 
     def __post_init__(self):
@@ -322,8 +319,7 @@ def _limit_reference(cfg, x, k, um0, up0):
         lm0 = lp0 = 0.5 * (um0 + up0)
     lforms = assemble_limit(x, k_target, quad_order=cfg.quad_order)
     ltraj = solve_limit(lforms, LimitField(lm0, lp0, x), cfg.t_final, cfg.dt,
-                        scheme=cfg.scheme, snapshot_times=(0.0,) + cfg.times,
-                        residual_target=cfg.residual_target)
+                        scheme=cfg.scheme, snapshot_times=(0.0,) + cfg.times)
     values = {"pairing": {}, "b": {}, "a": {}, "observables": {}, "gap": {}}
     keys, fns = _snapshot_observables()
     for t in cfg.times:
@@ -351,8 +347,7 @@ def _rung(cfg, grid, limit, um0, up0, eps):
                             - gibbs.log_barrier_integral(cfg.profile, eps))
         u0 = lift(um0, up0, cfg.profile, eps, grid)
         traj = solve(forms, u0, cfg.t_final, cfg.dt, scheme=cfg.scheme,
-                     snapshot_times=(0.0,) + cfg.times,
-                     residual_target=cfg.residual_target)
+                     snapshot_times=(0.0,) + cfg.times)
         return _diagnose(cfg, limit, forms, traj, rate_eff)
     except (SolverError, AssemblyError, QuadratureError) as exc:
         return eps, f"{type(exc).__name__}: {exc}"
@@ -444,10 +439,10 @@ def _certificates(cfg, rows, row_errors):
     return checks
 
 
-def run_ladder_study(cfg, max_workers=1):
+def run_ladder_study(cfg):
     """Run the full ladder and assemble the report with its certificates:
-    the limit reference first, then one rung per eps (on ``max_workers``
-    threads when more than one), then the certificates."""
+    the limit reference first, then one rung per eps in ladder order, then
+    the certificates."""
     grid = build_grid(cfg.nx, cfg.nxi, grading=cfg.grading,
                       quad_order=cfg.quad_order)
     x = grid.x_nodes
@@ -456,12 +451,7 @@ def run_ladder_study(cfg, max_workers=1):
     up0 = np.asarray(cfg.u0_plus(x), dtype=float)
     limit = _limit_reference(cfg, x, k, um0, up0)
 
-    rung = functools.partial(_rung, cfg, grid, limit, um0, up0)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            outcomes = list(ex.map(rung, cfg.ladder))
-    else:
-        outcomes = [rung(eps) for eps in cfg.ladder]
+    outcomes = [_rung(cfg, grid, limit, um0, up0, eps) for eps in cfg.ladder]
     rows = [o for o in outcomes if isinstance(o, EpsRow)]
     row_errors = {o[0]: o[1] for o in outcomes if not isinstance(o, EpsRow)}
     return ConvergenceReport(regime=cfg.regime, ladder=cfg.ladder,

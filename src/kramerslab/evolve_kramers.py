@@ -18,11 +18,10 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from .grid_forms import Field, _vec
+from .grid_forms import Field
 
 __all__ = ["SolverError", "KroneckerSystem", "LinearSolver", "Trajectory",
-           "SCHEMES", "step_theta", "solve", "regularization_check",
-           "RegularityFlags"]
+           "SCHEMES", "solve", "regularization_check", "RegularityFlags"]
 
 
 class SolverError(RuntimeError):
@@ -114,6 +113,8 @@ MASS_DRIFT_BOUND = 1e-10
 ENERGY_RESIDUAL_BOUND = 1e-9
 # the mass a certified solve may leave in its residual, per step
 MASS_RESIDUAL_BOUND = 1e-3 * MASS_DRIFT_BOUND
+# the backward error every theta-step solve of both levels certifies
+RESIDUAL_TARGET = 1e-11
 
 
 class LinearSolver:
@@ -121,9 +122,11 @@ class LinearSolver:
 
     ``S`` is a structured system (:class:`KroneckerSystem`, or
     ``evolve_limit.LimitSystem``) that supplies its own ``norm_inf`` and
-    ``factorize``, or a sparse matrix, factored by SuperLU (a reference for
-    the structured solvers). Every residual r = rhs - op(x) is taken against
-    ``op`` (by default ``S @ v``), the exact operator action.
+    ``factorize``, or a sparse matrix, factored by SuperLU. No run of the
+    package takes the sparse branch: it serves ``perfbench/probe.py`` and the
+    tests, as a reference for the structured solvers. Every residual
+    r = rhs - op(x) is taken against ``op`` (by default ``S @ v``), the exact
+    operator action.
 
     The certificate is the normwise backward error
     ||r|| / (||S|| ||x|| + ||rhs||): on the stiff rows the plain
@@ -141,7 +144,7 @@ class LinearSolver:
     ``max_refine``, ending at the first that cuts the excess by under 10%.
     """
 
-    def __init__(self, S, target=1e-11, max_refine=6, op=None):
+    def __init__(self, S, target=RESIDUAL_TARGET, max_refine=6, op=None):
         self.target = float(target)
         self.max_refine = max_refine
         if hasattr(S, "factorize"):
@@ -187,28 +190,6 @@ class LinearSolver:
                 f"linear solve stagnated at relative residual {res:.3e} "
                 f"(target {self.target:.1e})", residual=res)
         return x
-
-
-def step_theta(forms, u, dt, theta, residual_target=1e-11, solver=None):
-    """One theta step: solve (M + theta dt A) u1 = (M - (1-theta) dt A) u.
-
-    Solved in increment form, (M + theta dt A)(u1 - u) = -dt A u, which is
-    algebraically identical and keeps the conserved functionals from being
-    polluted by cancellation between the two large matvecs; the stiffness is
-    applied in incidence form for the same reason.
-    """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if not 0.5 <= theta <= 1.0:
-        raise ValueError("theta must lie in [1/2, 1]")
-    uu = _vec(u)
-    if solver is None:
-        solver = LinearSolver(KroneckerSystem(forms, theta * dt),
-                              residual_target)
-    out = uu + solver.solve(-dt * forms.apply_a(uu))
-    if isinstance(u, Field):
-        return Field(out.reshape(u.values.shape), u.grid, u.eps)
-    return out
 
 
 SCHEMES = ("CN_rannacher", "BE")
@@ -306,8 +287,8 @@ def _snapshot_steps(snapshot_times, dt, n_steps):
     return steps
 
 
-def _integrate(forms, system, u, T, dt, scheme, snapshot_times,
-               residual_target, wrap, where):
+def _integrate(forms, system, u, T, dt, scheme, snapshot_times, wrap,
+               where):
     """The theta loop of both levels, from the flat initial state ``u``.
 
     ``system(forms, c)`` is the structured M + cA, ``wrap(vec)`` builds a
@@ -320,7 +301,7 @@ def _integrate(forms, system, u, T, dt, scheme, snapshot_times,
     """
     n_steps, groups = theta_plan(
         T, dt, scheme,
-        lambda c: LinearSolver(system(forms, c), residual_target))
+        lambda c: LinearSolver(system(forms, c), RESIDUAL_TARGET))
     want = _snapshot_steps(snapshot_times, dt, n_steps)
 
     u = np.array(u, dtype=float)
@@ -365,24 +346,24 @@ def _integrate(forms, system, u, T, dt, scheme, snapshot_times,
                       snapshots=snapshots, scheme=scheme, dt=dt, eps=forms.eps)
 
 
-def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=(),
-          residual_target=1e-11):
+def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     """Integrate M du/dt + A u = 0 from the nodal field ``u0`` to time T.
 
     Records mass, the squared norm b and the energy split (a1, a2) at every
     step, the per-step residual of the discrete energy identity
     b(u_next)/2 - b(u)/2 + dt a(u_theta) (zero up to solver tolerance on
     trapezoidal steps, nonpositive on damped ones), and full states at
-    ``snapshot_times``. Raises :class:`SolverError`, naming eps, the step, t
-    and the quantity, as soon as a step drifts the mass or breaks the energy
-    identity beyond the certificates.
+    ``snapshot_times``. Every step's solve is certified to the backward
+    error RESIDUAL_TARGET. Raises :class:`SolverError`, naming eps, the
+    step, t and the quantity, as soon as a step drifts the mass or breaks
+    the energy identity beyond the certificates.
     """
     if not isinstance(u0, Field):
         raise TypeError("u0 must be a Field")
     shape = u0.values.shape
     return _integrate(
         forms, KroneckerSystem, u0.ravel(), T, dt, scheme, snapshot_times,
-        residual_target, lambda v: Field(v.reshape(shape), u0.grid, u0.eps),
+        lambda v: Field(v.reshape(shape), u0.grid, u0.eps),
         f"eps = {forms.eps:g}")
 
 

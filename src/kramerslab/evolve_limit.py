@@ -71,8 +71,7 @@ class LimitSystem(_ThetaSystem):
         return inner
 
 
-def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=(),
-                residual_target=1e-11):
+def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     """Integrate the block system M dw/dt + A w = 0 for w = (u_minus, u_plus).
 
     Each theta step is solved through :class:`LimitSystem`: two SPD
@@ -91,8 +90,7 @@ def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=(),
     nx = len(x)
     return _integrate(
         lforms, LimitSystem, u0.stack(), T, dt, scheme, snapshot_times,
-        residual_target, lambda v: LimitField(v[:nx], v[nx:], x),
-        "limit system")
+        lambda v: LimitField(v[:nx], v[nx:], x), "limit system")
 
 
 def homogeneous_pair_solution(c_minus, c_plus, rate_forward, rate_backward, t):

@@ -114,7 +114,7 @@ def laplace_i_shifted(profile, eps):
 class GibbsMeasure:
     """Normalized reference density exp(-H/eps - log_z) on [-1, 1].
 
-    Pure value object: safe to share across workers and across the ladder.
+    Frozen value object: compute it once per (profile, eps) and reuse it.
     """
 
     eps: float

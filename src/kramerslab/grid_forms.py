@@ -22,11 +22,10 @@ from .quadrature import gauss_rule, panel_points
 __all__ = [
     "AssemblyError", "Grid", "Field", "LimitField", "FormMatrices",
     "LimitFormMatrices", "Stencil", "graded_nodes", "build_grid", "assemble",
-    "assemble_limit", "assemble_limit_rates", "b_form", "a_form",
-    "energy_split", "pair_measure", "pair_limit", "nonlinear_observable",
-    "nonlinear_observables", "nonlinear_observable_limit", "paired",
-    "mass_matrix_1d", "stiffness_matrix_1d", "xi_node_functional",
-    "l2_norm_x",
+    "assemble_limit", "assemble_limit_rates", "b_form", "pair_measure",
+    "pair_limit", "nonlinear_observable", "nonlinear_observables",
+    "nonlinear_observable_limit", "paired", "mass_matrix_1d",
+    "stiffness_matrix_1d", "xi_node_functional", "l2_norm_x",
 ]
 
 
@@ -281,9 +280,9 @@ class FormMatrices:
     1-D mass across them, then the conductance. The xi-conductances are of
     size clock * density and a plain sparse matvec against an O(1) field
     would drown conserved functionals in eps_mach * |A| noise, while the
-    incidence form keeps every product proportional to the local flux. The
-    2-D sparse ``M``, ``A1``, ``A2`` and ``A`` are built only on first use,
-    as references.
+    incidence form keeps every product proportional to the local flux. No
+    run of the package builds the 2-D sparse ``M`` and ``A``: they are
+    built on first use, for ``perfbench/probe.py`` and the tests.
     """
 
     M_x: sp.csr_matrix
@@ -304,16 +303,9 @@ class FormMatrices:
         return sp.kron(self.M_x, self.M_xi, format="csr")
 
     @functools.cached_property
-    def A1(self):
-        return sp.kron(self.K_x, self.M_xi, format="csr")
-
-    @functools.cached_property
-    def A2(self):
-        return sp.kron(self.M_x, self.K_xi, format="csr")
-
-    @functools.cached_property
     def A(self):
-        return (self.A1 + self.A2).tocsr()
+        return (sp.kron(self.K_x, self.M_xi, format="csr")
+                + sp.kron(self.M_x, self.K_xi, format="csr")).tocsr()
 
     @property
     def n(self):
@@ -439,8 +431,10 @@ def _vec(u):
     return np.asarray(u, dtype=float).reshape(-1)
 
 
-def _bilinear(mat, u, v):
-    apply = mat if callable(mat) else mat.__matmul__
+def b_form(M, u, v):
+    """Mass pairing u^T M v, with M a matrix or its action v -> M v;
+    symmetric in (u, v) bitwise."""
+    apply = M if callable(M) else M.__matmul__
     uu = _vec(u)
     vv = _vec(v)
     if uu.shape != vv.shape:
@@ -451,22 +445,6 @@ def _bilinear(mat, u, v):
     s = uu + vv
     d = uu - vv
     return 0.25 * (float(s @ apply(s)) - float(d @ apply(d)))
-
-
-def b_form(M, u, v):
-    """Mass pairing u^T M v, with M a matrix or its action v -> M v;
-    symmetric in (u, v) bitwise."""
-    return _bilinear(M, u, v)
-
-
-def a_form(A, u, v):
-    """Energy pairing u^T A v; symmetric in (u, v) bitwise."""
-    return _bilinear(A, u, v)
-
-
-def energy_split(A1, A2, u):
-    """The two components (x-part, xi-part) of the energy of ``u``."""
-    return _bilinear(A1, u, u), _bilinear(A2, u, u)
 
 
 @dataclass(frozen=True)

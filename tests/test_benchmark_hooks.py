@@ -1,0 +1,75 @@
+"""The names the benchmark in ``perfbench/`` reaches into the package by.
+
+``perfbench/tracer.py`` wraps library functions by name and
+``perfbench/probe.py`` calls library code directly, so a deletion in
+``src/`` can break ``perfbench/run.py --trace 1`` without failing any other
+test. Each check runs in a fresh interpreter, because ``tracer.install``
+patches the package for the whole process.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kramerslab
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(code):
+    """Run ``code`` with the package and ``perfbench/`` importable; returns
+    the JSON its last line of output prints."""
+    src = str(Path(kramerslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, str(ROOT / "perfbench"), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_records_the_layer_spans(tmp_path):
+    code = f"""
+import json
+import tracer
+from kramerslab import cli
+t = tracer.Tracer()
+tracer.install(t)
+status = cli.main(["converge", "--nx", "17", "--nxi", "21", "--dt", "0.01",
+                   "--T", "0.1", "--times", "0.1", "--ladder", "0.2,0.1",
+                   "--out", {str(tmp_path / "out")!r}])
+print(json.dumps({{"status": status,
+                  "names": sorted({{s["name"] for s in t.spans}})}}))
+"""
+    result = _run(code)
+    # the coarse ladder may fail a certificate (status 1), but it runs
+    # through and writes its report
+    assert result["status"] in (0, 1)
+    assert (tmp_path / "out" / "report.json").exists()
+    assert {"LinearSolver.solve", "grid_forms.assemble", "grid_forms.apply_a",
+            "grid_forms.energy"} <= set(result["names"])
+
+
+def test_probe_system_solve_is_certified():
+    code = """
+import json
+import numpy as np
+import probe
+from kramerslab import assemble, build_grid, quartic_default
+from kramerslab.evolve_kramers import LinearSolver
+forms = assemble(build_grid(17, 21), quartic_default(), 0.1)
+counter = [0]
+S, op = probe._system(forms, 0.5 * probe.DT, counter)
+solver = LinearSolver(S, 1e-11, op=op)
+u = np.random.default_rng(0).normal(size=forms.n)
+rhs = -probe.DT * forms.apply_a(u)
+x = solver.solve(rhs)
+r = rhs - op(x)
+err = float(np.linalg.norm(r)) / (
+    solver.norm_S * float(np.linalg.norm(x)) + float(np.linalg.norm(rhs)))
+print(json.dumps({"backward_error": err, "ops": counter[0]}))
+"""
+    result = _run(code)
+    assert result["backward_error"] <= 1e-11
+    assert result["ops"] >= 2

@@ -261,39 +261,33 @@ _CONST = {"kind": "constant", "value": 1.0}
 _SMALL = ["--nx", "9", "--dt", "0.01", "--T", "0.1"]
 
 
-@pytest.mark.parametrize("argv, config, env", [
-    (["limit", "--k", "inf", *_SMALL], None, None),
-    (["limit", "--skew-gap", "nan", *_SMALL], None, None),
-    (["limit", "--skew-gap", "2000", *_SMALL], None, None),
-    (["simulate", "--T", "inf", "--nx", "9", "--nxi", "11"], None, None),
-    (["converge"], {"ladder": 0.2}, None),
-    (["converge"], {"dt": "abc"}, None),
-    (["converge"], None, "abc"),
-    (["limit", *_SMALL], {"u0": {"minus": _COS, "plus": _CONST}}, None),
-    (["limit", "--u0", "1", *_SMALL], None, None),
-    (["limit", *_SMALL], {"u0": {"minus": _CONST, "plus": _TAB}}, None),
-    (["simulate", "--snapshots", "0.005", "--nxi", "11", *_SMALL], None, None),
-    (["converge", "--T", "0.0105", "--times", "0.01"], None, None),
-    (["converge", "--ladder", "0.2,abc"], None, None),
-    (["converge", "--times", "0.1,0.1"], None, None),
-    (["limit", *_SMALL], {"u0": {"minus": {"kind": ["x"]}, "plus": _CONST}},
-     None),
-    (["rates"], {"profile": {"coeffs": [1.0, "a"]}}, None),
-    (["rates", "--ladder", "0.2"], [1], None),
+@pytest.mark.parametrize("argv, config", [
+    (["limit", "--k", "inf", *_SMALL], None),
+    (["limit", "--skew-gap", "nan", *_SMALL], None),
+    (["limit", "--skew-gap", "2000", *_SMALL], None),
+    (["simulate", "--T", "inf", "--nx", "9", "--nxi", "11"], None),
+    (["converge"], {"ladder": 0.2}),
+    (["converge"], {"dt": "abc"}),
+    (["limit", *_SMALL], {"u0": {"minus": _COS, "plus": _CONST}}),
+    (["limit", "--u0", "1", *_SMALL], None),
+    (["limit", *_SMALL], {"u0": {"minus": _CONST, "plus": _TAB}}),
+    (["simulate", "--snapshots", "0.005", "--nxi", "11", *_SMALL], None),
+    (["converge", "--T", "0.0105", "--times", "0.01"], None),
+    (["converge", "--ladder", "0.2,abc"], None),
+    (["converge", "--times", "0.1,0.1"], None),
+    (["limit", *_SMALL], {"u0": {"minus": {"kind": ["x"]}, "plus": _CONST}}),
+    (["rates"], {"profile": {"coeffs": [1.0, "a"]}}),
+    (["rates", "--ladder", "0.2"], [1]),
 ], ids=["k-inf", "skew-nan", "skew-overflow", "T-inf", "ladder-scalar",
-        "dt-string", "threads", "cosine-mode", "u0-one-value",
-        "tabulated-x-decreasing", "snapshot-off-step", "T-off-step",
-        "ladder-text", "times-repeated", "u0-kind-list", "profile-coeffs",
-        "config-root-list"])
-def test_malformed_input_is_a_config_error(argv, config, env, tmp_path,
-                                           capsys, monkeypatch):
+        "dt-string", "cosine-mode", "u0-one-value", "tabulated-x-decreasing",
+        "snapshot-off-step", "T-off-step", "ladder-text", "times-repeated",
+        "u0-kind-list", "profile-coeffs", "config-root-list"])
+def test_malformed_input_is_a_config_error(argv, config, tmp_path, capsys):
     out = tmp_path / "out"
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         argv = [*argv, "--config", str(path)]
-    if env is not None:
-        monkeypatch.setenv("KRAMERS_THREADS", env)
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")

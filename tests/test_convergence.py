@@ -248,16 +248,6 @@ def test_regime_validation(quartic):
                     dt=5e-3, t_final=0.1, times=(0.1,))
 
 
-def test_parallel_matches_serial(quartic):
-    cfg = StudyConfig(profile=quartic, ladder=(0.2, 0.1), nx=17, nxi=21,
-                      dt=1e-2, t_final=0.1, times=(0.1,))
-    serial = run_ladder_study(cfg, max_workers=1)
-    threaded = run_ladder_study(cfg, max_workers=2)
-    for r1, r2 in zip(serial.rows, threaded.rows):
-        assert r1.b_vals[0.1] == r2.b_vals[0.1]
-        assert r1.pairing["xi^2"][0.1] == r2.pairing["xi^2"][0.1]
-
-
 def test_initial_pairing_matches_recovery_objects(quartic):
     # at t = 0 the trajectory state is exactly the embedded pair, so study
     # pairings and recovery-family pairings are the same numbers

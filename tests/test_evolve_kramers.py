@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from kramerslab.evolve_kramers import (MASS_RESIDUAL_BOUND, KroneckerSystem,
                                        LinearSolver, SolverError,
                                        _certify_step, regularization_check,
-                                       solve, step_theta)
+                                       solve)
 from kramerslab.grid_forms import Field, assemble, build_grid
 from kramerslab.transition import k_eps, lift
 
@@ -32,35 +32,40 @@ def random_field(grid, seed=0, scale=1.0):
 def test_constant_is_stationary(setup):
     grid, forms = setup
     u = Field(np.full((grid.nx, grid.nxi), 0.7), grid, EPS)
-    out = step_theta(forms, u, 1e-3, 1.0)
+    traj = solve(forms, u, 1e-3, 1e-3, scheme="BE", snapshot_times=(1e-3,))
+    out = traj.snapshot_at(1e-3)
     assert np.max(np.abs(out.values - 0.7)) <= 1e-11
 
 
-def test_step_theta_validates(setup):
+def test_solve_rejects_nonpositive_dt(setup):
     grid, forms = setup
     u = Field(np.ones((grid.nx, grid.nxi)), grid, EPS)
-    with pytest.raises(ValueError):
-        step_theta(forms, u, -1e-3, 1.0)
-    with pytest.raises(ValueError):
-        step_theta(forms, u, 1e-3, 0.3)
+    for dt in (-1e-3, 0.0):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            solve(forms, u, 1e-3, dt)
 
 
 def test_backward_step_contracts(setup):
     grid, forms = setup
+    M, _, _ = oracles.kron_forms(forms)
     u = random_field(grid, seed=1)
-    out = step_theta(forms, u, 1e-3, 1.0)
-    b0 = float(u.ravel() @ (forms.M @ u.ravel()))
-    b1 = float(out.ravel() @ (forms.M @ out.ravel()))
+    traj = solve(forms, u, 1e-3, 1e-3, scheme="BE", snapshot_times=(1e-3,))
+    out = traj.snapshot_at(1e-3).ravel()
+    b0 = float(u.ravel() @ (M @ u.ravel()))
+    b1 = float(out @ (M @ out))
     assert b1 <= b0
 
 
 def test_step_preserves_mass(setup):
     grid, forms = setup
+    M, _, _ = oracles.kron_forms(forms)
     u = random_field(grid, seed=2)
-    ones = np.ones(forms.n)
-    m = forms.M @ ones
-    for theta in (0.5, 1.0):
-        out = step_theta(forms, u, 1e-3, theta)
+    m = M @ np.ones(forms.n)
+    # the first step is two damped half-steps, the second a trapezoidal one
+    traj = solve(forms, u, 2e-3, 1e-3, scheme="CN_rannacher",
+                 snapshot_times=(1e-3, 2e-3))
+    assert list(traj.thetas) == [1.0, 0.5]
+    for _, out in traj.snapshots:
         assert abs(float(m @ out.ravel()) - float(m @ u.ravel())) <= 1e-10
 
 

@@ -5,13 +5,12 @@ import pytest
 import scipy.sparse as sp
 
 from kramerslab import gibbs
-from kramerslab.grid_forms import (AssemblyError, Field, LimitField, a_form,
+from kramerslab.grid_forms import (AssemblyError, Field, LimitField,
                                    assemble, assemble_limit,
                                    assemble_limit_rates, b_form, build_grid,
-                                   energy_split, graded_nodes, l2_norm_x,
-                                   nonlinear_observable,
-                                   nonlinear_observables, pair_limit,
-                                   pair_measure, paired)
+                                   graded_nodes, l2_norm_x,
+                                   nonlinear_observable, nonlinear_observables,
+                                   pair_limit, pair_measure, paired)
 from kramerslab.transition import k_eps, lift, q_eps, transition_mass
 
 import oracles
@@ -75,7 +74,8 @@ def test_stiffness_kills_constants(small_forms, eps):
 
 def test_matrices_exactly_symmetric(small_forms):
     forms = small_forms[0.1]
-    for mat in (forms.M, forms.A1, forms.A2, forms.A):
+    _, A1, A2 = oracles.kron_forms(forms)
+    for mat in (forms.M, A1, A2, forms.A):
         assert (mat - mat.T).nnz == 0
 
 
@@ -100,8 +100,9 @@ def test_linear_field_x_energy(quartic):
     forms = assemble(grid, quartic, 0.1)
     u = Field(np.broadcast_to(grid.x_nodes[:, None],
                               (33, 41)).copy(), grid, 0.1)
+    _, A1, _ = oracles.kron_forms(forms)
     assert forms.a1_energy(u) == pytest.approx(1.0, abs=1e-3)
-    assert a_form(forms.A1, u, u) == pytest.approx(1.0, abs=1e-3)
+    assert float(u.ravel() @ (A1 @ u.ravel())) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_forms_bitwise_symmetric(small_forms):
@@ -111,7 +112,10 @@ def test_forms_bitwise_symmetric(small_forms):
         u = rng.normal(size=forms.n)
         v = rng.normal(size=forms.n)
         assert b_form(forms.M, u, v) == b_form(forms.M, v, u)
-        assert a_form(forms.A, u, v) == a_form(forms.A, v, u)
+        su, sv = forms.stencil(u), forms.stencil(v)
+        assert su.cross(sv) == sv.cross(su)
+        exact = float(u @ (forms.A @ v)) + float(v @ (forms.A @ u))
+        assert su.cross(sv) == pytest.approx(exact, rel=1e-9)
 
 
 def test_stiffness_kernel_pairing(small_forms):
@@ -121,17 +125,21 @@ def test_stiffness_kernel_pairing(small_forms):
     for _ in range(5):
         v = rng.normal(size=forms.n)
         scale = np.abs(forms.A.data).max() * np.abs(v).max()
-        assert abs(a_form(forms.A, one, v)) <= 1e-12 * scale
+        assert abs(float(one @ (forms.A @ v))) <= 1e-12 * scale
+        # the differences of a constant vanish, so its cross term is zero
+        assert forms.stencil(one).cross(forms.stencil(v)) == 0.0
 
 
 def test_energy_split_matches_total(small_forms):
     forms = small_forms[0.1]
     rng = np.random.default_rng(8)
     u = rng.normal(size=forms.n)
-    e1, e2 = energy_split(forms.A1, forms.A2, u)
-    assert e1 + e2 == pytest.approx(a_form(forms.A, u, u), rel=1e-9)
-    assert e1 == pytest.approx(forms.a1_energy(u), rel=1e-9)
-    assert e2 == pytest.approx(forms.a2_energy(u), rel=1e-9)
+    _, A1, A2 = oracles.kron_forms(forms)
+    e1, e2 = forms.a1_energy(u), forms.a2_energy(u)
+    assert e1 + e2 == pytest.approx(float(u @ (forms.A @ u)), rel=1e-9)
+    assert e1 == pytest.approx(float(u @ (A1 @ u)), rel=1e-9)
+    assert e2 == pytest.approx(float(u @ (A2 @ u)), rel=1e-9)
+    assert forms.a_energy(u) == e1 + e2
 
 
 @pytest.mark.parametrize("eps", LADDER)
@@ -186,7 +194,7 @@ def test_assemble_builds_no_2d_matrix(quartic, eps):
         if sp.issparse(value):
             assert max(value.shape) < n, name
     # the 2-D references are built on first use only
-    assert not {"M", "A1", "A2", "A"} & set(vars(forms))
+    assert not {"M", "A"} & set(vars(forms))
     assert forms.M.shape == (n, n) and "M" in vars(forms)
 
 
@@ -241,9 +249,12 @@ def test_limit_forms_basic():
     lf = assemble_limit(x, k)
     ones = LimitField(np.ones(17), np.ones(17), x)
     assert b_form(lf.M, ones, ones) == pytest.approx(1.0, abs=1e-12)
-    assert a_form(lf.A, ones, ones) == pytest.approx(0.0, abs=1e-12)
+    assert lf.stencil(ones.stack()).a == pytest.approx(0.0, abs=1e-12)
     w01 = LimitField(np.zeros(17), np.ones(17), x)
-    assert a_form(lf.A, w01, w01) == pytest.approx(0.5 * k, rel=1e-12)
+    assert lf.a1_energy(w01) == pytest.approx(0.0, abs=1e-12)
+    assert lf.a2_energy(w01) == pytest.approx(0.5 * k, rel=1e-12)
+    w = w01.stack()
+    assert float(w @ (lf.A @ w)) == pytest.approx(0.5 * k, rel=1e-12)
 
 
 def test_limit_forms_symmetric_psd():
