@@ -324,10 +324,9 @@ def _limit_reference(cfg, x, k, um0, up0):
     keys, fns = _snapshot_observables()
     for t in cfg.times:
         w = ltraj.snapshot_at(t)
-        sv = w.stack()
-        values["b"][t] = float(ltraj.b[round(t / cfg.dt)])
-        # the recorded a1 + a2 differs from the block form in the last bits
-        values["a"][t] = float(sv @ (lforms.A @ sv))
+        n = round(t / cfg.dt)
+        values["b"][t] = float(ltraj.b[n])
+        values["a"][t] = float(ltraj.a[n])
         values["gap"][t] = l2_norm_x(lforms.M_x, w.u_plus - w.u_minus)
         for (kind, name), fn in zip(keys, fns):
             values[kind].setdefault(name, {})[t] = nonlinear_observable_limit(
@@ -343,22 +342,22 @@ def _rung(cfg, grid, limit, um0, up0, eps):
                  "super": -math.log(eps)}[cfg.regime]
         forms = assemble(grid, cfg.profile, eps, log_tau_shift=shift,
                          quad_order=cfg.quad_order)
-        rate_eff = math.exp(math.log(eps) + shift - forms.log_z
-                            - gibbs.log_barrier_integral(cfg.profile, eps))
+        rate = k_eps(cfg.profile, eps)
         u0 = lift(um0, up0, cfg.profile, eps, grid)
         traj = solve(forms, u0, cfg.t_final, cfg.dt, scheme=cfg.scheme,
                      snapshot_times=(0.0,) + cfg.times)
-        return _diagnose(cfg, limit, forms, traj, rate_eff)
+        return _diagnose(cfg, limit, forms, traj, rate,
+                         rate * math.exp(shift))
     except (SolverError, AssemblyError, QuadratureError) as exc:
         return eps, f"{type(exc).__name__}: {exc}"
 
 
-def _diagnose(cfg, limit, forms, traj, rate_eff):
+def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
     """The rung's row, each snapshot measured against the limit; b, a1 and
     a2 at t are the trajectory's record at step round(t / dt)."""
     lforms, ltraj, lv = limit
     eps = forms.eps
-    row = EpsRow(eps=eps, rate=k_eps(cfg.profile, eps),
+    row = EpsRow(eps=eps, rate=rate,
                  rate_effective=rate_eff, q=q_eps(cfg.profile, eps),
                  pairing={}, trace_err={}, b_vals={}, a_vals={}, a_split={},
                  observables={}, gap_norm={}, fiber_margin={},
@@ -383,7 +382,7 @@ def _diagnose(cfg, limit, forms, traj, rate_eff):
         b, a1, a2 = float(traj.b[n]), float(traj.a1[n]), float(traj.a2[n])
         row.b_vals[t] = (b, lv["b"][t], abs(b - lv["b"][t]))
         row.a_vals[t] = (a1 + a2, lv["a"][t], abs(a1 + a2 - lv["a"][t]))
-        # the limit trajectory records lforms.a2_energy of its state
+        # the limit trajectory records the reaction energy of its state
         row.a_split[t] = (a1, a2, float(ltraj.a2[n]))
         row.flatness[t] = xi_flatness(state)
         # every pairing and observable from one interpolant of the snapshot
@@ -489,8 +488,8 @@ def gamma_limsup_check(u_minus, u_plus, ladder, grid, profile,
     k = limit_rate(profile)
     lforms = assemble_limit(x, k, quad_order=grid.quad_order)
     w = LimitField(um, up, x).stack()
-    b_lim = float(w @ (lforms.M @ w))
-    a_lim = float(w @ (lforms.A @ w))
+    b_lim = b_form(lforms.apply_m, w, w)
+    a_lim = lforms.stencil(w).a
     b_vals, a_vals = [], []
     for eps in ladder:
         forms = assemble(grid, profile, eps, quad_order=grid.quad_order)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from .grid_forms import Field
+from .grid_forms import Field, _bands
 
 __all__ = ["SolverError", "KroneckerSystem", "LinearSolver", "Trajectory",
            "SCHEMES", "solve", "regularization_check", "RegularityFlags"]
@@ -28,15 +28,6 @@ class SolverError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-def _bands(T):
-    """(3, n) rows of a symmetric tridiagonal matrix: the coefficient of the
-    left neighbour, the diagonal, the coefficient of the right neighbour
-    (zero past either end)."""
-    off = T.diagonal(1)
-    return np.stack([np.concatenate([[0.0], off]), T.diagonal(),
-                     np.concatenate([off, [0.0]])])
 
 
 class _ThetaSystem:

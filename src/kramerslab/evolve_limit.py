@@ -1,16 +1,16 @@
 """Theta-scheme solver for the two-species reaction-diffusion limit system.
 
 Same variational structure and the same integrator as the eps-level solver
-(``evolve_kramers``), acting on the block forms over the pair of well
-densities; this module supplies the structured solver of M + cA.
+(``evolve_kramers``), acting on the forms over the pair of well densities;
+this module supplies the structured solver of M + cA.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as la
 
-from .evolve_kramers import SolverError, _bands, _integrate, _ThetaSystem
-from .grid_forms import LimitField
+from .evolve_kramers import SolverError, _integrate, _ThetaSystem
+from .grid_forms import LimitField, _tridiag
 
 __all__ = ["LimitSystem", "solve_limit", "homogeneous_pair_solution"]
 
@@ -19,13 +19,13 @@ class LimitSystem(_ThetaSystem):
     """M + cA of the limit forms, kept as its 1-D factors:
     1/2 [I (x) P0 + c R (x) M_x], P0 = M_x + c K_x, with the reaction
     matrix R = [[k_f, -k_b], [-k_f, k_b]]; ``S @ v`` is the exact action of
-    the assembled block forms.
+    the forms, and both act through the bands of M_x and K_x.
     """
 
     def __init__(self, lforms, c):
         super().__init__(lforms, c)
-        self._m = _bands(lforms.M_x)
-        self._p0 = self._m + self.c * _bands(lforms.K_x)
+        self._m, k = lforms.bands
+        self._p0 = self._m + self.c * k
 
     def norm_inf(self):
         """||M + cA||_inf, exactly: row i of the minus block row sums
@@ -58,7 +58,7 @@ class LimitSystem(_ThetaSystem):
                     f"limit factorization of M + {c:g} A lost positive "
                     f"pivots (k_f = {kf:g}, k_b = {kb:g})")
             factors.append((d, e))
-        (p0_factor, p1_factor), n, M_x = factors, len(m[1]), lf.M_x
+        (p0_factor, p1_factor), n = factors, len(m[1])
 
         def tri_solve(factor, r):
             return la.lapack.dpttrs(*factor, r[:, None])[0][:, 0]
@@ -66,17 +66,18 @@ class LimitSystem(_ThetaSystem):
         def inner(rhs):
             r_minus = rhs[:n]
             s = tri_solve(p0_factor, 2.0 * (r_minus + rhs[n:]))
-            u_minus = tri_solve(p1_factor, 2.0 * r_minus + c * kb * (M_x @ s))
+            u_minus = tri_solve(p1_factor,
+                                2.0 * r_minus + c * kb * _tridiag(m, s))
             return np.concatenate([u_minus, s - u_minus])
         return inner
 
 
 def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
-    """Integrate the block system M dw/dt + A w = 0 for w = (u_minus, u_plus).
+    """Integrate the limit system M dw/dt + A w = 0 for w = (u_minus, u_plus).
 
     Each theta step is solved through :class:`LimitSystem`: two SPD
     tridiagonal solves per inner solve, factored once per plan, refined and
-    certified against the exact block action. Returns an
+    certified against the exact action of the forms. Returns an
     ``evolve_kramers.Trajectory`` whose energy split is (diffusion,
     reaction). Raises :class:`SolverError`, naming the step, t and the
     quantity, as soon as a step drifts the mass or breaks the energy

@@ -33,25 +33,22 @@ def _check_eps(eps):
         raise ValueError(f"eps must be a positive finite real, got {eps!r}")
 
 
-def log_partition(profile, eps, tol=1e-12, skew=None):
+def log_partition(profile, eps, tol=1e-12):
     """log of the well-normalization integral of exp(-H/eps) over [-1, 1].
 
-    The direct integrand is bounded by 1 (by exp(max|tilt|) with a skew), so
-    it is integrated as-is; only the log leaves this function.
+    The direct integrand is bounded by 1, so it is integrated as-is; only
+    the log leaves this function.
     """
     _check_eps(eps)
     h = profile.eval
-    if skew is None:
-        def f(xi):
-            return math.exp(-h(xi) / eps)
-    else:
-        def f(xi):
-            return math.exp(-h(xi) / eps - skew(xi))
+
+    def f(xi):
+        return math.exp(-h(xi) / eps)
     value, _ = adaptive_integral(f, -1.0, 1.0, tol)
     return math.log(value)
 
 
-def log_barrier_integral(profile, eps, tol=1e-12, skew=None):
+def log_barrier_integral(profile, eps, tol=1e-12):
     """log of the shifted barrier integral of exp((H - 1)/eps) over [-1, 1].
 
     The unshifted barrier integral carries a factor e^{1/eps}; its log is
@@ -60,12 +57,9 @@ def log_barrier_integral(profile, eps, tol=1e-12, skew=None):
     """
     _check_eps(eps)
     h = profile.eval
-    if skew is None:
-        def f(xi):
-            return math.exp((h(xi) - 1.0) / eps)
-    else:
-        def f(xi):
-            return math.exp((h(xi) - 1.0) / eps + skew(xi))
+
+    def f(xi):
+        return math.exp((h(xi) - 1.0) / eps)
     value, _ = adaptive_integral(f, -1.0, 1.0, tol)
     return math.log(value)
 

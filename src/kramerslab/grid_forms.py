@@ -2,9 +2,9 @@
 
 Assembles the weighted mass form and the split stiffness (spatial part plus
 time-rescaled reaction-coordinate part) of the evolution problem, and the
-block forms of the two-species limit system. The weight is evaluated at the
-quadrature points, never lumped, so the discrete energy identities of the
-variational formulation hold exactly.
+forms of the two-species limit system, both kept as their 1-D factors. The
+weight is evaluated at the quadrature points, never lumped, so the discrete
+energy identities of the variational formulation hold exactly.
 """
 from __future__ import annotations
 
@@ -235,6 +235,25 @@ def _pair(v, f):
     return float(np.vdot(v, f))
 
 
+def _bands(T):
+    """(3, n) rows of a symmetric tridiagonal matrix: the coefficient of the
+    left neighbour, the diagonal, the coefficient of the right neighbour
+    (zero past either end)."""
+    off = T.diagonal(1)
+    return np.stack([np.concatenate([[0.0], off]), T.diagonal(),
+                     np.concatenate([off, [0.0]])])
+
+
+def _tridiag(bands, V):
+    """The tridiagonal matrix of ``bands`` applied along the last axis of
+    ``V``. Each row sums left neighbour, diagonal, right neighbour in that
+    order, as a CSR matvec does, so the two agree bit for bit."""
+    out = bands[1] * V
+    out[..., 1:] += bands[0, 1:] * V[..., :-1]
+    out[..., :-1] += bands[2, :-1] * V[..., 1:]
+    return out
+
+
 class Stencil:
     """The stiffness at one state u, in incidence form.
 
@@ -449,15 +468,17 @@ def b_form(M, u, v):
 
 @dataclass(frozen=True)
 class LimitFormMatrices:
-    """Block forms of the two-species limit system over (u_minus, u_plus).
+    """The forms of the two-species limit system over w = (u_minus, u_plus),
+    kept as their 1-D factors.
 
-    Offers the forms interface of :class:`FormMatrices` that the theta
-    integrator uses; the energy splits into the diffusion part ``a1`` and
-    the reaction part ``a2``.
+    The mass is M = 1/2 I (x) M_x and the stiffness
+    A = 1/2 I (x) K_x + 1/2 R (x) M_x, with the reaction matrix
+    R = [[k_f, -k_b], [-k_f, k_b]]. They act on the (2, nx) pair through the
+    bands of M_x and K_x. Offers the forms interface of
+    :class:`FormMatrices` that the theta integrator uses; the energy splits
+    into the diffusion part ``a1`` and the reaction part ``a2``.
     """
 
-    M: sp.csr_matrix
-    A: sp.csr_matrix
     M_x: sp.csr_matrix
     K_x: sp.csr_matrix
     x_nodes: np.ndarray
@@ -466,69 +487,56 @@ class LimitFormMatrices:
 
     eps = 0.0  # the limit of the eps-level forms
 
-    @property
-    def symmetric(self):
-        return self.rate_forward == self.rate_backward
+    @functools.cached_property
+    def bands(self):
+        """The bands of M_x and of K_x, each (3, nx) (see ``_bands``)."""
+        return _bands(self.M_x), _bands(self.K_x)
 
     @property
     def n(self):
-        return self.M.shape[0]
+        return 2 * len(self.x_nodes)
 
     def apply_m(self, w):
-        return self.M @ w
-
-    def apply_a(self, w):
-        return self.A @ w
+        W = _vec(w).reshape(2, -1)
+        return 0.5 * _tridiag(self.bands[0], W).reshape(-1)
 
     def _parts(self, w):
         """Diffusion: both densities and half their K_x-fluxes; reaction:
         the well gap u_minus - u_plus and half the x-mass of the net
-        transfer k_f u_minus - k_b u_plus."""
+        transfer k_f u_minus - k_b u_plus (with equal rates k, a2 is k/2
+        times the squared gap)."""
         W = _vec(w).reshape(2, -1)
         um, up = W
+        m, k = self.bands
         transfer = self.rate_forward * um - self.rate_backward * up
-        return ((W, 0.5 * (self.K_x @ W.T).T),
-                (um - up, 0.5 * (self.M_x @ transfer)))
+        return ((W, 0.5 * _tridiag(k, W)),
+                (um - up, 0.5 * _tridiag(m, transfer)))
 
     def stencil(self, w):
-        """A w and the energy split of ``w``, as for the eps-level forms."""
-        return Stencil(self.apply_a(w), self._parts(w))
+        """A w and the energy split of ``w``, as for the eps-level forms: A w
+        is the diffusion flux of each density plus the transfer, which
+        leaves u_minus and enters u_plus."""
+        parts = self._parts(w)
+        (_, F1), (_, F2) = parts
+        return Stencil((F1 + [F2, -F2]).reshape(-1), parts)
 
-    def a1_energy(self, w):
-        """Diffusion energy, half the K_x-energy of each density."""
-        return _pair(*self._parts(w)[0])
-
-    def a2_energy(self, w):
-        """Reaction energy (k_f u_minus - k_b u_plus, u_minus - u_plus)/2 in
-        the x-mass; with equal rates k it is k/2 times the squared gap."""
-        return _pair(*self._parts(w)[1])
+    def apply_a(self, w):
+        return self.stencil(w).au
 
 
 def assemble_limit_rates(x_nodes, rate_forward, rate_backward, quad_order=4):
-    """Block mass/stiffness of the two-species system with distinct rates.
-
-    Mass is half the diagonal pair of x-mass blocks; the stiffness adds the
-    reaction coupling, which is nonsymmetric unless the two rates coincide.
-    """
+    """Limit forms of the two-species system with distinct rates; the
+    stiffness is nonsymmetric unless the two rates coincide."""
     for name, rate in (("rate_forward", rate_forward),
                        ("rate_backward", rate_backward)):
         if not 0.0 <= rate < math.inf:
             raise ValueError(f"{name} must be finite and nonnegative, "
                              f"got {rate!r}")
     x_nodes = np.asarray(x_nodes, dtype=float)
-    M_x = mass_matrix_1d(x_nodes, order=quad_order)
-    K_x = stiffness_matrix_1d(x_nodes, order=quad_order)
-    half = 0.5
-    M = sp.bmat([[half * M_x, None], [None, half * M_x]], format="csr")
-    react = sp.bmat([
-        [half * rate_forward * M_x, -half * rate_backward * M_x],
-        [-half * rate_forward * M_x, half * rate_backward * M_x],
-    ], format="csr")
-    A = (sp.bmat([[half * K_x, None], [None, half * K_x]], format="csr")
-         + react).tocsr()
-    return LimitFormMatrices(M=M, A=A, M_x=M_x, K_x=K_x, x_nodes=x_nodes,
-                             rate_forward=rate_forward,
-                             rate_backward=rate_backward)
+    return LimitFormMatrices(
+        M_x=mass_matrix_1d(x_nodes, order=quad_order),
+        K_x=stiffness_matrix_1d(x_nodes, order=quad_order), x_nodes=x_nodes,
+        rate_forward=rate_forward, rate_backward=rate_backward)
 
 
 def assemble_limit(x_nodes, k, quad_order=4):

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the package's own quadrature and
 assembly paths: fixed-grid composite rules, scipy's QUADPACK integrator,
 finite differences, and the closed chain solution of the piecewise-linear
-connection program, and the 2-D sparse Kronecker products of the 1-D form
-factors. Only the tests import ``scipy.integrate``.
+connection program, and the 2-D sparse Kronecker products and block
+matrices of the 1-D form factors. Only the tests import ``scipy.integrate``.
 """
 import math
 
@@ -107,3 +107,17 @@ def kron_forms(forms):
     A1 = sp.kron(forms.K_x, forms.M_xi, format="csr")
     A2 = sp.kron(forms.M_x, forms.K_xi, format="csr")
     return M, A1, A2
+
+
+def block_forms(lf):
+    """The block mass M = 1/2 I (x) M_x and stiffness
+    A = 1/2 I (x) K_x + 1/2 R (x) M_x, R = [[k_f, -k_b], [-k_f, k_b]], of
+    limit forms, assembled with ``scipy.sparse.bmat`` from their 1-D
+    factors."""
+    half, kf, kb, M_x = 0.5, lf.rate_forward, lf.rate_backward, lf.M_x
+    M = sp.bmat([[half * M_x, None], [None, half * M_x]], format="csr")
+    react = sp.bmat([[half * kf * M_x, -half * kb * M_x],
+                     [-half * kf * M_x, half * kb * M_x]], format="csr")
+    A = (sp.bmat([[half * lf.K_x, None], [None, half * lf.K_x]],
+                 format="csr") + react).tocsr()
+    return M, A

@@ -175,14 +175,21 @@ def test_stencil_matches_sparse_stiffness(small_forms, eps):
 def test_limit_stencil_matches_block_forms():
     x = np.linspace(0.0, 1.0, 33)
     lf = assemble_limit_rates(x, 2.0, 0.5)
+    M, A = oracles.block_forms(lf)
     rng = np.random.default_rng(7)
     u, w = rng.normal(size=(2, lf.n))
     st, sw = lf.stencil(u), lf.stencil(w)
-    assert np.array_equal(st.au, lf.A @ u)
-    assert st.a == pytest.approx(float(u @ (lf.A @ u)), rel=1e-12)
-    assert st.a1 == lf.a1_energy(u) and st.a2 == lf.a2_energy(u)
+    # the band kernel sums each row in the order of the CSR matvec
+    assert np.array_equal(lf.apply_m(u), M @ u)
+    assert np.abs(st.au - A @ u).max() <= 1e-14 * (abs(A) @ np.abs(u)).max()
+    assert np.array_equal(lf.apply_a(u), st.au)
+    assert st.a == pytest.approx(float(u @ (A @ u)), rel=1e-12)
+    # diffusion is half the K_x-energy of each density
+    um, up = u.reshape(2, -1)
+    assert st.a1 == pytest.approx(
+        0.5 * float(um @ (lf.K_x @ um) + up @ (lf.K_x @ up)), rel=1e-12)
     # the reaction block is nonsymmetric: the cross term is its symmetric part
-    exact = float(u @ (lf.A @ w)) + float(w @ (lf.A @ u))
+    exact = float(u @ (A @ w)) + float(w @ (A @ u))
     assert st.cross(sw) == pytest.approx(exact, rel=1e-12)
 
 
@@ -196,6 +203,16 @@ def test_assemble_builds_no_2d_matrix(quartic, eps):
     # the 2-D references are built on first use only
     assert not {"M", "A"} & set(vars(forms))
     assert forms.M.shape == (n, n) and "M" in vars(forms)
+
+
+@pytest.mark.parametrize("rates", [(1.8, 1.8), (2.0, 0.5)])
+def test_assemble_limit_builds_no_block_matrix(rates):
+    lf = assemble_limit_rates(np.linspace(0.0, 1.0, 33), *rates)
+    assert lf.n == 66
+    for name, value in vars(lf).items():
+        if sp.issparse(value):
+            assert max(value.shape) < lf.n, name
+    assert not hasattr(lf, "M") and not hasattr(lf, "A")
 
 
 def test_lift_mass_is_q_form(quartic):
@@ -247,20 +264,22 @@ def test_limit_forms_basic():
     x = np.linspace(0.0, 1.0, 17)
     k = 1.8
     lf = assemble_limit(x, k)
+    _, A = oracles.block_forms(lf)
     ones = LimitField(np.ones(17), np.ones(17), x)
-    assert b_form(lf.M, ones, ones) == pytest.approx(1.0, abs=1e-12)
+    assert b_form(lf.apply_m, ones, ones) == pytest.approx(1.0, abs=1e-12)
     assert lf.stencil(ones.stack()).a == pytest.approx(0.0, abs=1e-12)
     w01 = LimitField(np.zeros(17), np.ones(17), x)
-    assert lf.a1_energy(w01) == pytest.approx(0.0, abs=1e-12)
-    assert lf.a2_energy(w01) == pytest.approx(0.5 * k, rel=1e-12)
+    st = lf.stencil(w01)
+    assert st.a1 == pytest.approx(0.0, abs=1e-12)
+    assert st.a2 == pytest.approx(0.5 * k, rel=1e-12)
     w = w01.stack()
-    assert float(w @ (lf.A @ w)) == pytest.approx(0.5 * k, rel=1e-12)
+    assert float(w @ (A @ w)) == pytest.approx(0.5 * k, rel=1e-12)
 
 
 def test_limit_forms_symmetric_psd():
     x = np.linspace(0.0, 1.0, 17)
     lf = assemble_limit(x, 1.8)
-    dense = lf.A.toarray()
+    dense = oracles.block_forms(lf)[1].toarray()
     assert np.max(np.abs(dense - dense.T)) == 0.0
     eigmin = np.linalg.eigvalsh(dense).min()
     assert eigmin >= -1e-12 * np.abs(dense).max()
@@ -281,9 +300,10 @@ def test_limit_rates_reject_bad_rates(rates):
 def test_limit_rates_pair_nonsymmetric():
     x = np.linspace(0.0, 1.0, 9)
     lf = assemble_limit_rates(x, 1.0, 2.0)
-    assert not lf.symmetric
-    dense = lf.A.toarray()
+    dense = oracles.block_forms(lf)[1].toarray()
     assert np.max(np.abs(dense - dense.T)) > 0.0
+    u, w = np.random.default_rng(9).normal(size=(2, lf.n))
+    assert abs(float(u @ lf.apply_a(w)) - float(w @ lf.apply_a(u))) > 0.1
 
 
 @pytest.mark.parametrize("eps", LADDER)
