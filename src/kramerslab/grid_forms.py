@@ -262,18 +262,20 @@ class Stencil:
     the differences of one with the fluxes of the other:
     u^T A w = sum over parts of D u . F w. So a1 and a2 are sums of
     difference times flux. At the eps level F u is the conductance times
-    the 1-D mass across D u.
+    the 1-D mass across D u. All of it is linear in u: ``st += sw`` turns
+    the stencil of u into that of u + w in place (so a1 and a2 are summed
+    on each access, never cached).
     """
 
     def __init__(self, au, parts):
         self.au = au
         self.parts = parts
 
-    @functools.cached_property
+    @property
     def a1(self):
         return _pair(*self.parts[0])
 
-    @functools.cached_property
+    @property
     def a2(self):
         return _pair(*self.parts[1])
 
@@ -285,6 +287,13 @@ class Stencil:
         """u^T A w + w^T A u of this state u and the state w of ``other``."""
         return sum(_pair(v, g) + _pair(w, f) for (v, f), (w, g)
                    in zip(self.parts, other.parts))
+
+    def __iadd__(self, other):
+        self.au += other.au
+        for (v, f), (w, g) in zip(self.parts, other.parts):
+            v += w
+            f += g
+        return self
 
 
 @dataclass(frozen=True)
@@ -373,8 +382,11 @@ class FormMatrices:
         parts = self._parts(u)
         return Stencil(self._divergence(parts), parts)
 
-    def apply_a(self, u):
-        return self._divergence(self._parts(u))
+    def apply_a(self, u, stencil=False):
+        """A u; with ``stencil``, the whole :class:`Stencil` of ``u``, so
+        that a caller applying A also gets its differences and fluxes."""
+        st = self.stencil(u)
+        return st if stencil else st.au
 
     def a1_energy(self, u):
         """x-part of the energy as a nonnegative sum over x-cells."""
@@ -520,8 +532,10 @@ class LimitFormMatrices:
         (_, F1), (_, F2) = parts
         return Stencil((F1 + [F2, -F2]).reshape(-1), parts)
 
-    def apply_a(self, w):
-        return self.stencil(w).au
+    def apply_a(self, w, stencil=False):
+        """A w; with ``stencil``, the whole :class:`Stencil` of ``w``."""
+        st = self.stencil(w)
+        return st if stencil else st.au
 
 
 def assemble_limit_rates(x_nodes, rate_forward, rate_backward, quad_order=4):

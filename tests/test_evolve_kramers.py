@@ -338,8 +338,8 @@ def test_step_certificate_bounds():
 
 
 def test_guard_stops_uncertified_run(quartic):
-    # eps = 0.02 at 33 x 4097 drifts by several times 1e-10 per step within
-    # the first 40 (first at step 3 or 4, with one or two BLAS threads); the
+    # eps = 0.02 at 33 x 4097 drifts by more than 1e-10 per step within
+    # the first 40 (first at step 6 or 7, with one or two BLAS threads); the
     # run must raise, not return a trajectory that breaks the README's mass
     # certificate
     eps = 0.02

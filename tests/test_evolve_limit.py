@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from kramerslab.evolve_kramers import (LinearSolver, SolverError, Trajectory,
-                                       solve)
+from kramerslab import evolve_kramers
+from kramerslab.evolve_kramers import (KroneckerSystem, LinearSolver,
+                                       SolverError, Trajectory, solve)
 from kramerslab.evolve_limit import (LimitSystem, homogeneous_pair_solution,
                                      solve_limit)
 from kramerslab.enthalpy import quartic_default
@@ -247,6 +248,113 @@ def test_both_levels_share_one_trajectory():
         assert traj.energy_residual.shape == traj.thetas.shape == (10,)
         assert list(traj.thetas) == [1.0] + [0.5] * 9
         assert traj.times[-1] == pytest.approx(0.01, abs=1e-15)
+
+
+def _eps_level():
+    grid = build_grid(17, 21)
+    profile = quartic_default()
+    forms = assemble(grid, profile, 0.1)
+    x = grid.x_nodes
+    u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), profile, 0.1, grid)
+    return forms, (grid.nx, grid.nxi), lambda T: solve(forms, u0, T, 1e-3)
+
+
+def _limit_level():
+    x = np.linspace(0.0, 1.0, 33)
+    lf = assemble_limit_rates(x, *RATES[1])
+    w0 = LimitField(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), x)
+    return lf, (2, 33), lambda T: solve_limit(lf, w0, T, 1e-3)
+
+
+# solves whose first inner solve is spoiled, so that a refinement sweep
+# certifies them: a trapezoidal one (solves 1 and 2 are the damped start)
+# and a late one
+SWEPT_SOLVES = (3, 230)
+
+
+@pytest.mark.parametrize("level", [_eps_level, _limit_level])
+def test_carried_state_matches_fresh_evaluation(monkeypatch, level):
+    # the integrator evaluates the forms at the initial state only and adds
+    # each increment's M x and stencil in place; after every sub-step of
+    # 250 steps the carried arrays and energies must be those of the state,
+    # to rounding
+    forms, shape, run = level()
+    counts = {"solve": 0, "inner": 0, "checked": 0}
+
+    class SweepingSolver(LinearSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            inner = self._inner
+
+            def spoiled(rhs):
+                # a constant offset leaves residual mass 1e-12 times the
+                # total measure, ten times what a solve may leave
+                counts["inner"] += 1
+                offset = counts.pop("first", False) and \
+                    counts["solve"] in SWEPT_SOLVES
+                return inner(rhs) + (1e-12 if offset else 0.0)
+            self._inner = spoiled
+
+        def solve(self, rhs):
+            counts["solve"] += 1
+            counts["first"] = True
+            return super().solve(rhs)
+
+    advance = evolve_kramers._CarriedState.advance
+
+    def checked(state, x, mx, sx, theta, dt):
+        residual = advance(state, x, mx, sx, theta, dt)
+        fresh, mu = forms.stencil(state.u), forms.apply_m(state.u)
+        size = np.abs(state.u).max()
+        # the fluxes of the roughest state of this size: the scale of the
+        # rounding of any flux evaluation
+        rough = forms.stencil(size * (
+            2.0 * (np.indices(shape).sum(axis=0) % 2) - 1.0).reshape(-1))
+        flux = max(np.abs(f).max() for _, f in rough.parts)
+        tol = 1e-13
+        assert np.abs(state.st.au - fresh.au).max() <= tol * flux
+        for (d, f), (d0, f0) in zip(state.st.parts, fresh.parts):
+            assert np.abs(d - d0).max() <= tol * size
+            assert np.abs(f - f0).max() <= tol * flux
+        assert np.abs(state.mu - mu).max() <= tol * np.abs(mu).max()
+        assert abs(state.b - float(state.u @ mu)) <= tol * state.b
+        assert abs(state.a1 - fresh.a1) <= tol * fresh.a1
+        assert abs(state.a2 - fresh.a2) <= tol * fresh.a2
+        counts["checked"] += 1
+        return residual
+
+    monkeypatch.setattr(evolve_kramers, "LinearSolver", SweepingSolver)
+    monkeypatch.setattr(evolve_kramers._CarriedState, "advance", checked)
+    traj = run(0.25)
+    assert len(traj.thetas) == 250 and list(traj.thetas[:2]) == [1.0, 0.5]
+    assert counts["checked"] == counts["solve"] == 251
+    # each spoiled solve took exactly one sweep
+    assert counts["inner"] == counts["solve"] + len(SWEPT_SOLVES)
+
+
+def test_theta_system_hands_on_only_its_last_product():
+    # the integrator takes M x and the stencil of x from the product the
+    # solve made last; any other array gets a fresh evaluation
+    forms, _, _ = _eps_level()
+    system = KroneckerSystem(forms, 1e-3)
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=forms.n)
+    product = system @ v
+    mv, st = system.mass_and_stencil(v)
+    assert np.array_equal(product, mv + 1e-3 * st.au)
+    assert np.array_equal(mv, forms.apply_m(v))
+    assert np.array_equal(st.au, forms.apply_a(v))
+    # an array equal to v is not v: it gets a fresh evaluation
+    w = v.copy()
+    mw, sw = system.mass_and_stencil(w)
+    assert mw is not mv and sw is not st
+    assert np.array_equal(mw, mv) and np.array_equal(sw.au, st.au)
+    # as does the solution of a solve whose last sweep was rejected: the
+    # slot holds that sweep's product
+    system @ (w + 1.0)
+    mw, sw = system.mass_and_stencil(w)
+    assert np.array_equal(mw, forms.apply_m(w))
+    assert np.array_equal(sw.au, forms.apply_a(w))
 
 
 @pytest.mark.parametrize("rates", RATES[:2])
