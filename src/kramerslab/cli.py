@@ -231,16 +231,23 @@ def _write_csv(path, header, rows):
     return path
 
 
+# rows that _write_table formats and writes at once
+_TABLE_CHUNK = 4096
+
+
 def _write_table(path, header, columns):
     """CSV of equal-length float columns, every value as %.17g: the bytes
-    :func:`_write_csv` writes for the same rows, formatted in one pass."""
+    :func:`_write_csv` writes for the same rows, formatted ``_TABLE_CHUNK``
+    rows at a time, so that only one chunk is ever held as text."""
     table = np.column_stack(columns)
     line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write((line * len(table)) % tuple(table.ravel().tolist()))
+        for start in range(0, len(table), _TABLE_CHUNK):
+            chunk = table[start:start + _TABLE_CHUNK]
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
     return path
 
 

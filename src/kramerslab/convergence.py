@@ -18,10 +18,10 @@ from .enthalpy import EnthalpyProfile
 from .evolve_kramers import SCHEMES, SolverError, solve
 from .evolve_limit import solve_limit
 from .grid_forms import (AssemblyError, LimitField, assemble, assemble_limit,
-                         b_form, build_grid, l2_norm_x, mass_matrix_1d,
+                         ProductTest, b_form, build_grid, l2_norm_x,
+                         mass_matrix_1d, node_functional,
                          nonlinear_observable, nonlinear_observable_limit,
-                         nonlinear_observables, pair_measure, paired,
-                         xi_node_functional)
+                         nonlinear_observables, pair_limit, pair_measure)
 from .quadrature import QuadratureError
 from .transition import k_eps, lift, limit_rate, q_eps
 
@@ -72,7 +72,7 @@ def _cutoff_weights(grid, profile, eps, log_z, side):
         return cutoff_bump(xi, side) * np.exp(
             -np.asarray(h(xi), dtype=float) / eps - log_z)
 
-    return xi_node_functional(grid, fn)
+    return node_functional(grid.xi_nodes, fn, grid.quad_order)
 
 
 def cutoff_mass(profile, eps, grid, side="-", log_z=None):
@@ -134,29 +134,39 @@ def xi_flatness(field, delta=0.5):
 
 
 def default_test_functions():
-    """Smooth dictionary with both spatial and reaction-coordinate content."""
+    """Smooth dictionary with both spatial and reaction-coordinate content.
+    Every entry is a :class:`ProductTest` f(x) g(xi), so that both levels
+    pair it through 1-D node functionals (``pair_measure``, ``pair_limit``)."""
+    one = np.ones_like
+
+    def xi(s):
+        return s
+
+    def xi2(s):
+        return s * s
+
+    def cos1(x):
+        return np.cos(np.pi * x)
+
+    def cos2(x):
+        return np.cos(2.0 * np.pi * x)
+
     return {
-        "1": lambda x, xi: np.broadcast_to(1.0, np.broadcast_shapes(
-            np.shape(x), np.shape(xi))),
-        "xi": lambda x, xi: xi + 0.0 * x,
-        "xi^2": lambda x, xi: xi * xi + 0.0 * x,
-        "cos(pi x)": lambda x, xi: np.cos(np.pi * x) + 0.0 * xi,
-        "cos(2pi x)": lambda x, xi: np.cos(2.0 * np.pi * x) + 0.0 * xi,
-        "cos(pi x) xi": lambda x, xi: np.cos(np.pi * x) * xi,
-        "cos(2pi x) xi": lambda x, xi: np.cos(2.0 * np.pi * x) * xi,
+        "1": ProductTest(one, one),
+        "xi": ProductTest(one, xi),
+        "xi^2": ProductTest(one, xi2),
+        "cos(pi x)": ProductTest(cos1, one),
+        "cos(2pi x)": ProductTest(cos2, one),
+        "cos(pi x) xi": ProductTest(cos1, xi),
+        "cos(2pi x) xi": ProductTest(cos2, xi),
     }
 
 
 def _snapshot_observables():
-    """The (kind, name) keys and the f(x, xi, u) of every pairing and
-    observable measured at a snapshot, in report order."""
-    test_fns = default_test_functions()
-    observables = {"u^2": lambda x, xi, r: r * r,
-                   "|u|^1.5": lambda x, xi, r: np.abs(r) ** 1.5}
-    keys = ([("pairing", n) for n in test_fns]
-            + [("observables", n) for n in observables])
-    fns = [paired(phi) for phi in test_fns.values()] + list(observables.values())
-    return keys, fns
+    """The nonlinear observables f(x, xi, u) measured at a snapshot beside
+    the pairings, in report order."""
+    return {"u^2": lambda x, xi, r: r * r,
+            "|u|^1.5": lambda x, xi, r: np.abs(r) ** 1.5}
 
 
 class ConfigError(ValueError):
@@ -321,16 +331,19 @@ def _limit_reference(cfg, x, k, um0, up0):
     ltraj = solve_limit(lforms, LimitField(lm0, lp0, x), cfg.t_final, cfg.dt,
                         scheme=cfg.scheme, snapshot_times=(0.0,) + cfg.times)
     values = {"pairing": {}, "b": {}, "a": {}, "observables": {}, "gap": {}}
-    keys, fns = _snapshot_observables()
+    tests, observables = default_test_functions(), _snapshot_observables()
     for t in cfg.times:
         w = ltraj.snapshot_at(t)
         n = round(t / cfg.dt)
         values["b"][t] = float(ltraj.b[n])
         values["a"][t] = float(ltraj.a[n])
         values["gap"][t] = l2_norm_x(lforms.M_x, w.u_plus - w.u_minus)
-        for (kind, name), fn in zip(keys, fns):
-            values[kind].setdefault(name, {})[t] = nonlinear_observable_limit(
-                w, fn, cfg.quad_order)
+        for name, test in tests.items():
+            values["pairing"].setdefault(name, {})[t] = pair_limit(
+                w, test, cfg.quad_order)
+        for name, f in observables.items():
+            values["observables"].setdefault(name, {})[t] = (
+                nonlinear_observable_limit(w, f, cfg.quad_order))
     return lforms, ltraj, values
 
 
@@ -366,7 +379,7 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
                  energy_residual_max=float(
                      np.abs(traj.energy_residual[1:]).max()
                      if len(traj.energy_residual) > 1 else 0.0))
-    keys, fns = _snapshot_observables()
+    tests, observables = default_test_functions(), _snapshot_observables()
     for t, state in traj.snapshots:
         row.fiber_margin[t] = fiber_bound_margin(forms, state, rate_eff)
         row.jensen_margin[t] = gradient_bound_margin(forms, state)
@@ -385,11 +398,16 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
         # the limit trajectory records the reaction energy of its state
         row.a_split[t] = (a1, a2, float(ltraj.a2[n]))
         row.flatness[t] = xi_flatness(state)
-        # every pairing and observable from one interpolant of the snapshot
-        for (kind, name), ve in zip(keys, nonlinear_observables(forms, state,
-                                                                 fns)):
-            vl = lv[kind][name][t]
-            getattr(row, kind).setdefault(name, {})[t] = (ve, vl, abs(ve - vl))
+        measured = {
+            "pairing": {name: pair_measure(forms, state, test)
+                        for name, test in tests.items()},
+            "observables": dict(zip(observables, nonlinear_observables(
+                forms, state, list(observables.values()))))}
+        for kind, values in measured.items():
+            for name, ve in values.items():
+                vl = lv[kind][name][t]
+                getattr(row, kind).setdefault(name, {})[t] = (ve, vl,
+                                                              abs(ve - vl))
     return row
 
 

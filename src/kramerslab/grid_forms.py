@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,8 +25,8 @@ __all__ = [
     "LimitFormMatrices", "Stencil", "graded_nodes", "build_grid", "assemble",
     "assemble_limit", "assemble_limit_rates", "b_form", "pair_measure",
     "pair_limit", "nonlinear_observable", "nonlinear_observables",
-    "nonlinear_observable_limit", "paired", "mass_matrix_1d",
-    "stiffness_matrix_1d", "xi_node_functional", "l2_norm_x",
+    "nonlinear_observable_limit", "paired", "ProductTest", "mass_matrix_1d",
+    "stiffness_matrix_1d", "node_functional", "l2_norm_x",
 ]
 
 
@@ -344,6 +345,11 @@ class FormMatrices:
             return u.values
         return np.asarray(u, dtype=float).reshape(self.grid.nx, self.grid.nxi)
 
+    def density(self, xi):
+        """The normalized reference density exp(-H(xi)/eps - log_z)."""
+        return np.exp(-np.asarray(self.profile.eval(xi), dtype=float)
+                      / self.eps - self.log_z)
+
     def apply_m(self, u):
         """M u = M_x U M_xi; flat output."""
         U = self._as_grid(u)
@@ -567,27 +573,48 @@ def _panel_interp(values, order):
     return values[..., :-1, None] * (1.0 - s) + values[..., 1:, None] * s
 
 
+# tensor Gauss points that nonlinear_observables evaluates at once: the
+# x-cells of one block times every xi point (128 kB per array)
+_BLOCK_POINTS = 1 << 14
+
+
 def nonlinear_observables(forms, field, fns):
     """Quadrature of each f(x, xi, u) in ``fns`` against the reference
     measure, with u the bilinear interpolant of ``field`` at the tensor
-    panel Gauss points; the interpolant and the weights are built once for
-    all of them. Returns a list of floats, one per function."""
+    panel Gauss points. The points are taken one block of x-cells at a
+    time: the block's interpolant is built once for all of the functions,
+    and each f's values are contracted with the xi weights, then the x
+    weights, before the next block. Returns a list of floats, one per
+    function."""
     grid = forms.grid
     order = grid.quad_order
+    g, _ = gauss_rule(order)
+    s = (0.5 * (1.0 + g))[:, None]
     xq, xw = panel_points(grid.x_nodes, order)
     xiq, xiw = panel_points(grid.xi_nodes, order)
-    gamma_w = xiw * np.exp(
-        -np.asarray(forms.profile.eval(xiq), dtype=float) / forms.eps
-        - forms.log_z)
-    # interpolate in x, then in xi: shape (x-cells, order, xi-cells, order);
-    # einsum sums in memory order, so Uq must be C-ordered for its rounding
-    # not to depend on how it was built
-    Uq = _panel_interp(np.ascontiguousarray(np.moveaxis(
-        _panel_interp(field.values.T, order), 0, -1)), order)
-    xq, xiq = xq[:, :, None, None], xiq[None, None, :, :]
-    # each f's values are freed as soon as they are summed
-    return [float(np.einsum("ca,db,cadb->", xw, gamma_w, np.broadcast_to(
-        np.asarray(f(xq, xiq, Uq), dtype=float), Uq.shape))) for f in fns]
+    # points and weights ordered (xi-order, xi-cell), the long axis last
+    gamma_w = (xiw * forms.density(xiq)).T.reshape(-1)
+    xiq = xiq.T[None, None]
+    step = max(1, _BLOCK_POINTS // (order * gamma_w.size))
+    # the interpolant and its second term, for the largest block
+    work = np.empty((2, step * order * gamma_w.size))
+    totals = [0.0] * len(fns)
+    for c0 in range(0, grid.nx - 1, step):
+        U = field.values[c0:min(c0 + step, grid.nx - 1) + 1]
+        # interpolate in x, then in xi: shape (x-cell, x-order, xi-order,
+        # xi-cell); each value is u0 (1 - s) + u1 s, as along either axis
+        V = U[:-1, None, :] * (1.0 - s) + U[1:, None, :] * s
+        shape = V.shape[:2] + (order, grid.nxi - 1)
+        Uq, second = (w[:math.prod(shape)].reshape(shape) for w in work)
+        np.multiply(V[:, :, None, :-1], 1.0 - s, out=Uq)
+        Uq += np.multiply(V[:, :, None, 1:], s, out=second)
+        cells = slice(c0, c0 + len(V))
+        xb, wb = xq[cells, :, None, None], xw[cells].reshape(-1)
+        for k, f in enumerate(fns):
+            v = np.broadcast_to(np.asarray(f(xb, xiq, Uq), dtype=float),
+                                shape).reshape(wb.size, gamma_w.size)
+            totals[k] += float(wb @ (v @ gamma_w))
+    return totals
 
 
 def nonlinear_observable(forms, field, f):
@@ -601,9 +628,46 @@ def paired(phi):
     return lambda x, xi, u: phi(x, xi) * u
 
 
-def pair_measure(forms, field, phi):
-    """Duality pairing of the measure (field * reference) with ``phi(x, xi)``."""
-    return nonlinear_observable(forms, field, paired(phi))
+@dataclass(frozen=True)
+class ProductTest:
+    """The test function phi(x, xi) = f_x(x) f_xi(xi); each factor maps an
+    array of points to its values. Calling it evaluates phi, so a product
+    test also serves wherever a plain phi(x, xi) does."""
+
+    f_x: Callable
+    f_xi: Callable
+
+    def __call__(self, x, xi):
+        return self.f_x(x) * self.f_xi(xi)
+
+
+def node_functional(nodes, fn, order):
+    """Nodal weights w_j = integral of hat_j * fn over the partition
+    ``nodes``, by its panel Gauss rule of ``order`` points: w @ v is the
+    integral of fn times the piecewise-linear interpolant of the nodal
+    values v (row by row for a grid whose last axis runs over ``nodes``)."""
+    pts, wts = panel_points(nodes, order)
+    vals = wts * fn(pts)
+    g, _ = gauss_rule(order)
+    s = 0.5 * (1.0 + g)
+    w = np.zeros(len(nodes))
+    w[:-1] += vals @ (1.0 - s)
+    w[1:] += vals @ s
+    return w
+
+
+def pair_measure(forms, field, test):
+    """Duality pairing of the measure (field * reference) with the product
+    test f_x(x) f_xi(xi), as a^T U c through two 1-D node functionals:
+    a_i = integral of f_x hat_i dx and c_j = integral of f_xi psi_j gamma
+    dxi, by the panel Gauss rules of the observables. Pair any other
+    phi(x, xi) by ``nonlinear_observable(forms, field, paired(phi))``."""
+    grid = forms.grid
+    a = node_functional(grid.x_nodes, test.f_x, grid.quad_order)
+    c = node_functional(grid.xi_nodes,
+                        lambda xi: test.f_xi(xi) * forms.density(xi),
+                        grid.quad_order)
+    return float(a @ (field.values @ c))
 
 
 def nonlinear_observable_limit(lf, f, quad_order=4):
@@ -617,23 +681,13 @@ def nonlinear_observable_limit(lf, f, quad_order=4):
     return 0.5 * (float((xw * fm).sum()) + float((xw * fp).sum()))
 
 
-def pair_limit(lf, phi, quad_order=4):
-    """Pairing of the two-line limit measure with ``phi(x, xi)``."""
-    return nonlinear_observable_limit(lf, paired(phi), quad_order)
-
-
-def xi_node_functional(grid, fn, order=None):
-    """Nodal weights w_j = integral of hat_j(xi) * fn(xi); w @ u gives the
-    fn-weighted xi-average of a field row by row."""
-    order = grid.quad_order if order is None else order
-    pts, wts = panel_points(grid.xi_nodes, order)
-    vals = wts * fn(pts)
-    g, _ = gauss_rule(order)
-    s = 0.5 * (1.0 + g)
-    w = np.zeros(grid.nxi)
-    w[:-1] += vals @ (1.0 - s)
-    w[1:] += vals @ s
-    return w
+def pair_limit(lf, test, quad_order=4):
+    """Pairing of the two-line limit measure with the product test
+    f_x(x) f_xi(xi): (f_xi(-1) a.u_minus + f_xi(1) a.u_plus) / 2, with a
+    the x node functional of f_x (see :func:`pair_measure`)."""
+    a = node_functional(lf.x_nodes, test.f_x, quad_order)
+    return 0.5 * (float(test.f_xi(-1.0)) * float(a @ lf.u_minus)
+                  + float(test.f_xi(1.0)) * float(a @ lf.u_plus))
 
 
 def l2_norm_x(M_x, values):

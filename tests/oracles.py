@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the package's own quadrature and
 assembly paths: fixed-grid composite rules, scipy's QUADPACK integrator,
-finite differences, and the closed chain solution of the piecewise-linear
-connection program, and the 2-D sparse Kronecker products and block
-matrices of the 1-D form factors. Only the tests import ``scipy.integrate``.
+finite differences, the closed chain solution of the piecewise-linear
+connection program, the 2-D sparse Kronecker products and block matrices of
+the 1-D form factors, and whole-grid tensor quadrature of observables. Only the tests import ``scipy.integrate``.
 """
 import math
 
@@ -121,3 +121,29 @@ def block_forms(lf):
     A = (sp.bmat([[half * lf.K_x, None], [None, half * lf.K_x]],
                  format="csr") + react).tocsr()
     return M, A
+
+
+def whole_grid_observables(forms, field, fns):
+    """Tensor Gauss quadrature of each f(x, xi, u) against the reference
+    measure exp(-H/eps - log_z), with u the bilinear interpolant of
+    ``field``: every tensor point of the grid evaluated at once and summed
+    by one einsum per function."""
+    order = forms.grid.quad_order
+    g, w = np.polynomial.legendre.leggauss(order)
+    s = 0.5 * (1.0 + g)
+
+    def panels(nodes):
+        mid, half = 0.5 * (nodes[1:] + nodes[:-1]), 0.5 * np.diff(nodes)
+        return mid[:, None] + half[:, None] * g, half[:, None] * w
+
+    def interp(values):
+        return values[..., :-1, None] * (1.0 - s) + values[..., 1:, None] * s
+
+    xq, xw = panels(forms.grid.x_nodes)
+    xiq, xiw = panels(forms.grid.xi_nodes)
+    gamma_w = xiw * np.exp(-forms.profile.eval(xiq) / forms.eps - forms.log_z)
+    # shape (x-cells, order, xi-cells, order)
+    Uq = interp(np.moveaxis(interp(field.values.T), 0, -1))
+    xq, xiq = xq[:, :, None, None], xiq[None, None, :, :]
+    return [float(np.einsum("ca,db,cadb->", xw, gamma_w, np.broadcast_to(
+        np.asarray(f(xq, xiq, Uq), dtype=float), Uq.shape))) for f in fns]

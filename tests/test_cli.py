@@ -170,14 +170,20 @@ def test_csv_artifacts_match_the_row_writer(tmp_path):
                  "--out", str(tmp_path / "lim")]) == 0
     assert main(["converge", "--config", str(cfg_path),
                  "--out", str(tmp_path / "conv")]) == 0
+    # five snapshots of 2049 nodes: the table spans three writer chunks
+    assert main(["limit", "--config", str(cfg_path), "--nx", "2049",
+                 "--times", "0.025,0.05,0.075,0.1",
+                 "--out", str(tmp_path / "long")]) == 0
     paths = [tmp_path / "sim" / "trajectory.csv",
              tmp_path / "sim" / "field_t0.05.csv",
              tmp_path / "lim" / "limit.csv",
-             tmp_path / "conv" / "pairings.csv"]
+             tmp_path / "conv" / "pairings.csv",
+             tmp_path / "long" / "limit.csv"]
     for path in paths:
         data = path.read_bytes()
         assert data.count(b"\r\n") > 2
         assert data == _old_writer_bytes(path), path.name
+    assert data.count(b"\r\n") > 2 * cli._TABLE_CHUNK + 1
 
 
 def test_config_error_exit_code(tmp_path, capsys):

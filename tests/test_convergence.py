@@ -11,7 +11,11 @@ from kramerslab.convergence import (StudyConfig, cutoff_average, cutoff_bump,
                                     nonlinear_observable,
                                     nonlinear_observable_limit,
                                     run_ladder_study, traces, xi_flatness)
-from kramerslab.grid_forms import Field, LimitField, assemble, b_form, build_grid
+from kramerslab.convergence import _snapshot_observables, default_test_functions
+from kramerslab.evolve_kramers import solve
+from kramerslab.grid_forms import (Field, LimitField, assemble, b_form,
+                                   build_grid, nonlinear_observables,
+                                   pair_limit, pair_measure, paired)
 from kramerslab.transition import k_eps, lift
 
 import oracles
@@ -266,6 +270,51 @@ def test_initial_pairing_matches_recovery_objects(quartic):
         assert np.isfinite(ve) and np.isfinite(vl)
         # the recovery-family error at t = 0 is exactly this difference
         assert abs(ve - vl) == abs(pair_measure(forms, state0, fn) - vl)
+
+
+@pytest.fixture(scope="module", params=[(129, 161), (33, 1025)],
+                ids=["129x161", "33x1025"])
+def snapshots(request, quartic):
+    """Forms at eps 0.1 and a trajectory with a snapshot at every step."""
+    grid = build_grid(*request.param)
+    forms = assemble(grid, quartic, 0.1)
+    x = grid.x_nodes
+    u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, 0.1, grid)
+    dt = 1e-3
+    traj = solve(forms, u0, 5 * dt, dt,
+                 snapshot_times=tuple(n * dt for n in range(6)))
+    return forms, traj, dt
+
+
+def test_snapshot_diagnostics_match_the_integrator_records(snapshots):
+    # the pairing with 1 is the mass and the observable u^2 is b, which the
+    # integrator records from M u
+    forms, traj, dt = snapshots
+    one = default_test_functions()["1"]
+    square = _snapshot_observables()["u^2"]
+    assert len(traj.snapshots) == 6
+    for t, state in traj.snapshots:
+        n = round(t / dt)
+        mass = pair_measure(forms, state, one)
+        (b,) = nonlinear_observables(forms, state, [square])
+        assert abs(mass - traj.mass[n]) <= 1e-14 * abs(traj.mass[n])
+        assert abs(b - traj.b[n]) <= 1e-14 * abs(traj.b[n])
+
+
+def test_product_pairings_match_the_generic_path(snapshots):
+    forms, traj, _ = snapshots
+    state = traj.snapshots[-1][1]
+    x = forms.grid.x_nodes
+    limit = LimitField(np.cos(np.pi * x) ** 2, 1.0 + np.sin(3.0 * x), x)
+    for test in default_test_functions().values():
+        def size(x_, xi, r, test=test):
+            return np.abs(test(x_, xi) * r)
+        generic = nonlinear_observable(forms, state, paired(test))
+        scale = nonlinear_observable(forms, state, size)
+        assert abs(pair_measure(forms, state, test) - generic) <= 1e-14 * scale
+        generic = nonlinear_observable_limit(limit, paired(test))
+        scale = nonlinear_observable_limit(limit, size)
+        assert abs(pair_limit(limit, test) - generic) <= 1e-14 * scale
 
 
 def test_failed_rung_is_recorded(quartic, monkeypatch):

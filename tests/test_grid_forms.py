@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,16 +7,20 @@ import scipy.sparse as sp
 
 from kramerslab import gibbs
 from kramerslab.grid_forms import (AssemblyError, Field, LimitField,
-                                   assemble, assemble_limit,
+                                   ProductTest, assemble, assemble_limit,
                                    assemble_limit_rates, b_form, build_grid,
                                    graded_nodes, l2_norm_x,
                                    nonlinear_observable, nonlinear_observables,
                                    pair_limit, pair_measure, paired)
+from kramerslab.evolve_kramers import solve
 from kramerslab.transition import k_eps, lift, q_eps, transition_mass
 
 import oracles
 
 LADDER = (0.2, 0.1, 0.05)
+
+ONE = ProductTest(np.ones_like, np.ones_like)
+XI = ProductTest(np.ones_like, lambda xi: xi)
 
 
 def test_uniform_grid_nodes():
@@ -311,9 +316,8 @@ def test_pairing_constant_function(quartic, eps):
     grid = build_grid(17, 161)
     forms = assemble(grid, quartic, eps)
     u = Field(np.ones((17, 161)), grid, eps)
-    assert pair_measure(forms, u, lambda x, xi: 1.0) == pytest.approx(
-        1.0, abs=1e-9)
-    assert abs(pair_measure(forms, u, lambda x, xi: xi + 0.0 * x)) <= 1e-12
+    assert pair_measure(forms, u, ONE) == pytest.approx(1.0, abs=1e-9)
+    assert abs(pair_measure(forms, u, XI)) <= 1e-12
 
 
 def test_pairing_second_moment_ladder(quartic):
@@ -322,7 +326,8 @@ def test_pairing_second_moment_ladder(quartic):
     for eps in LADDER:
         forms = assemble(grid, quartic, eps)
         u = Field(np.ones((17, 81)), grid, eps)
-        val = pair_measure(forms, u, lambda x, xi: xi * xi + 0.0 * x)
+        val = pair_measure(forms, u, ProductTest(np.ones_like,
+                                                 lambda xi: xi * xi))
         z = oracles.fixed_quad(lambda s: np.exp(-quartic.eval(s) / eps),
                                -1.0, 1.0)
         m2 = oracles.fixed_quad(
@@ -340,23 +345,66 @@ def test_batched_observables_match_single_calls_bitwise(quartic, eps):
     u = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, eps, grid)
     u = Field(u.values * (1.0 + 0.1 * np.random.default_rng(3).normal(
         size=u.values.shape)), grid, eps)
-    tests = [lambda x, xi: 1.0, lambda x, xi: np.cos(np.pi * x) * xi]
+    tests = [ONE, ProductTest(lambda x: np.cos(np.pi * x), lambda xi: xi)]
     observables = [lambda x, xi, r: r * r,
                    lambda x, xi, r: np.abs(r) ** 1.5]
     batched = nonlinear_observables(
         forms, u, [paired(phi) for phi in tests] + observables)
-    single = ([pair_measure(forms, u, phi) for phi in tests]
+    single = ([nonlinear_observable(forms, u, paired(phi)) for phi in tests]
               + [nonlinear_observable(forms, u, f) for f in observables])
     assert batched == single
+
+
+@pytest.fixture(scope="module", params=[(129, 161), (33, 1025)],
+                ids=["129x161", "33x1025"])
+def snapshot(request, quartic):
+    """Forms at eps 0.1 and the state after five theta steps."""
+    grid = build_grid(*request.param)
+    forms = assemble(grid, quartic, 0.1)
+    x = grid.x_nodes
+    u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, 0.1, grid)
+    traj = solve(forms, u0, 0.005, 1e-3, snapshot_times=(0.005,))
+    return forms, traj.snapshots[-1][1]
+
+
+def test_blocked_observables_match_whole_grid_oracle(snapshot):
+    forms, u = snapshot
+    fns = [lambda x, xi, r: r * r, lambda x, xi, r: np.abs(r) ** 1.5,
+           paired(ProductTest(lambda x: np.cos(np.pi * x), lambda xi: xi)),
+           lambda x, xi, r: np.sin(3.0 * x + xi) * r ** 3,
+           lambda x, xi, r: 1.0]
+    got = nonlinear_observables(forms, u, fns)
+    want = oracles.whole_grid_observables(forms, u, fns)
+    scale = oracles.whole_grid_observables(
+        forms, u, [lambda x, xi, r, f=f: np.abs(f(x, xi, r)) for f in fns])
+    for g_, w_, s_ in zip(got, want, scale):
+        assert abs(g_ - w_) <= 1e-14 * s_
+
+
+def test_observables_peak_below_one_tensor_array(snapshot):
+    # one array over every tensor Gauss point (2.6 MB at 129 x 161) is
+    # what the blocks avoid
+    forms, u = snapshot
+    grid = forms.grid
+    tensor_bytes = 8 * grid.quad_order ** 2 * (grid.nx - 1) * (grid.nxi - 1)
+    fns = [lambda x, xi, r: r * r, lambda x, xi, r: np.abs(r) ** 1.5]
+    nonlinear_observables(forms, u, fns)
+    tracemalloc.start()
+    try:
+        nonlinear_observables(forms, u, fns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor_bytes
 
 
 def test_pair_limit_values():
     x = np.linspace(0.0, 1.0, 33)
     lf = LimitField(np.ones(33), np.ones(33), x)
-    assert pair_limit(lf, lambda x_, xi: 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert pair_limit(lf, lambda x_, xi: xi) == pytest.approx(0.0, abs=1e-12)
+    assert pair_limit(lf, ONE) == pytest.approx(1.0, abs=1e-12)
+    assert pair_limit(lf, XI) == pytest.approx(0.0, abs=1e-12)
     lf2 = LimitField(np.zeros(33), np.ones(33), x)
-    assert pair_limit(lf2, lambda x_, xi: xi) == pytest.approx(0.5, abs=1e-12)
+    assert pair_limit(lf2, XI) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_field_validation(quartic):
