@@ -13,6 +13,24 @@ def quartic():
     return quartic_default()
 
 
+@pytest.fixture(scope="session", params=[(129, 161), (33, 1025)],
+                ids=["129x161", "33x1025"])
+def snapshots(request, quartic):
+    """Forms at eps 0.1 and five theta steps of dt with a snapshot at every
+    step: (forms, trajectory, dt)."""
+    import numpy as np
+    from kramerslab import assemble, build_grid, lift, solve
+
+    grid = build_grid(*request.param)
+    forms = assemble(grid, quartic, 0.1)
+    x = grid.x_nodes
+    u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, 0.1, grid)
+    dt = 1e-3
+    traj = solve(forms, u0, 5 * dt, dt,
+                 snapshot_times=tuple(n * dt for n in range(6)))
+    return forms, traj, dt
+
+
 # grading of the 4001-node oracle grid for the connection program: uniform
 # inner zone (the resistance-carrying band), verified to reach 1e-6 agreement
 QP_GRID = dict(delta=0.4, power=1.0, fractions=(0.62, 0.18, 0.20))

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own quadrature and
 assembly paths: fixed-grid composite rules, scipy's QUADPACK integrator,
 finite differences, the closed chain solution of the piecewise-linear
 connection program, the 2-D sparse Kronecker products and block matrices of
-the 1-D form factors, and whole-grid tensor quadrature of observables. Only the tests import ``scipy.integrate``.
+the 1-D form factors, and whole-grid tensor quadrature of observables. Only
+the tests import ``scipy.integrate``.
 """
 import math
 

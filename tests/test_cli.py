@@ -183,7 +183,12 @@ def test_csv_artifacts_match_the_row_writer(tmp_path):
         data = path.read_bytes()
         assert data.count(b"\r\n") > 2
         assert data == _old_writer_bytes(path), path.name
-    assert data.count(b"\r\n") > 2 * cli._TABLE_CHUNK + 1
+    # every row once and in order across the chunk boundaries
+    with open(paths[-1], newline="") as fh:
+        _, *rows = csv.reader(fh)
+    assert len(rows) > 2 * cli._TABLE_CHUNK
+    assert [float(r[1]) for r in rows] == list(np.tile(np.linspace(0.0, 1.0,
+                                                                   2049), 5))
 
 
 def test_config_error_exit_code(tmp_path, capsys):

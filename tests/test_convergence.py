@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from kramerslab import gibbs
-from kramerslab.convergence import (StudyConfig, cutoff_average, cutoff_bump,
-                                    cutoff_mass, fiber_bound_margin,
+from kramerslab.convergence import (StudyConfig, _snapshot_observables,
+                                    cutoff_average, cutoff_bump,
+                                    cutoff_mass, default_test_functions,
+                                    fiber_bound_margin,
                                     gamma_limsup_check, gradient_bound_margin,
                                     nonlinear_observable,
                                     nonlinear_observable_limit,
                                     run_ladder_study, traces, xi_flatness)
-from kramerslab.convergence import _snapshot_observables, default_test_functions
-from kramerslab.evolve_kramers import solve
 from kramerslab.grid_forms import (Field, LimitField, assemble, b_form,
                                    build_grid, nonlinear_observables,
                                    pair_limit, pair_measure, paired)
@@ -270,20 +270,6 @@ def test_initial_pairing_matches_recovery_objects(quartic):
         assert np.isfinite(ve) and np.isfinite(vl)
         # the recovery-family error at t = 0 is exactly this difference
         assert abs(ve - vl) == abs(pair_measure(forms, state0, fn) - vl)
-
-
-@pytest.fixture(scope="module", params=[(129, 161), (33, 1025)],
-                ids=["129x161", "33x1025"])
-def snapshots(request, quartic):
-    """Forms at eps 0.1 and a trajectory with a snapshot at every step."""
-    grid = build_grid(*request.param)
-    forms = assemble(grid, quartic, 0.1)
-    x = grid.x_nodes
-    u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, 0.1, grid)
-    dt = 1e-3
-    traj = solve(forms, u0, 5 * dt, dt,
-                 snapshot_times=tuple(n * dt for n in range(6)))
-    return forms, traj, dt
 
 
 def test_snapshot_diagnostics_match_the_integrator_records(snapshots):

@@ -12,7 +12,6 @@ from kramerslab.grid_forms import (AssemblyError, Field, LimitField,
                                    graded_nodes, l2_norm_x,
                                    nonlinear_observable, nonlinear_observables,
                                    pair_limit, pair_measure, paired)
-from kramerslab.evolve_kramers import solve
 from kramerslab.transition import k_eps, lift, q_eps, transition_mass
 
 import oracles
@@ -355,20 +354,9 @@ def test_batched_observables_match_single_calls_bitwise(quartic, eps):
     assert batched == single
 
 
-@pytest.fixture(scope="module", params=[(129, 161), (33, 1025)],
-                ids=["129x161", "33x1025"])
-def snapshot(request, quartic):
-    """Forms at eps 0.1 and the state after five theta steps."""
-    grid = build_grid(*request.param)
-    forms = assemble(grid, quartic, 0.1)
-    x = grid.x_nodes
-    u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, 0.1, grid)
-    traj = solve(forms, u0, 0.005, 1e-3, snapshot_times=(0.005,))
-    return forms, traj.snapshots[-1][1]
-
-
-def test_blocked_observables_match_whole_grid_oracle(snapshot):
-    forms, u = snapshot
+def test_blocked_observables_match_whole_grid_oracle(snapshots):
+    forms, traj, _ = snapshots
+    u = traj.snapshots[-1][1]
     fns = [lambda x, xi, r: r * r, lambda x, xi, r: np.abs(r) ** 1.5,
            paired(ProductTest(lambda x: np.cos(np.pi * x), lambda xi: xi)),
            lambda x, xi, r: np.sin(3.0 * x + xi) * r ** 3,
@@ -381,10 +369,11 @@ def test_blocked_observables_match_whole_grid_oracle(snapshot):
         assert abs(g_ - w_) <= 1e-14 * s_
 
 
-def test_observables_peak_below_one_tensor_array(snapshot):
+def test_observables_peak_below_one_tensor_array(snapshots):
     # one array over every tensor Gauss point (2.6 MB at 129 x 161) is
     # what the blocks avoid
-    forms, u = snapshot
+    forms, traj, _ = snapshots
+    u = traj.snapshots[-1][1]
     grid = forms.grid
     tensor_bytes = 8 * grid.quad_order ** 2 * (grid.nx - 1) * (grid.nxi - 1)
     fns = [lambda x, xi, r: r * r, lambda x, xi, r: np.abs(r) ** 1.5]
