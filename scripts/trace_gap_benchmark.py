@@ -34,7 +34,7 @@ def main():
     times = tuple(round(f * args.T, 10) for f in (0.1, 0.2, 0.5, 1.0))
     traj = solve(forms, u0, args.T, args.dt, snapshot_times=times)
 
-    rate = k_eps(prof, args.eps)
+    rate = k_eps(forms.measure)
     k = limit_rate(prof)
     print(f"eps = {args.eps}: k_eps = {rate:.6f}, per-well rate 2k_eps = "
           f"{2 * rate:.6f}, limit rate k = {k:.6f}")

@@ -3,10 +3,9 @@ drift-diffusion on a cylinder and its two-species reaction-diffusion limit."""
 
 from .enthalpy import (EnthalpyProfile, SkewedEnthalpy, from_coefficients,
                        quartic_default, skewed, validate)
-from .gibbs import (EPS_CEIL, EPS_FLOOR, GibbsMeasure, LimitMeasure,
-                    laplace_i, laplace_i_shifted, laplace_z,
-                    log_barrier_integral, log_laplace_i, log_partition,
-                    log_tau, tau)
+from .gibbs import (EPS_CEIL, EPS_FLOOR, GibbsMeasure, laplace_i_shifted,
+                    laplace_z, log_barrier_integral, log_laplace_i,
+                    log_partition, log_tau, tau)
 from .grid_forms import (Field, FormMatrices, Grid, LimitField,
                          LimitFormMatrices, assemble, assemble_limit,
                          assemble_limit_rates, b_form, build_grid,

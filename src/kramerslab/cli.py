@@ -71,7 +71,6 @@ class Config:
         "minus": {"kind": "cosine", "offset": 0.0, "amplitude": 1.0, "mode": 1},
         "plus": {"kind": "cosine", "offset": 1.0, "amplitude": 1.0, "mode": 1},
     })
-    quad_tol: float = 1e-12
     out: str = "out"
 
     def to_dict(self):
@@ -144,9 +143,8 @@ def config_from_dict(data):
 
     ladder = _numbers("ladder", merged["ladder"])
     eps = _number("eps", merged["eps"])
-    dt, t_final, quad_tol, skew_gap = (
-        _number(name, merged[name])
-        for name in ("dt", "t_final", "quad_tol", "skew_gap"))
+    dt, t_final, skew_gap = (
+        _number(name, merged[name]) for name in ("dt", "t_final", "skew_gap"))
     if "times" not in data:
         # default sample times follow a shortened horizon
         kept = [t for t in merged["times"] if t <= t_final + 1e-12]
@@ -166,8 +164,6 @@ def config_from_dict(data):
     if merged["grading"] not in ("three_zone", "uniform"):
         raise ConfigError(f"grading: unknown grading {merged['grading']!r}")
 
-    if not quad_tol > 0.0:
-        raise ConfigError(f"quad_tol: must be positive, got {quad_tol!r}")
     rate = None if merged["rate"] is None else _number("rate", merged["rate"])
     if rate is not None and rate < 0.0:
         raise ConfigError("rate: must be nonnegative or null")
@@ -183,7 +179,7 @@ def config_from_dict(data):
                   grading=merged["grading"], quad_order=merged["quad_order"],
                   dt=dt, t_final=t_final, times=times, scheme=merged["scheme"],
                   regime=merged["regime"], rate=rate, u0=u0,
-                  quad_tol=quad_tol, out=str(merged["out"]))
+                  out=str(merged["out"]))
 
 
 def parse_config(path=None, overrides=None):
@@ -261,7 +257,9 @@ def _write_json(path, payload):
 
 
 def cmd_rates(cfg):
-    """Scale-dependent coefficient table with Laplace and limit cross-checks."""
+    """Scale-dependent coefficient table with Laplace and limit cross-checks;
+    each scale integrates log Z_eps and the barrier integral once, through
+    its Gibbs measure."""
     prof = profile_from_config(cfg)
     k = limit_rate(prof)
     header = ["eps", "Z_eps", "laplace_Z", "I_shifted", "laplace_I_shifted",
@@ -269,11 +267,11 @@ def cmd_rates(cfg):
     rows = []
     payload = {"limit_rate": k, "half_limit_rate": 0.5 * k, "rows": []}
     for eps in cfg.ladder:
-        z = math.exp(gibbs.log_partition(prof, eps, cfg.quad_tol))
-        ish = math.exp(gibbs.log_barrier_integral(prof, eps, cfg.quad_tol))
-        ke = k_eps(prof, eps, cfg.quad_tol)
-        qe = q_eps(prof, eps)
-        row = [eps, z, gibbs.laplace_z(prof, eps), ish,
+        measure = gibbs.GibbsMeasure.compute(prof, eps)
+        ke = k_eps(measure)
+        qe = q_eps(measure)
+        row = [eps, math.exp(measure.log_z), gibbs.laplace_z(prof, eps),
+               math.exp(measure.log_i_shifted),
                gibbs.laplace_i_shifted(prof, eps), gibbs.log_tau(eps),
                ke, 2.0 * ke / k, qe, 4.0 * qe]
         rows.append(row)
@@ -294,7 +292,7 @@ def cmd_simulate(cfg, snapshots=()):
     prof = profile_from_config(cfg)
     grid = build_grid(cfg.nx, cfg.nxi, grading=cfg.grading,
                       quad_order=cfg.quad_order)
-    forms = assemble(grid, prof, cfg.eps, tol=cfg.quad_tol)
+    forms = assemble(grid, prof, cfg.eps)
     x = grid.x_nodes
     u0 = lift(_u0_callable(cfg.u0, "minus")(x), _u0_callable(cfg.u0, "plus")(x),
               prof, cfg.eps, grid)

@@ -19,7 +19,7 @@ from .evolve_kramers import SCHEMES, SolverError, solve
 from .evolve_limit import solve_limit
 from .grid_forms import (AssemblyError, LimitField, assemble, assemble_limit,
                          ProductTest, b_form, build_grid, l2_norm_x,
-                         mass_matrix_1d, node_functional,
+                         node_functional,
                          nonlinear_observable, nonlinear_observable_limit,
                          nonlinear_observables, pair_limit, pair_measure)
 from .quadrature import QuadratureError
@@ -65,28 +65,22 @@ def cutoff_bump(xi, side="-"):
     return (1.0 - s) ** 2 * (1.0 + 2.0 * s)
 
 
-def _cutoff_weights(grid, profile, eps, log_z, side):
-    h = profile.eval
-
+def _cutoff_weights(grid, measure, side):
     def fn(xi):
-        return cutoff_bump(xi, side) * np.exp(
-            -np.asarray(h(xi), dtype=float) / eps - log_z)
+        return cutoff_bump(xi, side) * measure.density(xi)
 
     return node_functional(grid.xi_nodes, fn, grid.quad_order)
 
 
-def cutoff_mass(profile, eps, grid, side="-", log_z=None):
-    """Mass of the cutoff under the reference measure; tends to 1/2."""
-    if log_z is None:
-        log_z = gibbs.log_partition(profile, eps)
-    return float(_cutoff_weights(grid, profile, eps, log_z, side).sum())
+def cutoff_mass(measure, grid, side="-"):
+    """Mass of the cutoff under the Gibbs ``measure``; tends to 1/2."""
+    return float(_cutoff_weights(grid, measure, side).sum())
 
 
-def cutoff_average(field, profile, side="-", log_z=None):
-    """Normalized cutoff mean over the chosen well, one value per x-node."""
-    if log_z is None:
-        log_z = gibbs.log_partition(profile, field.eps)
-    w = _cutoff_weights(field.grid, profile, field.eps, log_z, side)
+def cutoff_average(field, measure, side="-"):
+    """Normalized cutoff mean over the chosen well under the Gibbs
+    ``measure`` of the field's scale, one value per x-node."""
+    w = _cutoff_weights(field.grid, measure, side)
     return (field.values @ w) / w.sum()
 
 
@@ -109,9 +103,8 @@ def gradient_bound_margin(forms, field):
     means the bound would fail by the squared cutoff mass, as a purely
     x-dependent field shows.
     """
-    grid, profile, eps = forms.grid, forms.profile, forms.eps
-    wm = _cutoff_weights(grid, profile, eps, forms.log_z, "-")
-    wp = _cutoff_weights(grid, profile, eps, forms.log_z, "+")
+    wm = _cutoff_weights(forms.grid, forms.measure, "-")
+    wp = _cutoff_weights(forms.grid, forms.measure, "+")
     vm = field.values @ wm
     vp = field.values @ wp
     bound = (float(vm @ (forms.K_x @ vm)) / wm.sum()
@@ -119,17 +112,16 @@ def gradient_bound_margin(forms, field):
     return forms.a1_energy(field) - bound
 
 
-def xi_flatness(field, delta=0.5):
+def xi_flatness(forms, field, delta=0.5):
     """Unweighted squared L2 norm of the xi-derivative away from the saddle
-    (cells whose midpoint satisfies |xi| >= delta)."""
-    grid = field.grid
-    xi = grid.xi_nodes
+    (cells whose midpoint satisfies |xi| >= delta), over x by the forms'
+    M_x."""
+    xi = forms.grid.xi_nodes
     mid = 0.5 * (xi[1:] + xi[:-1])
     h = np.diff(xi)
     sel = np.abs(mid) >= delta
     dU = np.diff(field.values, axis=1)[:, sel] / h[sel]
-    M_x = mass_matrix_1d(grid.x_nodes, order=grid.quad_order)
-    W = M_x @ dU
+    W = forms.M_x @ dU
     return float(np.einsum("ic,ic->c", dU, W) @ h[sel])
 
 
@@ -353,9 +345,8 @@ def _rung(cfg, grid, limit, um0, up0, eps):
     try:
         shift = {"critical": 0.0, "sub": math.log(eps),
                  "super": -math.log(eps)}[cfg.regime]
-        forms = assemble(grid, cfg.profile, eps, log_tau_shift=shift,
-                         quad_order=cfg.quad_order)
-        rate = k_eps(cfg.profile, eps)
+        forms = assemble(grid, cfg.profile, eps, log_tau_shift=shift)
+        rate = k_eps(forms.measure)
         u0 = lift(um0, up0, cfg.profile, eps, grid)
         traj = solve(forms, u0, cfg.t_final, cfg.dt, scheme=cfg.scheme,
                      snapshot_times=(0.0,) + cfg.times)
@@ -371,7 +362,7 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
     lforms, ltraj, lv = limit
     eps = forms.eps
     row = EpsRow(eps=eps, rate=rate,
-                 rate_effective=rate_eff, q=q_eps(cfg.profile, eps),
+                 rate_effective=rate_eff, q=q_eps(forms.measure),
                  pairing={}, trace_err={}, b_vals={}, a_vals={}, a_split={},
                  observables={}, gap_norm={}, fiber_margin={},
                  jensen_margin={}, flatness={},
@@ -397,7 +388,7 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
         row.a_vals[t] = (a1 + a2, lv["a"][t], abs(a1 + a2 - lv["a"][t]))
         # the limit trajectory records the reaction energy of its state
         row.a_split[t] = (a1, a2, float(ltraj.a2[n]))
-        row.flatness[t] = xi_flatness(state)
+        row.flatness[t] = xi_flatness(forms, state)
         measured = {
             "pairing": {name: pair_measure(forms, state, test)
                         for name, test in tests.items()},
@@ -510,7 +501,7 @@ def gamma_limsup_check(u_minus, u_plus, ladder, grid, profile,
     a_lim = lforms.stencil(w).a
     b_vals, a_vals = [], []
     for eps in ladder:
-        forms = assemble(grid, profile, eps, quad_order=grid.quad_order)
+        forms = assemble(grid, profile, eps)
         v = lift(um, up, profile, eps, grid)
         b_vals.append(b_form(forms.apply_m, v, v))
         a_vals.append(forms.a_energy(v))

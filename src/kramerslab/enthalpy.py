@@ -127,9 +127,6 @@ class SkewedEnthalpy:
     def tilt(self, xi):
         return 0.5 * self.gap * np.sin(0.5 * np.pi * np.asarray(xi, dtype=float))
 
-    def tilt_deriv(self, xi):
-        return 0.25 * np.pi * self.gap * np.cos(0.5 * np.pi * np.asarray(xi, dtype=float))
-
     def composed(self, eps):
         """The combined landscape xi -> tilt(xi) + H(xi)/eps."""
         if not eps > 0.0:

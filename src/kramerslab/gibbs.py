@@ -1,12 +1,15 @@
-"""Reference measures exp(-H/eps) and their log-space integrals.
+"""The reference measure exp(-H/eps - log Z_eps) of one scale and its
+log-space integrals.
 
-Everything exponentially large or small is carried in log space; products
-like the rate coefficient combine exponents analytically before a single
-exp, so the huge time-rescaling factor and the tiny well weight never meet
-in floating point.
+``GibbsMeasure`` integrates log Z_eps once per scale and owns the density
+that every per-scale quantity reads. Everything exponentially large or
+small is carried in log space; products like the rate coefficient combine
+exponents analytically before a single exp, so the huge time-rescaling
+factor and the tiny well weight never meet in floating point.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,9 +19,9 @@ from .enthalpy import EnthalpyProfile
 from .quadrature import adaptive_integral
 
 __all__ = [
-    "EPS_FLOOR", "EPS_CEIL", "GibbsMeasure", "LimitMeasure",
-    "log_partition", "log_barrier_integral", "log_tau", "tau",
-    "laplace_z", "laplace_i", "log_laplace_i", "laplace_i_shifted",
+    "EPS_FLOOR", "EPS_CEIL", "GibbsMeasure", "log_partition",
+    "log_barrier_integral", "log_tau", "tau", "laplace_z", "log_laplace_i",
+    "laplace_i_shifted",
 ]
 
 # Double-precision working range for form assembly: at eps = 0.02 the barrier
@@ -94,11 +97,6 @@ def log_laplace_i(profile, eps):
     return 0.5 * math.log(2.0 * math.pi * eps / (-curv)) + 1.0 / eps
 
 
-def laplace_i(profile, eps):
-    """Linear-scale leading-order barrier integral (may overflow for tiny eps)."""
-    return math.exp(log_laplace_i(profile, eps))
-
-
 def laplace_i_shifted(profile, eps):
     """Leading-order barrier integral with the e^{1/eps} factor removed."""
     return math.exp(log_laplace_i(profile, eps) - 1.0 / eps)
@@ -106,49 +104,31 @@ def laplace_i_shifted(profile, eps):
 
 @dataclass(frozen=True)
 class GibbsMeasure:
-    """Normalized reference density exp(-H/eps - log_z) on [-1, 1].
+    """The reference measure gamma_eps = exp(-H/eps - log_z) on [-1, 1] at
+    one scale, and the one owner of log Z_eps and of its density.
 
-    Frozen value object: compute it once per (profile, eps) and reuse it.
+    Build it once per (profile, eps) with :meth:`compute`, which integrates
+    log Z_eps; the weighted forms, ``k_eps``, ``q_eps`` and the well cutoffs
+    all read this one measure. ``log_i_shifted`` is integrated on first use.
     """
 
-    eps: float
     profile: EnthalpyProfile
+    eps: float
     log_z: float
 
     @classmethod
-    def compute(cls, profile, eps, tol=1e-12):
-        return cls(eps=eps, profile=profile,
-                   log_z=log_partition(profile, eps, tol))
+    def compute(cls, profile, eps):
+        return cls(profile, eps, log_partition(profile, eps))
+
+    def log_density(self, xi):
+        """-H(xi)/eps - log_z, the log of the normalized density."""
+        return -np.asarray(self.profile.eval(xi), dtype=float) / self.eps \
+            - self.log_z
 
     def density(self, xi):
-        return np.exp(-np.asarray(self.profile.eval(xi), dtype=float) / self.eps
-                      - self.log_z)
+        return np.exp(self.log_density(xi))
 
-    def moment(self, g, tol=1e-10):
-        """Integral of ``g`` against the normalized measure.
-
-        Carries an absolute floor alongside the relative tolerance: odd
-        moments vanish by symmetry and cannot meet a relative target.
-        """
-        h = self.profile.eval
-
-        def f(xi):
-            return g(xi) * math.exp(-h(xi) / self.eps - self.log_z)
-
-        value, _ = adaptive_integral(f, -1.0, 1.0, tol, abs_floor=1e-13)
-        return value
-
-
-@dataclass(frozen=True)
-class LimitMeasure:
-    """Equal point masses at the two wells over the unit spatial domain."""
-
-    weight_minus: float = 0.5
-    weight_plus: float = 0.5
-
-    @property
-    def total(self):
-        return self.weight_minus + self.weight_plus
-
-    def moment(self, g):
-        return self.weight_minus * g(-1.0) + self.weight_plus * g(1.0)
+    @functools.cached_property
+    def log_i_shifted(self):
+        """log of the shifted barrier integral (see log_barrier_integral)."""
+        return log_barrier_integral(self.profile, self.eps)

@@ -17,7 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import gibbs
-from .enthalpy import EnthalpyProfile
 from .quadrature import gauss_rule, panel_points
 
 __all__ = [
@@ -166,20 +165,18 @@ class LimitField:
         return LimitField(self.u_minus.copy(), self.u_plus.copy(), self.x_nodes)
 
 
-def _weighted_points(nodes, order, weight=None, log_weight=None):
-    """Panel Gauss weights times the weight (or exp of ``log_weight``)
-    sampled at the panel Gauss points; shape (ncells, order)."""
+def _weighted_points(nodes, order, log_weight=None):
+    """Panel Gauss weights, times exp(``log_weight``) sampled at the panel
+    Gauss points if given; shape (ncells, order)."""
     pts, wts = panel_points(nodes, order)
     if log_weight is not None:
         return wts * np.exp(log_weight(pts))
-    if weight is not None:
-        return wts * weight(pts)
     return wts
 
 
-def _mass_cells(nodes, order, weight=None, log_weight=None):
+def _mass_cells(nodes, order, log_weight=None):
     """Per-cell 2x2 hat-function mass blocks (m00, m01, m11) and cell masses."""
-    wq = _weighted_points(nodes, order, weight, log_weight)
+    wq = _weighted_points(nodes, order, log_weight)
     g, _ = gauss_rule(order)
     s = 0.5 * (1.0 + g)
     n0 = 1.0 - s
@@ -189,19 +186,20 @@ def _mass_cells(nodes, order, weight=None, log_weight=None):
     return m00, m01, m11, wq.sum(axis=1)
 
 
-def mass_matrix_1d(nodes, weight=None, order=4, log_weight=None):
-    """Tridiagonal hat-function mass matrix with the weight sampled at the
-    panel Gauss points (not lumped)."""
-    nodes = np.asarray(nodes, dtype=float)
-    m00, m01, m11, _ = _mass_cells(nodes, order, weight, log_weight)
-    n = len(nodes)
-    diag = np.zeros(n)
+def _mass_from_cells(m00, m01, m11):
+    diag = np.zeros(len(m00) + 1)
     diag[:-1] += m00
     diag[1:] += m11
     return sp.diags([m01, diag, m01], [-1, 0, 1], format="csr")
 
 
-def stiffness_cells(nodes, weight=None, order=4, log_weight=None):
+def mass_matrix_1d(nodes, order=4):
+    """Tridiagonal hat-function mass matrix by the panel Gauss rule."""
+    return _mass_from_cells(
+        *_mass_cells(np.asarray(nodes, dtype=float), order)[:3])
+
+
+def stiffness_cells(nodes, order=4, log_weight=None):
     """Per-cell conductances g_c = (integral of the weight over the cell) / h^2.
 
     The 1D stiffness is exactly the chain sum of rank-one difference stencils
@@ -210,7 +208,7 @@ def stiffness_cells(nodes, weight=None, order=4, log_weight=None):
     floating-point product is proportional to the true local flux.
     """
     nodes = np.asarray(nodes, dtype=float)
-    wq = _weighted_points(nodes, order, weight, log_weight)
+    wq = _weighted_points(nodes, order, log_weight)
     h = np.diff(nodes)
     return wq.sum(axis=1) / (h * h)
 
@@ -223,12 +221,10 @@ def stiffness_from_cells(g_cell):
     return sp.diags([-g_cell, diag, -g_cell], [-1, 0, 1], format="csr")
 
 
-def stiffness_matrix_1d(nodes, weight=None, order=4, log_weight=None):
+def stiffness_matrix_1d(nodes, order=4):
     """Tridiagonal hat-function stiffness matrix; constants are in its kernel
     (each cell contributes the graph-Laplacian stencil)."""
-    return stiffness_from_cells(
-        stiffness_cells(nodes, weight=weight, order=order,
-                        log_weight=log_weight))
+    return stiffness_from_cells(stiffness_cells(nodes, order=order))
 
 
 def _pair(v, f):
@@ -312,6 +308,10 @@ class FormMatrices:
     incidence form keeps every product proportional to the local flux. No
     run of the package builds the 2-D sparse ``M`` and ``A``: they are
     built on first use, for ``perfbench/probe.py`` and the tests.
+
+    ``measure`` is the scale's :class:`~kramerslab.gibbs.GibbsMeasure`, the
+    one source of eps, log Z_eps and the density that weights M_xi, the
+    pairings and the observables.
     """
 
     M_x: sp.csr_matrix
@@ -321,11 +321,13 @@ class FormMatrices:
     g_x: np.ndarray
     g_xi: np.ndarray
     grid: Grid
-    profile: EnthalpyProfile
-    eps: float
-    log_z: float
+    measure: gibbs.GibbsMeasure
     log_tau_shift: float = 0.0
     underflow_cells: tuple = ()
+
+    @property
+    def eps(self):
+        return self.measure.eps
 
     @functools.cached_property
     def M(self):
@@ -344,11 +346,6 @@ class FormMatrices:
         if isinstance(u, Field):
             return u.values
         return np.asarray(u, dtype=float).reshape(self.grid.nx, self.grid.nxi)
-
-    def density(self, xi):
-        """The normalized reference density exp(-H(xi)/eps - log_z)."""
-        return np.exp(-np.asarray(self.profile.eval(xi), dtype=float)
-                      / self.eps - self.log_z)
 
     def apply_m(self, u):
         """M u = M_x U M_xi; flat output."""
@@ -406,16 +403,17 @@ class FormMatrices:
         return self.a1_energy(u) + self.a2_energy(u)
 
 
-def assemble(grid, profile, eps, log_tau_shift=0.0, tol=1e-12,
-             quad_order=None):
-    """Assemble the weighted Galerkin matrices at scale ``eps``.
+def assemble(grid, profile, eps, log_tau_shift=0.0):
+    """Assemble the weighted Galerkin matrices at scale ``eps``, by the
+    grid's ``quad_order`` panel Gauss rule.
 
-    The xi-stiffness weight combines the time-rescaling factor and the
-    reference density in one exponent per quadrature point,
-    log(eps) + shift + (1 - H(xi))/eps - log_z, evaluated as a single sum
-    before exponentiating. ``log_tau_shift`` rescales the reaction clock for
-    the off-critical scaling experiments (0 critical, log(eps) subcritical,
-    -log(eps) supercritical).
+    Builds the scale's Gibbs measure (the one log Z_eps integration) and
+    weights M_xi by its density. The xi-stiffness weight combines the
+    time-rescaling factor and the reference density in one exponent per
+    quadrature point, log(eps) + shift + (1 - H(xi))/eps - log_z, evaluated
+    as a single sum before exponentiating. ``log_tau_shift`` rescales the
+    reaction clock for the off-critical scaling experiments (0 critical,
+    log(eps) subcritical, -log(eps) supercritical).
     """
     if not gibbs.EPS_FLOOR <= eps <= gibbs.EPS_CEIL:
         raise ValueError(
@@ -423,27 +421,22 @@ def assemble(grid, profile, eps, log_tau_shift=0.0, tol=1e-12,
             "below the floor the barrier weight exp(-1/eps) drowns in the "
             "roundoff of the well entries and the assembled stiffness loses "
             "the barrier region")
-    order = grid.quad_order if quad_order is None else quad_order
-    log_z = gibbs.log_partition(profile, eps, tol)
+    order = grid.quad_order
+    measure = gibbs.GibbsMeasure.compute(profile, eps)
     h = profile.eval
-
-    def density(xi):
-        return np.exp(-np.asarray(h(xi), dtype=float) / eps - log_z)
 
     def stiff_exponent(xi):
         return (math.log(eps) + log_tau_shift
-                + (1.0 - np.asarray(h(xi), dtype=float)) / eps - log_z)
+                + (1.0 - np.asarray(h(xi), dtype=float)) / eps
+                - measure.log_z)
 
     M_x = mass_matrix_1d(grid.x_nodes, order=order)
     g_x = stiffness_cells(grid.x_nodes, order=order)
     K_x = stiffness_from_cells(g_x)
 
-    m00, m01, m11, cell_mass = _mass_cells(grid.xi_nodes, order, weight=density)
-    nxi = grid.nxi
-    diag = np.zeros(nxi)
-    diag[:-1] += m00
-    diag[1:] += m11
-    M_xi = sp.diags([m01, diag, m01], [-1, 0, 1], format="csr")
+    m00, m01, m11, cell_mass = _mass_cells(grid.xi_nodes, order,
+                                           log_weight=measure.log_density)
+    M_xi = _mass_from_cells(m00, m01, m11)
     underflow = tuple(int(c) for c in np.nonzero(cell_mass == 0.0)[0])
     if np.any(M_xi.diagonal() <= 0.0):
         raise AssemblyError(
@@ -455,9 +448,8 @@ def assemble(grid, profile, eps, log_tau_shift=0.0, tol=1e-12,
     K_xi = stiffness_from_cells(g_xi)
 
     return FormMatrices(M_x=M_x, K_x=K_x, M_xi=M_xi, K_xi=K_xi, g_x=g_x,
-                        g_xi=g_xi, grid=grid, profile=profile, eps=eps,
-                        log_z=log_z, log_tau_shift=log_tau_shift,
-                        underflow_cells=underflow)
+                        g_xi=g_xi, grid=grid, measure=measure,
+                        log_tau_shift=log_tau_shift, underflow_cells=underflow)
 
 
 def _vec(u):
@@ -593,7 +585,7 @@ def nonlinear_observables(forms, field, fns):
     xq, xw = panel_points(grid.x_nodes, order)
     xiq, xiw = panel_points(grid.xi_nodes, order)
     # points and weights ordered (xi-order, xi-cell), the long axis last
-    gamma_w = (xiw * forms.density(xiq)).T.reshape(-1)
+    gamma_w = (xiw * forms.measure.density(xiq)).T.reshape(-1)
     xiq = xiq.T[None, None]
     step = max(1, _BLOCK_POINTS // (order * gamma_w.size))
     # the interpolant and its second term, for the largest block
@@ -665,7 +657,7 @@ def pair_measure(forms, field, test):
     grid = forms.grid
     a = node_functional(grid.x_nodes, test.f_x, grid.quad_order)
     c = node_functional(grid.xi_nodes,
-                        lambda xi: test.f_xi(xi) * forms.density(xi),
+                        lambda xi: test.f_xi(xi) * forms.measure.density(xi),
                         grid.quad_order)
     return float(a @ (field.values @ c))
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gibbs
 from .grid_forms import Field, _panel_interp, graded_nodes
 from .quadrature import panel_integrals, panel_points
 
@@ -83,51 +82,44 @@ def transition_profile(profile, eps, xi_nodes=None, panel_order=8):
                              log_i_shifted=math.log(total))
 
 
-def k_eps(profile, eps, tol=1e-12):
-    """Rate coefficient at scale eps: the minimal rescaled connection energy
-    for a unit jump between the wells.
+def k_eps(measure):
+    """Rate coefficient at the scale of the Gibbs ``measure``: the minimal
+    rescaled connection energy for a unit jump between the wells.
 
-    Evaluated as exp(log(eps) - log_z - log_i_shifted): the exponentially
-    large clock factor and the exponentially large barrier integral cancel
+    Evaluated as exp(log(eps) - log_z - log_i_shifted), from the measure's
+    log Z_eps and its shifted barrier integral: the exponentially large
+    clock factor and the exponentially large barrier integral cancel
     analytically, leaving only well-scaled quantities.
     """
-    log_z = gibbs.log_partition(profile, eps, tol)
-    log_i = gibbs.log_barrier_integral(profile, eps, tol)
-    return math.exp(math.log(eps) - log_z - log_i)
+    return math.exp(math.log(measure.eps) - measure.log_z
+                    - measure.log_i_shifted)
 
 
-def q_eps(profile, eps, xi_nodes=None, tol=1e-12):
-    """Second moment of the optimal profile under the reference measure.
+def q_eps(measure, xi_nodes=None):
+    """Second moment of the optimal profile under the Gibbs ``measure``.
 
     Lies in [0, 1/4] and climbs to 1/4 as eps shrinks. The profile is
-    integrated as its piecewise-linear interpolant on the profile grid.
+    integrated as its piecewise-linear interpolant on the profile grid,
+    against the measure's density at the panel Gauss points.
     """
-    tp = transition_profile(profile, eps, xi_nodes=xi_nodes)
-    log_z = gibbs.log_partition(profile, eps, tol)
+    tp = transition_profile(measure.profile, measure.eps, xi_nodes=xi_nodes)
     order = 8
     pts, wts = panel_points(tp.xi_nodes, order)
     vq = _panel_interp(tp.values, order)
-    h = profile.eval
-    dens = np.exp(-np.asarray(h(pts), dtype=float) / eps - log_z)
-    return float((wts * dens * vq * vq).sum())
+    return float((wts * measure.density(pts) * vq * vq).sum())
 
 
-def transition_cost(phi_minus, phi_plus, profile, eps, rate=None):
-    """Minimal rescaled connection energy between prescribed well values.
-
-    Quadratic in the jump only: rate * (phi_plus - phi_minus)^2.
-    """
-    if rate is None:
-        rate = k_eps(profile, eps)
+def transition_cost(phi_minus, phi_plus, rate):
+    """Minimal rescaled connection energy between prescribed well values:
+    rate * (phi_plus - phi_minus)^2, with ``rate`` = k_eps."""
     gap = phi_plus - phi_minus
     return rate * gap * gap
 
 
-def transition_mass(phi_minus, phi_plus, profile, eps, q=None):
+def transition_mass(phi_minus, phi_plus, q):
     """Squared mass of the optimal connection with prescribed well values:
-    (phi_minus^2 + phi_plus^2)/2 + (q - 1/4) * (phi_plus - phi_minus)^2."""
-    if q is None:
-        q = q_eps(profile, eps)
+    (phi_minus^2 + phi_plus^2)/2 + (q - 1/4) * (phi_plus - phi_minus)^2,
+    with ``q`` = q_eps."""
     gap = phi_plus - phi_minus
     return 0.5 * (phi_minus * phi_minus + phi_plus * phi_plus) \
         + (q - 0.25) * gap * gap

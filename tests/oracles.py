@@ -5,7 +5,9 @@ assembly paths: fixed-grid composite rules, scipy's QUADPACK integrator,
 finite differences, the closed chain solution of the piecewise-linear
 connection program, the 2-D sparse Kronecker products and block matrices of
 the 1-D form factors, and whole-grid tensor quadrature of observables. Only
-the tests import ``scipy.integrate``.
+the tests import ``scipy.integrate``. The one exception is
+:func:`inline_scale`, which reuses the package's Gibbs integrals and panel
+rule on purpose, to match the measure-based functions bit for bit.
 """
 import math
 
@@ -24,10 +26,12 @@ def fixed_quad(f, a, b, panels=100_000, order=6):
     return half * float(w @ f(pts).sum(axis=0))
 
 
-def quad_reference(f, a, b, tol=1e-12):
+def quad_reference(f, a, b, tol=1e-12, abs_tol=0.0):
     """Adaptive QUADPACK integral of the scalar function ``f`` over [a, b]
-    at relative tolerance ``tol``."""
-    value, _ = quad(f, a, b, epsabs=0.0, epsrel=tol, limit=1000)
+    at relative tolerance ``tol``, or absolute tolerance ``abs_tol``
+    (integrals that vanish, such as odd moments, cannot meet a relative
+    one)."""
+    value, _ = quad(f, a, b, epsabs=abs_tol, epsrel=tol, limit=1000)
     return value
 
 
@@ -142,9 +146,33 @@ def whole_grid_observables(forms, field, fns):
 
     xq, xw = panels(forms.grid.x_nodes)
     xiq, xiw = panels(forms.grid.xi_nodes)
-    gamma_w = xiw * np.exp(-forms.profile.eval(xiq) / forms.eps - forms.log_z)
+    gamma_w = xiw * np.exp(-forms.measure.profile.eval(xiq) / forms.eps
+                           - forms.measure.log_z)
     # shape (x-cells, order, xi-cells, order)
     Uq = interp(np.moveaxis(interp(field.values.T), 0, -1))
     xq, xiq = xq[:, :, None, None], xiq[None, None, :, :]
     return [float(np.einsum("ca,db,cadb->", xw, gamma_w, np.broadcast_to(
         np.asarray(f(xq, xiq, Uq), dtype=float), Uq.shape))) for f in fns]
+
+
+def inline_scale(profile, eps, xi):
+    """The reference density at ``xi``, k_eps and q_eps at scale ``eps``,
+    each written out as one inline expression that integrates its own
+    log Z_eps, from the package's Gibbs integrals, optimal profile and
+    8-point panel rule: (density, k_eps, q_eps)."""
+    from kramerslab import gibbs
+    from kramerslab.grid_forms import _panel_interp
+    from kramerslab.quadrature import panel_points
+    from kramerslab.transition import transition_profile
+
+    h = profile.eval
+    density = np.exp(-np.asarray(h(xi), dtype=float) / eps
+                     - gibbs.log_partition(profile, eps))
+    rate = math.exp(math.log(eps) - gibbs.log_partition(profile, eps)
+                    - gibbs.log_barrier_integral(profile, eps))
+    tp = transition_profile(profile, eps)
+    pts, wts = panel_points(tp.xi_nodes, 8)
+    vq = _panel_interp(tp.values, 8)
+    dens = np.exp(-np.asarray(h(pts), dtype=float) / eps
+                  - gibbs.log_partition(profile, eps))
+    return density, rate, float((wts * dens * vq * vq).sum())

@@ -63,7 +63,8 @@ def super_report(quartic):
 
 def test_criterion_01_rate_asymptotics(quartic):
     t0 = time.perf_counter()
-    ratios = [2.0 * k_eps(quartic, eps) / LIMIT_RATE for eps in LADDER]
+    ratios = [2.0 * k_eps(gibbs.GibbsMeasure.compute(quartic, eps))
+              / LIMIT_RATE for eps in LADDER]
     elapsed = time.perf_counter() - t0
     gaps = [abs(r - 1.0) for r in ratios]
     assert gaps[0] > gaps[1] > gaps[2], ratios
@@ -77,14 +78,16 @@ def test_criterion_02_variational_minimality(quartic):
     nodes = graded_nodes(4001, **QP_GRID)
     for eps in LADDER:
         k_min, _ = oracles.qp_minimum(quartic.eval, eps, nodes)
-        assert abs(k_eps(quartic, eps) / k_min - 1.0) <= 1e-6, eps
+        rate = k_eps(gibbs.GibbsMeasure.compute(quartic, eps))
+        assert abs(rate / k_min - 1.0) <= 1e-6, eps
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _verdict(2, "closed form matches the discrete minimization oracle")
 
 
 def test_criterion_03_profile_mass(quartic):
-    devs = [abs(4.0 * q_eps(quartic, eps) - 1.0) for eps in LADDER]
+    devs = [abs(4.0 * q_eps(gibbs.GibbsMeasure.compute(quartic, eps)) - 1.0)
+            for eps in LADDER]
     assert devs[0] > devs[1] > devs[2], devs
     assert devs[-1] < 0.3
     _verdict(3, "optimal-profile mass approaches 1/4 monotonically")
@@ -132,7 +135,7 @@ def test_criterion_06_homogeneous_benchmark(quartic, default_grid,
     forms = default_forms[eps]
     u0 = lift(np.zeros(129), np.ones(129), quartic, eps, default_grid)
     traj = solve(forms, u0, T=0.5, dt=1e-3, snapshot_times=(0.1, 0.5))
-    rate = k_eps(quartic, eps)
+    rate = k_eps(forms.measure)
     for t in (0.1, 0.5):
         state = traj.snapshot_at(t)
         gap = float(state.values[:, -1].mean() - state.values[:, 0].mean())
@@ -182,7 +185,7 @@ def test_criterion_09_recovery_families(quartic, default_grid, default_forms):
     for eps, forms in default_forms.items():
         v = lift(np.zeros(129), np.ones(129), quartic, eps, default_grid)
         # grid-quadrature tolerance of the default discretization
-        assert abs(forms.a_energy(v) / k_eps(quartic, eps) - 1.0) <= 5e-3
+        assert abs(forms.a_energy(v) / k_eps(forms.measure) - 1.0) <= 5e-3
     _verdict(9, "recovery families converge; unit jump reproduces the rate")
 
 

@@ -59,13 +59,14 @@ def test_cutoff_bump_shape():
 def test_cutoff_average_of_constant(quartic):
     grid = build_grid(9, 41)
     field = Field(np.full((9, 41), 1.7), grid, 0.1)
-    avg = cutoff_average(field, quartic)
+    avg = cutoff_average(field, gibbs.GibbsMeasure.compute(quartic, 0.1))
     assert np.max(np.abs(avg - 1.7)) <= 1e-12
 
 
 def test_cutoff_mass_tends_to_half(quartic):
     grid = build_grid(9, 81)
-    devs = [abs(cutoff_mass(quartic, eps, grid) - 0.5)
+    devs = [abs(cutoff_mass(gibbs.GibbsMeasure.compute(quartic, eps), grid)
+                - 0.5)
             for eps in (0.2, 0.1, 0.05)]
     assert devs[0] > devs[1] > devs[2]
     assert devs[-1] < 0.05
@@ -78,7 +79,8 @@ def test_cutoff_average_recovers_well_density(quartic):
     errs = []
     for eps in (0.2, 0.1, 0.05):
         field = lift(um, up, quartic, eps, grid)
-        avg = cutoff_average(field, quartic, side="-")
+        avg = cutoff_average(field, gibbs.GibbsMeasure.compute(quartic, eps),
+                             side="-")
         errs.append(float(np.max(np.abs(avg - um))))
     assert errs[0] > errs[1] > errs[2]
 
@@ -100,8 +102,9 @@ def test_gamma_limsup_tables(quartic):
     # unit jump: the energy form value is the rate coefficient itself, up to
     # the interpolation bias of this grid (4x the default-grid bias)
     for eps, a_val in zip(ladder, jump.a_eps):
-        assert a_val == pytest.approx(k_eps(quartic, eps), rel=2e-2)
-        assert a_val >= k_eps(quartic, eps) - 1e-10
+        rate = k_eps(gibbs.GibbsMeasure.compute(quartic, eps))
+        assert a_val == pytest.approx(rate, rel=2e-2)
+        assert a_val >= rate - 1e-10
     assert jump.a_limit == pytest.approx(0.5 * 1.8006326323142123, rel=1e-12)
 
     cos = gamma_limsup_check(lambda x: np.cos(np.pi * x),
@@ -192,7 +195,7 @@ def test_fiber_bound_is_sharp_on_lift(quartic):
     eps = 0.1
     forms = assemble(grid, quartic, eps)
     field = lift(np.zeros(17), np.ones(17), quartic, eps, grid)
-    margin = fiber_bound_margin(forms, field, k_eps(quartic, eps))
+    margin = fiber_bound_margin(forms, field, k_eps(forms.measure))
     assert -1e-8 <= margin <= 0.05
 
 
@@ -213,7 +216,7 @@ def test_flatness_of_lift_decreases(quartic):
     vals = []
     for eps in (0.2, 0.1, 0.05):
         field = lift(np.zeros(17), np.ones(17), quartic, eps, grid)
-        vals.append(xi_flatness(field))
+        vals.append(xi_flatness(assemble(grid, quartic, eps), field))
     assert vals[0] > vals[1] > vals[2]
 
 

@@ -158,7 +158,7 @@ def test_trace_gap_two_state_kinetics(quartic):
     forms = assemble(grid, quartic, EPS)
     u0 = lift(np.zeros(65), np.ones(65), quartic, EPS, grid)
     traj = solve(forms, u0, T=0.5, dt=2e-3, snapshot_times=(0.1, 0.5))
-    rate = k_eps(quartic, EPS)
+    rate = k_eps(forms.measure)
     for t in (0.1, 0.5):
         state = traj.snapshot_at(t)
         gap = float(state.values[:, -1].mean() - state.values[:, 0].mean())

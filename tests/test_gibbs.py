@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from kramerslab import cli, gibbs
+from kramerslab.convergence import StudyConfig, run_ladder_study
 from kramerslab.enthalpy import EnthalpyProfile
-from kramerslab import gibbs
 from kramerslab.quadrature import QuadratureError, adaptive_integral
+from kramerslab.transition import k_eps, q_eps
 
 import oracles
 
@@ -110,31 +112,65 @@ def test_density_even(quartic):
     assert np.max(np.abs(gm.density(xs) - gm.density(-xs))) <= 1e-12
 
 
+def _moment(gm, p):
+    """Integral of ``p`` against the measure's density, by QUADPACK, with an
+    absolute floor: odd moments vanish and cannot meet a relative target."""
+    return oracles.quad_reference(lambda xi: p(xi) * gm.density(xi), -1.0,
+                                  1.0, tol=1e-10, abs_tol=1e-13)
+
+
 def test_moments_concentrate(quartic):
-    lim = gibbs.LimitMeasure()
+    # the limit measure puts mass 1/2 on each well: moments (p(-1) + p(1))/2
     polys = {
-        "1": (lambda xi: 1.0 + 0.0 * xi, lim.moment(lambda s: 1.0)),
-        "xi": (lambda xi: xi, lim.moment(lambda s: s)),
-        "xi^2": (lambda xi: xi * xi, lim.moment(lambda s: s * s)),
-        "xi^3": (lambda xi: xi ** 3, lim.moment(lambda s: s ** 3)),
+        "1": lambda xi: 1.0 + 0.0 * xi,
+        "xi": lambda xi: xi,
+        "xi^2": lambda xi: xi * xi,
+        "xi^3": lambda xi: xi ** 3,
     }
     prev = {name: None for name in polys}
     for eps in LADDER:
         gm = gibbs.GibbsMeasure.compute(quartic, eps)
-        for name, (p, target) in polys.items():
-            err = abs(gm.moment(p) - target)
+        for name, p in polys.items():
+            err = abs(_moment(gm, p) - 0.5 * (p(-1.0) + p(1.0)))
             if name in ("xi", "xi^3"):
                 assert err <= 1e-13
             else:
                 if prev[name] is not None and prev[name] > 1e-12:
                     assert err < prev[name]
             prev[name] = err
-    assert abs(gibbs.GibbsMeasure.compute(quartic, 0.05).moment(
-        lambda xi: xi * xi) - 1.0) < 0.2
+    assert abs(_moment(gibbs.GibbsMeasure.compute(quartic, 0.05),
+                       lambda xi: xi * xi) - 1.0) < 0.2
 
 
-def test_limit_measure_total():
-    assert gibbs.LimitMeasure().total == 1.0
+@pytest.mark.parametrize("eps", (1.0, 0.2, 0.05, 0.02))
+def test_measure_matches_the_inline_formulas_bitwise(quartic, eps):
+    xs = np.linspace(-1.0, 1.0, 257)
+    density, rate, q = oracles.inline_scale(quartic, eps, xs)
+    gm = gibbs.GibbsMeasure.compute(quartic, eps)
+    assert np.array_equal(gm.density(xs), density)
+    assert k_eps(gm) == rate
+    assert q_eps(gm) == q
+
+
+def test_each_scale_integrates_log_z_once(quartic, monkeypatch, tmp_path):
+    calls = dict.fromkeys(("log_partition", "log_barrier_integral",
+                           "adaptive_integral"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(gibbs, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(gibbs, name, counted)
+    report = run_ladder_study(StudyConfig(
+        profile=quartic, ladder=LADDER, nx=17, nxi=21, dt=0.01,
+        t_final=0.02, times=(0.02,)))
+    assert len(report.rows) == 3
+    assert calls["log_partition"] == 3
+    # ``rates``: Z_eps and the barrier integral once each per scale
+    calls.update(dict.fromkeys(calls, 0))
+    assert cli.main(["rates", "--ladder", "0.2,0.1,0.05",
+                     "--out", str(tmp_path)]) == 0
+    assert calls == {"log_partition": 3, "log_barrier_integral": 3,
+                     "adaptive_integral": 6}
 
 
 def test_adaptive_quadrature_reports_failure():

@@ -225,9 +225,9 @@ def test_lift_mass_is_q_form(quartic):
     eps = 0.1
     forms = assemble(grid, quartic, eps)
     v = lift(np.zeros(33), np.ones(33), quartic, eps, grid)
-    q = q_eps(quartic, eps)
+    q = q_eps(forms.measure)
     assert b_form(forms.M, v, v) == pytest.approx(
-        transition_mass(0.0, 1.0, quartic, eps, q=q), abs=1e-5)
+        transition_mass(0.0, 1.0, q), abs=1e-5)
 
 
 def test_lift_mass_against_x_quadrature(quartic):
@@ -238,7 +238,7 @@ def test_lift_mass_against_x_quadrature(quartic):
     x = grid.x_nodes
     um, up = np.cos(np.pi * x), 1.0 + np.cos(np.pi * x)
     v = lift(um, up, quartic, eps, grid)
-    q = q_eps(quartic, eps)
+    q = q_eps(forms.measure)
     p = 0.5 * (um + up)
     d = up - um
     expected = (float(p @ (forms.M_x @ p))

@@ -60,7 +60,7 @@ def test_profile_requires_nodes(quartic):
 
 
 def test_rate_ladder_approaches_half_limit(quartic):
-    vals = [k_eps(quartic, eps) for eps in LADDER]
+    vals = [k_eps(gibbs.GibbsMeasure.compute(quartic, eps)) for eps in LADDER]
     rel = [abs(v / HALF_LIMIT - 1.0) for v in vals]
     assert rel[0] > rel[1] > rel[2]
     assert rel[-1] < 0.25
@@ -76,7 +76,8 @@ def test_rate_ladder_approaches_half_limit(quartic):
 def test_rate_matches_quadratic_program(quartic, eps):
     nodes = graded_nodes(4001, **QP_GRID)
     k_min, phi = oracles.qp_minimum(quartic.eval, eps, nodes)
-    assert abs(k_eps(quartic, eps) / k_min - 1.0) <= 1e-6
+    rate = k_eps(gibbs.GibbsMeasure.compute(quartic, eps))
+    assert abs(rate / k_min - 1.0) <= 1e-6
 
 
 @pytest.mark.parametrize("eps", LADDER)
@@ -91,7 +92,7 @@ def test_competitors_never_beat_minimum(quartic):
     eps = 0.1
     nodes = graded_nodes(4001, **QP_GRID)
     _, phi = oracles.qp_minimum(quartic.eval, eps, nodes)
-    rate = k_eps(quartic, eps)
+    rate = k_eps(gibbs.GibbsMeasure.compute(quartic, eps))
     rng = np.random.default_rng(20240817)
     for _ in range(50):
         bump = rng.normal(0.0, 0.1, len(nodes) - 2)
@@ -103,7 +104,7 @@ def test_competitors_never_beat_minimum(quartic):
 def test_q_bounds_and_ladder(quartic):
     devs = []
     for eps in LADDER:
-        q = q_eps(quartic, eps)
+        q = q_eps(gibbs.GibbsMeasure.compute(quartic, eps))
         assert 0.0 <= q <= 0.25
         devs.append(abs(4.0 * q - 1.0))
     assert devs[0] > devs[1] > devs[2]
@@ -111,10 +112,10 @@ def test_q_bounds_and_ladder(quartic):
 
 
 def test_cost_depends_on_jump_only(quartic):
-    rate = k_eps(quartic, 0.1)
-    assert transition_cost(0.3, 0.3, quartic, 0.1, rate=rate) == 0.0
-    a = transition_cost(0.1, 0.7, quartic, 0.1, rate=rate)
-    b = transition_cost(-1.2, -0.6, quartic, 0.1, rate=rate)
+    rate = k_eps(gibbs.GibbsMeasure.compute(quartic, 0.1))
+    assert transition_cost(0.3, 0.3, rate) == 0.0
+    a = transition_cost(0.1, 0.7, rate)
+    b = transition_cost(-1.2, -0.6, rate)
     assert a == pytest.approx(b, rel=1e-15)
 
 
@@ -123,8 +124,8 @@ def test_cost_translation_invariant(a, b, c):
     # pure algebra once the rate coefficient is fixed
     rate = 0.7883
     prof = None
-    lhs = transition_cost(a + c, b + c, prof, None, rate=rate)
-    rhs = transition_cost(a, b, prof, None, rate=rate)
+    lhs = transition_cost(a + c, b + c, rate)
+    rhs = transition_cost(a, b, rate)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -132,16 +133,16 @@ def test_cost_translation_invariant(a, b, c):
 def test_quadratic_scaling_exact(lam):
     rate, q = 0.7883, 0.2499
     for a, b in [(0.25, 0.5), (-0.5, 0.5), (0.125, -0.375)]:
-        assert transition_cost(lam * a, lam * b, None, None, rate=rate) \
-            == lam * lam * transition_cost(a, b, None, None, rate=rate)
-        base = transition_mass(a, b, None, None, q=q)
-        scaled = transition_mass(lam * a, lam * b, None, None, q=q)
+        assert transition_cost(lam * a, lam * b, rate) \
+            == lam * lam * transition_cost(a, b, rate)
+        base = transition_mass(a, b, q)
+        scaled = transition_mass(lam * a, lam * b, q)
         assert scaled == pytest.approx(lam * lam * base, rel=1e-14)
 
 
 def test_mass_at_unit_jump_is_q(quartic):
-    q = q_eps(quartic, 0.1)
-    assert transition_mass(-0.5, 0.5, quartic, 0.1, q=q) == pytest.approx(
+    q = q_eps(gibbs.GibbsMeasure.compute(quartic, 0.1))
+    assert transition_mass(-0.5, 0.5, q) == pytest.approx(
         q, abs=1e-15)
 
 
@@ -190,8 +191,8 @@ def test_limit_rate_value(quartic):
     fd = math.sqrt(-oracles.central_diff2(quartic.eval, 0.0)
                    * oracles.central_diff2(quartic.eval, 1.0)) / math.pi
     assert limit_rate(quartic) == pytest.approx(fd, rel=1e-6)
-    assert 2.0 * k_eps(quartic, 0.05) == pytest.approx(limit_rate(quartic),
-                                                       rel=0.1)
+    assert 2.0 * k_eps(gibbs.GibbsMeasure.compute(quartic, 0.05)) \
+        == pytest.approx(limit_rate(quartic), rel=0.1)
 
 
 def test_limit_rate_homogeneity(quartic):
