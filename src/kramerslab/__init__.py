@@ -15,7 +15,7 @@ from .transition import (TransitionProfile, k_eps, lift, limit_rate, q_eps,
 from .evolve_kramers import (LinearSolver, SolverError, Trajectory,
                              regularization_check, solve)
 from .evolve_limit import homogeneous_pair_solution, solve_limit
-from .convergence import (ConvergenceReport, StudyConfig, cutoff_average,
+from .convergence import (Config, ConvergenceReport, cutoff_average,
                           cutoff_mass, gamma_limsup_check,
                           nonlinear_observable, nonlinear_observable_limit,
                           run_ladder_study, traces)

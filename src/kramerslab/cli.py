@@ -13,15 +13,13 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import gibbs
-from .convergence import (REGIMES, ConfigError, StudyConfig, check_eps,
-                          check_study, check_times, run_ladder_study)
-from .enthalpy import from_coefficients, quartic_default, validate
+from .convergence import (REGIMES, Config, ConfigError, _number, check_times,
+                          profile_from_config, run_ladder_study)
 from .evolve_kramers import SCHEMES, SolverError, solve
 from .evolve_limit import solve_limit
 # assemble_limit is unused here but stays a name of this module:
@@ -30,156 +28,24 @@ from .grid_forms import (LimitField, assemble, assemble_limit,
                          assemble_limit_rates, build_grid)
 from .transition import k_eps, lift, limit_rate, q_eps
 
-__all__ = ["Config", "ConfigError", "parse_config", "run", "main"]
-
-
-def _number(field, value):
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
-    return x
-
-
-def _numbers(field, value):
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{field}: expected a list, got {value!r}")
-    return tuple(_number(field, v) for v in value)
-
-
-@dataclass(frozen=True)
-class Config:
-    """Validated study configuration with documented defaults."""
-
-    profile: dict = field(default_factory=lambda: {"name": "quartic"})
-    skew_gap: float = 0.0
-    ladder: tuple = (0.2, 0.1, 0.05)
-    eps: float = 0.1            # single-run scale for `simulate`
-    nx: int = 129
-    nxi: int = 161
-    grading: str = "three_zone"
-    quad_order: int = 4
-    dt: float = 1e-3
-    t_final: float = 1.0
-    times: tuple = (0.1, 0.5, 1.0)
-    scheme: str = "CN_rannacher"
-    regime: str = "critical"
-    rate: float | None = None   # manual override for `limit`; None = from profile
-    u0: dict = field(default_factory=lambda: {
-        "minus": {"kind": "cosine", "offset": 0.0, "amplitude": 1.0, "mode": 1},
-        "plus": {"kind": "cosine", "offset": 1.0, "amplitude": 1.0, "mode": 1},
-    })
-    out: str = "out"
-
-    def to_dict(self):
-        d = asdict(self)
-        d["ladder"] = list(self.ladder)
-        d["times"] = list(self.times)
-        return d
-
-
-_U0_KEYS = {"constant": {"value"}, "cosine": {"offset", "amplitude", "mode"},
-            "tabulated": {"x", "values"}}
-
-
-def _u0_callable(u0, side):
-    """The initial density of one well, x -> u, from its spec in ``u0``;
-    every violation of the spec format is a ConfigError."""
-    path, spec = f"u0.{side}", u0.get(side)
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object, got {spec!r}")
-    kind = spec.get("kind")
-    if kind not in tuple(_U0_KEYS):
-        raise ConfigError(
-            f"{path}.kind: must be one of {tuple(_U0_KEYS)}, got {kind!r}")
-    unknown = set(spec) - _U0_KEYS[kind] - {"kind"}
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    if kind == "tabulated":
-        xs = np.array(_numbers(f"{path}.x", spec.get("x")))
-        vs = np.array(_numbers(f"{path}.values", spec.get("values")))
-        if not xs.size or xs.shape != vs.shape:
-            raise ConfigError(
-                f"{path}: 'x' and 'values' must be equal-length, nonempty")
-        if np.any(np.diff(xs) <= 0.0):
-            raise ConfigError(f"{path}.x: must be strictly increasing")
-        return lambda x: np.interp(np.asarray(x, dtype=float), xs, vs)
-    c = {key: _number(f"{path}.{key}", spec[key])
-         for key in _U0_KEYS[kind] & set(spec)}
-    if kind == "constant":
-        value = c.get("value", 0.0)
-        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
-    off, amp = c.get("offset", 0.0), c.get("amplitude", 1.0)
-    mode = c.get("mode", 1.0)
-    if not mode.is_integer():
-        raise ConfigError(f"{path}.mode: must be an integer, got {mode!r}")
-    mode = int(mode)
-    return lambda x: off + amp * np.cos(mode * np.pi * np.asarray(x, dtype=float))
+__all__ = ["Config", "ConfigError", "config_from_dict", "parse_config", "run",
+           "main"]
 
 
 def config_from_dict(data):
-    """Strictly validated Config; every violation names its field path."""
+    """The Config of a JSON object: the root must be an object of known
+    keys, and the default sample times follow a shortened horizon; every
+    rule is checked by :class:`Config` itself."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-    defaults = Config()
-    known = set(defaults.to_dict())
-    unknown = set(data) - known
+    unknown = set(data) - set(Config.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = {**defaults.to_dict(), **data}
-
-    prof = merged["profile"]
-    if isinstance(prof, str):
-        prof = {"name": prof}
-    if not isinstance(prof, dict) or not ({"name"} >= set(prof) or
-                                          {"coeffs"} >= set(prof)):
-        raise ConfigError("profile: expected {'name': ...} or {'coeffs': [...]}")
-    if "name" in prof and prof["name"] != "quartic":
-        raise ConfigError(f"profile.name: unknown profile {prof['name']!r}")
-    if "coeffs" in prof:
-        _numbers("profile.coeffs", prof["coeffs"])
-
-    ladder = _numbers("ladder", merged["ladder"])
-    eps = _number("eps", merged["eps"])
-    dt, t_final, skew_gap = (
-        _number(name, merged[name]) for name in ("dt", "t_final", "skew_gap"))
     if "times" not in data:
-        # default sample times follow a shortened horizon
-        kept = [t for t in merged["times"] if t <= t_final + 1e-12]
-        merged["times"] = kept or [t_final]
-    times = _numbers("times", merged["times"])
-    # one rung is a valid `rates` ladder; a study needs two
-    check_study(ladder, dt, t_final, times, merged["scheme"], merged["regime"],
-                min_rungs=1)
-    check_eps("eps", eps)
-
-    for name, lo in (("nx", 4), ("nxi", 4), ("quad_order", 1)):
-        v = merged[name]
-        if not isinstance(v, int) or v < lo:
-            raise ConfigError(f"{name}: must be an integer >= {lo}, got {v!r}")
-    if merged["nxi"] % 2 == 0:
-        raise ConfigError("nxi: must be odd so that xi = 0 is a node")
-    if merged["grading"] not in ("three_zone", "uniform"):
-        raise ConfigError(f"grading: unknown grading {merged['grading']!r}")
-
-    rate = None if merged["rate"] is None else _number("rate", merged["rate"])
-    if rate is not None and rate < 0.0:
-        raise ConfigError("rate: must be nonnegative or null")
-
-    u0 = merged["u0"]
-    if not isinstance(u0, dict) or set(u0) - {"minus", "plus"}:
-        raise ConfigError("u0: expected {'minus': {...}, 'plus': {...}}")
-    for side in ("minus", "plus"):
-        _u0_callable(u0, side)
-
-    return Config(profile=prof, skew_gap=skew_gap, ladder=ladder, eps=eps,
-                  nx=merged["nx"], nxi=merged["nxi"],
-                  grading=merged["grading"], quad_order=merged["quad_order"],
-                  dt=dt, t_final=t_final, times=times, scheme=merged["scheme"],
-                  regime=merged["regime"], rate=rate, u0=u0,
-                  out=str(merged["out"]))
+        t_final = _number("t_final", data.get("t_final", Config.t_final))
+        data = {**data, "times": [t for t in Config.times
+                                  if t <= t_final + 1e-12] or [t_final]}
+    return Config(**data)
 
 
 def parse_config(path=None, overrides=None):
@@ -198,18 +64,6 @@ def parse_config(path=None, overrides=None):
     if overrides and isinstance(data, dict):
         data.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_dict(data)
-
-
-def profile_from_config(cfg):
-    if "coeffs" in cfg.profile:
-        prof = from_coefficients(cfg.profile["coeffs"])
-    else:
-        prof = quartic_default()
-    bad = validate(prof, 1001)
-    if bad:
-        raise ConfigError("profile violates the double-well assumptions: "
-                          + "; ".join(bad))
-    return prof
 
 
 def _fmt(x):
@@ -294,8 +148,7 @@ def cmd_simulate(cfg, snapshots=()):
                       quad_order=cfg.quad_order)
     forms = assemble(grid, prof, cfg.eps)
     x = grid.x_nodes
-    u0 = lift(_u0_callable(cfg.u0, "minus")(x), _u0_callable(cfg.u0, "plus")(x),
-              prof, cfg.eps, grid)
+    u0 = lift(*cfg.initial_pair(x), prof, cfg.eps, grid)
     traj = solve(forms, u0, cfg.t_final, cfg.dt, scheme=cfg.scheme,
                  snapshot_times=tuple(snapshots))
     out = Path(cfg.out)
@@ -329,8 +182,7 @@ def cmd_limit(cfg):
         raise ConfigError(f"skew_gap: {cfg.skew_gap!r} puts a rate k "
                           "exp(+-gap/2) past the float range")
     lforms = assemble_limit_rates(x, *rates, quad_order=cfg.quad_order)
-    w0 = LimitField(_u0_callable(cfg.u0, "minus")(x),
-                    _u0_callable(cfg.u0, "plus")(x), x)
+    w0 = LimitField(*cfg.initial_pair(x), x)
     traj = solve_limit(lforms, w0, cfg.t_final, cfg.dt, scheme=cfg.scheme,
                        snapshot_times=(0.0,) + cfg.times)
     snaps = traj.snapshots
@@ -345,13 +197,7 @@ def cmd_limit(cfg):
 
 def cmd_converge(cfg):
     """Full ladder certification; exit status mirrors the report booleans."""
-    study = StudyConfig(profile=profile_from_config(cfg), ladder=cfg.ladder,
-                        nx=cfg.nx, nxi=cfg.nxi, dt=cfg.dt, t_final=cfg.t_final,
-                        times=cfg.times, scheme=cfg.scheme, regime=cfg.regime,
-                        quad_order=cfg.quad_order, grading=cfg.grading,
-                        u0_minus=_u0_callable(cfg.u0, "minus"),
-                        u0_plus=_u0_callable(cfg.u0, "plus"))
-    report = run_ladder_study(study)
+    report = run_ladder_study(cfg)
     out = Path(cfg.out)
     _write_json(out / "report.json", report.to_dict())
 

@@ -9,16 +9,16 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import gibbs
-from .enthalpy import EnthalpyProfile
-from .evolve_kramers import SCHEMES, SolverError, solve
+from .enthalpy import from_coefficients, quartic_default, validate
+from .evolve_kramers import (ENERGY_RESIDUAL_BOUND, MASS_DRIFT_BOUND, SCHEMES,
+                             SolverError, solve, step_index)
 from .evolve_limit import solve_limit
 from .grid_forms import (AssemblyError, LimitField, assemble, assemble_limit,
-                         ProductTest, b_form, build_grid, l2_norm_x,
+                         ProductTest, b_form, build_grid, check_grid, l2_norm_x,
                          node_functional,
                          nonlinear_observable, nonlinear_observable_limit,
                          nonlinear_observables, pair_limit, pair_measure)
@@ -26,10 +26,10 @@ from .quadrature import QuadratureError
 from .transition import k_eps, lift, limit_rate, q_eps
 
 __all__ = [
-    "StudyConfig", "EpsRow", "ConvergenceReport", "traces", "cutoff_bump",
+    "Config", "EpsRow", "ConvergenceReport", "traces", "cutoff_bump",
     "cutoff_average", "cutoff_mass", "gamma_limsup_check", "LimsupTable",
-    "run_ladder_study", "ConfigError", "check_study", "check_eps",
-    "check_times", "REGIMES",
+    "run_ladder_study", "ConfigError", "check_study", "check_times",
+    "profile_from_config", "REGIMES",
     "nonlinear_observable", "nonlinear_observable_limit", "pair_measure",
     "fiber_bound_margin", "gradient_bound_margin", "xi_flatness",
     "default_test_functions", "MONOTONE_FLOOR",
@@ -165,13 +165,28 @@ class ConfigError(ValueError):
     """A configuration breaks a rule; the message starts with its field."""
 
 
-def check_eps(field, eps):
-    """Reject a scale outside [EPS_FLOOR, EPS_CEIL]."""
-    if not gibbs.EPS_FLOOR <= eps <= gibbs.EPS_CEIL:
-        raise ConfigError(
-            f"{field}: {eps} outside [{gibbs.EPS_FLOOR}, {gibbs.EPS_CEIL}] "
-            "(double-precision floor: the barrier weight exp(-1/eps) "
-            "drowns in roundoff during form assembly below it)")
+def _rule(field, check, *args):
+    """``check(*args)``, its ValueError raised as a ConfigError on ``field``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from None
+
+
+def _number(field, value):
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    return x
+
+
+def _numbers(field, value):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{field}: expected a list, got {value!r}")
+    return tuple(_number(field, v) for v in value)
 
 
 def check_times(field, times, dt, t_final):
@@ -180,24 +195,23 @@ def check_times(field, times, dt, t_final):
     step of an earlier time."""
     steps = set()
     for t in times:
-        q = t / dt
-        if not (t <= t_final + 1e-12 and 0.5 < q < math.inf
-                and abs(round(q) * dt - t) <= 1e-9 * max(t, 1.0)):
+        n = step_index(t, dt)
+        if n is None or n < 1 or not t <= t_final + 1e-12:
             raise ConfigError(f"{field}: {t!r} is not a positive multiple of "
                               f"dt = {dt!r} up to t_final = {t_final!r}")
-        if round(q) in steps:
+        if n in steps:
             raise ConfigError(f"{field}: {t!r} repeats an earlier time")
-        steps.add(round(q))
+        steps.add(n)
 
 
-def check_study(ladder, dt, t_final, times, scheme, regime, min_rungs=2):
+def check_study(ladder, dt, t_final, times, scheme, regime):
     """Raise ``ConfigError("<field>: ...")`` for the first rule a study
-    breaks, before any work starts; a ladder needs ``min_rungs`` scales."""
-    if len(ladder) < min_rungs or any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("ladder: must be strictly decreasing with at least "
-                          f"{min_rungs} entries, got {list(ladder)}")
+    breaks, before any work starts."""
+    if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError("ladder: must be nonempty and strictly decreasing, "
+                          f"got {list(ladder)}")
     for eps in ladder:
-        check_eps("ladder", eps)
+        _rule("ladder", gibbs.check_scale, eps)
     if not 0.0 < dt < math.inf:
         raise ConfigError(f"dt: must be finite and positive, got {dt!r}")
     check_times("t_final", (t_final,), dt, t_final)
@@ -208,29 +222,134 @@ def check_study(ladder, dt, t_final, times, scheme, regime, min_rungs=2):
         raise ConfigError(f"regime: must be one of {REGIMES}, got {regime!r}")
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    """Ladder study setup; defaults match the desk-scale certification runs."""
+_U0_KEYS = {"constant": {"value"}, "cosine": {"offset", "amplitude", "mode"},
+            "tabulated": {"x", "values"}}
 
-    profile: EnthalpyProfile
+
+def _u0_callable(u0, side):
+    """The initial density of one well, x -> u, from its spec in ``u0``;
+    every violation of the spec format is a ConfigError."""
+    path, spec = f"u0.{side}", u0.get(side)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: expected an object, got {spec!r}")
+    kind = spec.get("kind")
+    if kind not in tuple(_U0_KEYS):
+        raise ConfigError(
+            f"{path}.kind: must be one of {tuple(_U0_KEYS)}, got {kind!r}")
+    unknown = set(spec) - _U0_KEYS[kind] - {"kind"}
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    if kind == "tabulated":
+        xs = np.array(_numbers(f"{path}.x", spec.get("x")))
+        vs = np.array(_numbers(f"{path}.values", spec.get("values")))
+        if not xs.size or xs.shape != vs.shape:
+            raise ConfigError(
+                f"{path}: 'x' and 'values' must be equal-length, nonempty")
+        if np.any(np.diff(xs) <= 0.0):
+            raise ConfigError(f"{path}.x: must be strictly increasing")
+        return lambda x: np.interp(np.asarray(x, dtype=float), xs, vs)
+    c = {key: _number(f"{path}.{key}", spec[key])
+         for key in _U0_KEYS[kind] & set(spec)}
+    if kind == "constant":
+        value = c.get("value", 0.0)
+        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
+    off, amp = c.get("offset", 0.0), c.get("amplitude", 1.0)
+    mode = c.get("mode", 1.0)
+    if not mode.is_integer():
+        raise ConfigError(f"{path}.mode: must be an integer, got {mode!r}")
+    mode = int(mode)
+    return lambda x: off + amp * np.cos(mode * np.pi * np.asarray(x, dtype=float))
+
+
+@dataclass(frozen=True)
+class Config:
+    """A study and its single runs, with documented defaults. Construction
+    coerces the numbers and checks every rule but the profile's
+    admissibility (:func:`profile_from_config`), raising
+    ``ConfigError("<field path>: ...")`` for the first one broken."""
+
+    profile: dict = dataclasses.field(
+        default_factory=lambda: {"name": "quartic"})
+    skew_gap: float = 0.0
     ladder: tuple = (0.2, 0.1, 0.05)
+    eps: float = 0.1            # single-run scale for `simulate`
     nx: int = 129
     nxi: int = 161
+    grading: str = "three_zone"
+    quad_order: int = 4
     dt: float = 1e-3
     t_final: float = 1.0
     times: tuple = (0.1, 0.5, 1.0)
     scheme: str = "CN_rannacher"
     regime: str = "critical"
-    quad_order: int = 4
-    u0_minus: Callable = staticmethod(lambda x: np.cos(np.pi * x))
-    u0_plus: Callable = staticmethod(lambda x: 1.0 + np.cos(np.pi * x))
-    grading: str = "three_zone"
+    rate: float | None = None   # manual override for `limit`; None = from profile
+    u0: dict = dataclasses.field(default_factory=lambda: {
+        "minus": {"kind": "cosine", "offset": 0.0, "amplitude": 1.0, "mode": 1},
+        "plus": {"kind": "cosine", "offset": 1.0, "amplitude": 1.0, "mode": 1},
+    })
+    out: str = "out"
 
     def __post_init__(self):
-        object.__setattr__(self, "ladder", tuple(float(e) for e in self.ladder))
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        prof = self.profile
+        if isinstance(prof, str):
+            prof = {"name": prof}
+        if not isinstance(prof, dict) or not ({"name"} >= set(prof) or
+                                              {"coeffs"} >= set(prof)):
+            raise ConfigError(
+                "profile: expected {'name': ...} or {'coeffs': [...]}")
+        if "name" in prof and prof["name"] != "quartic":
+            raise ConfigError(f"profile.name: unknown profile {prof['name']!r}")
+        if "coeffs" in prof:
+            _numbers("profile.coeffs", prof["coeffs"])
+        put("profile", prof)
+        for name in ("ladder", "times"):
+            put(name, _numbers(name, getattr(self, name)))
+        for name in ("eps", "dt", "t_final", "skew_gap"):
+            put(name, _number(name, getattr(self, name)))
         check_study(self.ladder, self.dt, self.t_final, self.times,
                     self.scheme, self.regime)
+        _rule("eps", gibbs.check_scale, self.eps)
+        try:
+            # each grid rule names its parameter, which is the field
+            check_grid(self.nx, self.nxi, self.grading, self.quad_order)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.rate is not None:
+            put("rate", _number("rate", self.rate))
+            if self.rate < 0.0:
+                raise ConfigError("rate: must be nonnegative or null")
+        if not isinstance(self.u0, dict) or set(self.u0) - {"minus", "plus"}:
+            raise ConfigError("u0: expected {'minus': {...}, 'plus': {...}}")
+        for side in ("minus", "plus"):
+            _u0_callable(self.u0, side)
+        put("out", str(self.out))
+
+    def initial_pair(self, x):
+        """The initial well densities (u_minus, u_plus) at the nodes ``x``."""
+        return tuple(_u0_callable(self.u0, side)(x)
+                     for side in ("minus", "plus"))
+
+    def to_dict(self):
+        d = dataclasses.asdict(self)
+        d["ladder"] = list(self.ladder)
+        d["times"] = list(self.times)
+        return d
+
+
+def profile_from_config(cfg):
+    """The enthalpy profile of ``cfg``, after the admissibility check."""
+    if "coeffs" in cfg.profile:
+        prof = from_coefficients(cfg.profile["coeffs"])
+    else:
+        prof = quartic_default()
+    bad = validate(prof, 1001)
+    if bad:
+        raise ConfigError("profile violates the double-well assumptions: "
+                          + "; ".join(bad))
+    return prof
 
 
 @dataclass
@@ -326,7 +445,7 @@ def _limit_reference(cfg, x, k, um0, up0):
     tests, observables = default_test_functions(), _snapshot_observables()
     for t in cfg.times:
         w = ltraj.snapshot_at(t)
-        n = round(t / cfg.dt)
+        n = step_index(t, cfg.dt)
         values["b"][t] = float(ltraj.b[n])
         values["a"][t] = float(ltraj.a[n])
         values["gap"][t] = l2_norm_x(lforms.M_x, w.u_plus - w.u_minus)
@@ -339,15 +458,15 @@ def _limit_reference(cfg, x, k, um0, up0):
     return lforms, ltraj, values
 
 
-def _rung(cfg, grid, limit, um0, up0, eps):
+def _rung(cfg, profile, grid, limit, um0, up0, eps):
     """One rung: assemble -> lift -> integrate -> diagnose. A failed
     sub-solve aborts this rung only, returning (eps, reason) for the row."""
     try:
         shift = {"critical": 0.0, "sub": math.log(eps),
                  "super": -math.log(eps)}[cfg.regime]
-        forms = assemble(grid, cfg.profile, eps, log_tau_shift=shift)
+        forms = assemble(grid, profile, eps, log_tau_shift=shift)
         rate = k_eps(forms.measure)
-        u0 = lift(um0, up0, cfg.profile, eps, grid)
+        u0 = lift(um0, up0, profile, eps, grid)
         traj = solve(forms, u0, cfg.t_final, cfg.dt, scheme=cfg.scheme,
                      snapshot_times=(0.0,) + cfg.times)
         return _diagnose(cfg, limit, forms, traj, rate,
@@ -358,7 +477,7 @@ def _rung(cfg, grid, limit, um0, up0, eps):
 
 def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
     """The rung's row, each snapshot measured against the limit; b, a1 and
-    a2 at t are the trajectory's record at step round(t / dt)."""
+    a2 at t are the trajectory's record at the step of t."""
     lforms, ltraj, lv = limit
     eps = forms.eps
     row = EpsRow(eps=eps, rate=rate,
@@ -382,7 +501,7 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
                 + l2_norm_x(lforms.M_x, tr.u_plus - lw.u_plus) ** 2)
         row.trace_err[t] = math.sqrt(err2)
         row.gap_norm[t] = l2_norm_x(lforms.M_x, tr.u_plus - tr.u_minus)
-        n = round(t / cfg.dt)
+        n = step_index(t, cfg.dt)
         b, a1, a2 = float(traj.b[n]), float(traj.a1[n]), float(traj.a2[n])
         row.b_vals[t] = (b, lv["b"][t], abs(b - lv["b"][t]))
         row.a_vals[t] = (a1 + a2, lv["a"][t], abs(a1 + a2 - lv["a"][t]))
@@ -429,9 +548,11 @@ def _certificates(cfg, rows, row_errors):
                                 for m in r.fiber_margin.values())
     checks["jensen_bound"] = all(m >= -1e-8 for r in rows
                                  for m in r.jensen_margin.values())
-    checks["mass_conserved"] = all(r.mass_drift <= 1e-10 for r in rows)
+    checks["mass_conserved"] = all(r.mass_drift <= MASS_DRIFT_BOUND
+                                   for r in rows)
+    b0 = rows[0].b_vals[cfg.times[0]][0]
     checks["energy_identity"] = all(
-        r.energy_residual_max <= 1e-9 * max(1.0, rows[0].b_vals[cfg.times[0]][0])
+        r.energy_residual_max <= ENERGY_RESIDUAL_BOUND * max(1.0, b0)
         for r in rows)
     if cfg.regime == "sub":
         checks["effective_rate_scaling"] = all(
@@ -448,18 +569,22 @@ def _certificates(cfg, rows, row_errors):
 
 
 def run_ladder_study(cfg):
-    """Run the full ladder and assemble the report with its certificates:
-    the limit reference first, then one rung per eps in ladder order, then
-    the certificates."""
+    """Run the full ladder of the :class:`Config` and assemble the report
+    with its certificates: the limit reference first, then one rung per eps
+    in ladder order, then the certificates. A study needs two rungs."""
+    if len(cfg.ladder) < 2:
+        raise ConfigError("ladder: a convergence study needs at least 2 "
+                          f"scales, got {list(cfg.ladder)}")
+    profile = profile_from_config(cfg)
     grid = build_grid(cfg.nx, cfg.nxi, grading=cfg.grading,
                       quad_order=cfg.quad_order)
     x = grid.x_nodes
-    k = limit_rate(cfg.profile)
-    um0 = np.asarray(cfg.u0_minus(x), dtype=float)
-    up0 = np.asarray(cfg.u0_plus(x), dtype=float)
+    k = limit_rate(profile)
+    um0, up0 = cfg.initial_pair(x)
     limit = _limit_reference(cfg, x, k, um0, up0)
 
-    outcomes = [_rung(cfg, grid, limit, um0, up0, eps) for eps in cfg.ladder]
+    outcomes = [_rung(cfg, profile, grid, limit, um0, up0, eps)
+                for eps in cfg.ladder]
     rows = [o for o in outcomes if isinstance(o, EpsRow)]
     row_errors = {o[0]: o[1] for o in outcomes if not isinstance(o, EpsRow)}
     return ConvergenceReport(regime=cfg.regime, ladder=cfg.ladder,

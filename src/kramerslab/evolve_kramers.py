@@ -221,6 +221,14 @@ class LinearSolver:
 SCHEMES = ("CN_rannacher", "BE")
 
 
+def step_index(t, dt):
+    """The step round(t / dt) on which the time ``t`` falls, or None if
+    ``t`` is not a whole number of steps ``dt`` to 1e-9 relative."""
+    q = t / dt
+    n = int(round(q)) if np.isfinite(q) else np.nan
+    return n if abs(n * dt - t) <= 1e-9 * max(abs(t), 1.0) else None
+
+
 def theta_plan(T, dt, scheme, make_solver):
     """Pre-factorized sub-step plan covering [0, T] in steps of ``dt``.
 
@@ -232,8 +240,8 @@ def theta_plan(T, dt, scheme, make_solver):
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    n_steps = int(round(T / dt))
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+    n_steps = step_index(T, dt)
+    if n_steps is None or n_steps < 1:
         raise ValueError(f"T = {T!r} is not a positive multiple of dt = {dt!r}")
 
     if scheme == "CN_rannacher":
@@ -277,8 +285,9 @@ class Trajectory:
         return self.a1 + self.a2
 
     def snapshot_at(self, t):
+        n = step_index(t, self.dt)
         for ts, state in self.snapshots:
-            if abs(ts - t) <= 1e-9 * max(abs(t), 1.0):
+            if n is not None and step_index(ts, self.dt) == n:
                 return state
         raise KeyError(f"no snapshot stored at t = {t!r}")
 
@@ -305,8 +314,8 @@ def _certify_step(where, step, t, drift, residual, theta, b0):
 def _snapshot_steps(snapshot_times, dt, n_steps):
     steps = {}
     for t in snapshot_times:
-        k = int(round(t / dt))
-        if abs(k * dt - t) > 1e-9 * max(abs(t), 1.0) or not 0 <= k <= n_steps:
+        k = step_index(t, dt)
+        if k is None or not 0 <= k <= n_steps:
             raise ValueError(
                 f"snapshot time {t!r} is not a step multiple within [0, T]")
         steps[k] = t

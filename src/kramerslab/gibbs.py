@@ -19,7 +19,7 @@ from .enthalpy import EnthalpyProfile
 from .quadrature import adaptive_integral
 
 __all__ = [
-    "EPS_FLOOR", "EPS_CEIL", "GibbsMeasure", "log_partition",
+    "EPS_FLOOR", "EPS_CEIL", "check_scale", "GibbsMeasure", "log_partition",
     "log_barrier_integral", "log_tau", "tau", "laplace_z", "log_laplace_i",
     "laplace_i_shifted",
 ]
@@ -29,6 +29,14 @@ __all__ = [
 # entries; below that the stiffness loses the barrier region entirely.
 EPS_FLOOR = 0.02
 EPS_CEIL = 1.0
+
+
+def check_scale(eps):
+    """Reject a scale outside the working range [EPS_FLOOR, EPS_CEIL]."""
+    if not EPS_FLOOR <= eps <= EPS_CEIL:
+        raise ValueError(f"eps = {eps!r} outside [{EPS_FLOOR}, {EPS_CEIL}]: "
+                         "below the floor the barrier weight exp(-1/eps) "
+                         "drowns in roundoff during form assembly")
 
 
 def _check_eps(eps):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +26,7 @@ __all__ = [
     "assemble_limit", "assemble_limit_rates", "b_form", "pair_measure",
     "pair_limit", "nonlinear_observable", "nonlinear_observables",
     "nonlinear_observable_limit", "paired", "ProductTest", "mass_matrix_1d",
-    "stiffness_matrix_1d", "node_functional", "l2_norm_x",
+    "stiffness_matrix_1d", "node_functional", "l2_norm_x", "check_grid",
 ]
 
 
@@ -60,6 +61,38 @@ def graded_nodes(n, delta=0.2, power=2.0, fractions=(0.35, 0.30, 0.35)):
     return np.concatenate([-half[::-1], half[1:]])
 
 
+def _whole(n, least):
+    """Whether ``n`` is an integer, not a bool, of at least ``least``."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) \
+        and n >= least
+
+
+def _check_quad_order(quad_order):
+    # the 1-point rule makes every cell's 2x2 mass block rank one
+    if not _whole(quad_order, 2):
+        raise ValueError(
+            f"quad_order: must be an integer >= 2, got {quad_order!r}")
+
+
+def check_grid(nx, nxi, grading, quad_order):
+    """Raise ValueError("<parameter>: ...") for the first grid rule that
+    the arguments of :func:`build_grid` break: ``nx`` and ``nxi`` are
+    integers >= 4, ``nxi`` is odd so that the saddle xi = 0 is a node, the
+    grading is known and the panel rule has at least 2 points."""
+    for name, n in (("nx", nx), ("nxi", nxi)):
+        if not _whole(n, 4):
+            raise ValueError(f"{name}: must be an integer >= 4, got {n!r}")
+    if nxi % 2 == 0:
+        raise ValueError("nxi: must be odd so that xi = 0 is a node")
+    if grading not in ("three_zone", "uniform"):
+        raise ValueError(f"grading: unknown grading {grading!r}")
+    # the least count with a cell in each zone of graded_nodes
+    if grading == "three_zone" and nxi < 11:
+        raise ValueError(f"nxi: the three-zone grading needs at least 11 "
+                         f"nodes, got {nxi}")
+    _check_quad_order(quad_order)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Tensor grid: x-nodes on [0, 1], reaction-coordinate nodes on [-1, 1]."""
@@ -83,8 +116,7 @@ class Grid:
             raise ValueError("xi-nodes must span [-1, 1] exactly")
         if not np.any(xi == 0.0):
             raise ValueError("xi = 0 must be a node")
-        if self.quad_order < 1:
-            raise ValueError("quad_order must be at least 1")
+        _check_quad_order(self.quad_order)
 
     @property
     def nx(self):
@@ -97,22 +129,15 @@ class Grid:
 
 def build_grid(nx, nxi, grading="three_zone", delta=0.2, power=2.0,
                quad_order=4):
-    """Tensor grid with ``nx`` uniform x-nodes and ``nxi`` xi-nodes.
-
-    ``nxi`` must be odd in either grading so that the saddle is a node.
-    """
-    if nx < 4 or nxi < 4:
-        raise ValueError("build_grid needs nx >= 4 and nxi >= 4")
-    if nxi % 2 == 0:
-        raise ValueError("nxi must be odd so that xi = 0 is a node")
+    """Tensor grid with ``nx`` uniform x-nodes and ``nxi`` xi-nodes, after
+    the rules of :func:`check_grid`."""
+    check_grid(nx, nxi, grading, quad_order)
     x = np.linspace(0.0, 1.0, nx)
     if grading == "uniform":
         xi = np.linspace(-1.0, 1.0, nxi)
         xi[(nxi - 1) // 2] = 0.0
-    elif grading == "three_zone":
-        xi = graded_nodes(nxi, delta=delta, power=power)
     else:
-        raise ValueError(f"unknown grading {grading!r}")
+        xi = graded_nodes(nxi, delta=delta, power=power)
     return Grid(x_nodes=x, xi_nodes=xi, quad_order=quad_order)
 
 
@@ -136,9 +161,6 @@ class Field:
     def ravel(self):
         return self.values.reshape(-1)
 
-    def copy(self):
-        return Field(self.values.copy(), self.grid, self.eps)
-
 
 @dataclass
 class LimitField:
@@ -160,9 +182,6 @@ class LimitField:
 
     def stack(self):
         return np.concatenate([self.u_minus, self.u_plus])
-
-    def copy(self):
-        return LimitField(self.u_minus.copy(), self.u_plus.copy(), self.x_nodes)
 
 
 def _weighted_points(nodes, order, log_weight=None):
@@ -323,7 +342,6 @@ class FormMatrices:
     grid: Grid
     measure: gibbs.GibbsMeasure
     log_tau_shift: float = 0.0
-    underflow_cells: tuple = ()
 
     @property
     def eps(self):
@@ -415,12 +433,7 @@ def assemble(grid, profile, eps, log_tau_shift=0.0):
     reaction clock for the off-critical scaling experiments (0 critical,
     log(eps) subcritical, -log(eps) supercritical).
     """
-    if not gibbs.EPS_FLOOR <= eps <= gibbs.EPS_CEIL:
-        raise ValueError(
-            f"eps = {eps!r} outside [{gibbs.EPS_FLOOR}, {gibbs.EPS_CEIL}]: "
-            "below the floor the barrier weight exp(-1/eps) drowns in the "
-            "roundoff of the well entries and the assembled stiffness loses "
-            "the barrier region")
+    gibbs.check_scale(eps)
     order = grid.quad_order
     measure = gibbs.GibbsMeasure.compute(profile, eps)
     h = profile.eval
@@ -437,8 +450,8 @@ def assemble(grid, profile, eps, log_tau_shift=0.0):
     m00, m01, m11, cell_mass = _mass_cells(grid.xi_nodes, order,
                                            log_weight=measure.log_density)
     M_xi = _mass_from_cells(m00, m01, m11)
-    underflow = tuple(int(c) for c in np.nonzero(cell_mass == 0.0)[0])
     if np.any(M_xi.diagonal() <= 0.0):
+        underflow = tuple(int(c) for c in np.nonzero(cell_mass == 0.0)[0])
         raise AssemblyError(
             f"weighted mass lost positive definiteness at eps = {eps}: "
             f"cells {underflow} underflowed to zero")
@@ -449,7 +462,7 @@ def assemble(grid, profile, eps, log_tau_shift=0.0):
 
     return FormMatrices(M_x=M_x, K_x=K_x, M_xi=M_xi, K_xi=K_xi, g_x=g_x,
                         g_xi=g_xi, grid=grid, measure=measure,
-                        log_tau_shift=log_tau_shift, underflow_cells=underflow)
+                        log_tau_shift=log_tau_shift)
 
 
 def _vec(u):

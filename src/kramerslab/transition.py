@@ -36,17 +36,11 @@ class TransitionProfile:
     """Nodal samples of the optimal connecting profile at one eps.
 
     Endpoint values are exactly -1/2 and +1/2; for an even barrier the whole
-    profile is odd. ``log_i_shifted`` is the log of the normalization
-    integral of exp((H-1)/eps) accumulated by the same panel rule.
+    profile is odd.
     """
 
-    eps: float
     xi_nodes: np.ndarray
     values: np.ndarray
-    log_i_shifted: float
-
-    def interp(self, xi):
-        return np.interp(xi, self.xi_nodes, self.values)
 
 
 def transition_profile(profile, eps, xi_nodes=None, panel_order=8):
@@ -77,9 +71,7 @@ def transition_profile(profile, eps, xi_nodes=None, panel_order=8):
     total = cumulative[-1] - cumulative[0]
     if not total > 0.0:
         raise ValueError("degenerate profile: normalization integral vanished")
-    values = cumulative / total
-    return TransitionProfile(eps=eps, xi_nodes=xi_nodes, values=values,
-                             log_i_shifted=math.log(total))
+    return TransitionProfile(xi_nodes=xi_nodes, values=cumulative / total)
 
 
 def k_eps(measure):

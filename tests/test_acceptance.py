@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kramerslab import gibbs
-from kramerslab.convergence import (StudyConfig, gamma_limsup_check,
+from kramerslab.convergence import (Config, gamma_limsup_check,
                                     run_ladder_study)
 from kramerslab.evolve_kramers import solve
 from kramerslab.evolve_limit import homogeneous_pair_solution, solve_limit
@@ -40,25 +40,23 @@ def default_forms(quartic, default_grid):
 
 
 @pytest.fixture(scope="module")
-def critical_report(quartic):
+def critical_report():
     t0 = time.perf_counter()
-    report = run_ladder_study(StudyConfig(profile=quartic, ladder=LADDER))
+    report = run_ladder_study(Config(ladder=LADDER))
     report.elapsed = time.perf_counter() - t0
     return report
 
 
 @pytest.fixture(scope="module")
-def sub_report(quartic):
-    return run_ladder_study(StudyConfig(profile=quartic, ladder=LADDER,
-                                        regime="sub", t_final=0.5,
-                                        times=(0.1, 0.5)))
+def sub_report():
+    return run_ladder_study(Config(ladder=LADDER, regime="sub",
+                                   t_final=0.5, times=(0.1, 0.5)))
 
 
 @pytest.fixture(scope="module")
-def super_report(quartic):
-    return run_ladder_study(StudyConfig(profile=quartic, ladder=LADDER,
-                                        regime="super", t_final=0.5,
-                                        times=(0.1, 0.5)))
+def super_report():
+    return run_ladder_study(Config(ladder=LADDER, regime="super",
+                                   t_final=0.5, times=(0.1, 0.5)))
 
 
 def test_criterion_01_rate_asymptotics(quartic):

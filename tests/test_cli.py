@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from kramerslab import cli
 from kramerslab.cli import (Config, ConfigError, config_from_dict, main,
                             parse_config)
-from kramerslab.convergence import StudyConfig
 from kramerslab.evolve_kramers import SolverError
 
 MINI = {
@@ -289,10 +288,17 @@ _SMALL = ["--nx", "9", "--dt", "0.01", "--T", "0.1"]
     (["limit", *_SMALL], {"u0": {"minus": {"kind": ["x"]}, "plus": _CONST}}),
     (["rates"], {"profile": {"coeffs": [1.0, "a"]}}),
     (["rates", "--ladder", "0.2"], [1]),
+    (["simulate", "--nx", "17", "--nxi", "21", "--T", "0.01", "--dt", "0.01",
+      "--quad-order", "1"], None),
+    (["simulate", *_SMALL], {"quad_order": True}),
+    (["rates"], {"ladder": [True, 0.5]}),
+    (["simulate", "--nxi", "9", *_SMALL], None),
 ], ids=["k-inf", "skew-nan", "skew-overflow", "T-inf", "ladder-scalar",
         "dt-string", "cosine-mode", "u0-one-value", "tabulated-x-decreasing",
         "snapshot-off-step", "T-off-step", "ladder-text", "times-repeated",
-        "u0-kind-list", "profile-coeffs", "config-root-list"])
+        "u0-kind-list", "profile-coeffs", "config-root-list",
+        "quad-order-one", "quad-order-bool", "ladder-bool",
+        "nxi-three-zone-too-few"])
 def test_malformed_input_is_a_config_error(argv, config, tmp_path, capsys):
     out = tmp_path / "out"
     if config is not None:
@@ -318,9 +324,9 @@ def test_malformed_input_is_a_config_error(argv, config, tmp_path, capsys):
 ], ids=["time-off-step", "scheme", "dt-negative", "t_final-inf",
         "t_final-off-step", "ladder-increasing", "eps-below-floor",
         "times-repeated"])
-def test_study_and_cli_configs_reject_the_same_studies(bad, quartic):
+def test_study_and_cli_configs_reject_the_same_studies(bad):
     study = {**MINI, "ladder": (0.2, 0.1), "times": (0.1,), **bad}
-    with pytest.raises(ValueError):
-        StudyConfig(profile=quartic, **study)
+    with pytest.raises(ConfigError):
+        Config(**study)
     with pytest.raises(ConfigError):
         config_from_dict(study)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kramerslab import gibbs
-from kramerslab.convergence import (StudyConfig, _snapshot_observables,
+from kramerslab.convergence import (Config, _snapshot_observables,
                                     cutoff_average, cutoff_bump,
                                     cutoff_mass, default_test_functions,
                                     fiber_bound_margin,
@@ -27,8 +27,8 @@ MINI = dict(ladder=(0.2, 0.1), nx=33, nxi=41, dt=5e-3, t_final=0.5,
 
 
 @pytest.fixture(scope="module")
-def mini_report(quartic):
-    return run_ladder_study(StudyConfig(profile=quartic, **MINI))
+def mini_report():
+    return run_ladder_study(Config(**MINI))
 
 
 def test_traces_of_lift_are_inputs(quartic):
@@ -144,17 +144,16 @@ def test_report_serializes(mini_report):
     json.dumps(d)
 
 
-def test_critical_study_overrides_regime(quartic, mini_report):
-    cfg = StudyConfig(profile=quartic, regime="super", **MINI)
+def test_critical_study_overrides_regime(mini_report):
+    cfg = Config(regime="super", **MINI)
     rep = run_ladder_study(dataclasses.replace(cfg, regime="critical"))
     assert rep.regime == "critical"
     assert rep.to_dict() == mini_report.to_dict()
 
 
-def test_constant_data_is_exact(quartic):
-    cfg = StudyConfig(profile=quartic,
-                      u0_minus=lambda x: np.full_like(x, 0.8),
-                      u0_plus=lambda x: np.full_like(x, 0.8), **MINI)
+def test_constant_data_is_exact():
+    constant = {"kind": "constant", "value": 0.8}
+    cfg = Config(u0={"minus": constant, "plus": constant}, **MINI)
     rep = run_ladder_study(cfg)
     for row in rep.rows:
         for t in MINI["times"]:
@@ -220,8 +219,8 @@ def test_flatness_of_lift_decreases(quartic):
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_sub_regime_scaling(quartic):
-    rep = run_ladder_study(StudyConfig(profile=quartic, regime="sub", **MINI))
+def test_sub_regime_scaling():
+    rep = run_ladder_study(Config(regime="sub", **MINI))
     assert rep.regime == "sub"
     for row in rep.rows:
         assert row.rate_effective == pytest.approx(row.eps * row.rate,
@@ -232,8 +231,8 @@ def test_sub_regime_scaling(quartic):
     assert failures == []
 
 
-def test_super_regime_gap_shrinks(quartic):
-    rep = run_ladder_study(StudyConfig(profile=quartic, regime="super", **MINI))
+def test_super_regime_gap_shrinks():
+    rep = run_ladder_study(Config(regime="super", **MINI))
     assert rep.regime == "super"
     for t in MINI["times"]:
         gaps = [r.gap_norm[t] for r in rep.rows]
@@ -243,16 +242,15 @@ def test_super_regime_gap_shrinks(quartic):
     assert failures == []
 
 
-def test_regime_validation(quartic):
+def test_regime_validation():
     with pytest.raises(ValueError):
-        dataclasses.replace(StudyConfig(profile=quartic, **MINI),
-                            regime="weird")
+        dataclasses.replace(Config(**MINI), regime="weird")
     with pytest.raises(ValueError):
-        StudyConfig(profile=quartic, ladder=(0.1, 0.2), nx=17, nxi=21,
-                    dt=5e-3, t_final=0.1, times=(0.1,))
+        Config(ladder=(0.1, 0.2), nx=17, nxi=21, dt=5e-3, t_final=0.1,
+               times=(0.1,))
     with pytest.raises(ValueError):
-        StudyConfig(profile=quartic, ladder=(0.2, 0.001), nx=17, nxi=21,
-                    dt=5e-3, t_final=0.1, times=(0.1,))
+        Config(ladder=(0.2, 0.001), nx=17, nxi=21, dt=5e-3, t_final=0.1,
+               times=(0.1,))
 
 
 def test_initial_pairing_matches_recovery_objects(quartic):
@@ -306,7 +304,7 @@ def test_product_pairings_match_the_generic_path(snapshots):
         assert abs(pair_limit(limit, test) - generic) <= 1e-14 * scale
 
 
-def test_failed_rung_is_recorded(quartic, monkeypatch):
+def test_failed_rung_is_recorded(monkeypatch):
     import kramerslab.convergence as conv
     from kramerslab.evolve_kramers import SolverError
     real_solve = conv.solve
@@ -317,8 +315,8 @@ def test_failed_rung_is_recorded(quartic, monkeypatch):
         return real_solve(forms, *args, **kw)
 
     monkeypatch.setattr(conv, "solve", flaky)
-    cfg = StudyConfig(profile=quartic, ladder=(0.2, 0.1), nx=17, nxi=21,
-                      dt=1e-2, t_final=0.1, times=(0.1,))
+    cfg = Config(ladder=(0.2, 0.1), nx=17, nxi=21, dt=1e-2, t_final=0.1,
+                 times=(0.1,))
     rep = run_ladder_study(cfg)
     assert [r.eps for r in rep.rows] == [0.2]
     assert set(rep.row_errors) == {0.1}

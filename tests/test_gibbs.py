@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kramerslab import cli, gibbs
-from kramerslab.convergence import StudyConfig, run_ladder_study
+from kramerslab.convergence import Config, run_ladder_study
 from kramerslab.enthalpy import EnthalpyProfile
 from kramerslab.quadrature import QuadratureError, adaptive_integral
 from kramerslab.transition import k_eps, q_eps
@@ -152,7 +152,7 @@ def test_measure_matches_the_inline_formulas_bitwise(quartic, eps):
     assert q_eps(gm) == q
 
 
-def test_each_scale_integrates_log_z_once(quartic, monkeypatch, tmp_path):
+def test_each_scale_integrates_log_z_once(monkeypatch, tmp_path):
     calls = dict.fromkeys(("log_partition", "log_barrier_integral",
                            "adaptive_integral"), 0)
     for name in calls:
@@ -160,9 +160,8 @@ def test_each_scale_integrates_log_z_once(quartic, monkeypatch, tmp_path):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(gibbs, name, counted)
-    report = run_ladder_study(StudyConfig(
-        profile=quartic, ladder=LADDER, nx=17, nxi=21, dt=0.01,
-        t_final=0.02, times=(0.02,)))
+    report = run_ladder_study(Config(
+        ladder=LADDER, nx=17, nxi=21, dt=0.01, t_final=0.02, times=(0.02,)))
     assert len(report.rows) == 3
     assert calls["log_partition"] == 3
     # ``rates``: Z_eps and the barrier integral once each per scale
