@@ -19,7 +19,8 @@ import numpy as np
 
 from . import gibbs
 from .convergence import (REGIMES, Config, ConfigError, _number, check_times,
-                          profile_from_config, run_ladder_study)
+                          profile_from_config, run_ladder_study,
+                          within_horizon)
 from .evolve_kramers import SCHEMES, SolverError, solve
 from .evolve_limit import solve_limit
 # assemble_limit is unused here but stays a name of this module:
@@ -44,7 +45,7 @@ def config_from_dict(data):
     if "times" not in data:
         t_final = _number("t_final", data.get("t_final", Config.t_final))
         data = {**data, "times": [t for t in Config.times
-                                  if t <= t_final + 1e-12] or [t_final]}
+                                  if within_horizon(t, t_final)] or [t_final]}
     return Config(**data)
 
 

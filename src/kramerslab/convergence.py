@@ -19,7 +19,6 @@ from .evolve_kramers import (ENERGY_RESIDUAL_BOUND, MASS_DRIFT_BOUND, SCHEMES,
 from .evolve_limit import solve_limit
 from .grid_forms import (AssemblyError, LimitField, assemble, assemble_limit,
                          ProductTest, b_form, build_grid, check_grid, l2_norm_x,
-                         node_functional,
                          nonlinear_observable, nonlinear_observable_limit,
                          nonlinear_observables, pair_limit, pair_measure)
 from .quadrature import QuadratureError
@@ -29,7 +28,7 @@ __all__ = [
     "Config", "EpsRow", "ConvergenceReport", "traces", "cutoff_bump",
     "cutoff_average", "cutoff_mass", "gamma_limsup_check", "LimsupTable",
     "run_ladder_study", "ConfigError", "check_study", "check_times",
-    "profile_from_config", "REGIMES",
+    "profile_from_config", "REGIMES", "within_horizon",
     "nonlinear_observable", "nonlinear_observable_limit", "pair_measure",
     "fiber_bound_margin", "gradient_bound_margin", "xi_flatness",
     "default_test_functions", "MONOTONE_FLOOR",
@@ -69,7 +68,7 @@ def _cutoff_weights(grid, measure, side):
     def fn(xi):
         return cutoff_bump(xi, side) * measure.density(xi)
 
-    return node_functional(grid.xi_nodes, fn, grid.quad_order)
+    return grid.xi_rule.functional(fn)
 
 
 def cutoff_mass(measure, grid, side="-"):
@@ -189,6 +188,12 @@ def _numbers(field, value):
     return tuple(_number(field, v) for v in value)
 
 
+def within_horizon(t, t_final):
+    """Whether the time ``t`` lies at or before ``t_final``, to the
+    tolerance of the integrator's plan."""
+    return t <= t_final + 1e-12
+
+
 def check_times(field, times, dt, t_final):
     """Reject a time that is not a positive whole number of steps dt within
     t_final, to the tolerance of the integrator's plan, or that falls on the
@@ -196,7 +201,7 @@ def check_times(field, times, dt, t_final):
     steps = set()
     for t in times:
         n = step_index(t, dt)
-        if n is None or n < 1 or not t <= t_final + 1e-12:
+        if n is None or n < 1 or not within_horizon(t, t_final):
             raise ConfigError(f"{field}: {t!r} is not a positive multiple of "
                               f"dt = {dt!r} up to t_final = {t_final!r}")
         if n in steps:

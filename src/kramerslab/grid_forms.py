@@ -18,15 +18,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import gibbs
-from .quadrature import gauss_rule, panel_points
+from .quadrature import PanelRule, check_quad_order
 
 __all__ = [
     "AssemblyError", "Grid", "Field", "LimitField", "FormMatrices",
     "LimitFormMatrices", "Stencil", "graded_nodes", "build_grid", "assemble",
     "assemble_limit", "assemble_limit_rates", "b_form", "pair_measure",
     "pair_limit", "nonlinear_observable", "nonlinear_observables",
-    "nonlinear_observable_limit", "paired", "ProductTest", "mass_matrix_1d",
-    "stiffness_matrix_1d", "node_functional", "l2_norm_x", "check_grid",
+    "nonlinear_observable_limit", "paired", "ProductTest", "l2_norm_x",
+    "check_grid",
 ]
 
 
@@ -67,13 +67,6 @@ def _whole(n, least):
         and n >= least
 
 
-def _check_quad_order(quad_order):
-    # the 1-point rule makes every cell's 2x2 mass block rank one
-    if not _whole(quad_order, 2):
-        raise ValueError(
-            f"quad_order: must be an integer >= 2, got {quad_order!r}")
-
-
 def check_grid(nx, nxi, grading, quad_order):
     """Raise ValueError("<parameter>: ...") for the first grid rule that
     the arguments of :func:`build_grid` break: ``nx`` and ``nxi`` are
@@ -90,7 +83,7 @@ def check_grid(nx, nxi, grading, quad_order):
     if grading == "three_zone" and nxi < 11:
         raise ValueError(f"nxi: the three-zone grading needs at least 11 "
                          f"nodes, got {nxi}")
-    _check_quad_order(quad_order)
+    check_quad_order(quad_order)
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,17 @@ class Grid:
             raise ValueError("xi-nodes must span [-1, 1] exactly")
         if not np.any(xi == 0.0):
             raise ValueError("xi = 0 must be a node")
-        _check_quad_order(self.quad_order)
+        check_quad_order(self.quad_order)
+
+    @functools.cached_property
+    def x_rule(self):
+        """The panel rule of the x-partition, built on first use."""
+        return PanelRule(self.x_nodes, self.quad_order)
+
+    @functools.cached_property
+    def xi_rule(self):
+        """The panel rule of the xi-partition, built on first use."""
+        return PanelRule(self.xi_nodes, self.quad_order)
 
     @property
     def nx(self):
@@ -127,8 +130,7 @@ class Grid:
         return len(self.xi_nodes)
 
 
-def build_grid(nx, nxi, grading="three_zone", delta=0.2, power=2.0,
-               quad_order=4):
+def build_grid(nx, nxi, grading="three_zone", quad_order=4):
     """Tensor grid with ``nx`` uniform x-nodes and ``nxi`` xi-nodes, after
     the rules of :func:`check_grid`."""
     check_grid(nx, nxi, grading, quad_order)
@@ -137,7 +139,7 @@ def build_grid(nx, nxi, grading="three_zone", delta=0.2, power=2.0,
         xi = np.linspace(-1.0, 1.0, nxi)
         xi[(nxi - 1) // 2] = 0.0
     else:
-        xi = graded_nodes(nxi, delta=delta, power=power)
+        xi = graded_nodes(nxi)
     return Grid(x_nodes=x, xi_nodes=xi, quad_order=quad_order)
 
 
@@ -184,66 +186,38 @@ class LimitField:
         return np.concatenate([self.u_minus, self.u_plus])
 
 
-def _weighted_points(nodes, order, log_weight=None):
-    """Panel Gauss weights, times exp(``log_weight``) sampled at the panel
-    Gauss points if given; shape (ncells, order)."""
-    pts, wts = panel_points(nodes, order)
-    if log_weight is not None:
-        return wts * np.exp(log_weight(pts))
-    return wts
+def _chain(off, lower, upper):
+    """Tridiagonal matrix with off-diagonal ``off`` whose diagonal sums each
+    cell's ``lower`` entry into its lower node and ``upper`` into its upper
+    node."""
+    diag = np.zeros(len(off) + 1)
+    diag[:-1] += lower
+    diag[1:] += upper
+    return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
 
 
-def _mass_cells(nodes, order, log_weight=None):
-    """Per-cell 2x2 hat-function mass blocks (m00, m01, m11) and cell masses."""
-    wq = _weighted_points(nodes, order, log_weight)
-    g, _ = gauss_rule(order)
-    s = 0.5 * (1.0 + g)
-    n0 = 1.0 - s
-    m00 = wq @ (n0 * n0)
-    m01 = wq @ (n0 * s)
-    m11 = wq @ (s * s)
-    return m00, m01, m11, wq.sum(axis=1)
+def _mass(rule, log_weight=None):
+    """Tridiagonal hat-function mass matrix of the panel ``rule``, weighted
+    by exp(``log_weight``) at its points if given."""
+    wq = rule.weighted(log_weight)
+    return _chain(wq @ (rule.left * rule.right), wq @ (rule.left * rule.left),
+                  wq @ (rule.right * rule.right))
 
 
-def _mass_from_cells(m00, m01, m11):
-    diag = np.zeros(len(m00) + 1)
-    diag[:-1] += m00
-    diag[1:] += m11
-    return sp.diags([m01, diag, m01], [-1, 0, 1], format="csr")
-
-
-def mass_matrix_1d(nodes, order=4):
-    """Tridiagonal hat-function mass matrix by the panel Gauss rule."""
-    return _mass_from_cells(
-        *_mass_cells(np.asarray(nodes, dtype=float), order)[:3])
-
-
-def stiffness_cells(nodes, order=4, log_weight=None):
-    """Per-cell conductances g_c = (integral of the weight over the cell) / h^2.
+def _stiffness(rule, log_weight=None):
+    """Per-cell conductances g_c = (integral of the weight over the cell) /
+    h^2 by the panel ``rule``, and the tridiagonal stiffness they make.
 
     The 1D stiffness is exactly the chain sum of rank-one difference stencils
     with these coefficients; keeping them separate allows applying the
     operator in incidence form (difference, scale, difference), where every
-    floating-point product is proportional to the true local flux.
+    floating-point product is proportional to the true local flux. Constants
+    are in its kernel.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    wq = _weighted_points(nodes, order, log_weight)
-    h = np.diff(nodes)
-    return wq.sum(axis=1) / (h * h)
-
-
-def stiffness_from_cells(g_cell):
-    n = len(g_cell) + 1
-    diag = np.zeros(n)
-    diag[:-1] += g_cell
-    diag[1:] += g_cell
-    return sp.diags([-g_cell, diag, -g_cell], [-1, 0, 1], format="csr")
-
-
-def stiffness_matrix_1d(nodes, order=4):
-    """Tridiagonal hat-function stiffness matrix; constants are in its kernel
-    (each cell contributes the graph-Laplacian stencil)."""
-    return stiffness_from_cells(stiffness_cells(nodes, order=order))
+    wq = rule.weighted(log_weight)
+    h = np.diff(rule.nodes)
+    g = wq.sum(axis=1) / (h * h)
+    return g, _chain(-g, g, g)
 
 
 def _pair(v, f):
@@ -434,7 +408,6 @@ def assemble(grid, profile, eps, log_tau_shift=0.0):
     log(eps) subcritical, -log(eps) supercritical).
     """
     gibbs.check_scale(eps)
-    order = grid.quad_order
     measure = gibbs.GibbsMeasure.compute(profile, eps)
     h = profile.eval
 
@@ -443,22 +416,18 @@ def assemble(grid, profile, eps, log_tau_shift=0.0):
                 + (1.0 - np.asarray(h(xi), dtype=float)) / eps
                 - measure.log_z)
 
-    M_x = mass_matrix_1d(grid.x_nodes, order=order)
-    g_x = stiffness_cells(grid.x_nodes, order=order)
-    K_x = stiffness_from_cells(g_x)
+    M_x = _mass(grid.x_rule)
+    g_x, K_x = _stiffness(grid.x_rule)
 
-    m00, m01, m11, cell_mass = _mass_cells(grid.xi_nodes, order,
-                                           log_weight=measure.log_density)
-    M_xi = _mass_from_cells(m00, m01, m11)
+    M_xi = _mass(grid.xi_rule, measure.log_density)
     if np.any(M_xi.diagonal() <= 0.0):
+        cell_mass = grid.xi_rule.weighted(measure.log_density).sum(axis=1)
         underflow = tuple(int(c) for c in np.nonzero(cell_mass == 0.0)[0])
         raise AssemblyError(
             f"weighted mass lost positive definiteness at eps = {eps}: "
             f"cells {underflow} underflowed to zero")
 
-    g_xi = stiffness_cells(grid.xi_nodes, order=order,
-                           log_weight=stiff_exponent)
-    K_xi = stiffness_from_cells(g_xi)
+    g_xi, K_xi = _stiffness(grid.xi_rule, stiff_exponent)
 
     return FormMatrices(M_x=M_x, K_x=K_x, M_xi=M_xi, K_xi=K_xi, g_x=g_x,
                         g_xi=g_xi, grid=grid, measure=measure,
@@ -557,25 +526,15 @@ def assemble_limit_rates(x_nodes, rate_forward, rate_backward, quad_order=4):
         if not 0.0 <= rate < math.inf:
             raise ValueError(f"{name} must be finite and nonnegative, "
                              f"got {rate!r}")
-    x_nodes = np.asarray(x_nodes, dtype=float)
+    rule = PanelRule(x_nodes, quad_order)
     return LimitFormMatrices(
-        M_x=mass_matrix_1d(x_nodes, order=quad_order),
-        K_x=stiffness_matrix_1d(x_nodes, order=quad_order), x_nodes=x_nodes,
+        M_x=_mass(rule), K_x=_stiffness(rule)[1], x_nodes=rule.nodes,
         rate_forward=rate_forward, rate_backward=rate_backward)
 
 
 def assemble_limit(x_nodes, k, quad_order=4):
     """Symmetric limit forms: equal exchange rate ``k`` between the wells."""
     return assemble_limit_rates(x_nodes, k, k, quad_order=quad_order)
-
-
-def _panel_interp(values, order):
-    """Values of the nodal piecewise-linear interpolant, along the last axis,
-    at the panel Gauss points of its own partition; shape
-    (..., ncells, order)."""
-    g, _ = gauss_rule(order)
-    s = 0.5 * (1.0 + g)
-    return values[..., :-1, None] * (1.0 - s) + values[..., 1:, None] * s
 
 
 # tensor Gauss points that nonlinear_observables evaluates at once: the
@@ -593,13 +552,10 @@ def nonlinear_observables(forms, field, fns):
     function."""
     grid = forms.grid
     order = grid.quad_order
-    g, _ = gauss_rule(order)
-    s = (0.5 * (1.0 + g))[:, None]
-    xq, xw = panel_points(grid.x_nodes, order)
-    xiq, xiw = panel_points(grid.xi_nodes, order)
+    xr, xir = grid.x_rule, grid.xi_rule
     # points and weights ordered (xi-order, xi-cell), the long axis last
-    gamma_w = (xiw * forms.measure.density(xiq)).T.reshape(-1)
-    xiq = xiq.T[None, None]
+    gamma_w = xir.weighted(forms.measure.log_density).T.reshape(-1)
+    xiq = xir.pts.T[None, None]
     step = max(1, _BLOCK_POINTS // (order * gamma_w.size))
     # the interpolant and its second term, for the largest block
     work = np.empty((2, step * order * gamma_w.size))
@@ -607,14 +563,16 @@ def nonlinear_observables(forms, field, fns):
     for c0 in range(0, grid.nx - 1, step):
         U = field.values[c0:min(c0 + step, grid.nx - 1) + 1]
         # interpolate in x, then in xi: shape (x-cell, x-order, xi-order,
-        # xi-cell); each value is u0 (1 - s) + u1 s, as along either axis
-        V = U[:-1, None, :] * (1.0 - s) + U[1:, None, :] * s
+        # xi-cell); each value is u0 left + u1 right, as along either axis
+        V = (U[:-1, None, :] * xr.left[:, None]
+             + U[1:, None, :] * xr.right[:, None])
         shape = V.shape[:2] + (order, grid.nxi - 1)
         Uq, second = (w[:math.prod(shape)].reshape(shape) for w in work)
-        np.multiply(V[:, :, None, :-1], 1.0 - s, out=Uq)
-        Uq += np.multiply(V[:, :, None, 1:], s, out=second)
+        np.multiply(V[:, :, None, :-1], xir.left[:, None], out=Uq)
+        Uq += np.multiply(V[:, :, None, 1:], xir.right[:, None], out=second)
         cells = slice(c0, c0 + len(V))
-        xb, wb = xq[cells, :, None, None], xw[cells].reshape(-1)
+        xb = xr.pts[cells, :, None, None]
+        wb = xr.wts[cells].reshape(-1)
         for k, f in enumerate(fns):
             v = np.broadcast_to(np.asarray(f(xb, xiq, Uq), dtype=float),
                                 shape).reshape(wb.size, gamma_w.size)
@@ -646,21 +604,6 @@ class ProductTest:
         return self.f_x(x) * self.f_xi(xi)
 
 
-def node_functional(nodes, fn, order):
-    """Nodal weights w_j = integral of hat_j * fn over the partition
-    ``nodes``, by its panel Gauss rule of ``order`` points: w @ v is the
-    integral of fn times the piecewise-linear interpolant of the nodal
-    values v (row by row for a grid whose last axis runs over ``nodes``)."""
-    pts, wts = panel_points(nodes, order)
-    vals = wts * fn(pts)
-    g, _ = gauss_rule(order)
-    s = 0.5 * (1.0 + g)
-    w = np.zeros(len(nodes))
-    w[:-1] += vals @ (1.0 - s)
-    w[1:] += vals @ s
-    return w
-
-
 def pair_measure(forms, field, test):
     """Duality pairing of the measure (field * reference) with the product
     test f_x(x) f_xi(xi), as a^T U c through two 1-D node functionals:
@@ -668,29 +611,29 @@ def pair_measure(forms, field, test):
     dxi, by the panel Gauss rules of the observables. Pair any other
     phi(x, xi) by ``nonlinear_observable(forms, field, paired(phi))``."""
     grid = forms.grid
-    a = node_functional(grid.x_nodes, test.f_x, grid.quad_order)
-    c = node_functional(grid.xi_nodes,
-                        lambda xi: test.f_xi(xi) * forms.measure.density(xi),
-                        grid.quad_order)
+    a = grid.x_rule.functional(test.f_x)
+    c = grid.xi_rule.functional(
+        lambda xi: test.f_xi(xi) * forms.measure.density(xi))
     return float(a @ (field.values @ c))
 
 
 def nonlinear_observable_limit(lf, f, quad_order=4):
     """Limit counterpart of :func:`nonlinear_observable`: f(x, xi, u)
     averaged over the two well lines xi = -1 and xi = 1."""
-    xq, xw = panel_points(lf.x_nodes, quad_order)
-    um = _panel_interp(lf.u_minus, quad_order)
-    up = _panel_interp(lf.u_plus, quad_order)
-    fm = np.broadcast_to(np.asarray(f(xq, -1.0, um), dtype=float), um.shape)
-    fp = np.broadcast_to(np.asarray(f(xq, 1.0, up), dtype=float), up.shape)
-    return 0.5 * (float((xw * fm).sum()) + float((xw * fp).sum()))
+    rule = PanelRule(lf.x_nodes, quad_order)
+    um, up = rule.interp(lf.u_minus), rule.interp(lf.u_plus)
+    fm = np.broadcast_to(np.asarray(f(rule.pts, -1.0, um), dtype=float),
+                         um.shape)
+    fp = np.broadcast_to(np.asarray(f(rule.pts, 1.0, up), dtype=float),
+                         up.shape)
+    return 0.5 * (float((rule.wts * fm).sum()) + float((rule.wts * fp).sum()))
 
 
 def pair_limit(lf, test, quad_order=4):
     """Pairing of the two-line limit measure with the product test
     f_x(x) f_xi(xi): (f_xi(-1) a.u_minus + f_xi(1) a.u_plus) / 2, with a
     the x node functional of f_x (see :func:`pair_measure`)."""
-    a = node_functional(lf.x_nodes, test.f_x, quad_order)
+    a = PanelRule(lf.x_nodes, quad_order).functional(test.f_x)
     return 0.5 * (float(test.f_xi(-1.0)) * float(a @ lf.u_minus)
                   + float(test.f_xi(1.0)) * float(a @ lf.u_plus))
 

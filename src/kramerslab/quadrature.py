@@ -2,13 +2,15 @@
 
 Two routes are provided on purpose: an adaptive integrator with a certified
 error estimate (for scalar integrals of sharply peaked weights) and plain
-per-panel Gauss rules on a fixed partition (for cumulative integrals and
-Galerkin assembly). Both use numpy only.
+per-panel Gauss rules on a fixed partition, owned by :class:`PanelRule`
+(for cumulative integrals, Galerkin assembly, pairings and observables).
+Both use numpy only.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -109,31 +111,65 @@ def gauss_rule(order):
     return g, w
 
 
-def panel_points(nodes, order):
-    """Per-panel Gauss points and weights for the partition ``nodes``.
-
-    Returns arrays of shape (ncells, order). Midpoint/half-width mapping keeps
-    mirrored panels of a symmetric partition at exactly negated points.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    g, w = gauss_rule(order)
-    mid = 0.5 * (nodes[1:] + nodes[:-1])
-    half = 0.5 * (nodes[1:] - nodes[:-1])
-    pts = mid[:, None] + half[:, None] * g[None, :]
-    wts = half[:, None] * w[None, :]
-    return pts, wts
+def check_quad_order(order):
+    """Raise ValueError("quad_order: ...") unless ``order`` is an integer,
+    not a bool, of at least 2: the 1-point rule makes every cell's 2x2
+    hat-function mass block rank one."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) \
+            or order < 2:
+        raise ValueError(
+            f"quad_order: must be an integer >= 2, got {order!r}")
 
 
-def panel_integrals(f, nodes, order=8):
-    """Per-panel integrals of ``f`` over the cells of ``nodes``.
+class PanelRule:
+    """The ``order``-point Gauss rule on each panel of the partition
+    ``nodes``: the one owner of a partition's panel points ``pts`` and
+    weights ``wts``, each of shape (ncells, order), and of the hat values
+    ``left`` = 1 - s and ``right`` = s at the rule's points, s in (0, 1)
+    along a panel. The midpoint/half-width mapping keeps mirrored panels of
+    a symmetric partition at exactly negated points."""
 
-    The in-panel sum is pair-folded so that for an even integrand on a
-    mirror-symmetric partition the left and right panel sums agree bitwise.
-    """
-    if order % 2:
-        raise ValueError("order must be even")
-    pts, wts = panel_points(nodes, order)
-    vals = wts * f(pts)
-    half = order // 2
-    folded = vals[:, :half] + vals[:, ::-1][:, :half]
-    return folded.sum(axis=1)
+    def __init__(self, nodes, order):
+        check_quad_order(order)
+        self.nodes = np.asarray(nodes, dtype=float)
+        self.order = order
+        g, w = gauss_rule(order)
+        mid = 0.5 * (self.nodes[1:] + self.nodes[:-1])
+        half = 0.5 * (self.nodes[1:] - self.nodes[:-1])
+        self.pts = mid[:, None] + half[:, None] * g[None, :]
+        self.wts = half[:, None] * w[None, :]
+        self.right = 0.5 * (1.0 + g)
+        self.left = 1.0 - self.right
+
+    def weighted(self, log_weight=None):
+        """The weights, times exp(``log_weight``) at the points if given."""
+        if log_weight is None:
+            return self.wts
+        return self.wts * np.exp(log_weight(self.pts))
+
+    def interp(self, values):
+        """Values of the nodal piecewise-linear interpolant, along the last
+        axis, at the points; shape (..., ncells, order)."""
+        return values[..., :-1, None] * self.left \
+            + values[..., 1:, None] * self.right
+
+    def functional(self, fn):
+        """Nodal weights w_j = integral of hat_j * fn: w @ v is the integral
+        of fn times the piecewise-linear interpolant of the nodal values v
+        (row by row for a grid whose last axis runs over the nodes)."""
+        vals = self.wts * fn(self.pts)
+        w = np.zeros(len(self.nodes))
+        w[:-1] += vals @ self.left
+        w[1:] += vals @ self.right
+        return w
+
+    def integrals(self, f):
+        """Per-panel integrals of ``f``. The in-panel sum is pair-folded so
+        that for an even integrand on a mirror-symmetric partition the left
+        and right panel sums agree bitwise; the order must be even."""
+        if self.order % 2:
+            raise ValueError("order must be even")
+        vals = self.wts * f(self.pts)
+        half = self.order // 2
+        folded = vals[:, :half] + vals[:, ::-1][:, :half]
+        return folded.sum(axis=1)

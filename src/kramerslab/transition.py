@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_forms import Field, _panel_interp, graded_nodes
-from .quadrature import panel_integrals, panel_points
+from .grid_forms import Field, graded_nodes
+from .quadrature import PanelRule
 
 __all__ = [
     "TransitionProfile", "default_xi_nodes", "transition_profile",
@@ -25,6 +25,8 @@ __all__ = [
 # Profile quantities use a denser grading than the solver grid: nodes cluster
 # where the profile jumps (the saddle) and where the measure sits (the wells).
 DEFAULT_PROFILE_NODES = 801
+# points of the panel rule that integrates the profile and its moment
+PROFILE_ORDER = 8
 
 
 def default_xi_nodes(n=DEFAULT_PROFILE_NODES):
@@ -43,7 +45,7 @@ class TransitionProfile:
     values: np.ndarray
 
 
-def transition_profile(profile, eps, xi_nodes=None, panel_order=8):
+def transition_profile(profile, eps, xi_nodes=None):
     """Optimal connecting profile by cumulative panel quadrature.
 
     Both the cumulative integral and its normalization use the shifted
@@ -63,7 +65,7 @@ def transition_profile(profile, eps, xi_nodes=None, panel_order=8):
     def shifted(xi):
         return np.exp((np.asarray(h(xi), dtype=float) - 1.0) / eps)
 
-    panels = panel_integrals(shifted, xi_nodes, order=panel_order)
+    panels = PanelRule(xi_nodes, PROFILE_ORDER).integrals(shifted)
     i0 = int(np.nonzero(xi_nodes == 0.0)[0][0])
     right = np.concatenate([[0.0], np.cumsum(panels[i0:])])
     left = -np.cumsum(panels[:i0][::-1])[::-1]
@@ -87,18 +89,17 @@ def k_eps(measure):
                     - measure.log_i_shifted)
 
 
-def q_eps(measure, xi_nodes=None):
+def q_eps(measure):
     """Second moment of the optimal profile under the Gibbs ``measure``.
 
     Lies in [0, 1/4] and climbs to 1/4 as eps shrinks. The profile is
-    integrated as its piecewise-linear interpolant on the profile grid,
-    against the measure's density at the panel Gauss points.
+    integrated as its piecewise-linear interpolant on the default profile
+    grid, against the measure's density at the panel Gauss points.
     """
-    tp = transition_profile(measure.profile, measure.eps, xi_nodes=xi_nodes)
-    order = 8
-    pts, wts = panel_points(tp.xi_nodes, order)
-    vq = _panel_interp(tp.values, order)
-    return float((wts * measure.density(pts) * vq * vq).sum())
+    tp = transition_profile(measure.profile, measure.eps)
+    rule = PanelRule(tp.xi_nodes, PROFILE_ORDER)
+    vq = rule.interp(tp.values)
+    return float((rule.weighted(measure.log_density) * vq * vq).sum())
 
 
 def transition_cost(phi_minus, phi_plus, rate):

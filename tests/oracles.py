@@ -6,8 +6,9 @@ finite differences, the closed chain solution of the piecewise-linear
 connection program, the 2-D sparse Kronecker products and block matrices of
 the 1-D form factors, and whole-grid tensor quadrature of observables. Only
 the tests import ``scipy.integrate``. The one exception is
-:func:`inline_scale`, which reuses the package's Gibbs integrals and panel
-rule on purpose, to match the measure-based functions bit for bit.
+:func:`inline_scale`, which reuses the package's Gibbs integrals and its
+``PanelRule`` (points, weights and hat values) on purpose, to match the
+measure-based functions bit for bit.
 """
 import math
 
@@ -161,8 +162,7 @@ def inline_scale(profile, eps, xi):
     log Z_eps, from the package's Gibbs integrals, optimal profile and
     8-point panel rule: (density, k_eps, q_eps)."""
     from kramerslab import gibbs
-    from kramerslab.grid_forms import _panel_interp
-    from kramerslab.quadrature import panel_points
+    from kramerslab.quadrature import PanelRule
     from kramerslab.transition import transition_profile
 
     h = profile.eval
@@ -171,8 +171,8 @@ def inline_scale(profile, eps, xi):
     rate = math.exp(math.log(eps) - gibbs.log_partition(profile, eps)
                     - gibbs.log_barrier_integral(profile, eps))
     tp = transition_profile(profile, eps)
-    pts, wts = panel_points(tp.xi_nodes, 8)
-    vq = _panel_interp(tp.values, 8)
-    dens = np.exp(-np.asarray(h(pts), dtype=float) / eps
+    rule = PanelRule(tp.xi_nodes, 8)
+    vq = rule.interp(tp.values)
+    dens = np.exp(-np.asarray(h(rule.pts), dtype=float) / eps
                   - gibbs.log_partition(profile, eps))
-    return density, rate, float((wts * dens * vq * vq).sum())
+    return density, rate, float((rule.wts * dens * vq * vq).sum())

@@ -6,12 +6,13 @@ import pytest
 import scipy.sparse as sp
 
 from kramerslab import gibbs
-from kramerslab.grid_forms import (AssemblyError, Field, LimitField,
+from kramerslab.grid_forms import (AssemblyError, Field, Grid, LimitField,
                                    ProductTest, assemble, assemble_limit,
                                    assemble_limit_rates, b_form, build_grid,
                                    graded_nodes, l2_norm_x,
                                    nonlinear_observable, nonlinear_observables,
-                                   pair_limit, pair_measure, paired)
+                                   nonlinear_observable_limit, pair_limit,
+                                   pair_measure, paired)
 from kramerslab.transition import k_eps, lift, q_eps, transition_mass
 
 import oracles
@@ -50,6 +51,13 @@ def test_bad_grids_rejected():
         build_grid(8, 11, grading="nope")
     with pytest.raises(ValueError):
         graded_nodes(10)
+    # the 1-point rule makes every cell's mass block rank one; a bool is
+    # not an order
+    for order in (1, True):
+        with pytest.raises(ValueError, match="quad_order"):
+            build_grid(8, 11, quad_order=order)
+        with pytest.raises(ValueError, match="quad_order"):
+            Grid(np.linspace(0.0, 1.0, 8), graded_nodes(11), quad_order=order)
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +307,26 @@ def test_limit_forms_reject_negative_rate():
 def test_limit_rates_reject_bad_rates(rates):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         assemble_limit_rates(np.linspace(0.0, 1.0, 9), *rates)
+
+
+_X9 = np.linspace(0.0, 1.0, 9)
+_PAIR9 = LimitField(np.cos(np.pi * _X9), 1.0 + np.cos(np.pi * _X9), _X9)
+
+
+@pytest.mark.parametrize("order", [1, True])
+@pytest.mark.parametrize("entry", [
+    lambda q: assemble_limit(_X9, 1.0, quad_order=q),
+    lambda q: assemble_limit_rates(_X9, 1.0, 2.0, quad_order=q),
+    lambda q: pair_limit(_PAIR9, ONE, quad_order=q),
+    lambda q: nonlinear_observable_limit(_PAIR9, lambda x, xi, u: u * u,
+                                         quad_order=q),
+], ids=["assemble_limit", "assemble_limit_rates", "pair_limit",
+        "nonlinear_observable_limit"])
+def test_limit_entry_points_reject_bad_quad_order(entry, order):
+    # the limit forms and functionals take their order from the caller, not
+    # from a checked Grid; a 1-point M_x is singular
+    with pytest.raises(ValueError, match="quad_order"):
+        entry(order)
 
 
 def test_limit_rates_pair_nonsymmetric():

@@ -4,12 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kramerslab
 from kramerslab import gibbs
-from kramerslab.quadrature import (QuadratureError, adaptive_integral,
-                                   gauss_kronrod)
+from kramerslab.quadrature import (PanelRule, QuadratureError,
+                                   adaptive_integral, gauss_kronrod)
 from kramerslab.transition import k_eps
 
 import oracles
@@ -87,3 +88,49 @@ def test_cli_import_leaves_out_integrate_special_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def _mirrored_graded_nodes():
+    # a graded partition of [-1, 1], mirror-symmetric bitwise
+    half = np.linspace(0.0, 1.0, 9) ** 2
+    return np.concatenate([-half[::-1], half[1:]])
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 8])
+def test_panel_rule_interp_reproduces_linear_functions(order):
+    nodes = _mirrored_graded_nodes()
+    rule = PanelRule(nodes, order)
+    assert rule.pts.shape == rule.wts.shape == (len(nodes) - 1, order)
+    assert np.array_equal(rule.left + rule.right, np.ones(order))
+    values = np.stack([3.0 * nodes - 0.5, -nodes])
+    expect = np.stack([3.0 * rule.pts - 0.5, -rule.pts])
+    assert np.max(np.abs(rule.interp(values) - expect)) <= 1e-15
+
+
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_panel_rule_functional_of_one_is_hat_integrals(order):
+    nodes = _mirrored_graded_nodes()
+    h = np.diff(nodes)
+    hats = np.concatenate([[0.0], h]) / 2.0 + np.concatenate([h, [0.0]]) / 2.0
+    w = PanelRule(nodes, order).functional(np.ones_like)
+    assert np.max(np.abs(w - hats)) <= 1e-16
+
+
+def test_panel_rule_integrals_of_even_integrand_mirror_bitwise():
+    nodes = _mirrored_graded_nodes()
+    panels = PanelRule(nodes, 8).integrals(lambda xi: np.exp(np.cos(3.0 * xi)))
+    assert np.array_equal(panels, panels[::-1])
+    assert panels.sum() == pytest.approx(
+        oracles.quad_reference(lambda xi: math.exp(math.cos(3.0 * xi)),
+                               -1.0, 1.0), rel=1e-12)
+
+
+def test_panel_rule_integrals_reject_an_odd_order():
+    with pytest.raises(ValueError, match="even"):
+        PanelRule(_mirrored_graded_nodes(), 3).integrals(np.ones_like)
+
+
+@pytest.mark.parametrize("order", [0, 1, True, 2.0, "4"])
+def test_panel_rule_rejects_a_bad_order(order):
+    with pytest.raises(ValueError, match="quad_order"):
+        PanelRule(_mirrored_graded_nodes(), order)
