@@ -6,9 +6,12 @@ trapezoidal rule: the reaction-coordinate operator carries the huge rescaled
 clock, and the damped start kills its stiff transients while the trapezoidal
 steps preserve the discrete energy identity exactly.
 
-The same integrator steps the two-species limit system (``evolve_limit``):
-both levels are gradient flows of an energy ``a`` in the metric ``b`` and
-differ only in their forms and in the structured solver of M + cA.
+The eps level steps in the x-eigenbasis (``grid_forms.ModalForms``), where
+M + cA is block diagonal; nodal fields are formed only at entry and at
+snapshots. The same integrator steps the two-species limit system
+(``evolve_limit``): both levels are gradient flows of an energy ``a`` in the
+metric ``b`` and differ only in their forms and in the structured solver of
+M + cA.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from .grid_forms import Field, _bands
+from .grid_forms import Field, ModalForms, _bands
 
 __all__ = ["SolverError", "KroneckerSystem", "LinearSolver", "Trajectory",
            "SCHEMES", "solve", "regularization_check", "RegularityFlags"]
@@ -32,9 +35,9 @@ class SolverError(RuntimeError):
 
 class _ThetaSystem:
     """The theta-step matrix M + cA of ``forms``; ``S @ v`` is the exact
-    action, with the mass applied by ``forms.apply_m`` and the stiffness by
-    ``forms.apply_a``. Subclasses add
-    ``norm_inf`` and ``factorize`` from the 1-D factors of the forms.
+    action, with the mass and the stencil from ``forms.mass_and_stencil``.
+    Subclasses add ``norm_inf`` and ``factorize`` from the 1-D factors of
+    the forms.
 
     The last product keeps M v and the :class:`Stencil` of v in a one-slot
     hand-off: the certified solve's final product is of the increment it
@@ -48,8 +51,7 @@ class _ThetaSystem:
         self._kept = None
 
     def __matmul__(self, v):
-        mv = self.forms.apply_m(v)
-        st = self.forms.apply_a(v, stencil=True)
+        mv, st = self.forms.mass_and_stencil(v)
         self._kept = (v, mv, st)
         return mv + self.c * st.au
 
@@ -65,46 +67,43 @@ class _ThetaSystem:
         """
         if self._kept is not None and self._kept[0] is x:
             return self._kept[1:]
-        return self.forms.apply_m(x), self.forms.stencil(x)
+        return self.forms.mass_and_stencil(x)
+
+    def residual_mass(self, r):
+        """The mass 1^T r that a residual ``r`` leaves in a theta step."""
+        return float(r.sum())
 
 
 class KroneckerSystem(_ThetaSystem):
-    """M + cA of the eps-level forms, kept as its 1-D factors:
-    (M_x + c K_x) (x) M_xi + c M_x (x) K_xi; the stiffness acts in
-    incidence form.
+    """M + cA of the eps-level forms in x-modes (:class:`ModalForms`): the
+    block diagonal of the nx tridiagonal blocks (1 + c lam_k) M_xi + c K_xi,
+    with the xi-stiffness in incidence form. ``S @ v`` costs one M_xi
+    product and the xi-stencil; the inner solve is one tridiagonal solve,
+    with no dense product (fast diagonalization in x).
     """
 
     def norm_inf(self):
-        """||M + cA||_inf, exactly: per row, the nine-term stencil of
-        absolute values of P (x) M_xi + c M_x (x) K_xi, P = M_x + c K_x."""
+        """||M + cA||_inf, exactly: the largest row sum of absolute values
+        over the blocks."""
         f, c = self.forms, self.c
-        m_x, k_x = _bands(f.M_x), _bands(f.K_x)
-        p_x, cm_x = m_x + c * k_x, c * m_x
+        scale = 1.0 + c * f.lam[:, None]
         m_xi, k_xi = _bands(f.M_xi), _bands(f.K_xi)
-        rows = np.zeros((f.grid.nx, f.grid.nxi))
-        term, cterm = np.empty_like(rows), np.empty_like(rows)
-        for i in range(3):
-            for j in range(3):
-                np.multiply.outer(p_x[i], m_xi[j], out=term)
-                term += np.multiply.outer(cm_x[i], k_xi[j], out=cterm)
-                rows += np.abs(term, out=term)
+        rows = sum(np.abs(scale * m_xi[i] + c * k_xi[i]) for i in range(3))
         return float(rows.max())
 
     def factorize(self):
-        """Inner solver r -> (M + cA)^{-1} r by fast diagonalization in x.
+        """Inner solver r -> (M + cA)^{-1} r: one tridiagonal solve.
 
-        In the M_x-orthonormal eigenbasis of (K_x, M_x) the system splits
-        into nx tridiagonal blocks (1 + c lam_k) M_xi + c K_xi. They are
-        never diagonalized in xi (M_xi has condition ~exp(1/eps)); each is
-        factored as L D L^T with GTH pivots: the K_xi rows sum to zero, so
-        the row excess of block k is exactly (1 + c lam_k) times the M_xi
-        row sums, and D_j = r'_j - e_j, r'_{j+1} = r_{j+1} - e_j r'_j / D_j
-        has no cancellation where the off-diagonals e_j are <= 0.
+        The blocks are never diagonalized in xi (M_xi has condition
+        ~exp(1/eps)); each is factored as L D L^T with GTH pivots: the K_xi
+        rows sum to zero, so the row excess of block k is exactly
+        (1 + c lam_k) times the M_xi row sums, and
+        D_j = r'_j - e_j, r'_{j+1} = r_{j+1} - e_j r'_j / D_j has no
+        cancellation where the off-diagonals e_j are <= 0.
         """
         f, c = self.forms, self.c
-        nx, nxi = f.grid.nx, f.grid.nxi
-        lam, V = la.eigh(f.K_x.toarray(), f.M_x.toarray())
-        scale = 1.0 + c * lam
+        nx, nxi = f.shape
+        scale = 1.0 + c * f.lam
         m_xi = _bands(f.M_xi)
         off = scale[:, None] * m_xi[2, :-1] - c * f.g_xi
         excess = scale[:, None] * m_xi.sum(axis=0)
@@ -120,12 +119,11 @@ class KroneckerSystem(_ThetaSystem):
             raise SolverError(f"tensor factorization of M + {c:g} A at "
                               f"eps = {f.eps:g} lost positive pivots")
         d, e = D.reshape(-1), L.reshape(-1)[:-1]
+        return lambda rhs: la.lapack.dpttrs(d, e, rhs)[0]
 
-        def inner(rhs):
-            Y = V.T @ rhs.reshape(nx, nxi)
-            Z, _ = la.lapack.dpttrs(d, e, Y.reshape(-1, 1), overwrite_b=1)
-            return (V @ Z.reshape(nx, nxi)).reshape(-1)
-        return inner
+    def residual_mass(self, r):
+        """1^T r of the nodal residual: the sum of its mode-0 block."""
+        return float(r[:self.forms.shape[1]].sum())
 
 
 # the README's per-step certificates
@@ -156,8 +154,17 @@ class LinearSolver:
     machine precision. A :class:`SolverError` carrying the achieved value is
     raised when the target is not met or the solution is not finite.
 
-    The solve returns once it is certified and |1^T r| <= MASS_RESIDUAL_BOUND:
-    the stiffness has zero column sums, so a theta step moves the mass by
+    At the eps level every vector is in x-modes (:class:`KroneckerSystem`),
+    so the certificate is the backward error of the modal system. The modes
+    y = V^T M_x u measure u in the M_x (x) I norm, and a modal residual
+    V^T r measures r in its dual, so with 2-norms throughout the nodal
+    backward error is at most cond(M_x) times the modal one; for uniform
+    hats cond(M_x) < 4.
+
+    The solve returns once it is certified and the mass |1^T r| that the
+    residual leaves, read by ``S.residual_mass`` (the sum of the mode-0
+    block at the eps level), is at most MASS_RESIDUAL_BOUND: the stiffness
+    has zero column sums, so a theta step moves the mass by
     1^T rhs - 1^T r, and a residual along the constant vector, invisible to
     normwise measures, leaks mass directly. The first solve usually meets
     both; else refinement sweeps x += inner(r) follow, at most
@@ -176,10 +183,12 @@ class LinearSolver:
         if hasattr(S, "factorize"):
             self.norm_S = S.norm_inf()
             self._inner = S.factorize()
+            self._mass = S.residual_mass
         else:
             S = S.tocsr()
             self.norm_S = float(np.abs(S).sum(axis=1).max())
             self._inner = spla.splu(S.tocsc()).solve
+            self._mass = np.sum
         self.op = op if op is not None else (lambda v: S @ v)
 
     def solve(self, rhs):
@@ -194,7 +203,7 @@ class LinearSolver:
             res = float(np.linalg.norm(r)) / (
                 self.norm_S * float(np.linalg.norm(x)) + norm_rhs)
             return r, res, max(res / self.target,
-                               abs(float(r.sum())) / MASS_RESIDUAL_BOUND)
+                               abs(float(self._mass(r))) / MASS_RESIDUAL_BOUND)
 
         x = self._inner(rhs)
         r, res, excess = certify(x)
@@ -328,15 +337,14 @@ class _CarriedState:
 
     All of them but the scalars are linear in u, so ``advance`` adds an
     increment's M x and stencil in place instead of evaluating the forms
-    at the new state. The carried arrays are the state's own: the limit's
-    diffusion differences are a view of their argument, so the stencil is
-    taken of a copy of u.
+    at the new state. The carried arrays are the state's own: at both
+    levels the first stencil part holds its argument itself, so the stencil
+    is taken of a copy of u.
     """
 
     def __init__(self, forms, u):
         self.u = np.array(u, dtype=float)
-        self.mu = forms.apply_m(self.u)
-        self.st = forms.stencil(self.u.copy())
+        self.mu, self.st = forms.mass_and_stencil(self.u.copy())
         self._energies()
 
     def _energies(self):
@@ -358,12 +366,13 @@ class _CarriedState:
 
 
 def _integrate(forms, system, u, T, dt, scheme, snapshot_times, wrap,
-               where):
+               start, where):
     """The theta loop of both levels, from the flat initial state ``u``.
 
     ``system(forms, c)`` is the structured M + cA, ``wrap(vec)`` builds a
-    snapshot from a private copy of the state, and ``where`` names the run
-    in a :class:`SolverError`. The forms are evaluated at the initial state
+    snapshot from a private copy of the state, ``start`` is the snapshot of
+    the initial state, and ``where`` names the run in a
+    :class:`SolverError`. The forms are evaluated at the initial state
     only: each sub-step's certified solve applies M + cA to the increment x
     it returns, and that product hands M x and the stencil of x on to the
     :class:`_CarriedState`, which adds them in place. So a sub-step costs
@@ -377,7 +386,8 @@ def _integrate(forms, system, u, T, dt, scheme, snapshot_times, wrap,
     want = _snapshot_steps(snapshot_times, dt, n_steps)
 
     state = _CarriedState(forms, u)
-    mass_vec = forms.apply_m(np.ones_like(state.u))
+    # M 1; in x-modes only its mode-0 block is nonzero
+    mass_vec = forms.apply_m(forms.one)
     times, mass, b, a1, a2 = (np.zeros(n_steps + 1) for _ in range(5))
     e_res = np.zeros(n_steps)
     thetas = np.zeros(n_steps)
@@ -388,7 +398,8 @@ def _integrate(forms, system, u, T, dt, scheme, snapshot_times, wrap,
         mass[idx] = float(mass_vec @ state.u)
         b[idx], a1[idx], a2[idx] = state.b, state.a1, state.a2
         if idx in want:
-            snapshots.append((want[idx], wrap(state.u.copy())))
+            snapshots.append(
+                (want[idx], wrap(state.u.copy()) if idx else start))
 
     record(0, 0.0)
     t = 0.0
@@ -412,8 +423,10 @@ def _integrate(forms, system, u, T, dt, scheme, snapshot_times, wrap,
 def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     """Integrate M du/dt + A u = 0 from the nodal field ``u0`` to time T.
 
-    Records mass, the squared norm b and the energy split (a1, a2) at every
-    step, the per-step residual of the discrete energy identity
+    Steps the x-modes of the forms (:class:`ModalForms`); the snapshots are
+    nodal fields, and the one at t = 0 is a copy of ``u0``. Records mass,
+    the squared norm b and the energy split (a1, a2) at every step, the
+    per-step residual of the discrete energy identity
     b(u_next)/2 - b(u)/2 + dt a(u_theta) (zero up to solver tolerance on
     trapezoidal steps, nonpositive on damped ones), and full states at
     ``snapshot_times``. Every step's solve is certified to the backward
@@ -423,11 +436,11 @@ def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     """
     if not isinstance(u0, Field):
         raise TypeError("u0 must be a Field")
-    shape = u0.values.shape
+    modal = ModalForms(forms)
     return _integrate(
-        forms, KroneckerSystem, u0.ravel(), T, dt, scheme, snapshot_times,
-        lambda v: Field(v.reshape(shape), u0.grid, u0.eps),
-        f"eps = {forms.eps:g}")
+        modal, KroneckerSystem, modal.coefficients(u0.values), T, dt, scheme,
+        snapshot_times, lambda y: Field(modal.values(y), u0.grid, u0.eps),
+        Field(u0.values.copy(), u0.grid, u0.eps), f"eps = {forms.eps:g}")
 
 
 @dataclass

@@ -91,7 +91,8 @@ def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     nx = len(x)
     return _integrate(
         lforms, LimitSystem, u0.stack(), T, dt, scheme, snapshot_times,
-        lambda v: LimitField(v[:nx], v[nx:], x), "limit system")
+        lambda v: LimitField(v[:nx], v[nx:], x),
+        LimitField(u0.u_minus.copy(), u0.u_plus.copy(), x), "limit system")
 
 
 def homogeneous_pair_solution(c_minus, c_plus, rate_forward, rate_backward, t):

@@ -22,11 +22,11 @@ from .quadrature import PanelRule, check_quad_order
 
 __all__ = [
     "AssemblyError", "Grid", "Field", "LimitField", "FormMatrices",
-    "LimitFormMatrices", "Stencil", "graded_nodes", "build_grid", "assemble",
-    "assemble_limit", "assemble_limit_rates", "b_form", "pair_measure",
-    "pair_limit", "nonlinear_observable", "nonlinear_observables",
-    "nonlinear_observable_limit", "paired", "ProductTest", "l2_norm_x",
-    "check_grid",
+    "ModalForms", "LimitFormMatrices", "Stencil", "graded_nodes",
+    "build_grid", "assemble", "assemble_limit", "assemble_limit_rates",
+    "b_form", "pair_measure", "pair_limit", "nonlinear_observable",
+    "nonlinear_observables", "nonlinear_observable_limit", "paired",
+    "ProductTest", "l2_norm_x", "check_grid",
 ]
 
 
@@ -105,6 +105,10 @@ class Grid:
             raise ValueError("nodes must be strictly increasing")
         if x[0] != 0.0 or x[-1] != 1.0:
             raise ValueError("x-nodes must span [0, 1] exactly")
+        # the closed-form x-eigenbasis of ModalForms holds on uniform nodes
+        if np.abs(x - np.linspace(0.0, 1.0, len(x))).max() \
+                > 4.0 * np.finfo(float).eps:
+            raise ValueError("x-nodes must be uniform")
         if xi[0] != -1.0 or xi[-1] != 1.0:
             raise ValueError("xi-nodes must span [-1, 1] exactly")
         if not np.any(xi == 0.0):
@@ -300,7 +304,9 @@ class FormMatrices:
     would drown conserved functionals in eps_mach * |A| noise, while the
     incidence form keeps every product proportional to the local flux. No
     run of the package builds the 2-D sparse ``M`` and ``A``: they are
-    built on first use, for ``perfbench/probe.py`` and the tests.
+    built on first use, for ``perfbench/probe.py`` and the tests. These are
+    the nodal forms of the diagnostics; the theta loop steps the same forms
+    in x-modes (:class:`ModalForms`).
 
     ``measure`` is the scale's :class:`~kramerslab.gibbs.GibbsMeasure`, the
     one source of eps, log Z_eps and the density that weights M_xi, the
@@ -377,11 +383,9 @@ class FormMatrices:
         parts = self._parts(u)
         return Stencil(self._divergence(parts), parts)
 
-    def apply_a(self, u, stencil=False):
-        """A u; with ``stencil``, the whole :class:`Stencil` of ``u``, so
-        that a caller applying A also gets its differences and fluxes."""
-        st = self.stencil(u)
-        return st if stencil else st.au
+    def apply_a(self, u):
+        """A u; no run of the package calls it, ``perfbench`` times it."""
+        return self.stencil(u).au
 
     def a1_energy(self, u):
         """x-part of the energy as a nonnegative sum over x-cells."""
@@ -393,6 +397,84 @@ class FormMatrices:
 
     def a_energy(self, u):
         return self.a1_energy(u) + self.a2_energy(u)
+
+
+class ModalForms:
+    """The eps-level forms in the x-eigenbasis, where the theta loop steps.
+
+    On uniform x-nodes the DCT-I vectors c_k = cos(pi j k / n), n = nx - 1,
+    diagonalize the pencil (K_x, M_x) in closed form: M_x c_k and K_x c_k
+    are h (2 + cos t_k) / 3 and (2 / h)(1 - cos t_k) times W c_k, with
+    t_k = pi k / n and W = diag(1/2, 1, ..., 1, 1/2). ``V`` holds them
+    normalized in M_x, so V^T M_x V = I and V^T K_x V = diag(``lam``),
+    lam_k = (6 / h^2)(1 - cos t_k) / (2 + cos t_k); its column 0 is exactly
+    the constant 1 (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+
+    The state is the (nx, nxi) array of x-mode coefficients Y = V^T M_x U,
+    flattened. The forms are Kronecker sums, so each mode relaxes along xi
+    on its own: M = I (x) M_xi, A1 = diag(lam) (x) M_xi, A2 = I (x) K_xi,
+    and M + cA is block diagonal. The stencil parts are (Y, lam M_xi Y) and
+    (dY, g_xi dY), with dY the xi-differences, so b, a1 and a2 are those of
+    the nodal forms. The mass 1^T M u is 1^T M_xi Y_0: mode 0 alone.
+
+    The transforms act on column 0 and the xi-differences, and then sum
+    along xi: exactly equal adjacent columns stay exactly equal, where the
+    xi-conductances are of size e^{1/eps} and any rounding between them
+    would be a stiff error that the theta steps never damp.
+    """
+
+    def __init__(self, forms):
+        nx, nxi = forms.grid.nx, forms.grid.nxi
+        self.shape = (nx, nxi)
+        self.n, self.eps = forms.n, forms.eps
+        n = nx - 1
+        k = np.arange(nx)
+        cos = np.cos(np.pi * k / n)
+        self.lam = 6.0 * n * n * (1.0 - cos) / (2.0 + cos)
+        # c_k^T W c_k is n at both ends and n / 2 inside
+        norm2 = (2.0 + cos) / 6.0
+        norm2[[0, -1]] *= 2.0
+        self.V = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n) \
+            / np.sqrt(norm2)
+        w = np.ones(nx)
+        w[[0, -1]] = 0.5
+        # V^T M_x, the inverse of V, from M_x c_k = mu_k W c_k
+        mu = (2.0 + cos) / (3.0 * n)
+        self.VtM = np.ascontiguousarray((w[:, None] * self.V * mu).T)
+        self.M_xi, self.K_xi, self.g_xi = forms.M_xi, forms.K_xi, forms.g_xi
+
+    @property
+    def one(self):
+        """The modes of the constant function 1: mode 0 alone, all ones."""
+        one = np.zeros(self.shape)
+        one[0] = 1.0
+        return one.reshape(-1)
+
+    def coefficients(self, U):
+        """The flat modes V^T M_x U of the nodal (nx, nxi) array ``U``."""
+        return np.cumsum(self.VtM @ np.diff(U, axis=1, prepend=0.0),
+                         axis=1).reshape(-1)
+
+    def values(self, y):
+        """The nodal (nx, nxi) array V Y of the flat modes ``y``."""
+        Y = y.reshape(self.shape)
+        return np.cumsum(self.V @ np.diff(Y, axis=1, prepend=0.0), axis=1)
+
+    def apply_m(self, y):
+        """M y: M_xi applied to every mode; flat output."""
+        return self.M_xi.dot(y.reshape(self.shape).T).T.reshape(-1)
+
+    def mass_and_stencil(self, y):
+        """(M y, the :class:`Stencil` of ``y``) from one M_xi product."""
+        Y = y.reshape(self.shape)
+        mv = self.apply_m(y)
+        F1 = mv.reshape(self.shape) * self.lam[:, None]
+        D = np.diff(Y, axis=1)
+        F2 = D * self.g_xi
+        au = F1.copy()
+        au[:, :-1] -= F2
+        au[:, 1:] += F2
+        return mv, Stencil(au.reshape(-1), ((Y, F1), (D, F2)))
 
 
 def assemble(grid, profile, eps, log_tau_shift=0.0):
@@ -512,10 +594,13 @@ class LimitFormMatrices:
         (_, F1), (_, F2) = parts
         return Stencil((F1 + [F2, -F2]).reshape(-1), parts)
 
-    def apply_a(self, w, stencil=False):
-        """A w; with ``stencil``, the whole :class:`Stencil` of ``w``."""
-        st = self.stencil(w)
-        return st if stencil else st.au
+    def mass_and_stencil(self, w):
+        return self.apply_m(w), self.stencil(w)
+
+    @property
+    def one(self):
+        """The state of the constant function 1."""
+        return np.ones(self.n)
 
 
 def assemble_limit_rates(x_nodes, rate_forward, rate_backward, quad_order=4):

@@ -60,3 +60,18 @@ def op_counts(monkeypatch):
 
     monkeypatch.setattr(evolve_kramers, "LinearSolver", CountingSolver)
     return counts
+
+
+@pytest.fixture
+def leaky_eps_forms(monkeypatch):
+    """Make every eps-level run step forms whose stiffness is A + 0.1 M: a
+    mass leak at every step that does not depend on the solver."""
+    from kramerslab import evolve_kramers
+
+    class LeakyModalForms(evolve_kramers.ModalForms):
+        def mass_and_stencil(self, y):
+            mv, st = super().mass_and_stencil(y)
+            st.au = st.au + 0.1 * mv
+            return mv, st
+
+    monkeypatch.setattr(evolve_kramers, "ModalForms", LeakyModalForms)

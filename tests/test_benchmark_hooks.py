@@ -47,7 +47,7 @@ print(json.dumps({{"status": status,
     # through and writes its report
     assert result["status"] in (0, 1)
     assert (tmp_path / "out" / "report.json").exists()
-    assert {"LinearSolver.solve", "grid_forms.assemble", "grid_forms.apply_a",
+    assert {"LinearSolver.solve", "grid_forms.assemble",
             "grid_forms.energy"} <= set(result["names"])
 
 

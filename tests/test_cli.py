@@ -196,9 +196,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_simulate_certificate_failure_exit_code(tmp_path, capsys):
-    # eps = 0.02 at 33 x 4097 breaks the mass certificate within 40 steps
-    code = main(["simulate", "--eps", "0.02", "--nx", "33", "--nxi", "4097",
+def test_simulate_certificate_failure_exit_code(tmp_path, capsys,
+                                               leaky_eps_forms):
+    # forms that leak mass break the mass certificate at the first step
+    code = main(["simulate", "--eps", "0.02", "--nx", "33", "--nxi", "257",
                  "--dt", "0.001", "--T", "0.04", "--out", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err

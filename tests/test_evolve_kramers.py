@@ -8,7 +8,7 @@ from kramerslab.evolve_kramers import (MASS_RESIDUAL_BOUND, KroneckerSystem,
                                        LinearSolver, SolverError,
                                        _certify_step, regularization_check,
                                        solve)
-from kramerslab.grid_forms import Field, assemble, build_grid
+from kramerslab.grid_forms import Field, ModalForms, assemble, build_grid
 from kramerslab.transition import k_eps, lift
 
 import oracles
@@ -260,17 +260,22 @@ def test_certified_run_takes_one_inner_solve_per_solve(quartic, op_counts,
     assert op_counts["op"] == op_counts["solve"]
 
 
-def test_fine_grid_drift_stays_at_machine_level(quartic):
-    # the stop rule leaves at most MASS_RESIDUAL_BOUND of each step's mass
-    # in the residual, so the finer default-lift run still conserves mass
-    # far below the 1e-10 certificate
-    eps = 0.025
-    grid = build_grid(193, 257)
+@pytest.mark.parametrize("eps, nx, nxi", [(0.025, 193, 257),
+                                          (0.02, 193, 257),
+                                          (0.02, 33, 1025),
+                                          (0.02, 33, 4097)])
+def test_fine_grid_drift_stays_at_machine_level(quartic, op_counts, eps, nx,
+                                                nxi):
+    # down to the eps floor, on fine grids, the modal steps keep the flat
+    # well rows flat: the default-lift run conserves mass far below the
+    # 1e-10 certificate, with no refinement sweep (one inner solve each)
+    grid = build_grid(nx, nxi)
     forms = assemble(grid, quartic, eps)
     x = grid.x_nodes
     u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, eps, grid)
     traj = solve(forms, u0, T=0.04, dt=1e-3)
     assert np.abs(np.diff(traj.mass)).max() <= 1e-13
+    assert op_counts["op"] == op_counts["solve"] == 41
 
 
 @pytest.fixture(scope="module")
@@ -283,27 +288,45 @@ def forms_65(quartic):
 @pytest.mark.parametrize("eps", [0.8, 0.2, 0.05])
 @pytest.mark.parametrize("c", [0.5e-3, 1e-3])
 def test_tensor_solver_matches_sparse_lu(forms_65, eps, c):
+    # the modal solve, taken back to the nodes, against SuperLU on the nodal
+    # M + cA; a modal residual r is the nodal one (M_x V (x) I) r
     forms = forms_65[eps]
-    system = KroneckerSystem(forms, c)
+    modal = ModalForms(forms)
+    system = KroneckerSystem(modal, c)
     S = (forms.M + c * forms.A).tocsr()
     rng = np.random.default_rng(17)
     rhs = forms.M @ rng.normal(size=forms.n)
-    tensor = LinearSolver(system, target=1e-11).solve(rhs)
+    modal_rhs = (modal.V.T @ rhs.reshape(modal.shape)).reshape(-1)
+    tensor = LinearSolver(system, target=1e-11).solve(modal_rhs)
     # the factorization alone, without refinement, is backward stable
-    LinearSolver(system, target=1e-14, max_refine=0).solve(rhs)
-    direct = LinearSolver(S, target=1e-11, op=lambda v: system @ v).solve(rhs)
-    assert np.linalg.norm(tensor - direct) <= 1e-12 * np.linalg.norm(direct)
+    LinearSolver(system, target=1e-14, max_refine=0).solve(modal_rhs)
+    direct = LinearSolver(
+        S, target=1e-11,
+        op=lambda v: forms.apply_m(v) + c * forms.apply_a(v)).solve(rhs)
+    assert (np.linalg.norm(modal.values(tensor).reshape(-1) - direct)
+            <= 1e-12 * np.linalg.norm(direct))
 
 
 @pytest.mark.parametrize("eps", [0.8, 0.2, 0.05])
 @pytest.mark.parametrize("c", [0.5e-3, 1e-3])
 def test_tensor_norm_is_exact(forms_65, eps, c):
+    # the modal M + cA is the block diagonal of (1 + c lam_k) M_xi + c K_xi
     forms = forms_65[eps]
-    S = (forms.M + c * forms.A).tocsr()
+    modal = ModalForms(forms)
+    S = (sp.kron(sp.diags(1.0 + c * modal.lam), forms.M_xi)
+         + c * sp.kron(sp.identity(forms.grid.nx), forms.K_xi)).tocsr()
     exact = float(np.abs(S).sum(axis=1).max())
-    assert KroneckerSystem(forms, c).norm_inf() == pytest.approx(exact,
+    assert KroneckerSystem(modal, c).norm_inf() == pytest.approx(exact,
                                                                  rel=1e-14)
 
+
+def test_modal_residual_mass_is_the_nodal_one(forms_65):
+    # a modal residual V^T r leaves the nodal mass 1^T r in its mode 0
+    modal = ModalForms(forms_65[0.05])
+    R = np.random.default_rng(19).normal(size=modal.shape)
+    residual = (modal.V.T @ R).reshape(-1)
+    mass = KroneckerSystem(modal, 1e-3).residual_mass(residual)
+    assert abs(mass - R.sum()) <= 1e-14 * np.abs(R).sum()
 
 @pytest.mark.parametrize("eps", [0.04, 0.03, 0.025])
 def test_small_eps_certificates(quartic, eps):
@@ -337,13 +360,12 @@ def test_step_certificate_bounds():
             _certify_step("eps = 0.1", 3, 3e-3, drift, residual, theta, 1.0)
 
 
-def test_guard_stops_uncertified_run(quartic):
-    # eps = 0.02 at 33 x 4097 drifts by more than 1e-10 per step within
-    # the first 40 (first at step 6 or 7, with one or two BLAS threads); the
-    # run must raise, not return a trajectory that breaks the README's mass
+def test_guard_stops_uncertified_run(quartic, leaky_eps_forms):
+    # forms whose stiffness is A + 0.1 M leak mass at every step; the run
+    # must raise, not return a trajectory that breaks the README's mass
     # certificate
     eps = 0.02
-    grid = build_grid(33, 4097)
+    grid = build_grid(33, 257)
     forms = assemble(grid, quartic, eps)
     x = grid.x_nodes
     u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, eps, grid)

@@ -10,9 +10,9 @@ from kramerslab.evolve_kramers import (KroneckerSystem, LinearSolver,
 from kramerslab.evolve_limit import (LimitSystem, homogeneous_pair_solution,
                                      solve_limit)
 from kramerslab.enthalpy import quartic_default
-from kramerslab.grid_forms import (LimitField, LimitFormMatrices, assemble,
-                                   assemble_limit, assemble_limit_rates,
-                                   build_grid)
+from kramerslab.grid_forms import (LimitField, LimitFormMatrices,
+                                   ModalForms, assemble, assemble_limit,
+                                   assemble_limit_rates, build_grid)
 from kramerslab.transition import lift
 
 import oracles
@@ -251,12 +251,14 @@ def test_both_levels_share_one_trajectory():
 
 
 def _eps_level():
+    # the forms the eps-level integrator steps: the x-modes of the nodal ones
     grid = build_grid(17, 21)
     profile = quartic_default()
     forms = assemble(grid, profile, 0.1)
     x = grid.x_nodes
     u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), profile, 0.1, grid)
-    return forms, (grid.nx, grid.nxi), lambda T: solve(forms, u0, T, 1e-3)
+    return (ModalForms(forms), (grid.nx, grid.nxi),
+            lambda T: solve(forms, u0, T, 1e-3))
 
 
 def _limit_level():
@@ -304,12 +306,12 @@ def test_carried_state_matches_fresh_evaluation(monkeypatch, level):
 
     def checked(state, x, mx, sx, theta, dt):
         residual = advance(state, x, mx, sx, theta, dt)
-        fresh, mu = forms.stencil(state.u), forms.apply_m(state.u)
+        mu, fresh = forms.mass_and_stencil(state.u.copy())
         size = np.abs(state.u).max()
         # the fluxes of the roughest state of this size: the scale of the
         # rounding of any flux evaluation
-        rough = forms.stencil(size * (
-            2.0 * (np.indices(shape).sum(axis=0) % 2) - 1.0).reshape(-1))
+        rough = forms.mass_and_stencil(size * (
+            2.0 * (np.indices(shape).sum(axis=0) % 2) - 1.0).reshape(-1))[1]
         flux = max(np.abs(f).max() for _, f in rough.parts)
         tol = 1e-13
         assert np.abs(state.st.au - fresh.au).max() <= tol * flux
@@ -342,8 +344,9 @@ def test_theta_system_hands_on_only_its_last_product():
     product = system @ v
     mv, st = system.mass_and_stencil(v)
     assert np.array_equal(product, mv + 1e-3 * st.au)
-    assert np.array_equal(mv, forms.apply_m(v))
-    assert np.array_equal(st.au, forms.apply_a(v))
+    fresh_mv, fresh = forms.mass_and_stencil(v)
+    assert np.array_equal(mv, fresh_mv)
+    assert np.array_equal(st.au, fresh.au)
     # an array equal to v is not v: it gets a fresh evaluation
     w = v.copy()
     mw, sw = system.mass_and_stencil(w)
@@ -353,8 +356,8 @@ def test_theta_system_hands_on_only_its_last_product():
     # slot holds that sweep's product
     system @ (w + 1.0)
     mw, sw = system.mass_and_stencil(w)
-    assert np.array_equal(mw, forms.apply_m(w))
-    assert np.array_equal(sw.au, forms.apply_a(w))
+    assert np.array_equal(mw, fresh_mv)
+    assert np.array_equal(sw.au, fresh.au)
 
 
 @pytest.mark.parametrize("rates", RATES[:2])

@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from kramerslab import gibbs
 from kramerslab.grid_forms import (AssemblyError, Field, Grid, LimitField,
-                                   ProductTest, assemble, assemble_limit,
+                                   ModalForms, ProductTest, assemble,
+                                   assemble_limit,
                                    assemble_limit_rates, b_form, build_grid,
                                    graded_nodes, l2_norm_x,
                                    nonlinear_observable, nonlinear_observables,
@@ -59,6 +61,19 @@ def test_bad_grids_rejected():
         with pytest.raises(ValueError, match="quad_order"):
             Grid(np.linspace(0.0, 1.0, 8), graded_nodes(11), quad_order=order)
 
+
+
+def test_grid_rejects_nonuniform_x_nodes():
+    # the stepper's closed-form x-eigenbasis holds on uniform x-nodes only
+    xi = graded_nodes(11)
+    x = np.linspace(0.0, 1.0, 9)
+    Grid(x, xi)
+    Grid(np.arange(9) / 8, xi)
+    nudged = x.copy()
+    nudged[4] += 1e-12
+    for bad in (x ** 2, nudged):
+        with pytest.raises(ValueError, match="uniform"):
+            Grid(bad, xi)
 
 @pytest.fixture(scope="module")
 def small_forms(quartic):
@@ -194,7 +209,6 @@ def test_limit_stencil_matches_block_forms():
     # the band kernel sums each row in the order of the CSR matvec
     assert np.array_equal(lf.apply_m(u), M @ u)
     assert np.abs(st.au - A @ u).max() <= 1e-14 * (abs(A) @ np.abs(u)).max()
-    assert np.array_equal(lf.apply_a(u), st.au)
     assert st.a == pytest.approx(float(u @ (A @ u)), rel=1e-12)
     # diffusion is half the K_x-energy of each density
     um, up = u.reshape(2, -1)
@@ -335,7 +349,8 @@ def test_limit_rates_pair_nonsymmetric():
     dense = oracles.block_forms(lf)[1].toarray()
     assert np.max(np.abs(dense - dense.T)) > 0.0
     u, w = np.random.default_rng(9).normal(size=(2, lf.n))
-    assert abs(float(u @ lf.apply_a(w)) - float(w @ lf.apply_a(u))) > 0.1
+    assert abs(float(u @ lf.stencil(w).au)
+               - float(w @ lf.stencil(u).au)) > 0.1
 
 
 @pytest.mark.parametrize("eps", LADDER)
@@ -432,3 +447,59 @@ def test_field_validation(quartic):
         Field(np.full((9, 11), np.nan), grid, 0.1)
     with pytest.raises(ValueError):
         LimitField(np.zeros(5), np.zeros(4), np.linspace(0, 1, 5))
+
+
+@pytest.mark.parametrize("nx", [5, 17, 129])
+def test_modal_basis_diagonalizes_the_x_pencil(quartic, nx):
+    forms = assemble(build_grid(nx, 11), quartic, 0.2)
+    modal = ModalForms(forms)
+    V, lam = modal.V, modal.lam
+    M_x, K_x = forms.M_x.toarray(), forms.K_x.toarray()
+    # mode 0 is exactly the constant 1, and its eigenvalue exactly 0
+    assert np.array_equal(V[:, 0], np.ones(nx)) and lam[0] == 0.0
+    assert np.abs(V.T @ M_x @ V - np.eye(nx)).max() <= 1e-14
+    assert np.abs(V.T @ K_x @ V - np.diag(lam)).max() <= 1e-14 * lam[-1]
+    assert np.abs(modal.VtM @ V - np.eye(nx)).max() <= 1e-14
+    reference = la.eigh(K_x, M_x, eigvals_only=True)
+    assert np.abs(lam - reference).max() <= 1e-14 * lam[-1]
+
+
+def test_modal_transforms_keep_equal_columns_equal(quartic):
+    # the transforms act on xi-differences, so the flat well columns of a
+    # lifted field stay exactly flat both ways (a plain V^T M_x U breaks
+    # one pair here with OpenBLAS)
+    eps = 0.02
+    grid = build_grid(33, 41)
+    modal = ModalForms(assemble(grid, quartic, eps))
+    x = grid.x_nodes
+    U = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, eps,
+             grid).values
+    flat = np.all(np.diff(U, axis=1) == 0.0, axis=0)
+    assert flat.sum() >= 10
+    Y = modal.coefficients(U).reshape(modal.shape)
+    back = modal.values(Y.reshape(-1))
+    for A in (Y, back):
+        assert np.all(np.diff(A, axis=1)[:, flat] == 0.0)
+    assert np.abs(back - U).max() <= 1e-14 * np.abs(U).max()
+
+
+@pytest.mark.parametrize("eps", LADDER)
+def test_modal_forms_match_the_nodal_ones(small_forms, eps):
+    forms = small_forms[eps]
+    modal = ModalForms(forms)
+    U = 1.0 + np.random.default_rng(10).normal(size=modal.shape)
+    u = U.reshape(-1)
+    y = modal.coefficients(U)
+    mv, st = modal.mass_and_stencil(y)
+    nodal = forms.stencil(u)
+    assert np.array_equal(mv, modal.apply_m(y))
+    assert float(y @ mv) == pytest.approx(float(u @ forms.apply_m(u)),
+                                          rel=1e-14)
+    assert st.a1 == pytest.approx(nodal.a1, rel=1e-13)
+    assert st.a2 == pytest.approx(nodal.a2, rel=1e-13)
+    # A y is V^T (A u), and the mass is read from mode 0 alone
+    au = (modal.V.T @ nodal.au.reshape(modal.shape)).reshape(-1)
+    assert np.abs(st.au - au).max() <= 1e-13 * np.abs(au).max()
+    mass = float(forms.apply_m(np.ones(forms.n)) @ u)
+    assert float(modal.apply_m(modal.one) @ y) == pytest.approx(mass,
+                                                               rel=1e-14)
