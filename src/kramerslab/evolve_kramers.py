@@ -15,6 +15,7 @@ M + cA.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,32 +40,37 @@ class _ThetaSystem:
     Subclasses add ``norm_inf`` and ``factorize`` from the 1-D factors of
     the forms.
 
-    The last product keeps M v and the :class:`Stencil` of v in a one-slot
-    hand-off: the certified solve's final product is of the increment it
-    returns, so ``mass_and_stencil`` gives the integrator the increment's
-    parts without a second application.
+    The system owns the workspace of its products, allocated once: ``S @ v``
+    writes M v and the :class:`Stencil` of v into ``forms.workspace()`` and
+    M v + c A v into one more buffer, which it returns. So a product and its
+    parts are valid until the system's next product, and no product
+    allocates an array of the state's size.
+
+    The last product keeps M v and the stencil of v in a one-slot hand-off:
+    the certified solve's final product is of the increment it returns, so
+    ``mass_and_stencil`` gives the integrator the increment's parts without
+    a second application.
     """
 
     def __init__(self, forms, c):
         self.forms = forms
         self.c = float(c)
+        self.shape = (forms.n, forms.n)
+        self._out = forms.workspace()
+        self._sv = np.empty(forms.n)
         self._kept = None
 
     def __matmul__(self, v):
-        mv, st = self.forms.mass_and_stencil(v)
+        mv, st = self.forms.mass_and_stencil(v, self._out)
         self._kept = (v, mv, st)
-        return mv + self.c * st.au
+        np.multiply(st.au, self.c, out=self._sv)
+        self._sv += mv
+        return self._sv
 
     def mass_and_stencil(self, x):
         """(M x, Stencil of x): the last product's if it was of this very
-        array ``x``, else fresh ones. The caller must not modify them.
-
-        The slot holds the product until the next one replaces it. Emptied
-        here, its arrays were freed before the next product allocated its
-        own, glibc's malloc trimmed the heap and the next product faulted in
-        fresh pages: 190 minor page faults per step at 129 x 161 instead
-        of 10.
-        """
+        array ``x``, else fresh ones. The caller must not modify them, and
+        the last product's are valid until the next product."""
         if self._kept is not None and self._kept[0] is x:
             return self._kept[1:]
         return self.forms.mass_and_stencil(x)
@@ -77,9 +83,11 @@ class _ThetaSystem:
 class KroneckerSystem(_ThetaSystem):
     """M + cA of the eps-level forms in x-modes (:class:`ModalForms`): the
     block diagonal of the nx tridiagonal blocks (1 + c lam_k) M_xi + c K_xi,
-    with the xi-stiffness in incidence form. ``S @ v`` costs one M_xi
-    product and the xi-stencil; the inner solve is one tridiagonal solve,
-    with no dense product (fast diagonalization in x).
+    with the xi-stiffness in incidence form. ``S @ v`` is one contiguous
+    pass per term over the flat modes (the M_xi product, the xi-stencil,
+    the scale by lam), written into the system's workspace, so it and its
+    parts are valid until the next product; the inner solve is one
+    tridiagonal solve, with no dense product (fast diagonalization in x).
     """
 
     def norm_inf(self):
@@ -173,7 +181,10 @@ class LinearSolver:
     The solve's last ``op`` call is of the very array it returns, unless
     its last sweep was rejected. The integrator relies on this: a
     structured ``S`` (kept as ``self.S``) hands that product's M x and
-    stencil on through ``mass_and_stencil``.
+    stencil on through ``mass_and_stencil``. The residual of every solve
+    is written into one buffer, allocated with the solver. A solution is
+    non-finite when its norm is: the certificate takes ||x|| anyway, and a
+    norm that overflows counts as non-finite too.
     """
 
     def __init__(self, S, target=RESIDUAL_TARGET, max_refine=6, op=None):
@@ -190,6 +201,7 @@ class LinearSolver:
             self._inner = spla.splu(S.tocsc()).solve
             self._mass = np.sum
         self.op = op if op is not None else (lambda v: S @ v)
+        self._r = np.empty(S.shape[0])
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
@@ -198,26 +210,30 @@ class LinearSolver:
             return np.zeros_like(rhs)
 
         def certify(x):
-            # residual, backward error, excess over the stop rule (<= 1)
-            r = rhs - self.op(x)
-            res = float(np.linalg.norm(r)) / (
-                self.norm_S * float(np.linalg.norm(x)) + norm_rhs)
-            return r, res, max(res / self.target,
-                               abs(float(self._mass(r))) / MASS_RESIDUAL_BOUND)
+            # backward error, excess over the stop rule (<= 1) and ||x||;
+            # the residual is left in self._r
+            r = np.subtract(rhs, self.op(x), out=self._r)
+            norm_x = float(np.linalg.norm(x))
+            res = float(np.linalg.norm(r)) / (self.norm_S * norm_x + norm_rhs)
+            return res, max(res / self.target,
+                            abs(float(self._mass(r))) / MASS_RESIDUAL_BOUND
+                            ), norm_x
 
         x = self._inner(rhs)
-        r, res, excess = certify(x)
+        res, excess, norm_x = certify(x)
         for _ in range(self.max_refine):
             if not excess > 1.0:
                 break
-            better = x + self._inner(r)
-            r_new, res_new, excess_new = certify(better)
+            # a rejected sweep ends the refinement, so self._r is always
+            # the residual of x here
+            better = x + self._inner(self._r)
+            res_new, excess_new, norm_new = certify(better)
             if excess_new < excess:
-                x, r, res = better, r_new, res_new
+                x, res, norm_x = better, res_new, norm_new
             if not excess_new < 0.9 * excess:
                 break
             excess = excess_new
-        if not np.all(np.isfinite(x)):
+        if not math.isfinite(norm_x):
             raise SolverError("linear solve returned a non-finite solution",
                               residual=res)
         if not res <= self.target:
@@ -337,14 +353,14 @@ class _CarriedState:
 
     All of them but the scalars are linear in u, so ``advance`` adds an
     increment's M x and stencil in place instead of evaluating the forms
-    at the new state. The carried arrays are the state's own: at both
-    levels the first stencil part holds its argument itself, so the stencil
-    is taken of a copy of u.
+    at the new state. The carried arrays are the state's own, and u is the
+    stencil's first part (at both levels that part is the argument's
+    memory), so adding the increment's stencil adds x to u.
     """
 
     def __init__(self, forms, u):
-        self.u = np.array(u, dtype=float)
-        self.mu, self.st = forms.mass_and_stencil(self.u.copy())
+        self.mu, self.st = forms.mass_and_stencil(np.array(u, dtype=float))
+        self.u = self.st.parts[0][0]
         self._energies()
 
     def _energies(self):
@@ -358,7 +374,6 @@ class _CarriedState:
         a_theta = (self.a1 + self.a2 + theta * self.st.cross(sx)
                    + theta * theta * sx.a)
         b_u = self.b
-        self.u += x
         self.mu += mx
         self.st += sx
         self._energies()
@@ -386,6 +401,7 @@ def _integrate(forms, system, u, T, dt, scheme, snapshot_times, wrap,
     want = _snapshot_steps(snapshot_times, dt, n_steps)
 
     state = _CarriedState(forms, u)
+    rhs = np.empty(forms.n)
     # M 1; in x-modes only its mode-0 block is nonzero
     mass_vec = forms.apply_m(forms.one)
     times, mass, b, a1, a2 = (np.zeros(n_steps + 1) for _ in range(5))
@@ -406,7 +422,7 @@ def _integrate(forms, system, u, T, dt, scheme, snapshot_times, wrap,
     for step, group in enumerate(groups, start=1):
         residual = 0.0
         for theta, dt_sub, solver in group:
-            x = solver.solve(-dt_sub * state.st.au)
+            x = solver.solve(np.multiply(state.st.au, -dt_sub, out=rhs))
             residual += state.advance(x, *solver.S.mass_and_stencil(x),
                                       theta, dt_sub)
             t += dt_sub

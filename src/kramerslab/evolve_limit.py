@@ -19,7 +19,9 @@ class LimitSystem(_ThetaSystem):
     """M + cA of the limit forms, kept as its 1-D factors:
     1/2 [I (x) P0 + c R (x) M_x], P0 = M_x + c K_x, with the reaction
     matrix R = [[k_f, -k_b], [-k_f, k_b]]; ``S @ v`` is the exact action of
-    the forms, and both act through the bands of M_x and K_x.
+    the forms on the flat pair, written into the system's workspace as at
+    the eps level (valid until the next product), and both act through the
+    bands of M_x and K_x.
     """
 
     def __init__(self, lforms, c):

@@ -238,13 +238,16 @@ def _bands(T):
                      np.concatenate([off, [0.0]])])
 
 
-def _tridiag(bands, V):
+def _tridiag(bands, V, out=None, work=None):
     """The tridiagonal matrix of ``bands`` applied along the last axis of
-    ``V``. Each row sums left neighbour, diagonal, right neighbour in that
-    order, as a CSR matvec does, so the two agree bit for bit."""
-    out = bands[1] * V
-    out[..., 1:] += bands[0, 1:] * V[..., :-1]
-    out[..., :-1] += bands[2, :-1] * V[..., 1:]
+    ``V``, written into ``out`` if given; ``work``, if given, holds the
+    off-diagonal products (one entry fewer than ``V`` along that axis).
+    Each row sums left neighbour, diagonal, right neighbour in that order,
+    as a CSR matvec does, so the two agree bit for bit."""
+    out = np.multiply(bands[1], V, out=out)
+    work = np.multiply(bands[0][1:], V[..., :-1], out=work)
+    out[..., 1:] += work
+    out[..., :-1] += np.multiply(bands[2][:-1], V[..., 1:], out=work)
     return out
 
 
@@ -413,9 +416,17 @@ class ModalForms:
     The state is the (nx, nxi) array of x-mode coefficients Y = V^T M_x U,
     flattened. The forms are Kronecker sums, so each mode relaxes along xi
     on its own: M = I (x) M_xi, A1 = diag(lam) (x) M_xi, A2 = I (x) K_xi,
-    and M + cA is block diagonal. The stencil parts are (Y, lam M_xi Y) and
-    (dY, g_xi dY), with dY the xi-differences, so b, a1 and a2 are those of
+    and M + cA is block diagonal. The stencil parts are (y, lam M_xi y) and
+    (dy, g_xi dy), with dy the xi-differences, so b, a1 and a2 are those of
     the nodal forms. The mass 1^T M u is 1^T M_xi Y_0: mode 0 alone.
+
+    The operator runs on the flat vector, the mode blocks laid end to end:
+    the bands of M_xi tiled once per block (the first left and the last
+    right coefficient of a block are zero, so no product crosses a block
+    end), lam repeated once per entry, and g_xi once per difference of the
+    flat vector, zero on each difference across a block end. So every term
+    is one contiguous pass, and every flux is still proportional to its
+    local difference.
 
     The transforms act on column 0 and the xi-differences, and then sum
     along xi: exactly equal adjacent columns stay exactly equal, where the
@@ -442,6 +453,13 @@ class ModalForms:
         mu = (2.0 + cos) / (3.0 * n)
         self.VtM = np.ascontiguousarray((w[:, None] * self.V * mu).T)
         self.M_xi, self.K_xi, self.g_xi = forms.M_xi, forms.K_xi, forms.g_xi
+        # the flat layout; M_xi is symmetric, so its right coefficients are
+        # the left ones shifted, read from the same memory
+        left, diag, _ = np.tile(_bands(forms.M_xi), nx)
+        off = np.append(left, 0.0)
+        self._m = (off[:-1], diag, off[1:])
+        self._lam = np.repeat(self.lam, nxi)
+        self._g = np.tile(np.append(forms.g_xi, 0.0), nx)[:-1]
 
     @property
     def one(self):
@@ -462,19 +480,28 @@ class ModalForms:
 
     def apply_m(self, y):
         """M y: M_xi applied to every mode; flat output."""
-        return self.M_xi.dot(y.reshape(self.shape).T).T.reshape(-1)
+        return _tridiag(self._m, y)
 
-    def mass_and_stencil(self, y):
-        """(M y, the :class:`Stencil` of ``y``) from one M_xi product."""
-        Y = y.reshape(self.shape)
-        mv = self.apply_m(y)
-        F1 = mv.reshape(self.shape) * self.lam[:, None]
-        D = np.diff(Y, axis=1)
-        F2 = D * self.g_xi
-        au = F1.copy()
-        au[:, :-1] -= F2
-        au[:, 1:] += F2
-        return mv, Stencil(au.reshape(-1), ((Y, F1), (D, F2)))
+    def workspace(self):
+        """The buffers of one :meth:`mass_and_stencil`: M y, A y, the
+        fluxes lam M y, the differences and their fluxes."""
+        return np.empty((5, self.n))
+
+    def mass_and_stencil(self, y, out=None):
+        """(M y, the :class:`Stencil` of the flat modes ``y``), one pass per
+        term, written into ``out`` (a :meth:`workspace`) if given; the
+        stencil's first part holds ``y`` itself."""
+        mv, au, F1, D, F2 = self.workspace() if out is None else out
+        D, F2 = D[:-1], F2[:-1]
+        # au takes the off-diagonal products of M y until it is written
+        _tridiag(self._m, y, out=mv, work=au[:-1])
+        np.multiply(self._lam, mv, out=F1)
+        np.subtract(y[1:], y[:-1], out=D)
+        np.multiply(self._g, D, out=F2)
+        np.subtract(F1[:-1], F2, out=au[:-1])
+        au[-1] = F1[-1]
+        au[1:] += F2
+        return mv, Stencil(au, ((y, F1), (D, F2)))
 
 
 def assemble(grid, profile, eps, log_tau_shift=0.0):
@@ -547,10 +574,12 @@ class LimitFormMatrices:
 
     The mass is M = 1/2 I (x) M_x and the stiffness
     A = 1/2 I (x) K_x + 1/2 R (x) M_x, with the reaction matrix
-    R = [[k_f, -k_b], [-k_f, k_b]]. They act on the (2, nx) pair through the
-    bands of M_x and K_x. Offers the forms interface of
-    :class:`FormMatrices` that the theta integrator uses; the energy splits
-    into the diffusion part ``a1`` and the reaction part ``a2``.
+    R = [[k_f, -k_b], [-k_f, k_b]]. They act on the flat pair through the
+    bands of M_x and K_x, tiled once per species with a zero coupling
+    between the two, so each term is one contiguous pass. Offers the forms
+    interface of :class:`ModalForms` that the theta integrator uses; the
+    energy splits into the diffusion part ``a1`` and the reaction part
+    ``a2``.
     """
 
     M_x: sp.csr_matrix
@@ -566,36 +595,56 @@ class LimitFormMatrices:
         """The bands of M_x and of K_x, each (3, nx) (see ``_bands``)."""
         return _bands(self.M_x), _bands(self.K_x)
 
+    @functools.cached_property
+    def _pair_bands(self):
+        """The bands of M_x and of K_x tiled over the flat pair."""
+        return tuple(np.tile(b, 2) for b in self.bands)
+
     @property
     def n(self):
         return 2 * len(self.x_nodes)
 
     def apply_m(self, w):
-        W = _vec(w).reshape(2, -1)
-        return 0.5 * _tridiag(self.bands[0], W).reshape(-1)
+        return 0.5 * _tridiag(self._pair_bands[0], _vec(w))
 
-    def _parts(self, w):
-        """Diffusion: both densities and half their K_x-fluxes; reaction:
-        the well gap u_minus - u_plus and half the x-mass of the net
-        transfer k_f u_minus - k_b u_plus (with equal rates k, a2 is k/2
-        times the squared gap)."""
-        W = _vec(w).reshape(2, -1)
-        um, up = W
-        m, k = self.bands
-        transfer = self.rate_forward * um - self.rate_backward * up
-        return ((W, 0.5 * _tridiag(k, W)),
-                (um - up, 0.5 * _tridiag(m, transfer)))
+    def workspace(self):
+        """The buffers of one :meth:`mass_and_stencil`: M w, A w, the
+        diffusion fluxes, then the well gap and its flux, the transfer and
+        one more, each half as long."""
+        return np.empty((5, self.n))
+
+    def mass_and_stencil(self, w, out=None):
+        """(M w, the :class:`Stencil` of ``w``), written into ``out`` (a
+        :meth:`workspace`) if given. Diffusion: both densities and half
+        their K_x-fluxes; reaction: the well gap u_minus - u_plus and half
+        the x-mass of the net transfer k_f u_minus - k_b u_plus (with equal
+        rates k, a2 is k/2 times the squared gap). A w is the diffusion flux
+        of each density plus the transfer, which leaves u_minus and enters
+        u_plus."""
+        w = _vec(w)
+        mv, au, F1, gap, extra = self.workspace() if out is None else out
+        nx = len(self.x_nodes)
+        um, up = w[:nx], w[nx:]
+        D, F2 = gap[:nx], gap[nx:]
+        transfer, work = extra[:nx], extra[nx:]
+        (m2, k2), m = self._pair_bands, self.bands[0]
+        # au takes the off-diagonal products until it is written
+        _tridiag(m2, w, out=mv, work=au[:-1])
+        mv *= 0.5
+        _tridiag(k2, w, out=F1, work=au[:-1])
+        F1 *= 0.5
+        np.multiply(self.rate_forward, um, out=transfer)
+        transfer -= np.multiply(self.rate_backward, up, out=work)
+        np.subtract(um, up, out=D)
+        _tridiag(m, transfer, out=F2, work=work[:-1])
+        F2 *= 0.5
+        np.add(F1[:nx], F2, out=au[:nx])
+        np.subtract(F1[nx:], F2, out=au[nx:])
+        return mv, Stencil(au, ((w, F1), (D, F2)))
 
     def stencil(self, w):
-        """A w and the energy split of ``w``, as for the eps-level forms: A w
-        is the diffusion flux of each density plus the transfer, which
-        leaves u_minus and enters u_plus."""
-        parts = self._parts(w)
-        (_, F1), (_, F2) = parts
-        return Stencil((F1 + [F2, -F2]).reshape(-1), parts)
-
-    def mass_and_stencil(self, w):
-        return self.apply_m(w), self.stencil(w)
+        """A w and the energy split of ``w`` (see :meth:`mass_and_stencil`)."""
+        return self.mass_and_stencil(w)[1]
 
     @property
     def one(self):

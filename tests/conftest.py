@@ -69,8 +69,8 @@ def leaky_eps_forms(monkeypatch):
     from kramerslab import evolve_kramers
 
     class LeakyModalForms(evolve_kramers.ModalForms):
-        def mass_and_stencil(self, y):
-            mv, st = super().mass_and_stencil(y)
+        def mass_and_stencil(self, y, out=None):
+            mv, st = super().mass_and_stencil(y, out)
             st.au = st.au + 0.1 * mv
             return mv, st
 

@@ -201,10 +201,10 @@ def test_skewed_run_takes_one_inner_solve_per_solve(op_counts):
 class _LeakyForms(LimitFormMatrices):
     """Limit forms whose stiffness is A + 0.1 M."""
 
-    def stencil(self, w):
-        st = super().stencil(w)
-        st.au = st.au + 0.1 * self.apply_m(w)
-        return st
+    def mass_and_stencil(self, w, out=None):
+        mv, st = super().mass_and_stencil(w, out)
+        st.au = st.au + 0.1 * mv
+        return mv, st
 
 
 def test_guard_stops_nonconservative_step():
@@ -358,6 +358,34 @@ def test_theta_system_hands_on_only_its_last_product():
     mw, sw = system.mass_and_stencil(w)
     assert np.array_equal(mw, fresh_mv)
     assert np.array_equal(sw.au, fresh.au)
+
+
+@pytest.mark.parametrize("level", [_eps_level, _limit_level])
+def test_theta_system_writes_its_products_into_one_workspace(level):
+    # a product and its parts live in buffers the system allocated once,
+    # valid until its next product; any other array gets a fresh evaluation
+    forms, _, _ = level()
+    system = (KroneckerSystem if isinstance(forms, ModalForms)
+              else LimitSystem)(forms, 1e-3)
+    rng = np.random.default_rng(29)
+    v, w = rng.normal(size=(2, forms.n))
+    first = system @ v
+    second = system @ w
+    assert second is first
+    mw, sw = system.mass_and_stencil(w)
+    buffers = [mw, sw.au, sw.parts[0][1], *sw.parts[1]]
+    assert all(np.shares_memory(b, system._out) for b in buffers)
+    assert np.shares_memory(sw.parts[0][0], w)
+    fresh_mw, fresh = forms.mass_and_stencil(w)
+    assert np.array_equal(second, fresh_mw + 1e-3 * fresh.au)
+    assert np.array_equal(mw, fresh_mw) and np.array_equal(sw.au, fresh.au)
+    mv, sv = system.mass_and_stencil(v)
+    assert not any(np.shares_memory(b, system._out)
+                   for b in [mv, sv.au, sv.parts[0][1], *sv.parts[1]])
+    # the carried state holds u as its stencil's first part
+    state = evolve_kramers._CarriedState(forms, v)
+    assert state.u is state.st.parts[0][0]
+    assert not np.shares_memory(state.u, v)
 
 
 @pytest.mark.parametrize("rates", RATES[:2])

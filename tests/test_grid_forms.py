@@ -8,7 +8,8 @@ import scipy.sparse as sp
 
 from kramerslab import gibbs
 from kramerslab.grid_forms import (AssemblyError, Field, Grid, LimitField,
-                                   ModalForms, ProductTest, assemble,
+                                   ModalForms, ProductTest, _bands, _tridiag,
+                                   assemble,
                                    assemble_limit,
                                    assemble_limit_rates, b_form, build_grid,
                                    graded_nodes, l2_norm_x,
@@ -503,3 +504,54 @@ def test_modal_forms_match_the_nodal_ones(small_forms, eps):
     mass = float(forms.apply_m(np.ones(forms.n)) @ u)
     assert float(modal.apply_m(modal.one) @ y) == pytest.approx(mass,
                                                                rel=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(129, 161), (65, 81), (33, 1025)],
+                         ids=["129x161", "65x81", "33x1025"])
+@pytest.mark.parametrize("eps", [0.2, 0.02])
+def test_flat_modal_kernels_match_the_per_mode_formulas(quartic, shape, eps):
+    # the flat passes over the mode blocks laid end to end against M_xi
+    # and the xi-differences taken per mode on the (nx, nxi) array: M y and
+    # A y bit for bit, the energies to the rounding of one dot product
+    modal = ModalForms(assemble(build_grid(*shape), quartic, eps))
+    Y = 1.0 + np.random.default_rng(21).normal(size=shape)
+    y = Y.reshape(-1)
+    mv, st = modal.mass_and_stencil(y)
+    MY = (modal.M_xi @ Y.T).T
+    F1 = MY * modal.lam[:, None]
+    D = np.diff(Y, axis=1)
+    F2 = D * modal.g_xi
+    AY = F1.copy()
+    AY[:, :-1] -= F2
+    AY[:, 1:] += F2
+    assert np.array_equal(mv, MY.reshape(-1))
+    assert np.array_equal(st.au, AY.reshape(-1))
+    assert st.parts[0][0] is y
+    # the flat differences are the per-mode ones plus one across each block
+    # end, whose flux is exactly zero
+    d, f = (np.append(p, 0.0).reshape(shape) for p in st.parts[1])
+    assert np.array_equal(d[:, :-1], D) and np.array_equal(f[:, :-1], F2)
+    assert not np.any(f[:, -1])
+    assert st.a1 == pytest.approx(float(np.vdot(Y, F1)), rel=1e-15)
+    assert st.a2 == pytest.approx(float(np.vdot(D, F2)), rel=1e-15)
+
+
+@pytest.mark.parametrize("rates", [(2.0, 0.5), (1.0, 1.0), (0.0, 0.0)])
+def test_flat_limit_kernels_match_the_pair_formulas(rates):
+    # the flat pair against the tridiagonal-row kernel on the (2, nx) pair
+    lf = assemble_limit_rates(np.linspace(0.0, 1.0, 257), *rates)
+    W = np.random.default_rng(23).normal(size=(2, 257))
+    w = W.reshape(-1)
+    mv, st = lf.mass_and_stencil(w)
+    m, k = _bands(lf.M_x), _bands(lf.K_x)
+    F1 = 0.5 * _tridiag(k, W)
+    transfer = rates[0] * W[0] - rates[1] * W[1]
+    F2 = 0.5 * _tridiag(m, transfer)
+    assert np.array_equal(mv, 0.5 * _tridiag(m, W).reshape(-1))
+    assert np.array_equal(lf.apply_m(w), mv)
+    assert np.array_equal(st.au, (F1 + [F2, -F2]).reshape(-1))
+    assert np.array_equal(st.parts[0][1], F1.reshape(-1))
+    assert np.array_equal(st.parts[1][0], W[0] - W[1])
+    assert np.array_equal(st.parts[1][1], F2)
+    assert st.a1 == pytest.approx(float(np.vdot(W, F1)), rel=1e-15)
+    assert st.a2 == pytest.approx(float(np.vdot(W[0] - W[1], F2)), rel=1e-15)
