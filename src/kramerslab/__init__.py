@@ -1,8 +1,8 @@
 """Numerical laboratory for the high-activation-energy limit of a double-well
 drift-diffusion on a cylinder and its two-species reaction-diffusion limit."""
 
-from .enthalpy import (EnthalpyProfile, SkewedEnthalpy, from_coefficients,
-                       quartic_default, skewed, validate)
+from .enthalpy import (EnthalpyProfile, from_coefficients, quartic_default,
+                       validate)
 from .gibbs import (EPS_CEIL, EPS_FLOOR, GibbsMeasure, laplace_i_shifted,
                     laplace_z, log_barrier_integral, log_laplace_i,
                     log_partition, log_tau, tau)

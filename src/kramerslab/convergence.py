@@ -15,7 +15,7 @@ import numpy as np
 from . import gibbs
 from .enthalpy import from_coefficients, quartic_default, validate
 from .evolve_kramers import (ENERGY_RESIDUAL_BOUND, MASS_DRIFT_BOUND, SCHEMES,
-                             SolverError, solve, step_index)
+                             SolverError, energy_excess, solve, step_index)
 from .evolve_limit import solve_limit
 from .grid_forms import (AssemblyError, LimitField, assemble, assemble_limit,
                          ProductTest, b_form, build_grid, check_grid, l2_norm_x,
@@ -111,14 +111,14 @@ def gradient_bound_margin(forms, field):
     return forms.a1_energy(field) - bound
 
 
-def xi_flatness(forms, field, delta=0.5):
+def xi_flatness(forms, field):
     """Unweighted squared L2 norm of the xi-derivative away from the saddle
-    (cells whose midpoint satisfies |xi| >= delta), over x by the forms'
+    (cells whose midpoint satisfies |xi| >= 1/2), over x by the forms'
     M_x."""
     xi = forms.grid.xi_nodes
     mid = 0.5 * (xi[1:] + xi[:-1])
     h = np.diff(xi)
-    sel = np.abs(mid) >= delta
+    sel = np.abs(mid) >= 0.5
     dU = np.diff(field.values, axis=1)[:, sel] / h[sel]
     W = forms.M_x @ dU
     return float(np.einsum("ic,ic->c", dU, W) @ h[sel])
@@ -350,7 +350,7 @@ def profile_from_config(cfg):
         prof = from_coefficients(cfg.profile["coeffs"])
     else:
         prof = quartic_default()
-    bad = validate(prof, 1001)
+    bad = validate(prof)
     if bad:
         raise ConfigError("profile violates the double-well assumptions: "
                           + "; ".join(bad))
@@ -491,9 +491,8 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
                  observables={}, gap_norm={}, fiber_margin={},
                  jensen_margin={}, flatness={},
                  mass_drift=float(np.abs(np.diff(traj.mass)).max()),
-                 energy_residual_max=float(
-                     np.abs(traj.energy_residual[1:]).max()
-                     if len(traj.energy_residual) > 1 else 0.0))
+                 energy_residual_max=float(max(0.0, *map(
+                     energy_excess, traj.energy_residual, traj.thetas))))
     tests, observables = default_test_functions(), _snapshot_observables()
     for t, state in traj.snapshots:
         row.fiber_margin[t] = fiber_bound_margin(forms, state, rate_eff)

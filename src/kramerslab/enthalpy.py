@@ -13,11 +13,9 @@ import numpy as np
 
 __all__ = [
     "EnthalpyProfile",
-    "SkewedEnthalpy",
     "quartic_default",
     "from_coefficients",
     "validate",
-    "skewed",
 ]
 
 _ENDPOINT_TOL = 1e-14
@@ -66,17 +64,15 @@ def from_coefficients(coeffs, name=None):
                            name=name or f"poly{len(coeffs) - 1}")
 
 
-def validate(profile, samples=1001):
+def validate(profile):
     """Check the double-well admissibility conditions on a sample grid.
 
-    Uses ``samples`` uniform points including the endpoints, plus 0. Returns a
+    Uses 1001 uniform points including the endpoints, plus 0. Returns a
     list of human-readable violations; an empty list means admissible.
     Violations are data, not errors: candidate profiles may fail freely.
     """
-    if samples < 3:
-        raise ValueError("samples must be at least 3")
     violations = []
-    xi = np.linspace(-1.0, 1.0, samples)
+    xi = np.linspace(-1.0, 1.0, 1001)
 
     h0 = float(profile.eval(0.0))
     if abs(h0 - 1.0) > _ENDPOINT_TOL:
@@ -109,36 +105,3 @@ def validate(profile, samples=1001):
         violations.append(
             f"H''(1)>0 fails: H''(1) = {float(profile.deriv2(1.0))!r}")
     return violations
-
-
-@dataclass(frozen=True)
-class SkewedEnthalpy:
-    """Barrier with a smooth O(1) tilt that sets unequal well depths.
-
-    The tilt (gap/2)*sin(pi*xi/2) is flat at both wells and has exactly the
-    configured value difference between them; composing it with the scaled
-    base barrier gives the landscape of a reaction whose forward and backward
-    rates differ by the factor exp(gap).
-    """
-
-    base: EnthalpyProfile
-    gap: float
-
-    def tilt(self, xi):
-        return 0.5 * self.gap * np.sin(0.5 * np.pi * np.asarray(xi, dtype=float))
-
-    def composed(self, eps):
-        """The combined landscape xi -> tilt(xi) + H(xi)/eps."""
-        if not eps > 0.0:
-            raise ValueError(f"eps must be positive, got {eps!r}")
-        base_eval = self.base.eval
-
-        def combined(xi):
-            return self.tilt(xi) + base_eval(xi) / eps
-
-        return combined
-
-
-def skewed(base, gap, eps):
-    """Combined landscape with well-depth difference ``gap`` at scale ``eps``."""
-    return SkewedEnthalpy(base, gap).composed(eps)

@@ -25,7 +25,8 @@ import scipy.sparse.linalg as spla
 from .grid_forms import Field, ModalForms, _bands
 
 __all__ = ["SolverError", "KroneckerSystem", "LinearSolver", "Trajectory",
-           "SCHEMES", "solve", "regularization_check", "RegularityFlags"]
+           "SCHEMES", "solve", "energy_excess", "regularization_check",
+           "RegularityFlags"]
 
 
 class SolverError(RuntimeError):
@@ -317,23 +318,37 @@ class Trajectory:
         raise KeyError(f"no snapshot stored at t = {t!r}")
 
 
+def energy_excess(residual, theta):
+    """The part of one step's energy-identity residual that the certificate
+    bounds by ENERGY_RESIDUAL_BOUND * max(1, b0): its absolute value on
+    trapezoidal steps (theta = 1/2), the residual itself on damped steps,
+    where it is nonpositive."""
+    return abs(residual) if theta == 0.5 else residual
+
+
+def _step_error(where, step, t, message, residual=None):
+    """The :class:`SolverError` of one step, naming the run, the step and
+    the time it reaches."""
+    return SolverError(f"{where}, step {step} (t = {t:g}): {message}",
+                       residual=residual)
+
+
 def _certify_step(where, step, t, drift, residual, theta, b0):
     """Raise :class:`SolverError` if one step broke a certificate.
 
-    The mass may move by at most MASS_DRIFT_BOUND. The energy-identity
-    residual is bounded by ENERGY_RESIDUAL_BOUND * max(1, b0): in absolute
-    value on trapezoidal steps (theta = 1/2), from above only on damped
-    steps, where it is nonpositive. A NaN breaks either bound.
+    The mass may move by at most MASS_DRIFT_BOUND, and the
+    :func:`energy_excess` of the energy-identity residual is at most
+    ENERGY_RESIDUAL_BOUND * max(1, b0). A NaN breaks either bound.
     """
     bound = ENERGY_RESIDUAL_BOUND * max(1.0, b0)
     if not abs(drift) <= MASS_DRIFT_BOUND:
         quantity = (f"mass drift {drift:.3e} exceeds {MASS_DRIFT_BOUND:.0e}")
-    elif not (abs(residual) if theta == 0.5 else residual) <= bound:
+    elif not energy_excess(residual, theta) <= bound:
         quantity = (f"energy-identity residual {residual:.3e} exceeds "
                     f"{bound:.3e}")
     else:
         return
-    raise SolverError(f"{where}, step {step} (t = {t:g}): {quantity}")
+    raise _step_error(where, step, t, quantity)
 
 
 def _snapshot_steps(snapshot_times, dt, n_steps):
@@ -422,7 +437,11 @@ def _integrate(forms, system, u, T, dt, scheme, snapshot_times, wrap,
     for step, group in enumerate(groups, start=1):
         residual = 0.0
         for theta, dt_sub, solver in group:
-            x = solver.solve(np.multiply(state.st.au, -dt_sub, out=rhs))
+            try:
+                x = solver.solve(np.multiply(state.st.au, -dt_sub, out=rhs))
+            except SolverError as exc:
+                raise _step_error(where, step, t + dt_sub, exc,
+                                  exc.residual) from exc
             residual += state.advance(x, *solver.S.mass_and_stencil(x),
                                       theta, dt_sub)
             t += dt_sub
@@ -471,12 +490,12 @@ class RegularityFlags:
         return bool(np.all(self.a_nonincreasing) and np.all(self.bounded))
 
 
-def regularization_check(trajectory, rel_slack=1e-6):
+def regularization_check(trajectory):
     """Check that the energy decays along the run and that t * a(u(t)) stays
     below half the initial squared norm (discrete smoothing estimate)."""
     a = trajectory.a
     scale = max(float(a[0]), float(trajectory.b[0]), 1.0)
     noninc = a[1:] <= a[:-1] * (1.0 + 1e-10) + 1e-13 * scale
     bound = (trajectory.times * a
-             <= 0.5 * trajectory.b[0] * (1.0 + rel_slack) + 1e-13 * scale)
+             <= 0.5 * trajectory.b[0] * (1.0 + 1e-6) + 1e-13 * scale)
     return RegularityFlags(a_nonincreasing=noninc, bounded=bound)

@@ -44,7 +44,7 @@ def _check_eps(eps):
         raise ValueError(f"eps must be a positive finite real, got {eps!r}")
 
 
-def log_partition(profile, eps, tol=1e-12):
+def log_partition(profile, eps):
     """log of the well-normalization integral of exp(-H/eps) over [-1, 1].
 
     The direct integrand is bounded by 1, so it is integrated as-is; only
@@ -55,11 +55,11 @@ def log_partition(profile, eps, tol=1e-12):
 
     def f(xi):
         return math.exp(-h(xi) / eps)
-    value, _ = adaptive_integral(f, -1.0, 1.0, tol)
+    value, _ = adaptive_integral(f, -1.0, 1.0)
     return math.log(value)
 
 
-def log_barrier_integral(profile, eps, tol=1e-12):
+def log_barrier_integral(profile, eps):
     """log of the shifted barrier integral of exp((H - 1)/eps) over [-1, 1].
 
     The unshifted barrier integral carries a factor e^{1/eps}; its log is
@@ -71,7 +71,7 @@ def log_barrier_integral(profile, eps, tol=1e-12):
 
     def f(xi):
         return math.exp((h(xi) - 1.0) / eps)
-    value, _ = adaptive_integral(f, -1.0, 1.0, tol)
+    value, _ = adaptive_integral(f, -1.0, 1.0)
     return math.log(value)
 
 

@@ -324,7 +324,6 @@ class FormMatrices:
     g_xi: np.ndarray
     grid: Grid
     measure: gibbs.GibbsMeasure
-    log_tau_shift: float = 0.0
 
     @property
     def eps(self):
@@ -539,8 +538,7 @@ def assemble(grid, profile, eps, log_tau_shift=0.0):
     g_xi, K_xi = _stiffness(grid.xi_rule, stiff_exponent)
 
     return FormMatrices(M_x=M_x, K_x=K_x, M_xi=M_xi, K_xi=K_xi, g_x=g_x,
-                        g_xi=g_xi, grid=grid, measure=measure,
-                        log_tau_shift=log_tau_shift)
+                        g_xi=g_xi, grid=grid, measure=measure)
 
 
 def _vec(u):

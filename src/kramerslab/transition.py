@@ -17,20 +17,13 @@ from .grid_forms import Field, graded_nodes
 from .quadrature import PanelRule
 
 __all__ = [
-    "TransitionProfile", "default_xi_nodes", "transition_profile",
+    "TransitionProfile", "transition_profile",
     "k_eps", "q_eps", "transition_cost", "transition_mass",
     "lift", "limit_rate",
 ]
 
-# Profile quantities use a denser grading than the solver grid: nodes cluster
-# where the profile jumps (the saddle) and where the measure sits (the wells).
-DEFAULT_PROFILE_NODES = 801
 # points of the panel rule that integrates the profile and its moment
 PROFILE_ORDER = 8
-
-
-def default_xi_nodes(n=DEFAULT_PROFILE_NODES):
-    return graded_nodes(n, delta=0.2, power=2.0, fractions=(0.45, 0.25, 0.30))
 
 
 @dataclass(frozen=True)
@@ -55,7 +48,10 @@ def transition_profile(profile, eps, xi_nodes=None):
     come out exactly +-1/2.
     """
     if xi_nodes is None:
-        xi_nodes = default_xi_nodes()
+        # denser than the solver grid: nodes cluster where the profile jumps
+        # (the saddle) and where the measure sits (the wells)
+        xi_nodes = graded_nodes(801, delta=0.2, power=2.0,
+                                fractions=(0.45, 0.25, 0.30))
     xi_nodes = np.asarray(xi_nodes, dtype=float)
     for needed in (-1.0, 0.0, 1.0):
         if not np.any(xi_nodes == needed):

@@ -136,6 +136,17 @@ def test_converge_mini(tmp_path):
     assert any(k.startswith("b_monotone") for k in report["checks"])
 
 
+def test_converge_be_certifies_the_energy_identity(tmp_path):
+    # every backward-Euler step is damped, with a nonpositive energy
+    # residual that the report bounds from above only, as the step guard
+    # does; the first-order scheme may still fail a ladder check
+    main(["converge", "--scheme", "BE", "--ladder", "0.2,0.1", "--nx", "17",
+          "--nxi", "21", "--dt", "0.01", "--T", "0.02", "--times",
+          "0.01,0.02", "--out", str(tmp_path / "be")])
+    report = json.loads((tmp_path / "be" / "report.json").read_text())
+    assert report["checks"]["energy_identity"] is True
+
+
 def _old_writer_bytes(path):
     """The bytes the row-by-row writer (csv.writer, every number formatted
     with f"{float(x):.17g}") gives for the rows of the CSV at ``path``;

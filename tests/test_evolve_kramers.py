@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from kramerslab import evolve_kramers
 from kramerslab.evolve_kramers import (MASS_RESIDUAL_BOUND, KroneckerSystem,
                                        LinearSolver, SolverError,
                                        _certify_step, regularization_check,
@@ -191,6 +192,18 @@ def test_solver_error_surfaces():
     with pytest.raises(SolverError) as info:
         impossible.solve(rng.normal(size=n))
     assert info.value.residual is not None
+    assert info.value.residual > 1e-30
+
+
+def test_failed_solve_names_the_step(setup, monkeypatch):
+    # an unreachable target stagnates the first sub-step's solve; the error
+    # names eps, the step and the time that sub-step would reach
+    grid, forms = setup
+    monkeypatch.setattr(evolve_kramers, "RESIDUAL_TARGET", 1e-30)
+    with pytest.raises(SolverError,
+                       match=r"eps = 0\.1, step 1 \(t = 0\.0005\): "
+                             r"linear solve stagnated") as info:
+        solve(forms, random_field(grid), 1e-3, 1e-3)
     assert info.value.residual > 1e-30
 
 
