@@ -5,16 +5,15 @@ from .enthalpy import (EnthalpyProfile, from_coefficients, quartic_default,
                        validate)
 from .gibbs import (EPS_CEIL, EPS_FLOOR, GibbsMeasure, laplace_i_shifted,
                     laplace_z, log_barrier_integral, log_laplace_i,
-                    log_partition, log_tau, tau)
+                    log_partition, log_tau)
 from .grid_forms import (Field, FormMatrices, Grid, LimitField,
                          LimitFormMatrices, assemble, assemble_limit,
                          assemble_limit_rates, b_form, build_grid,
                          graded_nodes, pair_limit, pair_measure)
 from .transition import (TransitionProfile, k_eps, lift, limit_rate, q_eps,
-                         transition_cost, transition_mass, transition_profile)
-from .evolve_kramers import (LinearSolver, SolverError, Trajectory,
-                             regularization_check, solve)
-from .evolve_limit import homogeneous_pair_solution, solve_limit
+                         transition_mass, transition_profile)
+from .evolve_kramers import LinearSolver, SolverError, Trajectory, solve
+from .evolve_limit import solve_limit
 from .convergence import (Config, ConvergenceReport, cutoff_average,
                           cutoff_mass, gamma_limsup_check,
                           nonlinear_observable, nonlinear_observable_limit,

@@ -337,12 +337,6 @@ class Config:
         return tuple(_u0_callable(self.u0, side)(x)
                      for side in ("minus", "plus"))
 
-    def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["ladder"] = list(self.ladder)
-        d["times"] = list(self.times)
-        return d
-
 
 def profile_from_config(cfg):
     """The enthalpy profile of ``cfg``, after the admissibility check."""
@@ -575,10 +569,14 @@ def _certificates(cfg, rows, row_errors):
 def run_ladder_study(cfg):
     """Run the full ladder of the :class:`Config` and assemble the report
     with its certificates: the limit reference first, then one rung per eps
-    in ladder order, then the certificates. A study needs two rungs."""
+    in ladder order, then the certificates. A study needs two rungs and a
+    sample time."""
     if len(cfg.ladder) < 2:
         raise ConfigError("ladder: a convergence study needs at least 2 "
                           f"scales, got {list(cfg.ladder)}")
+    if not cfg.times:
+        raise ConfigError("times: a convergence study needs at least one "
+                          "sample time")
     profile = profile_from_config(cfg)
     grid = build_grid(cfg.nx, cfg.nxi, grading=cfg.grading,
                       quad_order=cfg.quad_order)
@@ -626,13 +624,13 @@ def gamma_limsup_check(u_minus, u_plus, ladder, grid, profile,
     k = limit_rate(profile)
     lforms = assemble_limit(x, k, quad_order=grid.quad_order)
     w = LimitField(um, up, x).stack()
-    b_lim = b_form(lforms.apply_m, w, w)
+    b_lim = b_form(lforms.apply_m, w)
     a_lim = lforms.stencil(w).a
     b_vals, a_vals = [], []
     for eps in ladder:
         forms = assemble(grid, profile, eps)
         v = lift(um, up, profile, eps, grid)
-        b_vals.append(b_form(forms.apply_m, v, v))
+        b_vals.append(b_form(forms.apply_m, v))
         a_vals.append(forms.a_energy(v))
     b_err = [abs(bv - b_lim) for bv in b_vals]
     a_err = [abs(av - a_lim) for av in a_vals]

@@ -25,8 +25,7 @@ import scipy.sparse.linalg as spla
 from .grid_forms import Field, ModalForms, _bands
 
 __all__ = ["SolverError", "KroneckerSystem", "LinearSolver", "Trajectory",
-           "SCHEMES", "solve", "energy_excess", "regularization_check",
-           "RegularityFlags"]
+           "SCHEMES", "solve", "energy_excess"]
 
 
 class SolverError(RuntimeError):
@@ -142,6 +141,8 @@ ENERGY_RESIDUAL_BOUND = 1e-9
 MASS_RESIDUAL_BOUND = 1e-3 * MASS_DRIFT_BOUND
 # the backward error every theta-step solve of both levels certifies
 RESIDUAL_TARGET = 1e-11
+# the most refinement sweeps one certified solve may take
+MAX_REFINE = 6
 
 
 class LinearSolver:
@@ -177,7 +178,7 @@ class LinearSolver:
     1^T rhs - 1^T r, and a residual along the constant vector, invisible to
     normwise measures, leaks mass directly. The first solve usually meets
     both; else refinement sweeps x += inner(r) follow, at most
-    ``max_refine``, ending at the first that cuts the excess by under 10%.
+    MAX_REFINE, ending at the first that cuts the excess by under 10%.
 
     The solve's last ``op`` call is of the very array it returns, unless
     its last sweep was rejected. The integrator relies on this: a
@@ -188,9 +189,8 @@ class LinearSolver:
     norm that overflows counts as non-finite too.
     """
 
-    def __init__(self, S, target=RESIDUAL_TARGET, max_refine=6, op=None):
+    def __init__(self, S, target=RESIDUAL_TARGET, op=None):
         self.target = float(target)
-        self.max_refine = max_refine
         self.S = S
         if hasattr(S, "factorize"):
             self.norm_S = S.norm_inf()
@@ -222,7 +222,7 @@ class LinearSolver:
 
         x = self._inner(rhs)
         res, excess, norm_x = certify(x)
-        for _ in range(self.max_refine):
+        for _ in range(MAX_REFINE):
             if not excess > 1.0:
                 break
             # a rejected sweep ends the refinement, so self._r is always
@@ -476,26 +476,3 @@ def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
         modal, KroneckerSystem, modal.coefficients(u0.values), T, dt, scheme,
         snapshot_times, lambda y: Field(modal.values(y), u0.grid, u0.eps),
         Field(u0.values.copy(), u0.grid, u0.eps), f"eps = {forms.eps:g}")
-
-
-@dataclass
-class RegularityFlags:
-    """Smoothing diagnostics: energy decay and the t * energy bound."""
-
-    a_nonincreasing: np.ndarray
-    bounded: np.ndarray
-
-    @property
-    def all_ok(self):
-        return bool(np.all(self.a_nonincreasing) and np.all(self.bounded))
-
-
-def regularization_check(trajectory):
-    """Check that the energy decays along the run and that t * a(u(t)) stays
-    below half the initial squared norm (discrete smoothing estimate)."""
-    a = trajectory.a
-    scale = max(float(a[0]), float(trajectory.b[0]), 1.0)
-    noninc = a[1:] <= a[:-1] * (1.0 + 1e-10) + 1e-13 * scale
-    bound = (trajectory.times * a
-             <= 0.5 * trajectory.b[0] * (1.0 + 1e-6) + 1e-13 * scale)
-    return RegularityFlags(a_nonincreasing=noninc, bounded=bound)

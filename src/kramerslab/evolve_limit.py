@@ -12,7 +12,7 @@ import scipy.linalg as la
 from .evolve_kramers import SolverError, _integrate, _ThetaSystem
 from .grid_forms import LimitField, _tridiag
 
-__all__ = ["LimitSystem", "solve_limit", "homogeneous_pair_solution"]
+__all__ = ["LimitSystem", "solve_limit"]
 
 
 class LimitSystem(_ThetaSystem):
@@ -95,22 +95,3 @@ def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
         lforms, LimitSystem, u0.stack(), T, dt, scheme, snapshot_times,
         lambda v: LimitField(v[:nx], v[nx:], x),
         LimitField(u0.u_minus.copy(), u0.u_plus.copy(), x), "limit system")
-
-
-def homogeneous_pair_solution(c_minus, c_plus, rate_forward, rate_backward, t):
-    """Closed-form spatially homogeneous pair dynamics.
-
-    du_minus/dt = rb * u_plus - rf * u_minus and symmetrically; the total is
-    conserved and the deviation from the stationary split decays at the rate
-    rf + rb. With equal rates k this is (m -+ half-gap e^{-2kt}) with
-    m the mean, i.e. u_plus(0) = c_plus is recovered at t = 0.
-    """
-    total = c_minus + c_plus
-    lam = rate_forward + rate_backward
-    if lam == 0.0:
-        return c_minus, c_plus
-    eq_minus = total * rate_backward / lam
-    eq_plus = total * rate_forward / lam
-    decay = np.exp(-lam * np.asarray(t, dtype=float))
-    return (eq_minus + (c_minus - eq_minus) * decay,
-            eq_plus + (c_plus - eq_plus) * decay)

@@ -20,7 +20,7 @@ from .quadrature import adaptive_integral
 
 __all__ = [
     "EPS_FLOOR", "EPS_CEIL", "check_scale", "GibbsMeasure", "log_partition",
-    "log_barrier_integral", "log_tau", "tau", "laplace_z", "log_laplace_i",
+    "log_barrier_integral", "log_tau", "laplace_z", "log_laplace_i",
     "laplace_i_shifted",
 ]
 
@@ -44,47 +44,38 @@ def _check_eps(eps):
         raise ValueError(f"eps must be a positive finite real, got {eps!r}")
 
 
-def log_partition(profile, eps):
-    """log of the well-normalization integral of exp(-H/eps) over [-1, 1].
-
-    The direct integrand is bounded by 1, so it is integrated as-is; only
-    the log leaves this function.
-    """
+def _log_integral(profile, eps, sign, shift):
+    """log of the integral of exp((sign * H - shift)/eps) over [-1, 1]; the
+    integrand is bounded by 1, so it is integrated as-is and only the log
+    leaves this function."""
     _check_eps(eps)
     h = profile.eval
 
     def f(xi):
-        return math.exp(-h(xi) / eps)
+        return math.exp((sign * h(xi) - shift) / eps)
     value, _ = adaptive_integral(f, -1.0, 1.0)
     return math.log(value)
+
+
+def log_partition(profile, eps):
+    """log of the well-normalization integral of exp(-H/eps) over [-1, 1]."""
+    return _log_integral(profile, eps, -1.0, 0.0)
 
 
 def log_barrier_integral(profile, eps):
     """log of the shifted barrier integral of exp((H - 1)/eps) over [-1, 1].
 
     The unshifted barrier integral carries a factor e^{1/eps}; its log is
-    this value plus 1/eps. The shifted integrand is bounded by 1, so there is
-    no overflow for any eps.
+    this value plus 1/eps. The shift keeps the integrand bounded by 1, so
+    there is no overflow for any eps.
     """
-    _check_eps(eps)
-    h = profile.eval
-
-    def f(xi):
-        return math.exp((h(xi) - 1.0) / eps)
-    value, _ = adaptive_integral(f, -1.0, 1.0)
-    return math.log(value)
+    return _log_integral(profile, eps, 1.0, 1.0)
 
 
 def log_tau(eps):
     """log of the time-rescaling factor eps * exp(1/eps); always finite."""
     _check_eps(eps)
     return math.log(eps) + 1.0 / eps
-
-
-def tau(eps):
-    """Linear-scale time-rescaling factor; raises OverflowError once
-    1/eps + log(eps) exceeds the double range (around eps = 1.4e-3)."""
-    return math.exp(log_tau(eps))
 
 
 def laplace_z(profile, eps):

@@ -549,20 +549,10 @@ def _vec(u):
     return np.asarray(u, dtype=float).reshape(-1)
 
 
-def b_form(M, u, v):
-    """Mass pairing u^T M v, with M a matrix or its action v -> M v;
-    symmetric in (u, v) bitwise."""
-    apply = M if callable(M) else M.__matmul__
+def b_form(apply_m, u):
+    """The squared mass norm u^T M u, with ``apply_m`` the action v -> M v."""
     uu = _vec(u)
-    vv = _vec(v)
-    if uu.shape != vv.shape:
-        raise ValueError(f"shape mismatch: {uu.shape} vs {vv.shape}")
-    if uu is vv or np.array_equal(uu, vv):
-        return float(uu @ apply(uu))
-    # polarization keeps the evaluation bitwise symmetric in (u, v)
-    s = uu + vv
-    d = uu - vv
-    return 0.25 * (float(s @ apply(s)) - float(d @ apply(d)))
+    return float(uu @ apply_m(uu))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ class QuadratureError(RuntimeError):
 # Cap on adaptive bisections; the integrands here are smooth with at most
 # three sharp features, so this is never the binding constraint in practice.
 SUBDIVISION_LIMIT = 1000
+# The relative error every adaptive integral certifies.
+ADAPTIVE_TOL = 1e-12
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21, as doubles):
 # the positive Kronrod nodes, decreasing, with their weights, the weight of
@@ -56,21 +58,17 @@ def gauss_kronrod(f, a, b):
     return half * kronrod, half * gauss
 
 
-def adaptive_integral(f, a, b, tol=1e-12, abs_floor=0.0):
+def adaptive_integral(f, a, b):
     """Integrate the scalar function ``f`` over ``[a, b]`` to relative error
-    ``tol``, by globally adaptive Gauss-Kronrod bisection.
+    ``ADAPTIVE_TOL``, by globally adaptive Gauss-Kronrod bisection.
 
     Each panel's error estimate is |K21 - G10|; the panel with the largest
-    one is bisected until their sum is at most max(tol * |value|,
-    abs_floor), or ``SUBDIVISION_LIMIT`` bisections are spent.
-    ``abs_floor`` is an absolute error target for integrals that vanish by
-    symmetry, where a purely relative criterion is unattainable. Returns
+    one is bisected until their sum is at most ADAPTIVE_TOL * |value|, or
+    ``SUBDIVISION_LIMIT`` bisections are spent. Returns
     ``(value, error_estimate)``; raises :class:`QuadratureError` with the
-    achieved estimate attached when neither target can be certified, and
+    achieved estimate attached when the target cannot be certified, and
     when the value or the estimate is not finite.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     panels = []  # heap of (-estimate, lo, hi, value)
 
     def push(lo, hi):
@@ -82,7 +80,7 @@ def adaptive_integral(f, a, b, tol=1e-12, abs_floor=0.0):
         # plain sums let a NaN or an infinity through (math.fsum raises)
         value = sum(p[3] for p in panels)
         estimate = -sum(p[0] for p in panels)
-        target = max(tol * abs(value), abs_floor, np.finfo(float).tiny)
+        target = max(ADAPTIVE_TOL * abs(value), np.finfo(float).tiny)
         # a panel that is not finite stops the refinement: its NaN would
         # break the heap order and no bisection can certify it
         if (estimate <= target or not math.isfinite(estimate)

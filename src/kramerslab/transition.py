@@ -18,7 +18,7 @@ from .quadrature import PanelRule
 
 __all__ = [
     "TransitionProfile", "transition_profile",
-    "k_eps", "q_eps", "transition_cost", "transition_mass",
+    "k_eps", "q_eps", "transition_mass",
     "lift", "limit_rate",
 ]
 
@@ -96,13 +96,6 @@ def q_eps(measure):
     rule = PanelRule(tp.xi_nodes, PROFILE_ORDER)
     vq = rule.interp(tp.values)
     return float((rule.weighted(measure.log_density) * vq * vq).sum())
-
-
-def transition_cost(phi_minus, phi_plus, rate):
-    """Minimal rescaled connection energy between prescribed well values:
-    rate * (phi_plus - phi_minus)^2, with ``rate`` = k_eps."""
-    gap = phi_plus - phi_minus
-    return rate * gap * gap
 
 
 def transition_mass(phi_minus, phi_plus, q):

@@ -97,12 +97,19 @@ def heat_mode_decay(amplitude, mode, t):
     return amplitude * math.exp(-((mode * math.pi) ** 2) * t)
 
 
-def pair_ode_solution(c_minus, c_plus, rate, t):
-    """Two-state exchange at equal rate: mean conserved, gap decays at 2*rate."""
-    mean = 0.5 * (c_minus + c_plus)
-    gap = c_plus - c_minus
-    decay = math.exp(-2.0 * rate * t)
-    return mean - 0.5 * gap * decay, mean + 0.5 * gap * decay
+def pair_ode_solution(c_minus, c_plus, rate_forward, rate_backward, t):
+    """Two-state exchange du_minus/dt = rb u_plus - rf u_minus and
+    symmetrically: the total is conserved and the deviation from the
+    stationary split decays at the rate rf + rb (at 2k for equal rates k)."""
+    total = c_minus + c_plus
+    lam = rate_forward + rate_backward
+    if lam == 0.0:
+        return c_minus, c_plus
+    eq_minus = total * rate_backward / lam
+    eq_plus = total * rate_forward / lam
+    decay = math.exp(-lam * t)
+    return (eq_minus + (c_minus - eq_minus) * decay,
+            eq_plus + (c_plus - eq_plus) * decay)
 
 
 def kron_forms(forms):

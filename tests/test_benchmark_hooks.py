@@ -73,3 +73,31 @@ print(json.dumps({"backward_error": err, "ops": counter[0]}))
     result = _run(code)
     assert result["backward_error"] <= 1e-11
     assert result["ops"] >= 2
+
+
+def test_probe_scale_and_gamma_op_run(tmp_path):
+    # every name the probe and the gamma operation reach: the sparse forms,
+    # apply_a, the energies, pair_measure, nonlinear_observable and the
+    # positional gamma_limsup_check call, on a 17 x 21 grid
+    code = f"""
+import json
+import child
+import probe
+setup = probe._setup
+probe._setup = lambda nx, nxi, eps: setup(17, 21, eps)
+figures = probe.probe_scale(0.2)
+cos = {{"offset": 0.0, "amplitude": 1.0, "mode": 1}}
+status = child._gamma({{"nx": 17, "nxi": 21, "scales": [0.2, 0.1],
+                       "u0": {{"minus": cos, "plus": dict(cos, offset=1.0)}},
+                       "out": {str(tmp_path)!r}}})
+print(json.dumps({{"figures": figures, "status": status}}))
+"""
+    result = _run(code)
+    assert result["status"] == 0
+    assert (tmp_path / "gamma.json").exists()
+    figures = result["figures"]
+    assert set(figures) == {
+        "assemble_ms", "factorize_ms", "linear_solve_ms", "lu_solves",
+        "backward_error", "apply_a_us", "step_diag_ms", "mass_drift_max",
+        "energy_residual_max", "pair_measure_ms", "nonlinear_observable_ms"}
+    assert figures["backward_error"] <= 1e-11

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -65,9 +66,8 @@ def test_round_trip_normalization(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(partial))
     cfg = parse_config(str(path))
-    normalized = config_from_dict(partial).to_dict()
-    assert cfg.to_dict() == normalized
-    assert config_from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+    assert cfg == config_from_dict(partial)
+    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 @given(st.lists(st.sampled_from([0.3, 0.2, 0.15, 0.1, 0.05]),
@@ -305,12 +305,14 @@ _SMALL = ["--nx", "9", "--dt", "0.01", "--T", "0.1"]
     (["simulate", *_SMALL], {"quad_order": True}),
     (["rates"], {"ladder": [True, 0.5]}),
     (["simulate", "--nxi", "9", *_SMALL], None),
+    (["converge", "--times", ","], None),
+    (["converge"], {"times": []}),
 ], ids=["k-inf", "skew-nan", "skew-overflow", "T-inf", "ladder-scalar",
         "dt-string", "cosine-mode", "u0-one-value", "tabulated-x-decreasing",
         "snapshot-off-step", "T-off-step", "ladder-text", "times-repeated",
         "u0-kind-list", "profile-coeffs", "config-root-list",
         "quad-order-one", "quad-order-bool", "ladder-bool",
-        "nxi-three-zone-too-few"])
+        "nxi-three-zone-too-few", "times-empty", "times-empty-config"])
 def test_malformed_input_is_a_config_error(argv, config, tmp_path, capsys):
     out = tmp_path / "out"
     if config is not None:

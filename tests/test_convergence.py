@@ -170,7 +170,7 @@ def test_nonlinear_observable_consistency(quartic):
     field = Field(rng.normal(size=(17, 41)), grid, eps)
     squared = nonlinear_observable(forms, field,
                                    lambda x, xi, r: r * r)
-    assert squared == pytest.approx(b_form(forms.M, field, field), rel=1e-12)
+    assert squared == pytest.approx(b_form(forms.M.dot, field), rel=1e-12)
     unit = nonlinear_observable(forms, field,
                                 lambda x, xi, r: 1.0 + 0.0 * r)
     assert unit == pytest.approx(1.0, abs=1e-9)

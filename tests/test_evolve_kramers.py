@@ -7,8 +7,7 @@ import scipy.sparse as sp
 from kramerslab import evolve_kramers
 from kramerslab.evolve_kramers import (MASS_RESIDUAL_BOUND, KroneckerSystem,
                                        LinearSolver, SolverError,
-                                       _certify_step, regularization_check,
-                                       solve)
+                                       _certify_step, solve)
 from kramerslab.grid_forms import Field, ModalForms, assemble, build_grid
 from kramerslab.transition import k_eps, lift
 
@@ -166,29 +165,15 @@ def test_trace_gap_two_state_kinetics(quartic):
         assert abs(gap / math.exp(-4.0 * rate * t) - 1.0) <= 0.1
 
 
-def test_regularization_flags(setup):
-    grid, forms = setup
-    smooth = Field(1.0 + 0.2 * np.cos(np.pi * grid.x_nodes)[:, None]
-                   * np.ones(grid.nxi)[None, :], grid, EPS)
-    flags = regularization_check(solve(forms, smooth, T=0.05, dt=1e-3))
-    assert flags.all_ok
-    rng = np.random.default_rng(9)
-    rough = Field(1.0 + 0.5 * rng.choice([-1.0, 1.0],
-                                         size=(grid.nx, grid.nxi)),
-                  grid, EPS)
-    traj = solve(forms, rough, T=0.05, dt=1e-3)
-    flags = regularization_check(traj)
-    assert np.all(flags.bounded)
-
-
-def test_solver_error_surfaces():
+def test_solver_error_surfaces(monkeypatch):
     rng = np.random.default_rng(13)
     n = 50
     S = sp.diags(np.linspace(1.0, 2.0, n)).tocsr()
     solver = LinearSolver(S, target=1e-11)
     x = solver.solve(rng.normal(size=n))
     assert x.shape == (n,)
-    impossible = LinearSolver(S, target=1e-30, max_refine=2)
+    monkeypatch.setattr(evolve_kramers, "MAX_REFINE", 2)
+    impossible = LinearSolver(S, target=1e-30)
     with pytest.raises(SolverError) as info:
         impossible.solve(rng.normal(size=n))
     assert info.value.residual is not None
@@ -300,7 +285,7 @@ def forms_65(quartic):
 # eps = 0.8 gives blocks with positive off-diagonals
 @pytest.mark.parametrize("eps", [0.8, 0.2, 0.05])
 @pytest.mark.parametrize("c", [0.5e-3, 1e-3])
-def test_tensor_solver_matches_sparse_lu(forms_65, eps, c):
+def test_tensor_solver_matches_sparse_lu(forms_65, eps, c, monkeypatch):
     # the modal solve, taken back to the nodes, against SuperLU on the nodal
     # M + cA; a modal residual r is the nodal one (M_x V (x) I) r
     forms = forms_65[eps]
@@ -312,7 +297,9 @@ def test_tensor_solver_matches_sparse_lu(forms_65, eps, c):
     modal_rhs = (modal.V.T @ rhs.reshape(modal.shape)).reshape(-1)
     tensor = LinearSolver(system, target=1e-11).solve(modal_rhs)
     # the factorization alone, without refinement, is backward stable
-    LinearSolver(system, target=1e-14, max_refine=0).solve(modal_rhs)
+    with monkeypatch.context() as m:
+        m.setattr(evolve_kramers, "MAX_REFINE", 0)
+        LinearSolver(system, target=1e-14).solve(modal_rhs)
     direct = LinearSolver(
         S, target=1e-11,
         op=lambda v: forms.apply_m(v) + c * forms.apply_a(v)).solve(rhs)

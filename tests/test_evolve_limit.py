@@ -7,8 +7,7 @@ import pytest
 from kramerslab import evolve_kramers
 from kramerslab.evolve_kramers import (KroneckerSystem, LinearSolver,
                                        SolverError, Trajectory, solve)
-from kramerslab.evolve_limit import (LimitSystem, homogeneous_pair_solution,
-                                     solve_limit)
+from kramerslab.evolve_limit import LimitSystem, solve_limit
 from kramerslab.enthalpy import quartic_default
 from kramerslab.grid_forms import (LimitField, LimitFormMatrices,
                                    ModalForms, assemble, assemble_limit,
@@ -39,10 +38,7 @@ def test_homogeneous_pair_matches_closed_form():
     x, lf = make_setup()
     w0 = LimitField(np.zeros(33), np.ones(33), x)
     traj = solve_limit(lf, w0, T=0.5, dt=1e-4, snapshot_times=(0.5,))
-    um, up = homogeneous_pair_solution(0.0, 1.0, K, K, 0.5)
-    om, op = oracles.pair_ode_solution(0.0, 1.0, K, 0.5)
-    assert um == pytest.approx(om, rel=1e-12)
-    assert up == pytest.approx(op, rel=1e-12)
+    um, up = oracles.pair_ode_solution(0.0, 1.0, K, K, 0.5)
     final = traj.snapshot_at(0.5)
     assert np.max(np.abs(final.u_minus - um)) <= 1e-6
     assert np.max(np.abs(final.u_plus - up)) <= 1e-6
@@ -117,12 +113,12 @@ def test_unequal_rates_relax_to_detailed_balance():
     lf = assemble_limit_rates(x, kf, kb)
     w0 = LimitField(np.zeros(17), np.ones(17), x)
     traj = solve_limit(lf, w0, T=0.5, dt=1e-4, snapshot_times=(0.5,))
-    um, up = homogeneous_pair_solution(0.0, 1.0, kf, kb, 0.5)
+    um, up = oracles.pair_ode_solution(0.0, 1.0, kf, kb, 0.5)
     final = traj.snapshot_at(0.5)
     assert np.max(np.abs(final.u_minus - um)) <= 1e-6
     assert np.max(np.abs(final.u_plus - up)) <= 1e-6
     # stationary split obeys detailed balance: u_minus/u_plus -> kb/kf
-    um_inf, up_inf = homogeneous_pair_solution(0.0, 1.0, kf, kb, 50.0)
+    um_inf, up_inf = oracles.pair_ode_solution(0.0, 1.0, kf, kb, 50.0)
     assert um_inf / up_inf == pytest.approx(kb / kf, rel=1e-12)
     # total mass of the pair is conserved
     assert np.abs(np.diff(traj.mass)).max() <= 1e-10
@@ -142,7 +138,7 @@ RATES = [(K, K), (K * math.exp(0.5), K * math.exp(-0.5)), (0.0, 0.0)]
 
 @pytest.mark.parametrize("rates", RATES)
 @pytest.mark.parametrize("c", [0.5e-3, 1e-3])
-def test_limit_system_matches_sparse_lu(rates, c):
+def test_limit_system_matches_sparse_lu(rates, c, monkeypatch):
     x = np.linspace(0.0, 1.0, 257)
     lf = assemble_limit_rates(x, *rates)
     system = LimitSystem(lf, c)
@@ -153,7 +149,9 @@ def test_limit_system_matches_sparse_lu(rates, c):
     structured = LinearSolver(system, target=1e-11).solve(rhs)
     # the two tridiagonal solves alone, without refinement, are backward
     # stable
-    LinearSolver(system, target=1e-14, max_refine=0).solve(rhs)
+    with monkeypatch.context() as m:
+        m.setattr(evolve_kramers, "MAX_REFINE", 0)
+        LinearSolver(system, target=1e-14).solve(rhs)
     direct = LinearSolver(S, target=1e-11, op=lambda v: system @ v).solve(rhs)
     assert (np.linalg.norm(structured - direct)
             <= 1e-12 * np.linalg.norm(direct))

@@ -63,8 +63,6 @@ def test_laplace_consistency_ladder(quartic):
 
 
 def test_tau_values():
-    assert gibbs.tau(1.0) == pytest.approx(math.e, rel=1e-14)
-    assert gibbs.tau(0.1) == pytest.approx(0.1 * math.exp(10.0), rel=1e-12)
     assert gibbs.log_tau(0.05) == pytest.approx(math.log(0.05) + 20.0, abs=1e-12)
 
 
@@ -72,11 +70,6 @@ def test_tau_rejects_bad_eps():
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             gibbs.log_tau(bad)
-
-
-def test_tau_overflow_is_explicit():
-    with pytest.raises(OverflowError):
-        gibbs.tau(1e-3)
 
 
 def test_laplace_values(quartic):
@@ -175,7 +168,7 @@ def test_each_scale_integrates_log_z_once(monkeypatch, tmp_path):
 def test_adaptive_quadrature_reports_failure():
     # an oscillation far beyond the subdivision budget cannot be certified
     with pytest.raises(QuadratureError) as info:
-        adaptive_integral(lambda x: math.cos(3.0e7 * x), -1.0, 1.0, tol=1e-12)
+        adaptive_integral(lambda x: math.cos(3.0e7 * x), -1.0, 1.0)
     assert info.value.estimate is not None
     assert info.value.estimate > 0.0
 

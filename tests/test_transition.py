@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from kramerslab import gibbs
 from kramerslab.grid_forms import build_grid, graded_nodes
 from kramerslab.transition import (k_eps, lift, limit_rate, q_eps,
-                                   transition_cost, transition_mass,
-                                   transition_profile)
+                                   transition_mass, transition_profile)
 
 import oracles
 from conftest import QP_GRID
@@ -111,30 +109,10 @@ def test_q_bounds_and_ladder(quartic):
     assert devs[-1] < 0.3
 
 
-def test_cost_depends_on_jump_only(quartic):
-    rate = k_eps(gibbs.GibbsMeasure.compute(quartic, 0.1))
-    assert transition_cost(0.3, 0.3, rate) == 0.0
-    a = transition_cost(0.1, 0.7, rate)
-    b = transition_cost(-1.2, -0.6, rate)
-    assert a == pytest.approx(b, rel=1e-15)
-
-
-@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))
-def test_cost_translation_invariant(a, b, c):
-    # pure algebra once the rate coefficient is fixed
-    rate = 0.7883
-    prof = None
-    lhs = transition_cost(a + c, b + c, rate)
-    rhs = transition_cost(a, b, rate)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
 @pytest.mark.parametrize("lam", [-1.0, 2.0, 3.0])
 def test_quadratic_scaling_exact(lam):
-    rate, q = 0.7883, 0.2499
+    q = 0.2499
     for a, b in [(0.25, 0.5), (-0.5, 0.5), (0.125, -0.375)]:
-        assert transition_cost(lam * a, lam * b, rate) \
-            == lam * lam * transition_cost(a, b, rate)
         base = transition_mass(a, b, q)
         scaled = transition_mass(lam * a, lam * b, q)
         assert scaled == pytest.approx(lam * lam * base, rel=1e-14)
