@@ -10,8 +10,8 @@ from .grid_forms import (Field, FormMatrices, Grid, LimitField,
                          LimitFormMatrices, assemble, assemble_limit,
                          assemble_limit_rates, b_form, build_grid,
                          graded_nodes, pair_limit, pair_measure)
-from .transition import (TransitionProfile, k_eps, lift, limit_rate, q_eps,
-                         transition_mass, transition_profile)
+from .transition import (k_eps, lift, limit_rate, q_eps, transition_mass,
+                         transition_profile)
 from .evolve_kramers import LinearSolver, SolverError, Trajectory, solve
 from .evolve_limit import solve_limit
 from .convergence import (Config, ConvergenceReport, cutoff_average,

@@ -21,7 +21,7 @@ from . import gibbs
 from .convergence import (REGIMES, Config, ConfigError, _number, check_times,
                           profile_from_config, run_ladder_study,
                           within_horizon)
-from .evolve_kramers import SCHEMES, SolverError, solve
+from .evolve_kramers import SCHEMES, SolverError, solve, step_index
 from .evolve_limit import solve_limit
 # assemble_limit is unused here but stays a name of this module:
 # perfbench/tracer.py wraps it by name
@@ -29,14 +29,13 @@ from .grid_forms import (LimitField, assemble, assemble_limit,
                          assemble_limit_rates, build_grid)
 from .transition import k_eps, lift, limit_rate, q_eps
 
-__all__ = ["Config", "ConfigError", "config_from_dict", "parse_config", "run",
-           "main"]
+__all__ = ["Config", "ConfigError", "config_from_dict", "parse_config", "main"]
 
 
 def config_from_dict(data):
     """The Config of a JSON object: the root must be an object of known
-    keys, and the default sample times follow a shortened horizon; every
-    rule is checked by :class:`Config` itself."""
+    keys, and the default sample times are those on a step within the
+    horizon; every rule is checked by :class:`Config` itself."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
     unknown = set(data) - set(Config.__dataclass_fields__)
@@ -44,8 +43,10 @@ def config_from_dict(data):
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "times" not in data:
         t_final = _number("t_final", data.get("t_final", Config.t_final))
-        data = {**data, "times": [t for t in Config.times
-                                  if within_horizon(t, t_final)] or [t_final]}
+        dt = _number("dt", data.get("dt", Config.dt))
+        data = {**data, "times": [
+            t for t in Config.times if within_horizon(t, t_final)
+            and dt > 0.0 and step_index(t, dt) is not None] or [t_final]}
     return Config(**data)
 
 
@@ -227,19 +228,9 @@ def cmd_converge(cfg):
     return 0
 
 
-def run(subcommand, cfg, **kw):
-    """Dispatch a subcommand on a validated Config; returns the exit status."""
-    handlers = {"rates": cmd_rates, "simulate": cmd_simulate,
-                "limit": cmd_limit, "converge": cmd_converge}
-    if subcommand not in handlers:
-        raise ValueError(f"unknown subcommand {subcommand!r}")
-    return handlers[subcommand](cfg, **kw)
-
-
 def _add_common(p):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--profile", help="profile name (quartic)")
     p.add_argument("--nx", type=int)
     p.add_argument("--nxi", type=int)
     p.add_argument("--dt", type=float)
@@ -298,8 +289,6 @@ def main(argv=None):
         for name in ("ladder", "times"):
             if getattr(args, name, None):
                 overrides[name] = _parse_floats(name, getattr(args, name))
-        if getattr(args, "profile", None):
-            overrides["profile"] = {"name": args.profile}
         if getattr(args, "u0", None):
             pair = _parse_floats("u0", args.u0)
             if len(pair) != 2:
@@ -311,7 +300,8 @@ def main(argv=None):
         kw = {}
         if args.command == "simulate" and getattr(args, "snapshots", None):
             kw["snapshots"] = _parse_floats("snapshots", args.snapshots)
-        return run(args.command, cfg, **kw)
+        # by module-global name, so that a wrapped cmd_* is the one called
+        return globals()[f"cmd_{args.command}"](cfg, **kw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

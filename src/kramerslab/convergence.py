@@ -273,8 +273,7 @@ class Config:
     admissibility (:func:`profile_from_config`), raising
     ``ConfigError("<field path>: ...")`` for the first one broken."""
 
-    profile: dict = dataclasses.field(
-        default_factory=lambda: {"name": "quartic"})
+    profile: dict | None = None  # None = the quartic; or {"coeffs": [...]}
     skew_gap: float = 0.0
     ladder: tuple = (0.2, 0.1, 0.05)
     eps: float = 0.1            # single-run scale for `simulate`
@@ -299,17 +298,11 @@ class Config:
             object.__setattr__(self, name, value)
 
         prof = self.profile
-        if isinstance(prof, str):
-            prof = {"name": prof}
-        if not isinstance(prof, dict) or not ({"name"} >= set(prof) or
-                                              {"coeffs"} >= set(prof)):
-            raise ConfigError(
-                "profile: expected {'name': ...} or {'coeffs': [...]}")
-        if "name" in prof and prof["name"] != "quartic":
-            raise ConfigError(f"profile.name: unknown profile {prof['name']!r}")
-        if "coeffs" in prof:
+        if prof is not None:
+            if not isinstance(prof, dict) or set(prof) != {"coeffs"}:
+                raise ConfigError("profile: expected null or {'coeffs': [...]}, "
+                                  f"got {prof!r}")
             _numbers("profile.coeffs", prof["coeffs"])
-        put("profile", prof)
         for name in ("ladder", "times"):
             put(name, _numbers(name, getattr(self, name)))
         for name in ("eps", "dt", "t_final", "skew_gap"):
@@ -340,10 +333,10 @@ class Config:
 
 def profile_from_config(cfg):
     """The enthalpy profile of ``cfg``, after the admissibility check."""
-    if "coeffs" in cfg.profile:
-        prof = from_coefficients(cfg.profile["coeffs"])
-    else:
+    if cfg.profile is None:
         prof = quartic_default()
+    else:
+        prof = from_coefficients(cfg.profile["coeffs"])
     bad = validate(prof)
     if bad:
         raise ConfigError("profile violates the double-well assumptions: "

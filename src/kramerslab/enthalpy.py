@@ -57,11 +57,11 @@ def quartic_default():
                            name="quartic")
 
 
-def from_coefficients(coeffs, name=None):
+def from_coefficients(coeffs):
     """Profile from polynomial coefficients, lowest order first."""
     poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
     return EnthalpyProfile(eval=poly, deriv=poly.deriv(1), deriv2=poly.deriv(2),
-                           name=name or f"poly{len(coeffs) - 1}")
+                           name=f"poly{len(coeffs) - 1}")
 
 
 def validate(profile):

@@ -290,7 +290,7 @@ class Trajectory:
     Diagnostic arrays are aligned with ``times`` (length n_steps + 1);
     ``energy_residual`` and ``thetas`` are per step (length n_steps).
     ``a1`` and ``a2`` split the energy: x- and xi-parts at the eps level,
-    diffusion and reaction parts for the limit system (``eps`` = 0).
+    diffusion and reaction parts for the limit system.
     States are stored only at the requested snapshot times.
     """
 
@@ -302,9 +302,7 @@ class Trajectory:
     energy_residual: np.ndarray
     thetas: np.ndarray
     snapshots: list
-    scheme: str
     dt: float
-    eps: float
 
     @property
     def a(self):
@@ -452,7 +450,7 @@ def _integrate(forms, system, u, T, dt, scheme, snapshot_times, wrap,
                       thetas[step - 1], b[0])
     return Trajectory(times=times, mass=mass, b=b, a1=a1, a2=a2,
                       energy_residual=e_res, thetas=thetas,
-                      snapshots=snapshots, scheme=scheme, dt=dt, eps=forms.eps)
+                      snapshots=snapshots, dt=dt)
 
 
 def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
@@ -474,5 +472,5 @@ def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     modal = ModalForms(forms)
     return _integrate(
         modal, KroneckerSystem, modal.coefficients(u0.values), T, dt, scheme,
-        snapshot_times, lambda y: Field(modal.values(y), u0.grid, u0.eps),
-        Field(u0.values.copy(), u0.grid, u0.eps), f"eps = {forms.eps:g}")
+        snapshot_times, lambda y: Field(modal.values(y), u0.grid),
+        Field(u0.values.copy(), u0.grid), f"eps = {forms.eps:g}")

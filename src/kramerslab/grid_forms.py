@@ -88,32 +88,29 @@ def check_grid(nx, nxi, grading, quad_order):
 
 @dataclass(frozen=True)
 class Grid:
-    """Tensor grid: x-nodes on [0, 1], reaction-coordinate nodes on [-1, 1]."""
+    """Tensor grid: ``nx`` uniform x-nodes on [0, 1], xi-nodes on [-1, 1]."""
 
-    x_nodes: np.ndarray
+    nx: int
     xi_nodes: np.ndarray
     quad_order: int = 4
 
     def __post_init__(self):
-        x = np.ascontiguousarray(self.x_nodes, dtype=float)
         xi = np.ascontiguousarray(self.xi_nodes, dtype=float)
-        object.__setattr__(self, "x_nodes", x)
         object.__setattr__(self, "xi_nodes", xi)
-        if len(x) < 3 or len(xi) < 3:
-            raise ValueError("need at least 3 nodes per direction")
-        if np.any(np.diff(x) <= 0.0) or np.any(np.diff(xi) <= 0.0):
-            raise ValueError("nodes must be strictly increasing")
-        if x[0] != 0.0 or x[-1] != 1.0:
-            raise ValueError("x-nodes must span [0, 1] exactly")
-        # the closed-form x-eigenbasis of ModalForms holds on uniform nodes
-        if np.abs(x - np.linspace(0.0, 1.0, len(x))).max() \
-                > 4.0 * np.finfo(float).eps:
-            raise ValueError("x-nodes must be uniform")
+        if not _whole(self.nx, 3):
+            raise ValueError(f"nx: must be an integer >= 3, got {self.nx!r}")
+        if len(xi) < 3 or np.any(np.diff(xi) <= 0.0):
+            raise ValueError("need at least 3 strictly increasing xi-nodes")
         if xi[0] != -1.0 or xi[-1] != 1.0:
             raise ValueError("xi-nodes must span [-1, 1] exactly")
         if not np.any(xi == 0.0):
             raise ValueError("xi = 0 must be a node")
         check_quad_order(self.quad_order)
+
+    @functools.cached_property
+    def x_nodes(self):
+        """The uniform x-nodes, as the x-eigenbasis of ModalForms needs."""
+        return np.linspace(0.0, 1.0, self.nx)
 
     @functools.cached_property
     def x_rule(self):
@@ -126,10 +123,6 @@ class Grid:
         return PanelRule(self.xi_nodes, self.quad_order)
 
     @property
-    def nx(self):
-        return len(self.x_nodes)
-
-    @property
     def nxi(self):
         return len(self.xi_nodes)
 
@@ -138,13 +131,12 @@ def build_grid(nx, nxi, grading="three_zone", quad_order=4):
     """Tensor grid with ``nx`` uniform x-nodes and ``nxi`` xi-nodes, after
     the rules of :func:`check_grid`."""
     check_grid(nx, nxi, grading, quad_order)
-    x = np.linspace(0.0, 1.0, nx)
     if grading == "uniform":
         xi = np.linspace(-1.0, 1.0, nxi)
         xi[(nxi - 1) // 2] = 0.0
     else:
         xi = graded_nodes(nxi)
-    return Grid(x_nodes=x, xi_nodes=xi, quad_order=quad_order)
+    return Grid(nx, xi, quad_order)
 
 
 @dataclass
@@ -153,7 +145,6 @@ class Field:
 
     values: np.ndarray
     grid: Grid
-    eps: float
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=float)
@@ -575,8 +566,6 @@ class LimitFormMatrices:
     x_nodes: np.ndarray
     rate_forward: float   # minus -> plus
     rate_backward: float  # plus -> minus
-
-    eps = 0.0  # the limit of the eps-level forms
 
     @functools.cached_property
     def bands(self):

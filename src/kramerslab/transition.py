@@ -9,7 +9,6 @@ the reaction rate of the limit system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .grid_forms import Field, graded_nodes
 from .quadrature import PanelRule
 
 __all__ = [
-    "TransitionProfile", "transition_profile",
+    "transition_profile",
     "k_eps", "q_eps", "transition_mass",
     "lift", "limit_rate",
 ]
@@ -26,20 +25,10 @@ __all__ = [
 PROFILE_ORDER = 8
 
 
-@dataclass(frozen=True)
-class TransitionProfile:
-    """Nodal samples of the optimal connecting profile at one eps.
-
-    Endpoint values are exactly -1/2 and +1/2; for an even barrier the whole
-    profile is odd.
-    """
-
-    xi_nodes: np.ndarray
-    values: np.ndarray
-
-
-def transition_profile(profile, eps, xi_nodes=None):
-    """Optimal connecting profile by cumulative panel quadrature.
+def transition_profile(profile, eps, xi_nodes):
+    """Optimal connecting profile at the ``xi_nodes`` by cumulative panel
+    quadrature; the values at the end nodes are exactly -1/2 and +1/2, and
+    for an even barrier the whole profile is odd.
 
     Both the cumulative integral and its normalization use the shifted
     integrand exp((H - 1)/eps), which is bounded by 1, so nothing overflows.
@@ -47,11 +36,6 @@ def transition_profile(profile, eps, xi_nodes=None):
     symmetric grid the two half-sums mirror bitwise and the endpoint values
     come out exactly +-1/2.
     """
-    if xi_nodes is None:
-        # denser than the solver grid: nodes cluster where the profile jumps
-        # (the saddle) and where the measure sits (the wells)
-        xi_nodes = graded_nodes(801, delta=0.2, power=2.0,
-                                fractions=(0.45, 0.25, 0.30))
     xi_nodes = np.asarray(xi_nodes, dtype=float)
     for needed in (-1.0, 0.0, 1.0):
         if not np.any(xi_nodes == needed):
@@ -69,7 +53,7 @@ def transition_profile(profile, eps, xi_nodes=None):
     total = cumulative[-1] - cumulative[0]
     if not total > 0.0:
         raise ValueError("degenerate profile: normalization integral vanished")
-    return TransitionProfile(xi_nodes=xi_nodes, values=cumulative / total)
+    return cumulative / total
 
 
 def k_eps(measure):
@@ -92,9 +76,12 @@ def q_eps(measure):
     integrated as its piecewise-linear interpolant on the default profile
     grid, against the measure's density at the panel Gauss points.
     """
-    tp = transition_profile(measure.profile, measure.eps)
-    rule = PanelRule(tp.xi_nodes, PROFILE_ORDER)
-    vq = rule.interp(tp.values)
+    # denser than the solver grid: nodes cluster where the profile jumps
+    # (the saddle) and where the measure sits (the wells)
+    xi_nodes = graded_nodes(801, delta=0.2, power=2.0,
+                            fractions=(0.45, 0.25, 0.30))
+    rule = PanelRule(xi_nodes, PROFILE_ORDER)
+    vq = rule.interp(transition_profile(measure.profile, measure.eps, xi_nodes))
     return float((rule.weighted(measure.log_density) * vq * vq).sum())
 
 
@@ -119,11 +106,11 @@ def lift(u_minus, u_plus, profile, eps, grid):
         raise ValueError(
             f"well densities must have shape ({grid.nx},), got "
             f"{um.shape} and {up.shape}")
-    tp = transition_profile(profile, eps, xi_nodes=grid.xi_nodes)
-    wm = 0.5 - tp.values
-    wp = 0.5 + tp.values
+    p = transition_profile(profile, eps, grid.xi_nodes)
+    wm = 0.5 - p
+    wp = 0.5 + p
     values = um[:, None] * wm[None, :] + up[:, None] * wp[None, :]
-    return Field(values=values, grid=grid, eps=eps)
+    return Field(values, grid)
 
 
 def limit_rate(profile):

@@ -169,6 +169,7 @@ def inline_scale(profile, eps, xi):
     log Z_eps, from the package's Gibbs integrals, optimal profile and
     8-point panel rule: (density, k_eps, q_eps)."""
     from kramerslab import gibbs
+    from kramerslab.grid_forms import graded_nodes
     from kramerslab.quadrature import PanelRule
     from kramerslab.transition import transition_profile
 
@@ -177,9 +178,10 @@ def inline_scale(profile, eps, xi):
                      - gibbs.log_partition(profile, eps))
     rate = math.exp(math.log(eps) - gibbs.log_partition(profile, eps)
                     - gibbs.log_barrier_integral(profile, eps))
-    tp = transition_profile(profile, eps)
-    rule = PanelRule(tp.xi_nodes, 8)
-    vq = rule.interp(tp.values)
+    nodes = graded_nodes(801, delta=0.2, power=2.0,
+                         fractions=(0.45, 0.25, 0.30))
+    rule = PanelRule(nodes, 8)
+    vq = rule.interp(transition_profile(profile, eps, nodes))
     dens = np.exp(-np.asarray(h(rule.pts), dtype=float) / eps
                   - gibbs.log_partition(profile, eps))
     return density, rate, float((rule.wts * dens * vq * vq).sum())

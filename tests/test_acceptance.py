@@ -16,7 +16,7 @@ from kramerslab.evolve_kramers import solve
 from kramerslab.evolve_limit import solve_limit
 from kramerslab.grid_forms import (Field, LimitField, assemble,
                                    assemble_limit, build_grid, graded_nodes)
-from kramerslab.transition import k_eps, lift, limit_rate, q_eps
+from kramerslab.transition import k_eps, lift, q_eps
 
 import oracles
 from conftest import QP_GRID
@@ -116,7 +116,7 @@ def test_criterion_05_discrete_structure(quartic, default_grid, default_forms):
         assert np.abs(np.diff(traj.mass)).max() <= 1e-10, eps
         assert np.abs(traj.energy_residual[1:]).max() <= 1e-9 * traj.b[0], eps
         const = Field(np.full((default_grid.nx, default_grid.nxi), 0.7),
-                      default_grid, eps)
+                      default_grid)
         ctraj = solve(forms, const, T=0.01, dt=1e-3, snapshot_times=(0.01,))
         assert np.abs(ctraj.snapshot_at(0.01).values - 0.7).max() <= 1e-10
     elapsed = time.perf_counter() - t0

@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import io
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from kramerslab import cli
 from kramerslab.cli import (Config, ConfigError, config_from_dict, main,
                             parse_config)
 from kramerslab.evolve_kramers import SolverError
+from kramerslab.transition import limit_rate
 
 MINI = {
     "ladder": [0.2, 0.1],
@@ -25,7 +25,7 @@ MINI = {
 
 def test_defaults():
     cfg = config_from_dict({})
-    assert cfg.profile == {"name": "quartic"}
+    assert cfg.profile is None
     assert cfg.ladder == (0.2, 0.1, 0.05)
     assert cfg.nx == 129 and cfg.nxi == 161
     assert cfg.scheme == "CN_rannacher"
@@ -234,8 +234,12 @@ def test_limit_certificate_failure_exit_code(tmp_path, capsys, monkeypatch):
 def test_profile_coeffs_roundtrip():
     cfg = config_from_dict({"profile": {"coeffs": [1.0, 0.0, -2.0, 0.0, 1.0]}})
     assert cfg.profile["coeffs"] == [1.0, 0.0, -2.0, 0.0, 1.0]
-    with pytest.raises(ConfigError, match="profile"):
-        config_from_dict({"profile": {"name": "sextic"}})
+    # the quartic is the default, null, and has no name to give
+    for profile in ({"name": "sextic"}, {"name": "quartic"}, "quartic", {}):
+        with pytest.raises(ConfigError, match="^profile: "):
+            config_from_dict({"profile": profile})
+    with pytest.raises(SystemExit):
+        main(["rates", "--profile", "quartic"])
     with pytest.raises(ConfigError, match="double-well"):
         from kramerslab.cli import profile_from_config
         profile_from_config(config_from_dict(
@@ -249,6 +253,46 @@ def test_short_horizon_adjusts_default_times():
     assert cfg2.times == (0.05,)
     explicit = config_from_dict({"t_final": 0.2, "dt": 0.01, "times": [0.2]})
     assert explicit.times == (0.2,)
+
+
+def test_default_times_follow_the_step(tmp_path):
+    # a step that none of the default times fall on keeps only the horizon;
+    # simulate never reads the times, so such a run must not be refused
+    assert config_from_dict({}).times == (0.1, 0.5, 1.0)
+    assert config_from_dict({"dt": 0.003, "t_final": 0.9}).times == (0.9,)
+    assert config_from_dict({"dt": 0.25}).times == (0.5, 1.0)
+    with pytest.raises(ConfigError, match="times"):
+        config_from_dict({"dt": 0.003, "t_final": 0.9, "times": [0.1]})
+    with pytest.raises(ConfigError, match="dt"):
+        config_from_dict({"dt": 0.0})
+    assert main(["simulate", "--eps", "0.1", "--nx", "17", "--nxi", "21",
+                 "--dt", "0.003", "--T", "0.9", "--out", str(tmp_path)]) == 0
+
+
+_LIMIT_SMALL = ["--nx", "65", "--dt", "0.001", "--T", "0.02"]
+
+
+def test_limit_manual_rate_equal_to_the_derived_one(tmp_path, quartic):
+    derived, manual = tmp_path / "derived", tmp_path / "manual"
+    assert main(["limit", *_LIMIT_SMALL, "--out", str(derived)]) == 0
+    assert main(["limit", *_LIMIT_SMALL, "--k", repr(limit_rate(quartic)),
+                 "--out", str(manual)]) == 0
+    assert (manual / "limit.csv").read_bytes() \
+        == (derived / "limit.csv").read_bytes()
+
+
+def test_limit_tabulated_density_equal_to_its_constant(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"u0": {
+        "minus": {"kind": "tabulated", "x": [0, 1], "values": [0.25, 0.25]},
+        "plus": {"kind": "constant", "value": 1.5}}}))
+    table, pair = tmp_path / "table", tmp_path / "pair"
+    assert main(["limit", *_LIMIT_SMALL, "--config", str(path),
+                 "--out", str(table)]) == 0
+    assert main(["limit", *_LIMIT_SMALL, "--u0", "0.25,1.5",
+                 "--out", str(pair)]) == 0
+    assert (table / "limit.csv").read_bytes() \
+        == (pair / "limit.csv").read_bytes()
 
 
 def test_skew_gap_limit_run(tmp_path):
@@ -299,6 +343,7 @@ _SMALL = ["--nx", "9", "--dt", "0.01", "--T", "0.1"]
     (["converge", "--times", "0.1,0.1"], None),
     (["limit", *_SMALL], {"u0": {"minus": {"kind": ["x"]}, "plus": _CONST}}),
     (["rates"], {"profile": {"coeffs": [1.0, "a"]}}),
+    (["rates"], {"profile": {"name": "quartic"}}),
     (["rates", "--ladder", "0.2"], [1]),
     (["simulate", "--nx", "17", "--nxi", "21", "--T", "0.01", "--dt", "0.01",
       "--quad-order", "1"], None),
@@ -310,7 +355,7 @@ _SMALL = ["--nx", "9", "--dt", "0.01", "--T", "0.1"]
 ], ids=["k-inf", "skew-nan", "skew-overflow", "T-inf", "ladder-scalar",
         "dt-string", "cosine-mode", "u0-one-value", "tabulated-x-decreasing",
         "snapshot-off-step", "T-off-step", "ladder-text", "times-repeated",
-        "u0-kind-list", "profile-coeffs", "config-root-list",
+        "u0-kind-list", "profile-coeffs", "profile-name", "config-root-list",
         "quad-order-one", "quad-order-bool", "ladder-bool",
         "nxi-three-zone-too-few", "times-empty", "times-empty-config"])
 def test_malformed_input_is_a_config_error(argv, config, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from kramerslab.grid_forms import (Field, LimitField, assemble, b_form,
                                    build_grid, nonlinear_observables,
                                    pair_limit, pair_measure, paired)
 from kramerslab.transition import k_eps, lift
-
-import oracles
 
 # coarse, fast settings: the full-scale certification lives in the
 # acceptance module
@@ -42,7 +39,7 @@ def test_traces_of_lift_are_inputs(quartic):
 
 def test_traces_of_constant(quartic):
     grid = build_grid(9, 11)
-    tr = traces(Field(np.full((9, 11), 2.5), grid, 0.1))
+    tr = traces(Field(np.full((9, 11), 2.5), grid))
     assert np.all(tr.u_minus == 2.5) and np.all(tr.u_plus == 2.5)
 
 
@@ -58,7 +55,7 @@ def test_cutoff_bump_shape():
 
 def test_cutoff_average_of_constant(quartic):
     grid = build_grid(9, 41)
-    field = Field(np.full((9, 41), 1.7), grid, 0.1)
+    field = Field(np.full((9, 41), 1.7), grid)
     avg = cutoff_average(field, gibbs.GibbsMeasure.compute(quartic, 0.1))
     assert np.max(np.abs(avg - 1.7)) <= 1e-12
 
@@ -167,7 +164,7 @@ def test_nonlinear_observable_consistency(quartic):
     eps = 0.1
     forms = assemble(grid, quartic, eps)
     rng = np.random.default_rng(4)
-    field = Field(rng.normal(size=(17, 41)), grid, eps)
+    field = Field(rng.normal(size=(17, 41)), grid)
     squared = nonlinear_observable(forms, field,
                                    lambda x, xi, r: r * r)
     assert squared == pytest.approx(b_form(forms.M.dot, field), rel=1e-12)
@@ -206,7 +203,7 @@ def test_jensen_bound_on_x_only_field(quartic):
     forms = assemble(grid, quartic, eps)
     vals = np.broadcast_to(np.cos(np.pi * grid.x_nodes)[:, None],
                            (33, 41)).copy()
-    margin = gradient_bound_margin(forms, Field(vals, grid, eps))
+    margin = gradient_bound_margin(forms, Field(vals, grid))
     assert margin >= -1e-8
 
 

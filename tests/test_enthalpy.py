@@ -26,7 +26,7 @@ def test_quartic_curvatures(quartic):
 
 @pytest.mark.parametrize("profile_maker", [
     quartic_default,
-    lambda: from_coefficients([1.0, 0.0, -2.0, 0.0, 1.0], name="quartic-coeffs"),
+    lambda: from_coefficients([1.0, 0.0, -2.0, 0.0, 1.0]),
 ])
 def test_derivatives_match_finite_differences(profile_maker):
     prof = profile_maker()
@@ -43,13 +43,13 @@ def test_validate_accepts_default(quartic):
 
 
 def test_validate_rejects_parabola():
-    prof = from_coefficients([1.0, 0.0, -1.0], name="parabola")
+    prof = from_coefficients([1.0, 0.0, -1.0])
     messages = validate(prof)
     assert any("H'(" in m and "fails" in m for m in messages)
 
 
 def test_validate_rejects_odd_perturbation():
-    prof = from_coefficients([1.0, 0.1, -2.0, 0.0, 1.0], name="tilted")
+    prof = from_coefficients([1.0, 0.1, -2.0, 0.0, 1.0])
     messages = validate(prof)
     assert any("evenness fails" in m for m in messages)
 

@@ -25,13 +25,12 @@ def setup(quartic):
 
 def random_field(grid, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
-    return Field(1.0 + scale * rng.normal(size=(grid.nx, grid.nxi)),
-                 grid, EPS)
+    return Field(1.0 + scale * rng.normal(size=(grid.nx, grid.nxi)), grid)
 
 
 def test_constant_is_stationary(setup):
     grid, forms = setup
-    u = Field(np.full((grid.nx, grid.nxi), 0.7), grid, EPS)
+    u = Field(np.full((grid.nx, grid.nxi), 0.7), grid)
     traj = solve(forms, u, 1e-3, 1e-3, scheme="BE", snapshot_times=(1e-3,))
     out = traj.snapshot_at(1e-3)
     assert np.max(np.abs(out.values - 0.7)) <= 1e-11
@@ -39,7 +38,7 @@ def test_constant_is_stationary(setup):
 
 def test_solve_rejects_nonpositive_dt(setup):
     grid, forms = setup
-    u = Field(np.ones((grid.nx, grid.nxi)), grid, EPS)
+    u = Field(np.ones((grid.nx, grid.nxi)), grid)
     for dt in (-1e-3, 0.0):
         with pytest.raises(ValueError, match="dt must be positive"):
             solve(forms, u, 1e-3, dt)
@@ -85,7 +84,7 @@ def test_solve_diagnostics(setup, scheme):
 
 def test_constant_trajectory(setup):
     grid, forms = setup
-    u0 = Field(np.full((grid.nx, grid.nxi), 1.3), grid, EPS)
+    u0 = Field(np.full((grid.nx, grid.nxi), 1.3), grid)
     traj = solve(forms, u0, T=0.05, dt=5e-3, snapshot_times=(0.05,))
     assert np.max(np.abs(traj.snapshot_at(0.05).values - 1.3)) <= 1e-10
     assert np.abs(traj.energy_residual).max() <= 1e-15
@@ -93,7 +92,7 @@ def test_constant_trajectory(setup):
 
 def test_zero_field_zero_residual(setup):
     grid, forms = setup
-    u0 = Field(np.zeros((grid.nx, grid.nxi)), grid, EPS)
+    u0 = Field(np.zeros((grid.nx, grid.nxi)), grid)
     traj = solve(forms, u0, T=0.01, dt=1e-3)
     assert np.all(traj.energy_residual == 0.0)
 
@@ -132,7 +131,7 @@ def test_even_data_stays_even(quartic):
     forms = assemble(grid, quartic, EPS)
     vals = 1.0 + 0.3 * np.cos(np.pi * grid.x_nodes)[:, None] \
         * (grid.xi_nodes ** 2)[None, :]
-    traj = solve(forms, Field(vals, grid, EPS), T=0.05, dt=1e-3,
+    traj = solve(forms, Field(vals, grid), T=0.05, dt=1e-3,
                  snapshot_times=(0.05,))
     out = traj.snapshot_at(0.05).values
     assert np.max(np.abs(out - out[:, ::-1])) <= 1e-9

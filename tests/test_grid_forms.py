@@ -7,16 +7,14 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from kramerslab import gibbs
-from kramerslab.grid_forms import (AssemblyError, Field, Grid, LimitField,
-                                   ModalForms, ProductTest, _bands, _tridiag,
-                                   assemble,
-                                   assemble_limit,
-                                   assemble_limit_rates, b_form, build_grid,
-                                   graded_nodes, l2_norm_x,
+from kramerslab.grid_forms import (Field, Grid, LimitField, ModalForms,
+                                   ProductTest, _bands, _tridiag, assemble,
+                                   assemble_limit, assemble_limit_rates,
+                                   b_form, build_grid, graded_nodes,
                                    nonlinear_observable, nonlinear_observables,
                                    nonlinear_observable_limit, pair_limit,
                                    pair_measure, paired)
-from kramerslab.transition import k_eps, lift, q_eps, transition_mass
+from kramerslab.transition import lift, q_eps, transition_mass
 
 import oracles
 
@@ -60,21 +58,8 @@ def test_bad_grids_rejected():
         with pytest.raises(ValueError, match="quad_order"):
             build_grid(8, 11, quad_order=order)
         with pytest.raises(ValueError, match="quad_order"):
-            Grid(np.linspace(0.0, 1.0, 8), graded_nodes(11), quad_order=order)
+            Grid(8, graded_nodes(11), quad_order=order)
 
-
-
-def test_grid_rejects_nonuniform_x_nodes():
-    # the stepper's closed-form x-eigenbasis holds on uniform x-nodes only
-    xi = graded_nodes(11)
-    x = np.linspace(0.0, 1.0, 9)
-    Grid(x, xi)
-    Grid(np.arange(9) / 8, xi)
-    nudged = x.copy()
-    nudged[4] += 1e-12
-    for bad in (x ** 2, nudged):
-        with pytest.raises(ValueError, match="uniform"):
-            Grid(bad, xi)
 
 @pytest.fixture(scope="module")
 def small_forms(quartic):
@@ -127,7 +112,7 @@ def test_linear_field_x_energy(quartic):
     grid = build_grid(33, 41)
     forms = assemble(grid, quartic, 0.1)
     u = Field(np.broadcast_to(grid.x_nodes[:, None],
-                              (33, 41)).copy(), grid, 0.1)
+                              (33, 41)).copy(), grid)
     _, A1, _ = oracles.kron_forms(forms)
     assert forms.a1_energy(u) == pytest.approx(1.0, abs=1e-3)
     assert float(u.ravel() @ (A1 @ u.ravel())) == pytest.approx(1.0, abs=1e-3)
@@ -281,7 +266,7 @@ def test_refinement_order_of_energy(quartic):
         grid = build_grid(n, n)
         forms = assemble(grid, quartic, eps)
         u = Field(np.cos(np.pi * grid.x_nodes)[:, None]
-                  * grid.xi_nodes[None, :], grid, eps)
+                  * grid.xi_nodes[None, :], grid)
         errors.append(abs(forms.a_energy(u) - target))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8
@@ -358,7 +343,7 @@ def test_limit_rates_pair_nonsymmetric():
 def test_pairing_constant_function(quartic, eps):
     grid = build_grid(17, 161)
     forms = assemble(grid, quartic, eps)
-    u = Field(np.ones((17, 161)), grid, eps)
+    u = Field(np.ones((17, 161)), grid)
     assert pair_measure(forms, u, ONE) == pytest.approx(1.0, abs=1e-9)
     assert abs(pair_measure(forms, u, XI)) <= 1e-12
 
@@ -368,7 +353,7 @@ def test_pairing_second_moment_ladder(quartic):
     errs = []
     for eps in LADDER:
         forms = assemble(grid, quartic, eps)
-        u = Field(np.ones((17, 81)), grid, eps)
+        u = Field(np.ones((17, 81)), grid)
         val = pair_measure(forms, u, ProductTest(np.ones_like,
                                                  lambda xi: xi * xi))
         z = oracles.fixed_quad(lambda s: np.exp(-quartic.eval(s) / eps),
@@ -387,7 +372,7 @@ def test_batched_observables_match_single_calls_bitwise(quartic, eps):
     x = grid.x_nodes
     u = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, eps, grid)
     u = Field(u.values * (1.0 + 0.1 * np.random.default_rng(3).normal(
-        size=u.values.shape)), grid, eps)
+        size=u.values.shape)), grid)
     tests = [ONE, ProductTest(lambda x: np.cos(np.pi * x), lambda xi: xi)]
     observables = [lambda x, xi, r: r * r,
                    lambda x, xi, r: np.abs(r) ** 1.5]
@@ -443,9 +428,9 @@ def test_pair_limit_values():
 def test_field_validation(quartic):
     grid = build_grid(9, 11)
     with pytest.raises(ValueError):
-        Field(np.zeros((9, 10)), grid, 0.1)
+        Field(np.zeros((9, 10)), grid)
     with pytest.raises(ValueError):
-        Field(np.full((9, 11), np.nan), grid, 0.1)
+        Field(np.full((9, 11), np.nan), grid)
     with pytest.raises(ValueError):
         LimitField(np.zeros(5), np.zeros(4), np.linspace(0, 1, 5))
 

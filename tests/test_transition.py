@@ -12,26 +12,28 @@ import oracles
 from conftest import QP_GRID
 
 LADDER = (0.2, 0.1, 0.05)
+# the profile grid of q_eps
+NODES = graded_nodes(801, delta=0.2, power=2.0, fractions=(0.45, 0.25, 0.30))
 HALF_LIMIT = math.sqrt(32.0) / (2.0 * math.pi)
 
 
 @pytest.fixture(scope="module")
 def profile_005(quartic):
-    return transition_profile(quartic, 0.05)
+    return transition_profile(quartic, 0.05, NODES)
 
 
 def test_endpoints_exact(profile_005):
-    assert profile_005.values[0] == -0.5
-    assert profile_005.values[-1] == 0.5
+    assert profile_005[0] == -0.5
+    assert profile_005[-1] == 0.5
 
 
 def test_zero_at_saddle(profile_005):
-    i0 = int(np.nonzero(profile_005.xi_nodes == 0.0)[0][0])
-    assert profile_005.values[i0] == 0.0
+    i0 = int(np.nonzero(NODES == 0.0)[0][0])
+    assert profile_005[i0] == 0.0
 
 
 def test_odd_monotone_bounded(profile_005):
-    v = profile_005.values
+    v = profile_005
     assert np.max(np.abs(v + v[::-1])) <= 1e-10
     assert np.all(np.diff(v) >= 0.0)
     assert v.min() >= -0.5 and v.max() <= 0.5
@@ -43,18 +45,18 @@ def test_profile_value_against_fixed_grid(quartic):
     eps = 0.05
     nodes = np.linspace(-1.0, 1.0, 1601)
     nodes[800] = 0.0
-    tp = transition_profile(quartic, eps, xi_nodes=nodes)
+    p = transition_profile(quartic, eps, nodes)
     j = int(np.nonzero(nodes == 0.5)[0][0])
     num = oracles.fixed_quad(lambda xi: np.exp(quartic.eval(xi) / eps),
                              0.0, 0.5, panels=1_000_000)
     den = oracles.fixed_quad(lambda xi: np.exp(quartic.eval(xi) / eps),
                              0.0, 1.0, panels=1_000_000)
-    assert tp.values[j] == pytest.approx(0.5 * num / den, abs=1e-3)
+    assert p[j] == pytest.approx(0.5 * num / den, abs=1e-3)
 
 
 def test_profile_requires_nodes(quartic):
     with pytest.raises(ValueError):
-        transition_profile(quartic, 0.1, xi_nodes=np.linspace(-1.0, 1.0, 10))
+        transition_profile(quartic, 0.1, np.linspace(-1.0, 1.0, 10))
 
 
 def test_rate_ladder_approaches_half_limit(quartic):
@@ -82,8 +84,8 @@ def test_rate_matches_quadratic_program(quartic, eps):
 def test_profile_matches_discrete_minimizer(quartic, eps):
     nodes = graded_nodes(4001, **QP_GRID)
     _, phi = oracles.qp_minimum(quartic.eval, eps, nodes)
-    tp = transition_profile(quartic, eps, xi_nodes=nodes)
-    assert np.max(np.abs(tp.values - phi)) <= 1e-6
+    p = transition_profile(quartic, eps, nodes)
+    assert np.max(np.abs(p - phi)) <= 1e-6
 
 
 def test_competitors_never_beat_minimum(quartic):
