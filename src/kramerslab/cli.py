@@ -31,16 +31,30 @@ from .transition import k_eps, lift, limit_rate, q_eps
 
 __all__ = ["Config", "ConfigError", "config_from_dict", "parse_config", "main"]
 
+# the Config fields that each command reads: its flags and the keys it
+# takes from a config file
+READS = {
+    "rates": ("profile", "ladder", "out"),
+    "simulate": ("profile", "eps", "nx", "nxi", "dt", "t_final", "scheme",
+                 "u0", "out"),
+    "limit": ("profile", "rate", "skew_gap", "nx", "dt", "t_final", "times",
+              "scheme", "u0", "out"),
+    "converge": ("profile", "ladder", "nx", "nxi", "dt", "t_final", "times",
+                 "scheme", "regime", "u0", "out"),
+}
 
-def config_from_dict(data):
-    """The Config of a JSON object: the root must be an object of known
-    keys, and the default sample times are those on a step within the
-    horizon; every rule is checked by :class:`Config` itself."""
+
+def config_from_dict(data, command=None):
+    """The Config of a JSON object of known keys, less those that
+    ``command`` does not read; the default sample times are those on a
+    step within the horizon; :class:`Config` checks every rule."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
     unknown = set(data) - set(Config.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    data = {k: v for k, v in data.items()
+            if command is None or k in READS[command]}
     if "times" not in data:
         t_final = _number("t_final", data.get("t_final", Config.t_final))
         dt = _number("dt", data.get("dt", Config.dt))
@@ -50,22 +64,24 @@ def config_from_dict(data):
     return Config(**data)
 
 
-def parse_config(path=None, overrides=None):
-    """Config from an optional JSON file plus flag overrides (strict keys)."""
+def parse_config(path=None, overrides=None, command=None):
+    """Config of ``command`` from an optional UTF-8 JSON file plus flags."""
     data = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"malformed config {path}: line {exc.lineno}, column "
                 f"{exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"malformed config {path}: {exc}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if overrides and isinstance(data, dict):
         data.update({k: v for k, v in overrides.items() if v is not None})
-    return config_from_dict(data)
+    return config_from_dict(data, command)
 
 
 def _fmt(x):
@@ -146,8 +162,7 @@ def cmd_simulate(cfg, snapshots=()):
     check_times("snapshots", [t for t in snapshots if t != 0.0], cfg.dt,
                 cfg.t_final)
     prof = profile_from_config(cfg)
-    grid = build_grid(cfg.nx, cfg.nxi, grading=cfg.grading,
-                      quad_order=cfg.quad_order)
+    grid = build_grid(cfg.nx, cfg.nxi)
     forms = assemble(grid, prof, cfg.eps)
     x = grid.x_nodes
     u0 = lift(*cfg.initial_pair(x), prof, cfg.eps, grid)
@@ -183,7 +198,7 @@ def cmd_limit(cfg):
     if not max(rates) < math.inf:
         raise ConfigError(f"skew_gap: {cfg.skew_gap!r} puts a rate k "
                           "exp(+-gap/2) past the float range")
-    lforms = assemble_limit_rates(x, *rates, quad_order=cfg.quad_order)
+    lforms = assemble_limit_rates(x, *rates)
     w0 = LimitField(*cfg.initial_pair(x), x)
     traj = solve_limit(lforms, w0, cfg.t_final, cfg.dt, scheme=cfg.scheme,
                        snapshot_times=(0.0,) + cfg.times)
@@ -228,15 +243,36 @@ def cmd_converge(cfg):
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--nx", type=int)
-    p.add_argument("--nxi", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", type=float, dest="t_final")
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--quad-order", type=int, dest="quad_order")
+# the flag of each field that has one
+_FLAGS = {
+    "ladder": ("--ladder", {"help": "comma-separated decreasing eps values"}),
+    "eps": ("--eps", {"type": float}),
+    "rate": ("--k", {"type": float, "help": "manual reaction rate; default "
+                     "derives it from the profile"}),
+    "skew_gap": ("--skew-gap", {"type": float, "help": "well-depth gap; "
+                                "nonzero selects the two-rate variant"}),
+    "nx": ("--nx", {"type": int}),
+    "nxi": ("--nxi", {"type": int}),
+    "dt": ("--dt", {"type": float}),
+    "t_final": ("--T", {"type": float}),
+    "times": ("--times", {"help": "comma-separated sample times"}),
+    "scheme": ("--scheme", {"choices": SCHEMES}),
+    "regime": ("--regime", {"choices": REGIMES}),
+    "out": ("--out", {"help": "output directory"}),
+}
+
+_HELP = {
+    "rates": "coefficient table along the ladder (CSV columns: eps, Z_eps, "
+             "laplace_Z, I_shifted, laplace_I_shifted, log_tau, k_eps, "
+             "2k_eps_over_k, q_eps, 4q_eps; final row carries the limit "
+             "values)",
+    "simulate": "one eps-level run (trajectory.csv columns: t, mass, b_eps, "
+                "a1_eps, a2_eps; snapshot files: x, xi, u)",
+    "limit": "two-species limit run (limit.csv columns: t, x, u_minus, "
+             "u_plus)",
+    "converge": "ladder certification study; exit status reflects the "
+                "report booleans",
+}
 
 
 def _parse_floats(field, text):
@@ -250,53 +286,33 @@ def main(argv=None):
                     "limit of a double-well drift-diffusion on a cylinder "
                     "and its two-species reaction-diffusion limit.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rates", help="coefficient table along the ladder "
-                       "(CSV columns: eps, Z_eps, laplace_Z, I_shifted, "
-                       "laplace_I_shifted, log_tau, k_eps, 2k_eps_over_k, "
-                       "q_eps, 4q_eps; final row carries the limit values)")
-    _add_common(p)
-    p.add_argument("--ladder", help="comma-separated decreasing eps values")
-
-    p = sub.add_parser("simulate", help="one eps-level run "
-                       "(trajectory.csv columns: t, mass, b_eps, a1_eps, "
-                       "a2_eps; snapshot files: x, xi, u)")
-    _add_common(p)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--snapshots", help="comma-separated snapshot times")
-
-    p = sub.add_parser("limit", help="two-species limit run "
-                       "(limit.csv columns: t, x, u_minus, u_plus)")
-    _add_common(p)
-    p.add_argument("--k", type=float, dest="rate",
-                   help="manual reaction rate; default derives it from the profile")
-    p.add_argument("--skew-gap", type=float, dest="skew_gap",
-                   help="well-depth gap; nonzero selects the two-rate variant")
-    p.add_argument("--times", help="comma-separated output times")
-    p.add_argument("--u0", help="constants shorthand 'c_minus,c_plus'")
-
-    p = sub.add_parser("converge", help="ladder certification study; exit "
-                       "status reflects the report booleans")
-    _add_common(p)
-    p.add_argument("--ladder")
-    p.add_argument("--regime", choices=REGIMES)
-    p.add_argument("--times", help="comma-separated sample times")
+    for command, fields in READS.items():
+        p = sub.add_parser(command, help=_HELP[command])
+        p.add_argument("--config", help="JSON config file")
+        for field in fields:
+            if field in _FLAGS:
+                flag, kw = _FLAGS[field]
+                p.add_argument(flag, dest=field, **kw)
+        if command == "simulate":
+            p.add_argument("--snapshots", help="comma-separated snapshot times")
+        if command == "limit":
+            p.add_argument("--u0", help="constants shorthand 'c_minus,c_plus'")
 
     args = parser.parse_args(argv)
     overrides = {k: v for k, v in vars(args).items()
                  if k in Config.__dataclass_fields__ and v is not None}
     try:
         for name in ("ladder", "times"):
-            if getattr(args, name, None):
+            if getattr(args, name, None) is not None:
                 overrides[name] = _parse_floats(name, getattr(args, name))
-        if getattr(args, "u0", None):
+        if getattr(args, "u0", None) is not None:
             pair = _parse_floats("u0", args.u0)
             if len(pair) != 2:
                 raise ConfigError(
                     f"u0: expected 'c_minus,c_plus', got {args.u0!r}")
             overrides["u0"] = {side: {"kind": "constant", "value": c}
                                for side, c in zip(("minus", "plus"), pair)}
-        cfg = parse_config(getattr(args, "config", None), overrides)
+        cfg = parse_config(args.config, overrides, args.command)
         kw = {}
         if args.command == "simulate" and getattr(args, "snapshots", None):
             kw["snapshots"] = _parse_floats("snapshots", args.snapshots)

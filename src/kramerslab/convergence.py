@@ -273,14 +273,16 @@ class Config:
     admissibility (:func:`profile_from_config`), raising
     ``ConfigError("<field path>: ...")`` for the first one broken."""
 
+    # constants, not fields: perfbench/child.py passes them to build_grid
+    grading = "three_zone"
+    quad_order = 4
+
     profile: dict | None = None  # None = the quartic; or {"coeffs": [...]}
     skew_gap: float = 0.0
     ladder: tuple = (0.2, 0.1, 0.05)
     eps: float = 0.1            # single-run scale for `simulate`
     nx: int = 129
     nxi: int = 161
-    grading: str = "three_zone"
-    quad_order: int = 4
     dt: float = 1e-3
     t_final: float = 1.0
     times: tuple = (0.1, 0.5, 1.0)
@@ -312,7 +314,7 @@ class Config:
         _rule("eps", gibbs.check_scale, self.eps)
         try:
             # each grid rule names its parameter, which is the field
-            check_grid(self.nx, self.nxi, self.grading, self.quad_order)
+            check_grid(self.nx, self.nxi)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.rate is not None:
@@ -430,7 +432,7 @@ def _limit_reference(cfg, x, k, um0, up0):
     lm0, lp0 = um0, up0
     if cfg.regime == "super":
         lm0 = lp0 = 0.5 * (um0 + up0)
-    lforms = assemble_limit(x, k_target, quad_order=cfg.quad_order)
+    lforms = assemble_limit(x, k_target)
     ltraj = solve_limit(lforms, LimitField(lm0, lp0, x), cfg.t_final, cfg.dt,
                         scheme=cfg.scheme, snapshot_times=(0.0,) + cfg.times)
     values = {"pairing": {}, "b": {}, "a": {}, "observables": {}, "gap": {}}
@@ -442,11 +444,10 @@ def _limit_reference(cfg, x, k, um0, up0):
         values["a"][t] = float(ltraj.a[n])
         values["gap"][t] = l2_norm_x(lforms.M_x, w.u_plus - w.u_minus)
         for name, test in tests.items():
-            values["pairing"].setdefault(name, {})[t] = pair_limit(
-                w, test, cfg.quad_order)
+            values["pairing"].setdefault(name, {})[t] = pair_limit(w, test)
         for name, f in observables.items():
             values["observables"].setdefault(name, {})[t] = (
-                nonlinear_observable_limit(w, f, cfg.quad_order))
+                nonlinear_observable_limit(w, f))
     return lforms, ltraj, values
 
 
@@ -571,8 +572,7 @@ def run_ladder_study(cfg):
         raise ConfigError("times: a convergence study needs at least one "
                           "sample time")
     profile = profile_from_config(cfg)
-    grid = build_grid(cfg.nx, cfg.nxi, grading=cfg.grading,
-                      quad_order=cfg.quad_order)
+    grid = build_grid(cfg.nx, cfg.nxi)
     x = grid.x_nodes
     k = limit_rate(profile)
     um0, up0 = cfg.initial_pair(x)

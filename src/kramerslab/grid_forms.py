@@ -67,23 +67,22 @@ def _whole(n, least):
         and n >= least
 
 
-def check_grid(nx, nxi, grading, quad_order):
+def check_grid(nx, nxi, grading="three_zone"):
     """Raise ValueError("<parameter>: ...") for the first grid rule that
     the arguments of :func:`build_grid` break: ``nx`` and ``nxi`` are
-    integers >= 4, ``nxi`` is odd so that the saddle xi = 0 is a node, the
-    grading is known and the panel rule has at least 2 points."""
+    integers >= 4, ``nxi`` is odd so that the saddle xi = 0 is a node, and
+    the grading is the three-zone one, which needs ``nxi`` >= 11."""
     for name, n in (("nx", nx), ("nxi", nxi)):
         if not _whole(n, 4):
             raise ValueError(f"{name}: must be an integer >= 4, got {n!r}")
     if nxi % 2 == 0:
         raise ValueError("nxi: must be odd so that xi = 0 is a node")
-    if grading not in ("three_zone", "uniform"):
+    if grading != "three_zone":
         raise ValueError(f"grading: unknown grading {grading!r}")
     # the least count with a cell in each zone of graded_nodes
-    if grading == "three_zone" and nxi < 11:
+    if nxi < 11:
         raise ValueError(f"nxi: the three-zone grading needs at least 11 "
                          f"nodes, got {nxi}")
-    check_quad_order(quad_order)
 
 
 @dataclass(frozen=True)
@@ -128,15 +127,10 @@ class Grid:
 
 
 def build_grid(nx, nxi, grading="three_zone", quad_order=4):
-    """Tensor grid with ``nx`` uniform x-nodes and ``nxi`` xi-nodes, after
-    the rules of :func:`check_grid`."""
-    check_grid(nx, nxi, grading, quad_order)
-    if grading == "uniform":
-        xi = np.linspace(-1.0, 1.0, nxi)
-        xi[(nxi - 1) // 2] = 0.0
-    else:
-        xi = graded_nodes(nxi)
-    return Grid(nx, xi, quad_order)
+    """Tensor grid with ``nx`` uniform x-nodes and ``nxi`` three-zone graded
+    xi-nodes, after the rules of :func:`check_grid`."""
+    check_grid(nx, nxi, grading)
+    return Grid(nx, graded_nodes(nxi), quad_order)
 
 
 @dataclass

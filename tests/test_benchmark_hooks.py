@@ -101,3 +101,23 @@ print(json.dumps({{"figures": figures, "status": status}}))
         "backward_error", "apply_a_us", "step_diag_ms", "mass_drift_max",
         "energy_residual_max", "pair_measure_ms", "nonlinear_observable_ms"}
     assert figures["backward_error"] <= 1e-11
+
+
+def test_child_setup_runs_the_seed0_operations(tmp_path):
+    # child.setup checks each config file without a command and builds the
+    # grid from Config.grading and Config.quad_order
+    code = f"""
+import json
+import child
+import workloads
+counts = {{}}
+for name in workloads.NAMES:
+    ops, _ = workloads.operations(name, 0, {str(tmp_path)!r} + "/" + name)
+    job = {str(tmp_path)!r} + "/" + name + ".json"
+    with open(job, "w") as fh:
+        json.dump({{"ops": ops}}, fh)
+    child.setup(job)
+    counts[name] = sum(op["kind"] == "cli" for op in ops)
+print(json.dumps(counts))
+"""
+    assert _run(code) == {"converge-default": 1, "refine-setup": 21}

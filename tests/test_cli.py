@@ -36,12 +36,20 @@ def test_eps_floor_rejected():
         config_from_dict({"ladder": [0.2, 0.001]})
 
 
-def test_unknown_keys_rejected():
+def test_unknown_keys_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError, match="unknown config keys"):
         config_from_dict({"laddder": [0.2]})
     with pytest.raises(ConfigError, match="u0.minus"):
         config_from_dict({"u0": {"minus": {"kind": "constant", "vaIue": 1},
                                  "plus": {"kind": "constant", "value": 1}}})
+    # the xi grading and the panel order are constants, not inputs
+    path = tmp_path / "cfg.json"
+    for key, value in (("quad_order", 4), ("grading", "three_zone")):
+        path.write_text(json.dumps({key: value}))
+        assert main(["rates", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err \
+            == f"config error: unknown config keys: ['{key}']\n"
 
 
 def test_validation_messages_carry_field_paths():
@@ -59,6 +67,39 @@ def test_malformed_file_reports_line(tmp_path):
     bad.write_text('{"ladder": [0.2,\n 0.1,]}')
     with pytest.raises(ConfigError, match="line 2"):
         parse_config(str(bad))
+
+
+def test_config_file_not_utf8_is_malformed(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00{}")
+    out = tmp_path / "out"
+    assert main(["rates", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: malformed config {bad}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, study", [
+    (["rates", "--ladder", "0.2"], {"ladder": [0.2], "dt": 0.003}),
+    (["limit", "--nx", "9", "--dt", "0.01", "--T", "0.1"],
+     {"nx": 9, "nxi": 9, "dt": 0.01, "t_final": 0.1}),
+], ids=["rates-dt", "limit-nxi"])
+def test_a_command_ignores_the_fields_it_does_not_read(argv, study, tmp_path):
+    # a shared study file may hold fields that the command never reads
+    # (rates: dt off the horizon; limit: too few xi nodes); their defaults
+    # stand in, and the run writes what the same run from flags writes
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(study))
+    assert main([argv[0], "--config", str(path),
+                 "--out", str(tmp_path / "file")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "flags")]) == 0
+    name = f"{argv[0]}.csv"
+    assert (tmp_path / "file" / name).read_bytes() \
+        == (tmp_path / "flags" / name).read_bytes()
+    # without a command every field is checked
+    with pytest.raises(ConfigError):
+        parse_config(str(path))
 
 
 def test_round_trip_normalization(tmp_path):
@@ -345,8 +386,6 @@ _SMALL = ["--nx", "9", "--dt", "0.01", "--T", "0.1"]
     (["rates"], {"profile": {"coeffs": [1.0, "a"]}}),
     (["rates"], {"profile": {"name": "quartic"}}),
     (["rates", "--ladder", "0.2"], [1]),
-    (["simulate", "--nx", "17", "--nxi", "21", "--T", "0.01", "--dt", "0.01",
-      "--quad-order", "1"], None),
     (["simulate", *_SMALL], {"quad_order": True}),
     (["rates"], {"ladder": [True, 0.5]}),
     (["simulate", "--nxi", "9", *_SMALL], None),
@@ -356,7 +395,7 @@ _SMALL = ["--nx", "9", "--dt", "0.01", "--T", "0.1"]
         "dt-string", "cosine-mode", "u0-one-value", "tabulated-x-decreasing",
         "snapshot-off-step", "T-off-step", "ladder-text", "times-repeated",
         "u0-kind-list", "profile-coeffs", "profile-name", "config-root-list",
-        "quad-order-one", "quad-order-bool", "ladder-bool",
+        "quad-order-bool", "ladder-bool",
         "nxi-three-zone-too-few", "times-empty", "times-empty-config"])
 def test_malformed_input_is_a_config_error(argv, config, tmp_path, capsys):
     out = tmp_path / "out"
@@ -367,8 +406,38 @@ def test_malformed_input_is_a_config_error(argv, config, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--nx", "65", "--ladder", "0.2"],
+    ["limit", "--nxi", "9", *_SMALL],
+    ["simulate", "--quad-order", "4", *_SMALL],
+], ids=["rates-nx", "limit-nxi", "quad-order"])
+def test_a_flag_the_command_does_not_read_is_unknown(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--ladder", ""], "ladder: must be nonempty"),
+    (["limit", "--u0", "", *_SMALL], "u0: expected 'c_minus,c_plus', got ''"),
+], ids=["ladder", "u0"])
+def test_an_empty_flag_value_meets_its_rule(argv, message, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_limit_empty_times_keep_the_initial_snapshot(tmp_path):
+    for name, times in (("empty", ""), ("comma", ",")):
+        assert main(["limit", *_SMALL, "--times", times,
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "empty" / "limit.csv").read_bytes() \
+        == (tmp_path / "comma" / "limit.csv").read_bytes()
 
 
 @pytest.mark.parametrize("bad", [

@@ -24,12 +24,6 @@ ONE = ProductTest(np.ones_like, np.ones_like)
 XI = ProductTest(np.ones_like, lambda xi: xi)
 
 
-def test_uniform_grid_nodes():
-    grid = build_grid(4, 5, grading="uniform")
-    assert np.array_equal(grid.xi_nodes, [-1.0, -0.5, 0.0, 0.5, 1.0])
-    assert np.array_equal(grid.x_nodes, np.linspace(0.0, 1.0, 4))
-
-
 def test_graded_grid_structure():
     grid = build_grid(17, 41)
     xi = grid.xi_nodes
