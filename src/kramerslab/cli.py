@@ -106,15 +106,23 @@ _TABLE_CHUNK = 4096
 def _write_table(path, header, columns):
     """CSV of equal-length float columns, every value as %.17g: the bytes
     :func:`_write_csv` writes for the same rows, formatted ``_TABLE_CHUNK``
-    rows at a time, so that only one chunk is ever held as text."""
-    table = np.column_stack(columns)
-    line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    rows at a time, so that only one chunk of lines is held as text. A
+    column that repeats values (a time, a grid coordinate) has each distinct
+    bit pattern formatted once, so 0.0 and -0.0 stay apart."""
+    cells = []
+    for col in (np.ascontiguousarray(c, dtype=float) for c in columns):
+        bits, index = np.unique(col.view(np.uint64), return_inverse=True)
+        cells.append(col if len(bits) == len(col) else np.array(
+            [_fmt(v) for v in bits.view(float)], dtype=object)[index])
+    line = ",".join("%.17g" if c.dtype == float else "%s"
+                    for c in cells) + "\r\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, len(table), _TABLE_CHUNK):
-            chunk = table[start:start + _TABLE_CHUNK]
+        for start in range(0, len(cells[0]), _TABLE_CHUNK):
+            chunk = np.column_stack([c[start:start + _TABLE_CHUNK]
+                                     for c in cells])
             fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
     return path
 

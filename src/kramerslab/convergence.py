@@ -17,8 +17,9 @@ from .enthalpy import from_coefficients, quartic_default, validate
 from .evolve_kramers import (ENERGY_RESIDUAL_BOUND, MASS_DRIFT_BOUND, SCHEMES,
                              SolverError, energy_excess, solve, step_index)
 from .evolve_limit import solve_limit
-from .grid_forms import (AssemblyError, LimitField, assemble, assemble_limit,
-                         ProductTest, b_form, build_grid, check_grid, l2_norm_x,
+from .grid_forms import (AssemblyError, LimitField, ModalLimitForms,
+                         ProductTest, assemble, assemble_limit, b_form,
+                         build_grid, check_grid, l2_norm_x,
                          nonlinear_observable, nonlinear_observable_limit,
                          nonlinear_observables, pair_limit, pair_measure)
 from .quadrature import QuadratureError
@@ -615,10 +616,10 @@ def gamma_limsup_check(u_minus, u_plus, ladder, grid, profile,
     um = np.asarray(u_minus(x) if callable(u_minus) else u_minus, dtype=float)
     up = np.asarray(u_plus(x) if callable(u_plus) else u_plus, dtype=float)
     k = limit_rate(profile)
-    lforms = assemble_limit(x, k, quad_order=grid.quad_order)
-    w = LimitField(um, up, x).stack()
-    b_lim = b_form(lforms.apply_m, w)
-    a_lim = lforms.stencil(w).a
+    modal = ModalLimitForms(assemble_limit(x, k))
+    y = modal.coefficients(LimitField(um, up, x))
+    b_lim = b_form(modal.apply_m, y)
+    a_lim = modal.mass_and_stencil(y)[1].a
     b_vals, a_vals = [], []
     for eps in ladder:
         forms = assemble(grid, profile, eps)

@@ -37,8 +37,8 @@ class SolverError(RuntimeError):
 class _ThetaSystem:
     """The theta-step matrix M + cA of ``forms``; ``S @ v`` is the exact
     action, with the mass and the stencil from ``forms.mass_and_stencil``.
-    Subclasses add ``norm_inf`` and ``factorize`` from the 1-D factors of
-    the forms.
+    Subclasses add ``norm_inf``, ``factorize`` and ``residual_mass`` (see
+    :class:`LinearSolver`) from the structure of the forms.
 
     The system owns the workspace of its products, allocated once: ``S @ v``
     writes M v and the :class:`Stencil` of v into ``forms.workspace()`` and
@@ -74,10 +74,6 @@ class _ThetaSystem:
         if self._kept is not None and self._kept[0] is x:
             return self._kept[1:]
         return self.forms.mass_and_stencil(x)
-
-    def residual_mass(self, r):
-        """The mass 1^T r that a residual ``r`` leaves in a theta step."""
-        return float(r.sum())
 
 
 class KroneckerSystem(_ThetaSystem):

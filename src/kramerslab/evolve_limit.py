@@ -1,97 +1,82 @@
 """Theta-scheme solver for the two-species reaction-diffusion limit system.
 
 Same variational structure and the same integrator as the eps-level solver
-(``evolve_kramers``), acting on the forms over the pair of well densities;
-this module supplies the structured solver of M + cA.
+(``evolve_kramers``), acting on the forms over the pair of well densities in
+their closed-form x-eigenbasis (``grid_forms.ModalLimitForms``), where M + cA
+is one 2 x 2 block per mode; the nodal pair is formed by FFT only at entry
+and at snapshots. This module supplies the solver of the blocks.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
 
 from .evolve_kramers import SolverError, _integrate, _ThetaSystem
-from .grid_forms import LimitField, _tridiag
+from .grid_forms import LimitField, ModalLimitForms
 
 __all__ = ["LimitSystem", "solve_limit"]
 
 
 class LimitSystem(_ThetaSystem):
-    """M + cA of the limit forms, kept as its 1-D factors:
-    1/2 [I (x) P0 + c R (x) M_x], P0 = M_x + c K_x, with the reaction
-    matrix R = [[k_f, -k_b], [-k_f, k_b]]; ``S @ v`` is the exact action of
-    the forms on the flat pair, written into the system's workspace as at
-    the eps level (valid until the next product), and both act through the
-    bands of M_x and K_x.
-    """
+    """M + cA of the limit forms in x-modes (:class:`ModalLimitForms`): per
+    mode k the block 1/2 [(1 + c lam_k) I + c R], R = [[k_f, -k_b],
+    [-k_f, k_b]]. ``S @ v`` is the exact action, written into the system's
+    workspace as at the eps level; the inner solve inverts every block in
+    closed form."""
 
-    def __init__(self, lforms, c):
-        super().__init__(lforms, c)
-        self._m, k = lforms.bands
-        self._p0 = self._m + self.c * k
+    def _blocks(self):
+        """a_k = 1 + c lam_k, c k_f and c k_b."""
+        f, c = self.forms, self.c
+        return 1.0 + c * f.basis.lam, c * f.rate_forward, c * f.rate_backward
 
     def norm_inf(self):
-        """||M + cA||_inf, exactly: row i of the minus block row sums
-        |P0 + c k_f M_x| along row i plus c k_b times the M_x row sum, all
-        halved; the plus block row swaps the rates."""
-        lf, c, m, p0 = self.forms, self.c, self._m, self._p0
-        kf, kb = lf.rate_forward, lf.rate_backward
-        m_row = np.abs(m).sum(axis=0)
-        minus = np.abs(p0 + c * kf * m).sum(axis=0) + c * kb * m_row
-        plus = np.abs(p0 + c * kb * m).sum(axis=0) + c * kf * m_row
-        return 0.5 * float(max(minus.max(), plus.max()))
+        """||M + cA||_inf, exactly: the largest block row sum,
+        (|a_k + c k_f| + |c k_b|) / 2 or (|a_k + c k_b| + |c k_f|) / 2."""
+        a, cf, cb = self._blocks()
+        return 0.5 * float(max((np.abs(a + cf) + abs(cb)).max(),
+                               (np.abs(a + cb) + abs(cf)).max()))
 
     def factorize(self):
-        """Inner solver r -> (M + cA)^{-1} r by two SPD tridiagonal solves.
+        """Inner solver r -> (M + cA)^{-1} r, mode by mode, in O(n): block k
+        has determinant a_k (a_k + c s) / 4, s = k_f + k_b, and the inverse
+        (2 / a_k) [[a_k + c k_b, c k_b], [c k_f, a_k + c k_f]] / (a_k + c s),
+        each entry 2 / a_k times a ratio in [0, 1], so that large rates do
+        not overflow; zero rates need no special case."""
+        a, cf, cb = self._blocks()
+        d = a + (cf + cb)
+        if not np.all(a * d > 0.0):
+            raise SolverError(
+                f"limit system M + {self.c:g} A has a non-positive block "
+                f"determinant (k_f = {self.forms.rate_forward:g}, "
+                f"k_b = {self.forms.rate_backward:g})")
+        g = [2.0 / a * (v / d) for v in (a + cb, cb, cf, a + cf)]
+        nx = len(a)
+        return lambda r: np.concatenate([g[0] * r[:nx] + g[1] * r[nx:],
+                                         g[2] * r[:nx] + g[3] * r[nx:]])
 
-        R has the left eigenvector (1, 1) with eigenvalue 0, so the sum of
-        the block rows gives P0 s = 2 (r_minus + r_plus) for the total
-        s = u_minus + u_plus. Putting u_plus = s - u_minus into the minus
-        row gives P1 u_minus = 2 r_minus + c k_b M_x s with
-        P1 = P0 + c (k_f + k_b) M_x. Nothing is divided by k_f + k_b, so
-        zero rates need no special case.
-        """
-        lf, c, m, p0 = self.forms, self.c, self._m, self._p0
-        kf, kb = lf.rate_forward, lf.rate_backward
-        factors = []
-        for p in (p0, p0 + c * (kf + kb) * m):
-            d, e, info = la.lapack.dpttrf(p[1], p[2, :-1])
-            if info != 0:
-                raise SolverError(
-                    f"limit factorization of M + {c:g} A lost positive "
-                    f"pivots (k_f = {kf:g}, k_b = {kb:g})")
-            factors.append((d, e))
-        (p0_factor, p1_factor), n = factors, len(m[1])
-
-        def tri_solve(factor, r):
-            return la.lapack.dpttrs(*factor, r[:, None])[0][:, 0]
-
-        def inner(rhs):
-            r_minus = rhs[:n]
-            s = tri_solve(p0_factor, 2.0 * (r_minus + rhs[n:]))
-            u_minus = tri_solve(p1_factor,
-                                2.0 * r_minus + c * kb * _tridiag(m, s))
-            return np.concatenate([u_minus, s - u_minus])
-        return inner
+    def residual_mass(self, r):
+        """1^T r of the nodal residual: mode 0 of both species."""
+        return float(r[0] + r[self.forms.n // 2])
 
 
 def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     """Integrate the limit system M dw/dt + A w = 0 for w = (u_minus, u_plus).
 
-    Each theta step is solved through :class:`LimitSystem`: two SPD
-    tridiagonal solves per inner solve, factored once per plan, refined and
-    certified against the exact action of the forms. Returns an
-    ``evolve_kramers.Trajectory`` whose energy split is (diffusion,
-    reaction). Raises :class:`SolverError`, naming the step, t and the
-    quantity, as soon as a step drifts the mass or breaks the energy
-    identity beyond the certificates.
+    Steps the x-modes of the forms (:class:`ModalLimitForms`, which needs
+    uniform x-nodes) through :class:`LimitSystem`, each solve certified
+    against the exact action of the forms; the snapshots are nodal pairs,
+    the one at t = 0 a copy of ``u0``. Returns an ``evolve_kramers``
+    ``Trajectory`` whose energy split is (diffusion, reaction). Raises
+    :class:`SolverError`, naming the step, t and the quantity, as soon as a
+    step drifts the mass or breaks the energy identity beyond the
+    certificates.
     """
     if not isinstance(u0, LimitField):
         raise TypeError("u0 must be a LimitField")
     x = lforms.x_nodes
     if not np.array_equal(u0.x_nodes, x):
         raise ValueError("initial data and forms live on different x-grids")
-    nx = len(x)
+    modal = ModalLimitForms(lforms)
     return _integrate(
-        lforms, LimitSystem, u0.stack(), T, dt, scheme, snapshot_times,
-        lambda v: LimitField(v[:nx], v[nx:], x),
+        modal, LimitSystem, modal.coefficients(u0), T, dt, scheme,
+        snapshot_times, lambda y: LimitField(*modal.values(y), x),
         LimitField(u0.u_minus.copy(), u0.u_plus.copy(), x), "limit system")

@@ -21,10 +21,10 @@ from . import gibbs
 from .quadrature import PanelRule, check_quad_order
 
 __all__ = [
-    "AssemblyError", "Grid", "Field", "LimitField", "FormMatrices",
-    "ModalForms", "LimitFormMatrices", "Stencil", "graded_nodes",
-    "build_grid", "assemble", "assemble_limit", "assemble_limit_rates",
-    "b_form", "pair_measure", "pair_limit", "nonlinear_observable",
+    "AssemblyError", "Grid", "Field", "LimitField", "FormMatrices", "XBasis",
+    "ModalForms", "LimitFormMatrices", "ModalLimitForms", "Stencil",
+    "graded_nodes", "build_grid", "assemble", "assemble_limit",
+    "assemble_limit_rates", "b_form", "pair_measure", "pair_limit", "nonlinear_observable",
     "nonlinear_observables", "nonlinear_observable_limit", "paired",
     "ProductTest", "l2_norm_x", "check_grid",
 ]
@@ -386,16 +386,47 @@ class FormMatrices:
         return self.a1_energy(u) + self.a2_energy(u)
 
 
-class ModalForms:
-    """The eps-level forms in the x-eigenbasis, where the theta loop steps.
+def _dct1(v):
+    """sum_j w_j v_j cos(pi j k / n) along the last axis (``XBasis.w``): one
+    real FFT of the even extension."""
+    return 0.5 * np.fft.rfft(np.concatenate([v, v[..., -2:0:-1]], axis=-1)).real
 
-    On uniform x-nodes the DCT-I vectors c_k = cos(pi j k / n), n = nx - 1,
-    diagonalize the pencil (K_x, M_x) in closed form: M_x c_k and K_x c_k
-    are h (2 + cos t_k) / 3 and (2 / h)(1 - cos t_k) times W c_k, with
-    t_k = pi k / n and W = diag(1/2, 1, ..., 1, 1/2). ``V`` holds them
-    normalized in M_x, so V^T M_x V = I and V^T K_x V = diag(``lam``),
-    lam_k = (6 / h^2)(1 - cos t_k) / (2 + cos t_k); its column 0 is exactly
-    the constant 1 (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+
+class XBasis:
+    """The closed-form eigenbasis of the uniform P1 x-factors on ``nx``
+    nodes, the one owner of its constants (Lynch, Rice & Thomas, Numer.
+    Math. 6, 1964): with n = nx - 1, t_k = pi k / n, W = diag(``w``) =
+    diag(1/2, 1, ..., 1, 1/2), c_k = cos(pi j k / n) has M_x c_k = mu_k W c_k
+    and K_x c_k = lam_k mu_k W c_k, mu_k = (2 + cos t_k) / (3n) and
+    lam_k = 6 n^2 (1 - cos t_k) / (2 + cos t_k). V = (c_k / ``norm``_k) has
+    V^T M_x V = I, V^T K_x V = diag(``lam``), V^T M_x = (W V diag(mu))^T
+    and column 0 exactly 1; :meth:`coefficients` and :meth:`values` apply
+    V^T M_x and V along the last axis in O(n log n)."""
+
+    def __init__(self, nx):
+        n = nx - 1
+        cos = np.cos(np.pi * np.arange(nx) / n)
+        self.lam = 6.0 * n * n * (1.0 - cos) / (2.0 + cos)
+        # c_k^T W c_k is n at both ends and n / 2 inside
+        norm2 = (2.0 + cos) / 6.0
+        norm2[[0, -1]] *= 2.0
+        self.norm = np.sqrt(norm2)
+        self.mu = (2.0 + cos) / (3.0 * n)
+        self.w = np.ones(nx)
+        self.w[[0, -1]] = 0.5
+
+    def coefficients(self, u):
+        """The modes V^T M_x u of the nodal values ``u``."""
+        return _dct1(u) * (self.mu / self.norm)
+
+    def values(self, y):
+        """The nodal values V y of the modes ``y``."""
+        return _dct1(y / (self.norm * self.w))
+
+
+class ModalForms:
+    """The eps-level forms in the x-eigenbasis (:class:`XBasis`), where the
+    theta loop steps.
 
     The state is the (nx, nxi) array of x-mode coefficients Y = V^T M_x U,
     flattened. The forms are Kronecker sums, so each mode relaxes along xi
@@ -412,10 +443,11 @@ class ModalForms:
     is one contiguous pass, and every flux is still proportional to its
     local difference.
 
-    The transforms act on column 0 and the xi-differences, and then sum
-    along xi: exactly equal adjacent columns stay exactly equal, where the
-    xi-conductances are of size e^{1/eps} and any rounding between them
-    would be a stiff error that the theta steps never damp.
+    The transforms are the dense V and V^T M_x. They act on column 0 and
+    the xi-differences, and then sum along xi: exactly equal adjacent
+    columns stay exactly equal, where the xi-conductances are of size
+    e^{1/eps} and any rounding between them would be a stiff error that the
+    theta steps never damp.
     """
 
     def __init__(self, forms):
@@ -424,18 +456,12 @@ class ModalForms:
         self.n, self.eps = forms.n, forms.eps
         n = nx - 1
         k = np.arange(nx)
-        cos = np.cos(np.pi * k / n)
-        self.lam = 6.0 * n * n * (1.0 - cos) / (2.0 + cos)
-        # c_k^T W c_k is n at both ends and n / 2 inside
-        norm2 = (2.0 + cos) / 6.0
-        norm2[[0, -1]] *= 2.0
-        self.V = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n) \
-            / np.sqrt(norm2)
-        w = np.ones(nx)
-        w[[0, -1]] = 0.5
-        # V^T M_x, the inverse of V, from M_x c_k = mu_k W c_k
-        mu = (2.0 + cos) / (3.0 * n)
-        self.VtM = np.ascontiguousarray((w[:, None] * self.V * mu).T)
+        basis = XBasis(nx)
+        self.lam = basis.lam
+        self.V = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n) / basis.norm
+        # V^T M_x, the inverse of V
+        self.VtM = np.ascontiguousarray(
+            (basis.w[:, None] * self.V * basis.mu).T)
         self.M_xi, self.K_xi, self.g_xi = forms.M_xi, forms.K_xi, forms.g_xi
         # the flat layout; M_xi is symmetric, so its right coefficients are
         # the left ones shifted, read from the same memory
@@ -444,13 +470,10 @@ class ModalForms:
         self._m = (off[:-1], diag, off[1:])
         self._lam = np.repeat(self.lam, nxi)
         self._g = np.tile(np.append(forms.g_xi, 0.0), nx)[:-1]
+        # the modes of the constant function 1: mode 0 alone, all ones
+        self.one = np.zeros(self.n)
+        self.one[:nxi] = 1.0
 
-    @property
-    def one(self):
-        """The modes of the constant function 1: mode 0 alone, all ones."""
-        one = np.zeros(self.shape)
-        one[0] = 1.0
-        return one.reshape(-1)
 
     def coefficients(self, U):
         """The flat modes V^T M_x U of the nodal (nx, nxi) array ``U``."""
@@ -526,34 +549,20 @@ def assemble(grid, profile, eps, log_tau_shift=0.0):
                         g_xi=g_xi, grid=grid, measure=measure)
 
 
-def _vec(u):
-    if isinstance(u, Field):
-        return u.values.reshape(-1)
-    if isinstance(u, LimitField):
-        return u.stack()
-    return np.asarray(u, dtype=float).reshape(-1)
-
-
 def b_form(apply_m, u):
-    """The squared mass norm u^T M u, with ``apply_m`` the action v -> M v."""
-    uu = _vec(u)
+    """The squared mass norm u^T M u of a :class:`Field` or a flat state,
+    with ``apply_m`` the action v -> M v."""
+    uu = u.values.reshape(-1) if isinstance(u, Field) else \
+        np.asarray(u, dtype=float).reshape(-1)
     return float(uu @ apply_m(uu))
 
 
 @dataclass(frozen=True)
 class LimitFormMatrices:
-    """The forms of the two-species limit system over w = (u_minus, u_plus),
-    kept as their 1-D factors.
-
-    The mass is M = 1/2 I (x) M_x and the stiffness
-    A = 1/2 I (x) K_x + 1/2 R (x) M_x, with the reaction matrix
-    R = [[k_f, -k_b], [-k_f, k_b]]. They act on the flat pair through the
-    bands of M_x and K_x, tiled once per species with a zero coupling
-    between the two, so each term is one contiguous pass. Offers the forms
-    interface of :class:`ModalForms` that the theta integrator uses; the
-    energy splits into the diffusion part ``a1`` and the reaction part
-    ``a2``.
-    """
+    """The 1-D factors of the two-species limit forms over (u_minus, u_plus):
+    M = 1/2 I (x) M_x and A = 1/2 I (x) K_x + 1/2 R (x) M_x, with the
+    reaction matrix R = [[k_f, -k_b], [-k_f, k_b]]; stepped in x-modes
+    (:class:`ModalLimitForms`)."""
 
     M_x: sp.csr_matrix
     K_x: sp.csr_matrix
@@ -561,66 +570,67 @@ class LimitFormMatrices:
     rate_forward: float   # minus -> plus
     rate_backward: float  # plus -> minus
 
-    @functools.cached_property
-    def bands(self):
-        """The bands of M_x and of K_x, each (3, nx) (see ``_bands``)."""
-        return _bands(self.M_x), _bands(self.K_x)
 
-    @functools.cached_property
-    def _pair_bands(self):
-        """The bands of M_x and of K_x tiled over the flat pair."""
-        return tuple(np.tile(b, 2) for b in self.bands)
+class ModalLimitForms:
+    """The limit forms in the x-eigenbasis (:class:`XBasis`, which needs
+    uniform x-nodes), where the limit system steps.
 
-    @property
-    def n(self):
-        return 2 * len(self.x_nodes)
+    The state is the flat pair y = (V^T M_x u_minus, V^T M_x u_plus), in
+    which M = 1/2 I and A = 1/2 I (x) diag(lam) + 1/2 R (x) I: mode k of the
+    two species is a 2 x 2 system of its own. The stencil parts are the
+    diffusion (y, lam y / 2) and the reaction: the well gap y_minus - y_plus
+    and half the net transfer k_f y_minus - k_b y_plus, which leaves y_minus
+    and enters y_plus. So b, a1 and a2 are those of the nodal forms, and the
+    mass is mode 0 alone (``one`` holds the modes of the constant pair).
+    """
 
-    def apply_m(self, w):
-        return 0.5 * _tridiag(self._pair_bands[0], _vec(w))
+    def __init__(self, lforms):
+        x = lforms.x_nodes
+        if not np.array_equal(x, np.linspace(0.0, 1.0, len(x))):
+            raise ValueError("the limit x-modes need the uniform x-nodes "
+                             "linspace(0, 1, nx)")
+        self.basis = XBasis(len(x))
+        self.n = 2 * len(x)
+        self.one = np.zeros(self.n)
+        self.one[[0, len(x)]] = 1.0
+        self.rate_forward = lforms.rate_forward
+        self.rate_backward = lforms.rate_backward
+        self._half_lam = np.tile(0.5 * self.basis.lam, 2)
+
+    def coefficients(self, field):
+        """The flat modes of the :class:`LimitField` ``field``."""
+        return self.basis.coefficients(field.stack().reshape(2, -1)).ravel()
+
+    def values(self, y):
+        """The nodal pair (u_minus, u_plus) of the flat modes ``y``."""
+        return self.basis.values(y.reshape(2, -1))
+
+    def apply_m(self, y):
+        return 0.5 * y
 
     def workspace(self):
-        """The buffers of one :meth:`mass_and_stencil`: M w, A w, the
-        diffusion fluxes, then the well gap and its flux, the transfer and
-        one more, each half as long."""
-        return np.empty((5, self.n))
+        """The buffers of one :meth:`mass_and_stencil`: M y, A y, the
+        diffusion fluxes, then the well gap and its flux (half as long)."""
+        return np.empty((4, self.n))
 
-    def mass_and_stencil(self, w, out=None):
-        """(M w, the :class:`Stencil` of ``w``), written into ``out`` (a
-        :meth:`workspace`) if given. Diffusion: both densities and half
-        their K_x-fluxes; reaction: the well gap u_minus - u_plus and half
-        the x-mass of the net transfer k_f u_minus - k_b u_plus (with equal
-        rates k, a2 is k/2 times the squared gap). A w is the diffusion flux
-        of each density plus the transfer, which leaves u_minus and enters
-        u_plus."""
-        w = _vec(w)
-        mv, au, F1, gap, extra = self.workspace() if out is None else out
-        nx = len(self.x_nodes)
-        um, up = w[:nx], w[nx:]
+    def mass_and_stencil(self, y, out=None):
+        """(M y, the :class:`Stencil` of the flat modes ``y``), one pass per
+        term, written into ``out`` (a :meth:`workspace`) if given; the
+        stencil's first part holds ``y`` itself."""
+        mv, au, F1, gap = self.workspace() if out is None else out
+        nx = self.n // 2
+        ym, yp = y[:nx], y[nx:]
         D, F2 = gap[:nx], gap[nx:]
-        transfer, work = extra[:nx], extra[nx:]
-        (m2, k2), m = self._pair_bands, self.bands[0]
-        # au takes the off-diagonal products until it is written
-        _tridiag(m2, w, out=mv, work=au[:-1])
-        mv *= 0.5
-        _tridiag(k2, w, out=F1, work=au[:-1])
-        F1 *= 0.5
-        np.multiply(self.rate_forward, um, out=transfer)
-        transfer -= np.multiply(self.rate_backward, up, out=work)
-        np.subtract(um, up, out=D)
-        _tridiag(m, transfer, out=F2, work=work[:-1])
+        np.multiply(y, 0.5, out=mv)
+        np.multiply(self._half_lam, y, out=F1)
+        np.subtract(ym, yp, out=D)
+        # au takes the backward transfer until it is written
+        np.multiply(self.rate_forward, ym, out=F2)
+        F2 -= np.multiply(self.rate_backward, yp, out=au[:nx])
         F2 *= 0.5
         np.add(F1[:nx], F2, out=au[:nx])
         np.subtract(F1[nx:], F2, out=au[nx:])
-        return mv, Stencil(au, ((w, F1), (D, F2)))
-
-    def stencil(self, w):
-        """A w and the energy split of ``w`` (see :meth:`mass_and_stencil`)."""
-        return self.mass_and_stencil(w)[1]
-
-    @property
-    def one(self):
-        """The state of the constant function 1."""
-        return np.ones(self.n)
+        return mv, Stencil(au, ((y, F1), (D, F2)))
 
 
 def assemble_limit_rates(x_nodes, rate_forward, rate_backward, quad_order=4):

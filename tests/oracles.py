@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own quadrature and
 assembly paths: fixed-grid composite rules, scipy's QUADPACK integrator,
 finite differences, the closed chain solution of the piecewise-linear
 connection program, the 2-D sparse Kronecker products and block matrices of
-the 1-D form factors, and whole-grid tensor quadrature of observables. Only
+the 1-D form factors, the semi-discrete limit solution in a dense
+eigenbasis, and whole-grid tensor quadrature of observables. Only
 the tests import ``scipy.integrate``. The one exception is
 :func:`inline_scale`, which reuses the package's Gibbs integrals and its
 ``PanelRule`` (points, weights and hat values) on purpose, to match the
@@ -13,6 +14,7 @@ measure-based functions bit for bit.
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import quad
 
@@ -97,19 +99,28 @@ def heat_mode_decay(amplitude, mode, t):
     return amplitude * math.exp(-((mode * math.pi) ** 2) * t)
 
 
-def pair_ode_solution(c_minus, c_plus, rate_forward, rate_backward, t):
-    """Two-state exchange du_minus/dt = rb u_plus - rf u_minus and
-    symmetrically: the total is conserved and the deviation from the
-    stationary split decays at the rate rf + rb (at 2k for equal rates k)."""
-    total = c_minus + c_plus
-    lam = rate_forward + rate_backward
-    if lam == 0.0:
-        return c_minus, c_plus
-    eq_minus = total * rate_backward / lam
-    eq_plus = total * rate_forward / lam
-    decay = math.exp(-lam * t)
-    return (eq_minus + (c_minus - eq_minus) * decay,
-            eq_plus + (c_plus - eq_plus) * decay)
+def limit_pair_solution(lf, u_minus, u_plus, t):
+    """The exact solution at time ``t`` of the semi-discrete limit system
+    M w' + A w = 0 of the limit forms ``lf`` from the nodal pair
+    (``u_minus``, ``u_plus``): (u_minus(t), u_plus(t)).
+
+    In the eigenbasis of the pencil (K_x, M_x), from a dense generalized
+    eigensolver, mode k obeys y_k' = -(lam_k I + R) y_k with
+    R = [[k_f, -k_b], [-k_f, k_b]]. R^2 = s R for s = k_f + k_b, so
+    y_k(t) = e^{-lam_k t} (y_k - phi(t) R y_k), phi(t) = (1 - e^{-st}) / s
+    (phi = t at s = 0). Mode 0, the constants, is the two-state exchange:
+    the total is conserved and the deviation from the stationary split
+    decays at the rate s (2k for equal rates k).
+    """
+    lam, V = scipy.linalg.eigh(lf.K_x.toarray(), lf.M_x.toarray())
+    Y = V.T @ (lf.M_x @ np.stack([u_minus, u_plus], axis=1))
+    s = lf.rate_forward + lf.rate_backward
+    phi = t if s == 0.0 else -math.expm1(-s * t) / s
+    transfer = lf.rate_forward * Y[:, 0] - lf.rate_backward * Y[:, 1]
+    Y = np.exp(-lam * t)[:, None] * (
+        Y - phi * np.stack([transfer, -transfer], axis=1))
+    u_minus, u_plus = (V @ Y).T
+    return u_minus, u_plus
 
 
 def kron_forms(forms):

@@ -144,7 +144,8 @@ def test_criterion_06_homogeneous_benchmark(quartic, default_grid,
     lforms = assemble_limit(x, LIMIT_RATE)
     ltraj = solve_limit(lforms, LimitField(np.zeros(129), np.ones(129), x),
                         T=0.5, dt=1e-4, snapshot_times=(0.5,))
-    um, up = oracles.pair_ode_solution(0.0, 1.0, LIMIT_RATE, LIMIT_RATE, 0.5)
+    um, up = oracles.limit_pair_solution(lforms, np.zeros(129), np.ones(129),
+                                         0.5)
     final = ltraj.snapshot_at(0.5)
     assert np.abs(final.u_minus - um).max() <= 1e-6
     assert np.abs(final.u_plus - up).max() <= 1e-6

@@ -242,6 +242,23 @@ def test_csv_artifacts_match_the_row_writer(tmp_path):
                                                                    2049), 5))
 
 
+def test_table_writer_matches_the_row_writer(tmp_path):
+    # rows across two chunk ends: a repeated column holding both zeros, a
+    # repeated grid column and a column without repeats
+    n = 2 * cli._TABLE_CHUNK + 7
+    signed = np.tile([0.0, -0.0, 0.1, 1.0 / 3.0, -2.5e-300], n // 5 + 1)[:n]
+    grid = np.repeat(np.linspace(0.0, 1.0, 9), n // 9 + 1)[:n]
+    noise = np.random.default_rng(5).normal(size=n)
+    header = ["signed", "grid", "noise"]
+    table = cli._write_table(tmp_path / "table.csv", header,
+                             (signed, grid, noise))
+    rows = cli._write_csv(tmp_path / "rows.csv", header,
+                          zip(signed, grid, noise))
+    data = table.read_bytes()
+    assert data == rows.read_bytes()
+    assert data.count(b"\r\n-0,") == data.count(b"\r\n0,") > 0
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     code = main(["rates", "--ladder", "0.001"])
     assert code == 2

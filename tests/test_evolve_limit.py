@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from kramerslab import evolve_kramers
+from kramerslab import evolve_kramers, evolve_limit
 from kramerslab.evolve_kramers import (KroneckerSystem, LinearSolver,
                                        SolverError, Trajectory, solve)
 from kramerslab.evolve_limit import LimitSystem, solve_limit
 from kramerslab.enthalpy import quartic_default
-from kramerslab.grid_forms import (LimitField, LimitFormMatrices,
-                                   ModalForms, assemble, assemble_limit,
+from kramerslab.grid_forms import (LimitField, ModalForms, ModalLimitForms,
+                                   assemble, assemble_limit,
                                    assemble_limit_rates, build_grid)
 from kramerslab.transition import lift
 
@@ -38,7 +38,7 @@ def test_homogeneous_pair_matches_closed_form():
     x, lf = make_setup()
     w0 = LimitField(np.zeros(33), np.ones(33), x)
     traj = solve_limit(lf, w0, T=0.5, dt=1e-4, snapshot_times=(0.5,))
-    um, up = oracles.pair_ode_solution(0.0, 1.0, K, K, 0.5)
+    um, up = oracles.limit_pair_solution(lf, w0.u_minus, w0.u_plus, 0.5)
     final = traj.snapshot_at(0.5)
     assert np.max(np.abs(final.u_minus - um)) <= 1e-6
     assert np.max(np.abs(final.u_plus - up)) <= 1e-6
@@ -113,13 +113,14 @@ def test_unequal_rates_relax_to_detailed_balance():
     lf = assemble_limit_rates(x, kf, kb)
     w0 = LimitField(np.zeros(17), np.ones(17), x)
     traj = solve_limit(lf, w0, T=0.5, dt=1e-4, snapshot_times=(0.5,))
-    um, up = oracles.pair_ode_solution(0.0, 1.0, kf, kb, 0.5)
+    um, up = oracles.limit_pair_solution(lf, w0.u_minus, w0.u_plus, 0.5)
     final = traj.snapshot_at(0.5)
     assert np.max(np.abs(final.u_minus - um)) <= 1e-6
     assert np.max(np.abs(final.u_plus - up)) <= 1e-6
     # stationary split obeys detailed balance: u_minus/u_plus -> kb/kf
-    um_inf, up_inf = oracles.pair_ode_solution(0.0, 1.0, kf, kb, 50.0)
-    assert um_inf / up_inf == pytest.approx(kb / kf, rel=1e-12)
+    um_inf, up_inf = oracles.limit_pair_solution(lf, w0.u_minus, w0.u_plus,
+                                                 50.0)
+    assert um_inf / up_inf == pytest.approx(np.full(17, kb / kf), rel=1e-12)
     # total mass of the pair is conserved
     assert np.abs(np.diff(traj.mass)).max() <= 1e-10
 
@@ -132,48 +133,94 @@ def test_grid_mismatch_rejected():
                     T=0.1, dt=1e-3)
 
 
+def test_limit_needs_uniform_x_nodes(monkeypatch):
+    # the x-modes are the closed-form eigenbasis of uniform hats; graded
+    # nodes are refused before any step
+    x = np.linspace(0.0, 1.0, 17) ** 2
+    lf = assemble_limit(x, K)
+    monkeypatch.setattr(evolve_limit, "_integrate", None)
+    with pytest.raises(ValueError, match="uniform x-nodes"):
+        solve_limit(lf, LimitField(np.zeros(17), np.ones(17), x),
+                    T=0.1, dt=1e-3)
+
+
 # equal, skewed (ratio e) and zero exchange rates
 RATES = [(K, K), (K * math.exp(0.5), K * math.exp(-0.5)), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("rates", RATES[:2])
+def test_limit_is_second_order_against_the_exact_modes(rates):
+    # an x-dependent pair with every mode against the exact semi-discrete
+    # solution: the only error left is the theta scheme's, second order in dt
+    x = np.linspace(0.0, 1.0, 129)
+    lf = assemble_limit_rates(x, *rates)
+    w0 = LimitField(np.cos(np.pi * x) + 0.5 * np.cos(3.0 * np.pi * x),
+                    1.0 + x * x, x)
+    exact = oracles.limit_pair_solution(lf, w0.u_minus, w0.u_plus, 0.1)
+    errors = []
+    for dt in (2e-3, 1e-3, 5e-4):
+        final = solve_limit(lf, w0, T=0.1, dt=dt,
+                            snapshot_times=(0.1,)).snapshot_at(0.1)
+        errors.append(math.sqrt(sum(
+            float(e @ (lf.M_x @ e)) for e in (final.u_minus - exact[0],
+                                              final.u_plus - exact[1]))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine == pytest.approx(4.0, abs=0.3)
 
 
 @pytest.mark.parametrize("rates", RATES)
 @pytest.mark.parametrize("c", [0.5e-3, 1e-3])
 def test_limit_system_matches_sparse_lu(rates, c, monkeypatch):
+    # the modal solve of V^T r against SuperLU on the nodal block system
+    # with the right-hand side r = (I (x) M_x V) rhs, whose modes are rhs
     x = np.linspace(0.0, 1.0, 257)
     lf = assemble_limit_rates(x, *rates)
-    system = LimitSystem(lf, c)
+    modal = ModalLimitForms(lf)
+    system = LimitSystem(modal, c)
     M, A = oracles.block_forms(lf)
-    S = (M + c * A).tocsr()
     rng = np.random.default_rng(41)
-    rhs = M @ rng.normal(size=lf.n)
+    rhs = rng.normal(size=modal.n)
     structured = LinearSolver(system, target=1e-11).solve(rhs)
-    # the two tridiagonal solves alone, without refinement, are backward
-    # stable
+    # the closed-form block inverses alone, without refinement, are
+    # backward stable
     with monkeypatch.context() as m:
         m.setattr(evolve_kramers, "MAX_REFINE", 0)
         LinearSolver(system, target=1e-14).solve(rhs)
-    direct = LinearSolver(S, target=1e-11, op=lambda v: system @ v).solve(rhs)
-    assert (np.linalg.norm(structured - direct)
-            <= 1e-12 * np.linalg.norm(direct))
+    r = np.concatenate([lf.M_x @ v for v in modal.values(rhs)])
+    direct = LinearSolver((M + c * A).tocsr(), target=1e-11).solve(r)
+    nodal = np.concatenate(modal.values(structured))
+    assert np.linalg.norm(nodal - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 @pytest.mark.parametrize("rates", RATES)
 @pytest.mark.parametrize("c", [0.5e-3, 1e-3])
 def test_limit_norm_is_exact(rates, c):
-    lf = assemble_limit_rates(np.linspace(0.0, 1.0, 257), *rates)
+    # the modal system is the nodal block system in the basis V: per mode
+    # the block 1/2 [(1 + c lam_k) I + c R]; its norm is the exact row sum
+    x = np.linspace(0.0, 1.0, 257)
+    lf = assemble_limit_rates(x, *rates)
+    modal = ModalLimitForms(lf)
     M, A = oracles.block_forms(lf)
-    exact = float(np.abs((M + c * A).tocsr()).sum(axis=1).max())
-    assert LimitSystem(lf, c).norm_inf() == pytest.approx(exact, rel=1e-14)
+    V = modal.basis.values(np.eye(257)).T
+    Vb = np.kron(np.eye(2), V)
+    transformed = Vb.T @ (M + c * A).toarray() @ Vb
+    a = 1.0 + c * modal.basis.lam
+    kf, kb = rates
+    blocks = 0.5 * np.block([[np.diag(a + c * kf), -c * kb * np.eye(257)],
+                             [-c * kf * np.eye(257), np.diag(a + c * kb)]])
+    assert np.abs(transformed - blocks).max() <= 1e-12 * np.abs(blocks).max()
+    exact = float(np.abs(blocks).sum(axis=1).max())
+    assert LimitSystem(modal, c).norm_inf() == pytest.approx(exact, rel=1e-14)
 
 
 def test_limit_factorization_rejects_indefinite():
-    # rates below -1/c make P1 = P0 + c (k_f + k_b) M_x indefinite;
+    # rates below -1/c give a block a non-positive determinant;
     # assemble_limit_rates refuses them, so they are put in afterwards
     _, lf = make_setup()
     lf = dataclasses.replace(lf, rate_forward=-2000.0, rate_backward=-1000.0)
     with pytest.raises(SolverError, match=r"M \+ 0\.001 A.*k_f = -2000, "
                                           r"k_b = -1000"):
-        LimitSystem(lf, 1e-3).factorize()
+        LimitSystem(ModalLimitForms(lf), 1e-3).factorize()
 
 
 def test_skewed_fine_grid_certificates():
@@ -196,25 +243,24 @@ def test_skewed_run_takes_one_inner_solve_per_solve(op_counts):
     assert op_counts["op"] == op_counts["solve"]
 
 
-class _LeakyForms(LimitFormMatrices):
-    """Limit forms whose stiffness is A + 0.1 M."""
+class _LeakyForms(ModalLimitForms):
+    """Modal limit forms whose stiffness is A + 0.1 M."""
 
-    def mass_and_stencil(self, w, out=None):
-        mv, st = super().mass_and_stencil(w, out)
+    def mass_and_stencil(self, y, out=None):
+        mv, st = super().mass_and_stencil(y, out)
         st.au = st.au + 0.1 * mv
         return mv, st
 
 
-def test_guard_stops_nonconservative_step():
+def test_guard_stops_nonconservative_step(monkeypatch):
     # a stiffness whose columns do not sum to zero leaks mass at every step
     x, lf = make_setup()
-    leaky = _LeakyForms(**{f.name: getattr(lf, f.name)
-                           for f in dataclasses.fields(lf)})
+    monkeypatch.setattr(evolve_limit, "ModalLimitForms", _LeakyForms)
     w0 = LimitField(np.zeros(33), np.ones(33), x)
     with pytest.raises(SolverError,
                        match=r"limit system, step 1 \(t = 0\.001\): "
                              r"mass drift"):
-        solve_limit(leaky, w0, T=0.01, dt=1e-3)
+        solve_limit(lf, w0, T=0.01, dt=1e-3)
 
 
 def _kramers_run(T, snapshot_times):
@@ -259,10 +305,12 @@ def _eps_level():
 
 
 def _limit_level():
+    # the forms the limit integrator steps: the x-modes of the pair
     x = np.linspace(0.0, 1.0, 33)
     lf = assemble_limit_rates(x, *RATES[1])
     w0 = LimitField(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), x)
-    return lf, (2, 33), lambda T: solve_limit(lf, w0, T, 1e-3)
+    return (ModalLimitForms(lf), (2, 33),
+            lambda T: solve_limit(lf, w0, T, 1e-3))
 
 
 # solves whose first inner solve is spoiled, so that a refinement sweep

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from kramerslab import gibbs
 from kramerslab.grid_forms import (Field, Grid, LimitField, ModalForms,
-                                   ProductTest, _bands, _tridiag, assemble,
-                                   assemble_limit, assemble_limit_rates,
-                                   b_form, build_grid, graded_nodes,
-                                   nonlinear_observable, nonlinear_observables,
+                                   ModalLimitForms, ProductTest, XBasis,
+                                   assemble, assemble_limit,
+                                   assemble_limit_rates, b_form, build_grid,
+                                   graded_nodes, nonlinear_observable,
+                                   nonlinear_observables,
                                    nonlinear_observable_limit, pair_limit,
                                    pair_measure, paired)
 from kramerslab.transition import lift, q_eps, transition_mass
@@ -179,23 +181,58 @@ def test_stencil_matches_sparse_stiffness(small_forms, eps):
 
 
 def test_limit_stencil_matches_block_forms():
+    # the modal forms of nodal pairs against the block forms of the pairs,
+    # with equal, skewed (ratio e) and zero exchange rates
     x = np.linspace(0.0, 1.0, 33)
-    lf = assemble_limit_rates(x, 2.0, 0.5)
-    M, A = oracles.block_forms(lf)
-    rng = np.random.default_rng(7)
-    u, w = rng.normal(size=(2, lf.n))
-    st, sw = lf.stencil(u), lf.stencil(w)
-    # the band kernel sums each row in the order of the CSR matvec
-    assert np.array_equal(lf.apply_m(u), M @ u)
-    assert np.abs(st.au - A @ u).max() <= 1e-14 * (abs(A) @ np.abs(u)).max()
-    assert st.a == pytest.approx(float(u @ (A @ u)), rel=1e-12)
-    # diffusion is half the K_x-energy of each density
+    u, w = np.random.default_rng(7).normal(size=(2, 66))
     um, up = u.reshape(2, -1)
-    assert st.a1 == pytest.approx(
-        0.5 * float(um @ (lf.K_x @ um) + up @ (lf.K_x @ up)), rel=1e-12)
-    # the reaction block is nonsymmetric: the cross term is its symmetric part
-    exact = float(u @ (A @ w)) + float(w @ (A @ u))
-    assert st.cross(sw) == pytest.approx(exact, rel=1e-12)
+    for rates in ((1.8, 1.8), (1.8 * math.exp(0.5), 1.8 * math.exp(-0.5)),
+                  (0.0, 0.0)):
+        lf = assemble_limit_rates(x, *rates)
+        modal = ModalLimitForms(lf)
+        M, A = oracles.block_forms(lf)
+        y, z = (modal.coefficients(LimitField(*v.reshape(2, -1), x))
+                for v in (u, w))
+        mv, st = modal.mass_and_stencil(y)
+        sw = modal.mass_and_stencil(z)[1]
+        assert float(y @ mv) == pytest.approx(float(u @ (M @ u)), rel=1e-12)
+        # the mass 1^T M u is mode 0 of both species
+        assert float(modal.apply_m(modal.one) @ y) == pytest.approx(
+            float((M @ u).sum()), rel=1e-12)
+        # A y holds the modes V^T (A u) = V^T M_x (M_x^{-1} A u) of each
+        # species
+        au = modal.coefficients(LimitField(*(
+            spla.spsolve(lf.M_x.tocsc(), v) for v in (A @ u).reshape(2, -1)),
+            x))
+        assert np.abs(st.au - au).max() <= 1e-12 * np.abs(au).max()
+        assert st.a == pytest.approx(float(u @ (A @ u)), rel=1e-12)
+        # diffusion is half the K_x-energy of each density, reaction half
+        # the x-mass pairing of the gap with the net transfer
+        assert st.a1 == pytest.approx(
+            0.5 * float(um @ (lf.K_x @ um) + up @ (lf.K_x @ up)), rel=1e-12)
+        transfer = rates[0] * um - rates[1] * up
+        assert st.a2 == pytest.approx(
+            0.5 * float((um - up) @ (lf.M_x @ transfer)), rel=1e-12,
+            abs=1e-15)
+        # the reaction block is nonsymmetric: the cross term is its
+        # symmetric part
+        exact = float(u @ (A @ w)) + float(w @ (A @ u))
+        assert st.cross(sw) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("nx", [3, 4, 33, 129])
+def test_fft_transforms_match_the_dense_basis(quartic, nx):
+    # the limit level's O(n log n) transforms against the eps level's dense
+    # V^T M_x and V, from one owner of the constants
+    modal = ModalForms(assemble(Grid(nx, graded_nodes(11)), quartic, 0.2))
+    basis = XBasis(nx)
+    assert np.array_equal(basis.lam, modal.lam)
+    U = np.random.default_rng(nx).normal(size=(3, nx))
+    for fast, dense in ((basis.coefficients(U), U @ modal.VtM.T),
+                        (basis.values(U), U @ modal.V.T)):
+        assert np.abs(fast - dense).max() <= 1e-14 * np.abs(dense).max()
+    assert np.abs(basis.values(basis.coefficients(U)) - U).max() \
+        <= 1e-14 * np.abs(U).max()
 
 
 @pytest.mark.parametrize("eps", LADDER)
@@ -213,10 +250,9 @@ def test_assemble_builds_no_2d_matrix(quartic, eps):
 @pytest.mark.parametrize("rates", [(1.8, 1.8), (2.0, 0.5)])
 def test_assemble_limit_builds_no_block_matrix(rates):
     lf = assemble_limit_rates(np.linspace(0.0, 1.0, 33), *rates)
-    assert lf.n == 66
     for name, value in vars(lf).items():
         if sp.issparse(value):
-            assert max(value.shape) < lf.n, name
+            assert max(value.shape) < 66, name
     assert not hasattr(lf, "M") and not hasattr(lf, "A")
 
 
@@ -270,12 +306,14 @@ def test_limit_forms_basic():
     x = np.linspace(0.0, 1.0, 17)
     k = 1.8
     lf = assemble_limit(x, k)
+    modal = ModalLimitForms(lf)
     _, A = oracles.block_forms(lf)
-    ones = LimitField(np.ones(17), np.ones(17), x)
-    assert b_form(lf.apply_m, ones) == pytest.approx(1.0, abs=1e-12)
-    assert lf.stencil(ones.stack()).a == pytest.approx(0.0, abs=1e-12)
+    ones = modal.coefficients(LimitField(np.ones(17), np.ones(17), x))
+    assert np.abs(ones - modal.one).max() <= 1e-15
+    assert b_form(modal.apply_m, ones) == pytest.approx(1.0, abs=1e-12)
+    assert modal.mass_and_stencil(ones)[1].a == pytest.approx(0.0, abs=1e-12)
     w01 = LimitField(np.zeros(17), np.ones(17), x)
-    st = lf.stencil(w01)
+    st = modal.mass_and_stencil(modal.coefficients(w01))[1]
     assert st.a1 == pytest.approx(0.0, abs=1e-12)
     assert st.a2 == pytest.approx(0.5 * k, rel=1e-12)
     w = w01.stack()
@@ -328,9 +366,10 @@ def test_limit_rates_pair_nonsymmetric():
     lf = assemble_limit_rates(x, 1.0, 2.0)
     dense = oracles.block_forms(lf)[1].toarray()
     assert np.max(np.abs(dense - dense.T)) > 0.0
-    u, w = np.random.default_rng(9).normal(size=(2, lf.n))
-    assert abs(float(u @ lf.stencil(w).au)
-               - float(w @ lf.stencil(u).au)) > 0.1
+    modal = ModalLimitForms(lf)
+    y, z = np.random.default_rng(9).normal(size=(2, modal.n))
+    assert abs(float(y @ modal.mass_and_stencil(z)[1].au)
+               - float(z @ modal.mass_and_stencil(y)[1].au)) > 0.1
 
 
 @pytest.mark.parametrize("eps", LADDER)
@@ -517,20 +556,21 @@ def test_flat_modal_kernels_match_the_per_mode_formulas(quartic, shape, eps):
 
 @pytest.mark.parametrize("rates", [(2.0, 0.5), (1.0, 1.0), (0.0, 0.0)])
 def test_flat_limit_kernels_match_the_pair_formulas(rates):
-    # the flat pair against the tridiagonal-row kernel on the (2, nx) pair
-    lf = assemble_limit_rates(np.linspace(0.0, 1.0, 257), *rates)
-    W = np.random.default_rng(23).normal(size=(2, 257))
-    w = W.reshape(-1)
-    mv, st = lf.mass_and_stencil(w)
-    m, k = _bands(lf.M_x), _bands(lf.K_x)
-    F1 = 0.5 * _tridiag(k, W)
-    transfer = rates[0] * W[0] - rates[1] * W[1]
-    F2 = 0.5 * _tridiag(m, transfer)
-    assert np.array_equal(mv, 0.5 * _tridiag(m, W).reshape(-1))
-    assert np.array_equal(lf.apply_m(w), mv)
+    # the flat modal pair against the per-species formulas on the (2, nx)
+    # modes: M = 1/2 I, diffusion fluxes lam y / 2, half the net transfer
+    modal = ModalLimitForms(
+        assemble_limit_rates(np.linspace(0.0, 1.0, 257), *rates))
+    Y = np.random.default_rng(23).normal(size=(2, 257))
+    y = Y.reshape(-1)
+    mv, st = modal.mass_and_stencil(y)
+    F1 = 0.5 * modal.basis.lam * Y
+    F2 = 0.5 * (rates[0] * Y[0] - rates[1] * Y[1])
+    assert np.array_equal(mv, 0.5 * y)
+    assert np.array_equal(modal.apply_m(y), mv)
     assert np.array_equal(st.au, (F1 + [F2, -F2]).reshape(-1))
+    assert st.parts[0][0] is y
     assert np.array_equal(st.parts[0][1], F1.reshape(-1))
-    assert np.array_equal(st.parts[1][0], W[0] - W[1])
+    assert np.array_equal(st.parts[1][0], Y[0] - Y[1])
     assert np.array_equal(st.parts[1][1], F2)
-    assert st.a1 == pytest.approx(float(np.vdot(W, F1)), rel=1e-15)
-    assert st.a2 == pytest.approx(float(np.vdot(W[0] - W[1], F2)), rel=1e-15)
+    assert st.a1 == pytest.approx(float(np.vdot(Y, F1)), rel=1e-15)
+    assert st.a2 == pytest.approx(float(np.vdot(Y[0] - Y[1], F2)), rel=1e-15)
