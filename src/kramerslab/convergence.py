@@ -18,8 +18,8 @@ from .evolve_kramers import (ENERGY_RESIDUAL_BOUND, MASS_DRIFT_BOUND, SCHEMES,
                              SolverError, energy_excess, solve, step_index)
 from .evolve_limit import solve_limit
 from .grid_forms import (AssemblyError, LimitField, ModalLimitForms,
-                         ProductTest, assemble, assemble_limit, b_form,
-                         build_grid, check_grid, l2_norm_x,
+                         ProductTest, apply_x, assemble, assemble_limit,
+                         b_form, build_grid, check_grid, l2_norm_x,
                          nonlinear_observable, nonlinear_observable_limit,
                          nonlinear_observables, pair_limit, pair_measure)
 from .quadrature import QuadratureError
@@ -93,7 +93,7 @@ def fiber_bound_margin(forms, field, rate):
     """
     tr = traces(field)
     gap = tr.u_plus - tr.u_minus
-    return forms.a2_energy(field) - rate * float(gap @ (forms.M_x @ gap))
+    return forms.a2_energy(field) - rate * float(gap @ apply_x(forms.M_x, gap))
 
 
 def gradient_bound_margin(forms, field):
@@ -107,8 +107,8 @@ def gradient_bound_margin(forms, field):
     wp = _cutoff_weights(forms.grid, forms.measure, "+")
     vm = field.values @ wm
     vp = field.values @ wp
-    bound = (float(vm @ (forms.K_x @ vm)) / wm.sum()
-             + float(vp @ (forms.K_x @ vp)) / wp.sum())
+    bound = (float(vm @ apply_x(forms.K_x, vm)) / wm.sum()
+             + float(vp @ apply_x(forms.K_x, vp)) / wp.sum())
     return forms.a1_energy(field) - bound
 
 
@@ -121,7 +121,7 @@ def xi_flatness(forms, field):
     h = np.diff(xi)
     sel = np.abs(mid) >= 0.5
     dU = np.diff(field.values, axis=1)[:, sel] / h[sel]
-    W = forms.M_x @ dU
+    W = apply_x(forms.M_x, dU)
     return float(np.einsum("ic,ic->c", dU, W) @ h[sel])
 
 
@@ -197,17 +197,20 @@ def within_horizon(t, t_final):
 
 def check_times(field, times, dt, t_final):
     """Reject a time that is not a positive whole number of steps dt within
-    t_final, to the tolerance of the integrator's plan, or that falls on the
-    step of an earlier time."""
-    steps = set()
+    t_final, to the tolerance of the integrator's plan, or that repeats the
+    step or the %g label (which names its snapshot file and its checks) of
+    an earlier time."""
+    seen = set()
     for t in times:
         n = step_index(t, dt)
         if n is None or n < 1 or not within_horizon(t, t_final):
             raise ConfigError(f"{field}: {t!r} is not a positive multiple of "
                               f"dt = {dt!r} up to t_final = {t_final!r}")
-        if n in steps:
-            raise ConfigError(f"{field}: {t!r} repeats an earlier time")
-        steps.add(n)
+        # steps are ints and labels strings, so the two never collide
+        if {n, f"{t:g}"} & seen:
+            raise ConfigError(f"{field}: {t!r} repeats the step or the label "
+                              f"{t:g} of an earlier time")
+        seen |= {n, f"{t:g}"}
 
 
 def check_study(ladder, dt, t_final, times, scheme, regime):

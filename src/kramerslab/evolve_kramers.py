@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse.linalg as spla
 
-from .grid_forms import Field, ModalForms, _bands
+from .grid_forms import Field, ModalForms
 
 __all__ = ["SolverError", "KroneckerSystem", "LinearSolver", "Trajectory",
            "SCHEMES", "solve", "energy_excess"]
@@ -91,8 +90,7 @@ class KroneckerSystem(_ThetaSystem):
         over the blocks."""
         f, c = self.forms, self.c
         scale = 1.0 + c * f.lam[:, None]
-        m_xi, k_xi = _bands(f.M_xi), _bands(f.K_xi)
-        rows = sum(np.abs(scale * m_xi[i] + c * k_xi[i]) for i in range(3))
+        rows = sum(np.abs(scale * f.M_xi[i] + c * f.K_xi[i]) for i in range(3))
         return float(rows.max())
 
     def factorize(self):
@@ -108,9 +106,8 @@ class KroneckerSystem(_ThetaSystem):
         f, c = self.forms, self.c
         nx, nxi = f.shape
         scale = 1.0 + c * f.lam
-        m_xi = _bands(f.M_xi)
-        off = scale[:, None] * m_xi[2, :-1] - c * f.g_xi
-        excess = scale[:, None] * m_xi.sum(axis=0)
+        off = scale[:, None] * f.M_xi[2, :-1] - c * f.g_xi
+        excess = scale[:, None] * f.M_xi.sum(axis=0)
         D = np.empty((nx, nxi))
         L = np.zeros((nx, nxi))
         r = excess[:, 0]
@@ -147,10 +144,10 @@ class LinearSolver:
     ``S`` is a structured system (:class:`KroneckerSystem`, or
     ``evolve_limit.LimitSystem``) that supplies its own ``norm_inf`` and
     ``factorize``, or a sparse matrix, factored by SuperLU. No run of the
-    package takes the sparse branch: it serves ``perfbench/probe.py`` and the
-    tests, as a reference for the structured solvers. Every residual
-    r = rhs - op(x) is taken against ``op`` (by default ``S @ v``), the exact
-    operator action.
+    package takes the sparse branch, the one user of ``scipy.sparse.linalg``:
+    it serves ``perfbench/probe.py`` and the tests, as a reference for the
+    structured solvers. Every residual r = rhs - op(x) is taken against
+    ``op`` (by default ``S @ v``), the exact operator action.
 
     The certificate is the normwise backward error
     ||r|| / (||S|| ||x|| + ||rhs||): on the stiff rows the plain
@@ -193,6 +190,7 @@ class LinearSolver:
             self._inner = S.factorize()
             self._mass = S.residual_mass
         else:
+            import scipy.sparse.linalg as spla
             S = S.tocsr()
             self.norm_S = float(np.abs(S).sum(axis=1).max())
             self._inner = spla.splu(S.tocsc()).solve

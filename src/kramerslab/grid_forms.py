@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import gibbs
 from .quadrature import PanelRule, check_quad_order
@@ -26,7 +25,7 @@ __all__ = [
     "graded_nodes", "build_grid", "assemble", "assemble_limit",
     "assemble_limit_rates", "b_form", "pair_measure", "pair_limit", "nonlinear_observable",
     "nonlinear_observables", "nonlinear_observable_limit", "paired",
-    "ProductTest", "l2_norm_x", "check_grid",
+    "ProductTest", "apply_x", "l2_norm_x", "check_grid",
 ]
 
 
@@ -176,18 +175,20 @@ class LimitField:
 
 
 def _chain(off, lower, upper):
-    """Tridiagonal matrix with off-diagonal ``off`` whose diagonal sums each
-    cell's ``lower`` entry into its lower node and ``upper`` into its upper
-    node."""
+    """The (3, n) bands of the symmetric tridiagonal matrix with
+    off-diagonal ``off`` whose diagonal sums each cell's ``lower`` entry
+    into its lower node and ``upper`` into its upper node: the coefficient
+    of the left neighbour, the diagonal, the coefficient of the right
+    neighbour, zero past either end."""
     diag = np.zeros(len(off) + 1)
     diag[:-1] += lower
     diag[1:] += upper
-    return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+    return np.stack([np.append(0.0, off), diag, np.append(off, 0.0)])
 
 
 def _mass(rule, log_weight=None):
-    """Tridiagonal hat-function mass matrix of the panel ``rule``, weighted
-    by exp(``log_weight``) at its points if given."""
+    """Bands of the tridiagonal hat-function mass matrix of the panel
+    ``rule``, weighted by exp(``log_weight``) at its points if given."""
     wq = rule.weighted(log_weight)
     return _chain(wq @ (rule.left * rule.right), wq @ (rule.left * rule.left),
                   wq @ (rule.right * rule.right))
@@ -195,7 +196,7 @@ def _mass(rule, log_weight=None):
 
 def _stiffness(rule, log_weight=None):
     """Per-cell conductances g_c = (integral of the weight over the cell) /
-    h^2 by the panel ``rule``, and the tridiagonal stiffness they make.
+    h^2 by the panel ``rule``, and the bands of the stiffness they make.
 
     The 1D stiffness is exactly the chain sum of rank-one difference stencils
     with these coefficients; keeping them separate allows applying the
@@ -214,15 +215,6 @@ def _pair(v, f):
     return float(np.vdot(v, f))
 
 
-def _bands(T):
-    """(3, n) rows of a symmetric tridiagonal matrix: the coefficient of the
-    left neighbour, the diagonal, the coefficient of the right neighbour
-    (zero past either end)."""
-    off = T.diagonal(1)
-    return np.stack([np.concatenate([[0.0], off]), T.diagonal(),
-                     np.concatenate([off, [0.0]])])
-
-
 def _tridiag(bands, V, out=None, work=None):
     """The tridiagonal matrix of ``bands`` applied along the last axis of
     ``V``, written into ``out`` if given; ``work``, if given, holds the
@@ -233,6 +225,15 @@ def _tridiag(bands, V, out=None, work=None):
     work = np.multiply(bands[0][1:], V[..., :-1], out=work)
     out[..., 1:] += work
     out[..., :-1] += np.multiply(bands[2][:-1], V[..., 1:], out=work)
+    return out
+
+
+def apply_x(bands, V):
+    """The x-factor of ``bands`` applied along the first axis of ``V`` (1-D
+    or (nx, m)), one pass per band over whole rows: bit for bit the CSR
+    product, and C-ordered as it is, so reductions over it sum alike."""
+    out = np.empty(np.shape(V))
+    _tridiag(bands, V.T, out=out.T)
     return out
 
 
@@ -290,21 +291,23 @@ class FormMatrices:
     1-D mass across them, then the conductance. The xi-conductances are of
     size clock * density and a plain sparse matvec against an O(1) field
     would drown conserved functionals in eps_mach * |A| noise, while the
-    incidence form keeps every product proportional to the local flux. No
-    run of the package builds the 2-D sparse ``M`` and ``A``: they are
-    built on first use, for ``perfbench/probe.py`` and the tests. These are
-    the nodal forms of the diagnostics; the theta loop steps the same forms
-    in x-modes (:class:`ModalForms`).
+    incidence form keeps every product proportional to the local flux.
+    Each factor is kept as its (3, n) bands (see :func:`_chain`), applied
+    along xi by :func:`_tridiag` and along x by :func:`apply_x`. Only the
+    2-D sparse ``M`` and ``A`` load ``scipy.sparse``; they are built on
+    first use, by ``perfbench/probe.py`` and the tests, never by a run of
+    the package. These are the nodal forms of the diagnostics; the theta
+    loop steps the same forms in x-modes (:class:`ModalForms`).
 
     ``measure`` is the scale's :class:`~kramerslab.gibbs.GibbsMeasure`, the
     one source of eps, log Z_eps and the density that weights M_xi, the
     pairings and the observables.
     """
 
-    M_x: sp.csr_matrix
-    K_x: sp.csr_matrix
-    M_xi: sp.csr_matrix
-    K_xi: sp.csr_matrix
+    M_x: np.ndarray
+    K_x: np.ndarray
+    M_xi: np.ndarray
+    K_xi: np.ndarray
     g_x: np.ndarray
     g_xi: np.ndarray
     grid: Grid
@@ -314,14 +317,22 @@ class FormMatrices:
     def eps(self):
         return self.measure.eps
 
+    @staticmethod
+    def _kron(a, b):
+        """The 2-D sparse a (x) b of the bands of two factors."""
+        import scipy.sparse as sp
+        a, b = (sp.diags([t[0, 1:], t[1], t[2, :-1]], [-1, 0, 1],
+                         format="csr") for t in (a, b))
+        return sp.kron(a, b, format="csr")
+
     @functools.cached_property
     def M(self):
-        return sp.kron(self.M_x, self.M_xi, format="csr")
+        return self._kron(self.M_x, self.M_xi)
 
     @functools.cached_property
     def A(self):
-        return (sp.kron(self.K_x, self.M_xi, format="csr")
-                + sp.kron(self.M_x, self.K_xi, format="csr")).tocsr()
+        return (self._kron(self.K_x, self.M_xi)
+                + self._kron(self.M_x, self.K_xi)).tocsr()
 
     @property
     def n(self):
@@ -335,20 +346,17 @@ class FormMatrices:
     def apply_m(self, u):
         """M u = M_x U M_xi; flat output."""
         U = self._as_grid(u)
-        return (self.M_x @ (self.M_xi @ U.T).T).reshape(-1)
+        return apply_x(self.M_x, _tridiag(self.M_xi, U)).reshape(-1)
 
     def _x_part(self, U):
         """x-differences of U and their fluxes g_x (dU M_xi)."""
         V = np.diff(U, axis=0)
-        return V, np.multiply((self.M_xi @ V.T).T, self.g_x[:, None],
-                              order="C")
+        return V, _tridiag(self.M_xi, V) * self.g_x[:, None]
 
     def _xi_part(self, U):
         """xi-differences of U and their fluxes (M_x dU) g_xi."""
         V = np.diff(U, axis=1)
-        F = self.M_x @ V
-        F *= self.g_xi
-        return V, F
+        return V, apply_x(self.M_x, V) * self.g_xi
 
     def _parts(self, u):
         U = self._as_grid(u)
@@ -465,7 +473,7 @@ class ModalForms:
         self.M_xi, self.K_xi, self.g_xi = forms.M_xi, forms.K_xi, forms.g_xi
         # the flat layout; M_xi is symmetric, so its right coefficients are
         # the left ones shifted, read from the same memory
-        left, diag, _ = np.tile(_bands(forms.M_xi), nx)
+        left, diag, _ = np.tile(forms.M_xi, nx)
         off = np.append(left, 0.0)
         self._m = (off[:-1], diag, off[1:])
         self._lam = np.repeat(self.lam, nxi)
@@ -536,7 +544,7 @@ def assemble(grid, profile, eps, log_tau_shift=0.0):
     g_x, K_x = _stiffness(grid.x_rule)
 
     M_xi = _mass(grid.xi_rule, measure.log_density)
-    if np.any(M_xi.diagonal() <= 0.0):
+    if np.any(M_xi[1] <= 0.0):
         cell_mass = grid.xi_rule.weighted(measure.log_density).sum(axis=1)
         underflow = tuple(int(c) for c in np.nonzero(cell_mass == 0.0)[0])
         raise AssemblyError(
@@ -559,13 +567,13 @@ def b_form(apply_m, u):
 
 @dataclass(frozen=True)
 class LimitFormMatrices:
-    """The 1-D factors of the two-species limit forms over (u_minus, u_plus):
-    M = 1/2 I (x) M_x and A = 1/2 I (x) K_x + 1/2 R (x) M_x, with the
-    reaction matrix R = [[k_f, -k_b], [-k_f, k_b]]; stepped in x-modes
-    (:class:`ModalLimitForms`)."""
+    """The 1-D factors, as bands, of the two-species limit forms over
+    (u_minus, u_plus): M = 1/2 I (x) M_x and A = 1/2 I (x) K_x + 1/2 R (x)
+    M_x, with the reaction matrix R = [[k_f, -k_b], [-k_f, k_b]]; stepped
+    in x-modes (:class:`ModalLimitForms`)."""
 
-    M_x: sp.csr_matrix
-    K_x: sp.csr_matrix
+    M_x: np.ndarray
+    K_x: np.ndarray
     x_nodes: np.ndarray
     rate_forward: float   # minus -> plus
     rate_backward: float  # plus -> minus
@@ -754,6 +762,6 @@ def pair_limit(lf, test, quad_order=4):
 
 
 def l2_norm_x(M_x, values):
-    """L2 norm over the spatial domain of a nodal 1D function."""
+    """L2 norm over (0, 1) of a nodal 1D function, by the x-mass bands M_x."""
     v = np.asarray(values, dtype=float)
-    return math.sqrt(max(float(v @ (M_x @ v)), 0.0))
+    return math.sqrt(max(float(v @ apply_x(M_x, v)), 0.0))

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the package's own quadrature and
 assembly paths: fixed-grid composite rules, scipy's QUADPACK integrator,
 finite differences, the closed chain solution of the piecewise-linear
-connection program, the 2-D sparse Kronecker products and block matrices of
-the 1-D form factors, the semi-discrete limit solution in a dense
-eigenbasis, and whole-grid tensor quadrature of observables. Only
+connection program, the sparse matrices of the 1-D form factors' bands and
+their 2-D Kronecker products and block matrices, the semi-discrete limit
+solution in a dense eigenbasis, and whole-grid tensor quadrature of
+observables. Only
 the tests import ``scipy.integrate``. The one exception is
 :func:`inline_scale`, which reuses the package's Gibbs integrals and its
 ``PanelRule`` (points, weights and hat values) on purpose, to match the
@@ -99,6 +100,13 @@ def heat_mode_decay(amplitude, mode, t):
     return amplitude * math.exp(-((mode * math.pi) ** 2) * t)
 
 
+def csr(bands):
+    """The sparse CSR matrix of the (3, n) bands of a 1-D form factor: the
+    left coefficient, the diagonal and the right coefficient of each row."""
+    return sp.diags([bands[0, 1:], bands[1], bands[2, :-1]], [-1, 0, 1],
+                    format="csr")
+
+
 def limit_pair_solution(lf, u_minus, u_plus, t):
     """The exact solution at time ``t`` of the semi-discrete limit system
     M w' + A w = 0 of the limit forms ``lf`` from the nodal pair
@@ -112,8 +120,9 @@ def limit_pair_solution(lf, u_minus, u_plus, t):
     the total is conserved and the deviation from the stationary split
     decays at the rate s (2k for equal rates k).
     """
-    lam, V = scipy.linalg.eigh(lf.K_x.toarray(), lf.M_x.toarray())
-    Y = V.T @ (lf.M_x @ np.stack([u_minus, u_plus], axis=1))
+    M_x = csr(lf.M_x)
+    lam, V = scipy.linalg.eigh(csr(lf.K_x).toarray(), M_x.toarray())
+    Y = V.T @ (M_x @ np.stack([u_minus, u_plus], axis=1))
     s = lf.rate_forward + lf.rate_backward
     phi = t if s == 0.0 else -math.expm1(-s * t) / s
     transfer = lf.rate_forward * Y[:, 0] - lf.rate_backward * Y[:, 1]
@@ -127,9 +136,11 @@ def kron_forms(forms):
     """The 2-D sparse mass M_x (x) M_xi and the stiffness parts
     A1 = K_x (x) M_xi, A2 = M_x (x) K_xi of eps-level forms, assembled with
     ``scipy.sparse.kron`` from their 1-D factors."""
-    M = sp.kron(forms.M_x, forms.M_xi, format="csr")
-    A1 = sp.kron(forms.K_x, forms.M_xi, format="csr")
-    A2 = sp.kron(forms.M_x, forms.K_xi, format="csr")
+    M_x, K_x, M_xi, K_xi = (csr(b) for b in (forms.M_x, forms.K_x,
+                                              forms.M_xi, forms.K_xi))
+    M = sp.kron(M_x, M_xi, format="csr")
+    A1 = sp.kron(K_x, M_xi, format="csr")
+    A2 = sp.kron(M_x, K_xi, format="csr")
     return M, A1, A2
 
 
@@ -138,11 +149,12 @@ def block_forms(lf):
     A = 1/2 I (x) K_x + 1/2 R (x) M_x, R = [[k_f, -k_b], [-k_f, k_b]], of
     limit forms, assembled with ``scipy.sparse.bmat`` from their 1-D
     factors."""
-    half, kf, kb, M_x = 0.5, lf.rate_forward, lf.rate_backward, lf.M_x
+    half, kf, kb = 0.5, lf.rate_forward, lf.rate_backward
+    M_x, K_x = csr(lf.M_x), csr(lf.K_x)
     M = sp.bmat([[half * M_x, None], [None, half * M_x]], format="csr")
     react = sp.bmat([[half * kf * M_x, -half * kb * M_x],
                      [-half * kf * M_x, half * kb * M_x]], format="csr")
-    A = (sp.bmat([[half * lf.K_x, None], [None, half * lf.K_x]],
+    A = (sp.bmat([[half * K_x, None], [None, half * K_x]],
                  format="csr") + react).tocsr()
     return M, A
 

@@ -2,11 +2,16 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kramerslab
 from kramerslab import cli
 from kramerslab.cli import (Config, ConfigError, config_from_dict, main,
                             parse_config)
@@ -408,12 +413,15 @@ _SMALL = ["--nx", "9", "--dt", "0.01", "--T", "0.1"]
     (["simulate", "--nxi", "9", *_SMALL], None),
     (["converge", "--times", ","], None),
     (["converge"], {"times": []}),
+    (["simulate", "--eps", "0.5", "--nx", "5", "--nxi", "11", "--dt", "0.5",
+      "--T", "100000.5", "--snapshots", "100000,100000.5"], None),
 ], ids=["k-inf", "skew-nan", "skew-overflow", "T-inf", "ladder-scalar",
         "dt-string", "cosine-mode", "u0-one-value", "tabulated-x-decreasing",
         "snapshot-off-step", "T-off-step", "ladder-text", "times-repeated",
         "u0-kind-list", "profile-coeffs", "profile-name", "config-root-list",
         "quad-order-bool", "ladder-bool",
-        "nxi-three-zone-too-few", "times-empty", "times-empty-config"])
+        "nxi-three-zone-too-few", "times-empty", "times-empty-config",
+        "snapshot-label-repeated"])
 def test_malformed_input_is_a_config_error(argv, config, tmp_path, capsys):
     out = tmp_path / "out"
     if config is not None:
@@ -475,3 +483,63 @@ def test_study_and_cli_configs_reject_the_same_studies(bad):
         Config(**study)
     with pytest.raises(ConfigError):
         config_from_dict(study)
+
+
+def test_times_sharing_a_label_are_rejected(tmp_path):
+    # two times on different steps that print as one %g label would share a
+    # check key of the report, and a later passing check would hide an
+    # earlier failing one
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dt": 0.5, "t_final": 100000.5,
+                                "times": [100000, 100000.5]}))
+    with pytest.raises(ConfigError, match="^times: 100000.5 repeats the "
+                                          "step or the label 100000 of an "
+                                          "earlier time$"):
+        parse_config(str(path), command="converge")
+
+
+# each command on a small config, then the 2-D sparse forms and the SuperLU
+# solve, in a fresh interpreter (the tests load scipy.sparse into this one)
+_SPARSE_FREE_RUN = """
+import sys
+import numpy as np
+from kramerslab import assemble, build_grid, cli, quartic_default
+from kramerslab.evolve_kramers import LinearSolver
+
+out = sys.argv[1]
+steps = ["--dt", "0.01", "--T", "0.02"]
+grid = ["--nx", "9", "--nxi", "21"]
+for name, argv in (
+        ("rates", ["rates", "--ladder", "0.2,0.1"]),
+        ("simulate", ["simulate", "--eps", "0.2", *grid, *steps,
+                      "--snapshots", "0.01,0.02"]),
+        ("limit", ["limit", "--nx", "17", *steps, "--times", "0.01,0.02"]),
+        ("converge", ["converge", "--ladder", "0.2,0.1", *grid, *steps,
+                      "--times", "0.01,0.02"])):
+    code = cli.main([*argv, "--out", f"{out}/{name}"])
+    assert code in ((0, 1) if name == "converge" else (0,)), (name, code)
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+
+forms = assemble(build_grid(9, 21), quartic_default(), 0.2)
+u = np.random.default_rng(0).normal(size=forms.n)
+bound = 1e-15 * (abs(forms.M) @ np.abs(u)).max()
+assert np.abs(forms.M @ u - forms.apply_m(u)).max() <= bound
+S = (forms.M + 1e-3 * forms.A).tocsr()
+x = LinearSolver(S).solve(S @ u)
+assert np.abs(x - u).max() <= 1e-12 * np.abs(u).max()
+print("sparse references ok")
+"""
+
+
+def test_no_command_loads_scipy_sparse(tmp_path):
+    src = str(Path(kramerslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _SPARSE_FREE_RUN,
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    # the commands print the artifacts they wrote before these two lines
+    assert out.stdout.splitlines()[-2:] == ["[]", "sparse references ok"]
+    for name in ("rates", "simulate", "limit", "converge"):
+        assert any((tmp_path / name).iterdir()), name

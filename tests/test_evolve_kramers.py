@@ -312,8 +312,9 @@ def test_tensor_norm_is_exact(forms_65, eps, c):
     # the modal M + cA is the block diagonal of (1 + c lam_k) M_xi + c K_xi
     forms = forms_65[eps]
     modal = ModalForms(forms)
-    S = (sp.kron(sp.diags(1.0 + c * modal.lam), forms.M_xi)
-         + c * sp.kron(sp.identity(forms.grid.nx), forms.K_xi)).tocsr()
+    S = (sp.kron(sp.diags(1.0 + c * modal.lam), oracles.csr(forms.M_xi))
+         + c * sp.kron(sp.identity(forms.grid.nx),
+                       oracles.csr(forms.K_xi))).tocsr()
     exact = float(np.abs(S).sum(axis=1).max())
     assert KroneckerSystem(modal, c).norm_inf() == pytest.approx(exact,
                                                                  rel=1e-14)

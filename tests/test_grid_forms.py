@@ -10,9 +10,10 @@ import scipy.sparse.linalg as spla
 from kramerslab import gibbs
 from kramerslab.grid_forms import (Field, Grid, LimitField, ModalForms,
                                    ModalLimitForms, ProductTest, XBasis,
-                                   assemble, assemble_limit,
-                                   assemble_limit_rates, b_form, build_grid,
-                                   graded_nodes, nonlinear_observable,
+                                   _tridiag, apply_x, assemble,
+                                   assemble_limit, assemble_limit_rates,
+                                   b_form, build_grid, graded_nodes,
+                                   l2_norm_x, nonlinear_observable,
                                    nonlinear_observables,
                                    nonlinear_observable_limit, pair_limit,
                                    pair_measure, paired)
@@ -161,6 +162,37 @@ def test_apply_m_matches_kron(small_forms, eps):
 
 
 @pytest.mark.parametrize("eps", LADDER)
+def test_band_products_match_the_csr_factors(quartic, eps):
+    # each band pass sums a row's left neighbour, diagonal and right
+    # neighbour in the order of a CSR matvec of the same factor, so every
+    # product below agrees with its CSR reference to 0 ulps: along x (1-D,
+    # and (nx, m) in C and F order, with a C-ordered result), along xi, the
+    # nodal mass, the L2 norm and both energy parts
+    forms = assemble(build_grid(129, 161), quartic, eps)
+    M_x, K_x, M_xi = (oracles.csr(b)
+                      for b in (forms.M_x, forms.K_x, forms.M_xi))
+    rng = np.random.default_rng(31)
+    v = rng.normal(size=129)
+    for bands, mat in ((forms.M_x, M_x), (forms.K_x, K_x)):
+        assert np.array_equal(_tridiag(bands, v), mat @ v)
+        assert np.array_equal(apply_x(bands, v), mat @ v)
+    assert l2_norm_x(forms.M_x, v) == math.sqrt(float(v @ (M_x @ v)))
+    U = rng.normal(size=(129, 161))
+    for V in (U, np.asfortranarray(U[:, ::2])):
+        W = apply_x(forms.M_x, V)
+        assert W.flags.c_contiguous and np.array_equal(W, M_x @ V)
+    assert np.array_equal(_tridiag(forms.M_xi, U), (M_xi @ U.T).T)
+    u = U.reshape(-1)
+    assert np.array_equal(forms.apply_m(u),
+                          (M_x @ (M_xi @ U.T).T).reshape(-1))
+    dx, dxi = np.diff(U, axis=0), np.diff(U, axis=1)
+    assert forms.a1_energy(u) == float(np.vdot(
+        dx, (M_xi @ dx.T).T * forms.g_x[:, None]))
+    assert forms.a2_energy(u) == float(np.vdot(dxi,
+                                               (M_x @ dxi) * forms.g_xi))
+
+
+@pytest.mark.parametrize("eps", LADDER)
 def test_stencil_matches_sparse_stiffness(small_forms, eps):
     forms = small_forms[eps]
     _, A1, A2 = oracles.kron_forms(forms)
@@ -191,6 +223,7 @@ def test_limit_stencil_matches_block_forms():
         lf = assemble_limit_rates(x, *rates)
         modal = ModalLimitForms(lf)
         M, A = oracles.block_forms(lf)
+        M_x, K_x = oracles.csr(lf.M_x), oracles.csr(lf.K_x)
         y, z = (modal.coefficients(LimitField(*v.reshape(2, -1), x))
                 for v in (u, w))
         mv, st = modal.mass_and_stencil(y)
@@ -202,17 +235,17 @@ def test_limit_stencil_matches_block_forms():
         # A y holds the modes V^T (A u) = V^T M_x (M_x^{-1} A u) of each
         # species
         au = modal.coefficients(LimitField(*(
-            spla.spsolve(lf.M_x.tocsc(), v) for v in (A @ u).reshape(2, -1)),
+            spla.spsolve(M_x.tocsc(), v) for v in (A @ u).reshape(2, -1)),
             x))
         assert np.abs(st.au - au).max() <= 1e-12 * np.abs(au).max()
         assert st.a == pytest.approx(float(u @ (A @ u)), rel=1e-12)
         # diffusion is half the K_x-energy of each density, reaction half
         # the x-mass pairing of the gap with the net transfer
         assert st.a1 == pytest.approx(
-            0.5 * float(um @ (lf.K_x @ um) + up @ (lf.K_x @ up)), rel=1e-12)
+            0.5 * float(um @ (K_x @ um) + up @ (K_x @ up)), rel=1e-12)
         transfer = rates[0] * um - rates[1] * up
         assert st.a2 == pytest.approx(
-            0.5 * float((um - up) @ (lf.M_x @ transfer)), rel=1e-12,
+            0.5 * float((um - up) @ (M_x @ transfer)), rel=1e-12,
             abs=1e-15)
         # the reaction block is nonsymmetric: the cross term is its
         # symmetric part
@@ -239,8 +272,12 @@ def test_fft_transforms_match_the_dense_basis(quartic, nx):
 def test_assemble_builds_no_2d_matrix(quartic, eps):
     forms = assemble(build_grid(17, 21), quartic, eps)
     n = forms.n
+    # the factors are (3, n) bands, and nothing assembled is sparse
+    for name, size in (("M_x", 17), ("K_x", 17), ("M_xi", 21), ("K_xi", 21)):
+        assert getattr(forms, name).shape == (3, size), name
     for name, value in vars(forms).items():
-        if sp.issparse(value):
+        assert not sp.issparse(value), name
+        if isinstance(value, np.ndarray):
             assert max(value.shape) < n, name
     # the 2-D references are built on first use only
     assert not {"M", "A"} & set(vars(forms))
@@ -250,8 +287,10 @@ def test_assemble_builds_no_2d_matrix(quartic, eps):
 @pytest.mark.parametrize("rates", [(1.8, 1.8), (2.0, 0.5)])
 def test_assemble_limit_builds_no_block_matrix(rates):
     lf = assemble_limit_rates(np.linspace(0.0, 1.0, 33), *rates)
+    assert lf.M_x.shape == lf.K_x.shape == (3, 33)
     for name, value in vars(lf).items():
-        if sp.issparse(value):
+        assert not sp.issparse(value), name
+        if isinstance(value, np.ndarray):
             assert max(value.shape) < 66, name
     assert not hasattr(lf, "M") and not hasattr(lf, "A")
 
@@ -278,8 +317,8 @@ def test_lift_mass_against_x_quadrature(quartic):
     q = q_eps(forms.measure)
     p = 0.5 * (um + up)
     d = up - um
-    expected = (float(p @ (forms.M_x @ p))
-                + q * float(d @ (forms.M_x @ d)))
+    M_x = oracles.csr(forms.M_x)
+    expected = float(p @ (M_x @ p)) + q * float(d @ (M_x @ d))
     assert b_form(forms.M.dot, v) == pytest.approx(expected, abs=1e-5)
 
 
@@ -473,7 +512,7 @@ def test_modal_basis_diagonalizes_the_x_pencil(quartic, nx):
     forms = assemble(build_grid(nx, 11), quartic, 0.2)
     modal = ModalForms(forms)
     V, lam = modal.V, modal.lam
-    M_x, K_x = forms.M_x.toarray(), forms.K_x.toarray()
+    M_x, K_x = (oracles.csr(b).toarray() for b in (forms.M_x, forms.K_x))
     # mode 0 is exactly the constant 1, and its eigenvalue exactly 0
     assert np.array_equal(V[:, 0], np.ones(nx)) and lam[0] == 0.0
     assert np.abs(V.T @ M_x @ V - np.eye(nx)).max() <= 1e-14
@@ -535,7 +574,7 @@ def test_flat_modal_kernels_match_the_per_mode_formulas(quartic, shape, eps):
     Y = 1.0 + np.random.default_rng(21).normal(size=shape)
     y = Y.reshape(-1)
     mv, st = modal.mass_and_stencil(y)
-    MY = (modal.M_xi @ Y.T).T
+    MY = (oracles.csr(modal.M_xi) @ Y.T).T
     F1 = MY * modal.lam[:, None]
     D = np.diff(Y, axis=1)
     F2 = D * modal.g_xi
