@@ -120,9 +120,11 @@ def xi_flatness(forms, field):
     mid = 0.5 * (xi[1:] + xi[:-1])
     h = np.diff(xi)
     sel = np.abs(mid) >= 0.5
-    dU = np.diff(field.values, axis=1)[:, sel] / h[sel]
-    W = apply_x(forms.M_x, dU)
-    return float(np.einsum("ic,ic->c", dU, W) @ h[sel])
+    dU = np.ascontiguousarray(np.diff(field.values, axis=1)[:, sel] / h[sel])
+    W = np.ascontiguousarray(apply_x(forms.M_x, dU))
+    # summed row after row over C-ordered arrays: one fixed order, whatever
+    # the memory order of the field or of the x-product
+    return float((dU * W).sum(axis=0) @ h[sel])
 
 
 def default_test_functions():

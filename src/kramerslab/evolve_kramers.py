@@ -11,7 +11,9 @@ M + cA is block diagonal; nodal fields are formed only at entry and at
 snapshots. The same integrator steps the two-species limit system
 (``evolve_limit``): both levels are gradient flows of an energy ``a`` in the
 metric ``b`` and differ only in their forms and in the structured solver of
-M + cA.
+M + cA. Both solvers run in numpy alone, over all x-modes at once (here
+:class:`KroneckerSystem`'s two-ended tridiagonal sweep; at the limit the
+closed-form inverse of each 2 x 2 block), so no run loads scipy.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .grid_forms import Field, ModalForms
 
@@ -82,7 +83,8 @@ class KroneckerSystem(_ThetaSystem):
     pass per term over the flat modes (the M_xi product, the xi-stencil,
     the scale by lam), written into the system's workspace, so it and its
     parts are valid until the next product; the inner solve is one
-    tridiagonal solve, with no dense product (fast diagonalization in x).
+    tridiagonal sweep over all blocks at once, from both ends of each
+    (:meth:`factorize`), with no dense product (fast diagonalization in x).
     """
 
     def norm_inf(self):
@@ -94,33 +96,94 @@ class KroneckerSystem(_ThetaSystem):
         return float(rows.max())
 
     def factorize(self):
-        """Inner solver r -> (M + cA)^{-1} r: one tridiagonal solve.
+        """Inner solver r -> (M + cA)^{-1} r: one tridiagonal sweep over all
+        blocks at once, from both ends of each.
 
         The blocks are never diagonalized in xi (M_xi has condition
-        ~exp(1/eps)); each is factored as L D L^T with GTH pivots: the K_xi
-        rows sum to zero, so the row excess of block k is exactly
-        (1 + c lam_k) times the M_xi row sums, and
-        D_j = r'_j - e_j, r'_{j+1} = r_{j+1} - e_j r'_j / D_j has no
-        cancellation where the off-diagonals e_j are <= 0.
+        ~exp(1/eps)); each is factored with GTH pivots: the K_xi rows sum to
+        zero, so the row excess of block k is exactly (1 + c lam_k) times
+        the M_xi row sums, and D_j = r_j - e_j, L_j = e_j / D_j,
+        r_{j+1} = excess_{j+1} - L_j r_j has no cancellation where the
+        off-diagonals e_j are <= 0. The elimination runs with these pivots
+        from both wells toward the saddle row m = (nxi - 1)/2, where the
+        twist pivot excess_m - L r (top) - L r (bottom) is again a sum of
+        nonnegative terms.
+
+        The factors lie as (m, 2, nx): pass j of the sweep is row j of the
+        top half and row nxi-1-j of the bottom half of every block, one
+        contiguous pass over 2 nx entries. A solve gathers the right-hand
+        side into that layout, runs the forward passes, the twist row, one
+        division by the pivots and the backward passes in one workspace,
+        and writes a fresh solution, which the caller may keep.
         """
         f, c = self.forms, self.c
         nx, nxi = f.shape
+        if nxi % 2 == 0:
+            raise ValueError(f"nxi: the two-ended sweep needs an odd count "
+                             f"so that the saddle row is one node, got {nxi}")
+        m = nxi // 2
         scale = 1.0 + c * f.lam
         off = scale[:, None] * f.M_xi[2, :-1] - c * f.g_xi
         excess = scale[:, None] * f.M_xi.sum(axis=0)
-        D = np.empty((nx, nxi))
-        L = np.zeros((nx, nxi))
-        r = excess[:, 0]
-        for j in range(nxi - 1):
-            D[:, j] = r - off[:, j]
-            L[:, j] = off[:, j] / D[:, j]
-            r = excess[:, j + 1] - L[:, j] * r
-        D[:, -1] = r
+
+        def ends(a):
+            # (m, 2, nx): column j and column -1-j of the (nx, .) array a
+            return np.stack((a[:, :m], a[:, ::-1][:, :m]), axis=1).transpose(
+                2, 1, 0).copy()
+
+        ex, e = ends(excess), ends(off)
+        # the pivots in the layout of the workspace: the pairs, then row m
+        D = np.empty(nxi * nx)
+        pivots = D[:-nx].reshape(m, 2, nx)
+        L = np.empty((m, 2, nx))
+        r = ex[0]
+        for j in range(m):
+            np.subtract(r, e[j], out=pivots[j])
+            np.divide(e[j], pivots[j], out=L[j])
+            lr = L[j] * r
+            if j + 1 < m:
+                r = ex[j + 1] - lr
+        np.subtract(excess[:, m] - lr[0], lr[1], out=D[-nx:])
         if not np.all(D > 0.0):
             raise SolverError(f"tensor factorization of M + {c:g} A at "
                               f"eps = {f.eps:g} lost positive pivots")
-        d, e = D.reshape(-1), L.reshape(-1)[:-1]
-        return lambda rhs: la.lapack.dpttrs(d, e, rhs)[0]
+
+        work = np.empty(nxi * nx)
+        pairs, mid = work[:-nx].reshape(m, 2 * nx), work[-nx:]
+        top, bottom = pairs.reshape(m, 2, nx).transpose(1, 0, 2)
+        t = np.empty(2 * nx)
+        t_pair = t.reshape(2, nx)
+        t_top, t_bottom = t_pair
+        # the last pass meets the twist row, the others the next pass
+        L_twist = L[-1]
+        L = L.reshape(m, 2 * nx)
+        L_end, x_end = L[-1], pairs[-1]
+        passes = list(zip(L[:-1], pairs[:-1], pairs[1:]))
+        mul, sub = np.multiply, np.subtract
+
+        def solve(rhs):
+            R = rhs.reshape(nx, nxi)
+            np.copyto(top, R[:, :m].T)
+            np.copyto(bottom, R[:, :m:-1].T)
+            np.copyto(mid, R[:, m])
+            for Lj, xj, xn in passes:
+                mul(Lj, xj, t)
+                sub(xn, t, xn)
+            mul(L_end, x_end, t)
+            sub(mid, t_top, mid)
+            sub(mid, t_bottom, mid)
+            np.divide(work, D, out=work)
+            mul(L_twist, mid, t_pair)
+            sub(x_end, t, x_end)
+            for Lj, xj, xn in reversed(passes):
+                mul(Lj, xn, t)
+                sub(xj, t, xj)
+            x = np.empty((nx, nxi))
+            np.copyto(x[:, :m], top.T)
+            np.copyto(x[:, :m:-1], bottom.T)
+            x[:, m] = mid
+            return x.reshape(-1)
+        return solve
 
     def residual_mass(self, r):
         """1^T r of the nodal residual: the sum of its mode-0 block."""
@@ -143,9 +206,10 @@ class LinearSolver:
 
     ``S`` is a structured system (:class:`KroneckerSystem`, or
     ``evolve_limit.LimitSystem``) that supplies its own ``norm_inf`` and
-    ``factorize``, or a sparse matrix, factored by SuperLU. No run of the
-    package takes the sparse branch, the one user of ``scipy.sparse.linalg``:
-    it serves ``perfbench/probe.py`` and the tests, as a reference for the
+    ``factorize``, both in numpy alone, or a sparse matrix, factored by
+    SuperLU. No run of the package takes the sparse branch, the one user of
+    scipy in this module (``scipy.sparse.linalg``, imported there): it
+    serves ``perfbench/probe.py`` and the tests, as a reference for the
     structured solvers. Every residual r = rhs - op(x) is taken against
     ``op`` (by default ``S @ v``), the exact operator action.
 

@@ -12,8 +12,8 @@ from kramerslab.convergence import (Config, _snapshot_observables,
                                     nonlinear_observable,
                                     nonlinear_observable_limit,
                                     run_ladder_study, traces, xi_flatness)
-from kramerslab.grid_forms import (Field, LimitField, assemble, b_form,
-                                   build_grid, nonlinear_observables,
+from kramerslab.grid_forms import (Field, LimitField, apply_x, assemble,
+                                   b_form, build_grid, nonlinear_observables,
                                    pair_limit, pair_measure, paired)
 from kramerslab.transition import k_eps, lift
 
@@ -214,6 +214,26 @@ def test_flatness_of_lift_decreases(quartic):
         field = lift(np.zeros(17), np.ones(17), quartic, eps, grid)
         vals.append(xi_flatness(assemble(grid, quartic, eps), field))
     assert vals[0] > vals[1] > vals[2]
+
+
+def test_flatness_does_not_depend_on_memory_order(quartic, monkeypatch):
+    # the same values give the same bytes: C- or F-ordered field values,
+    # and an x-product handed back in either order (a reduction that follows
+    # the memory order sums differently on some of these seeds)
+    grid = build_grid(33, 41)
+    forms = assemble(grid, quartic, 0.1)
+    fields = [Field(np.random.default_rng(seed).normal(size=(33, 41)), grid)
+              for seed in range(8)]
+    ref = [xi_flatness(forms, field) for field in fields]
+    for field in fields:
+        field.values = np.asfortranarray(field.values)
+    assert [xi_flatness(forms, field) for field in fields] == ref
+    monkeypatch.setattr("kramerslab.convergence.apply_x",
+                        lambda bands, V: np.asfortranarray(apply_x(bands, V)))
+    for order in ("C", "F"):
+        for field in fields:
+            field.values = np.asarray(field.values, order=order)
+        assert [xi_flatness(forms, field) for field in fields] == ref
 
 
 def test_sub_regime_scaling():

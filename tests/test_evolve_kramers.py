@@ -8,7 +8,8 @@ from kramerslab import evolve_kramers
 from kramerslab.evolve_kramers import (MASS_RESIDUAL_BOUND, KroneckerSystem,
                                        LinearSolver, SolverError,
                                        _certify_step, solve)
-from kramerslab.grid_forms import Field, ModalForms, assemble, build_grid
+from kramerslab.grid_forms import (Field, Grid, ModalForms, assemble,
+                                   build_grid)
 from kramerslab.transition import k_eps, lift
 
 import oracles
@@ -327,6 +328,88 @@ def test_modal_residual_mass_is_the_nodal_one(forms_65):
     residual = (modal.V.T @ R).reshape(-1)
     mass = KroneckerSystem(modal, 1e-3).residual_mass(residual)
     assert abs(mass - R.sum()) <= 1e-14 * np.abs(R).sum()
+
+
+def _blocks(modal, c):
+    """The diagonals (nx, nxi) and off-diagonals (nx, nxi - 1) of the
+    blocks (1 + c lam_k) M_xi + c K_xi, formed entry by entry."""
+    scale = 1.0 + c * modal.lam[:, None]
+    return (scale * modal.M_xi[1] + c * modal.K_xi[1],
+            scale * modal.M_xi[2, :-1] + c * modal.K_xi[2, :-1])
+
+
+def _block_backward_errors(diag, off, x, rhs):
+    """Per block, ||rhs - S x|| / (||S|| ||x|| + ||rhs||) in the inf-norm."""
+    r = rhs - diag * x
+    r[:, :-1] -= off * x[:, 1:]
+    r[:, 1:] -= off * x[:, :-1]
+    a = np.abs(off)
+    norm_S = (np.abs(diag) + np.pad(a, ((0, 0), (0, 1)))
+              + np.pad(a, ((0, 0), (1, 0)))).max(axis=1)
+    return np.abs(r).max(axis=1) / (norm_S * np.abs(x).max(axis=1)
+                                    + np.abs(rhs).max(axis=1))
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.05, 0.02])
+@pytest.mark.parametrize("nx, nxi", [(4, 11), (17, 21), (129, 161),
+                                     (33, 1025)])
+def test_two_ended_sweep_against_per_block_oracle(quartic, nx, nxi, eps):
+    # the sweep over all modes against each block formed on its own: its
+    # normwise backward error, and on the small grids, where the dense block
+    # is nonsingular in floating point (not at eps 0.02, where c K_xi swamps
+    # M_xi), its distance to numpy's LU solve, within the condition number
+    modal = ModalForms(assemble(build_grid(nx, nxi), quartic, eps))
+    rhs = np.random.default_rng(nx + nxi).normal(size=(nx, nxi))
+    for c in (1e-4, 1e-3, 1e-2, 1e-1):
+        x = KroneckerSystem(modal, c).factorize()(rhs.reshape(-1))
+        x = x.reshape(nx, nxi)
+        diag, off = _blocks(modal, c)
+        assert _block_backward_errors(diag, off, x, rhs).max() <= 1e-14
+        if nxi > 21 or eps < 0.05:
+            continue
+        i = np.arange(nxi)
+        S = np.zeros((nx, nxi, nxi))
+        S[:, i, i] = diag
+        S[:, i[:-1], i[1:]] = S[:, i[1:], i[:-1]] = off
+        dense = np.linalg.solve(S, rhs[..., None])[..., 0]
+        error = np.abs(x - dense).max(axis=1) / np.abs(dense).max(axis=1)
+        assert np.all(error <= 1e-15 * np.linalg.cond(S, p=np.inf))
+
+
+def test_indefinite_block_raises_naming_eps(quartic):
+    modal = ModalForms(assemble(build_grid(17, 21), quartic, 0.2))
+    # a large negative c: 1 + c lam_k < 0 for every k >= 1
+    with pytest.raises(SolverError, match=r"^tensor factorization of "
+                       r"M \+ -1 A at eps = 0\.2 lost positive pivots$"):
+        KroneckerSystem(modal, -1.0).factorize()
+    # the twist pivot alone: a negative mass row sum at the saddle row,
+    # which no pivot of either half reads
+    modal.M_xi = modal.M_xi.copy()
+    modal.M_xi[1, 10] = -1e3
+    with pytest.raises(SolverError, match="at eps = 0.2 lost positive"):
+        KroneckerSystem(modal, 1e-3).factorize()
+
+
+def test_sweep_rejects_an_even_xi_count(quartic):
+    # a Grid built directly may hold an even count with xi = 0 a node; the
+    # two halves would differ in length
+    grid = Grid(4, np.array([-1.0, -0.5, 0.0, 0.5, 0.75, 1.0]))
+    modal = ModalForms(assemble(grid, quartic, 0.2))
+    with pytest.raises(ValueError, match="^nxi: the two-ended sweep needs "
+                                         "an odd count"):
+        KroneckerSystem(modal, 1e-3).factorize()
+
+
+def test_sweep_returns_a_fresh_solution(forms_65):
+    # callers keep the solutions across solves, and the rhs stays as it was
+    solve = KroneckerSystem(ModalForms(forms_65[0.2]), 1e-3).factorize()
+    rhs = np.random.default_rng(29).normal(size=forms_65[0.2].n)
+    before = rhs.copy()
+    first = solve(rhs)
+    kept = first.copy()
+    second = solve(2.0 * rhs)
+    assert np.array_equal(rhs, before) and np.array_equal(first, kept)
+    assert second is not first and np.array_equal(second, 2.0 * first)
 
 @pytest.mark.parametrize("eps", [0.04, 0.03, 0.025])
 def test_small_eps_certificates(quartic, eps):
