@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import pickle
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -566,11 +569,103 @@ def _certificates(cfg, rows, row_errors):
     return checks
 
 
+def _process_count(n):
+    """How many processes share ``n`` rungs: one per CPU this process may
+    run on, up to ``n``. One, with no fork, where the process cannot fork
+    or count its threads, or already runs a second thread: a forked child
+    of a threaded process may deadlock, and a default BLAS helper thread
+    spins on the CPUs that workers would take."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        return 1
+    if threads > 1 or not hasattr(os, "fork"):
+        return 1
+    return min(n, cpus)
+
+
+def _run_share(run, share):
+    """``run(eps)`` for each eps of ``share`` in order; an exception that
+    ``run`` does not turn into an outcome is raised again naming its eps."""
+    outcomes = []
+    for eps in share:
+        try:
+            outcomes.append(run(eps))
+        except Exception as exc:
+            raise RuntimeError(f"rung eps = {eps!r} raised "
+                               f"{type(exc).__name__}: {exc}") from exc
+    return outcomes
+
+
+def _fork_share(run, share):
+    """Fork a worker that runs ``share`` and writes its outcomes, pickled,
+    to a pipe, then exits; returns (pid, the pipe's read end)."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    # the worker: exit 0 only once every outcome is written, and never
+    # return into the caller's stack
+    status = 1
+    try:
+        os.close(read)
+        try:
+            message = ("outcomes", _run_share(run, share))
+        except Exception as exc:
+            message = ("error", str(exc))
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_rungs(run, ladder):
+    """``[run(eps) for eps in ladder]``, spread over :func:`_process_count`
+    processes: with ``w`` of them this process runs ``ladder[0::w]`` and
+    forked worker ``i`` runs ``ladder[i::w]``. The outcomes are the same
+    whatever ``w``, since every rung runs the same code on the same inputs.
+    Every worker is reaped before this returns; on an error, the ones still
+    running are killed first."""
+    w = _process_count(len(ladder))
+    outcomes = [None] * len(ladder)
+    workers, reaped = [], set()
+    try:
+        for i in range(1, w):
+            workers.append(_fork_share(run, ladder[i::w]))
+        outcomes[0::w] = _run_share(run, ladder[0::w])
+        for i, (pid, pipe) in enumerate(workers, start=1):
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if status != 0:
+                raise RuntimeError(
+                    f"the worker running eps {list(ladder[i::w])} exited "
+                    f"with status {status} without sending its outcomes")
+            kind, value = pickle.loads(data)
+            if kind == "error":
+                raise RuntimeError(value)
+            outcomes[i::w] = value
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if pid not in reaped:
+                # only a failed study kills, and importing signal costs
+                # about 1.4 ms; an unreaped child keeps its pid, so the
+                # kill cannot miss
+                import signal
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return outcomes
+
+
 def run_ladder_study(cfg):
     """Run the full ladder of the :class:`Config` and assemble the report
     with its certificates: the limit reference first, then one rung per eps
-    in ladder order, then the certificates. A study needs two rungs and a
-    sample time."""
+    (spread over processes by :func:`_run_rungs`), then the certificates in
+    ladder order. A study needs two rungs and a sample time."""
     if len(cfg.ladder) < 2:
         raise ConfigError("ladder: a convergence study needs at least 2 "
                           f"scales, got {list(cfg.ladder)}")
@@ -584,8 +679,8 @@ def run_ladder_study(cfg):
     um0, up0 = cfg.initial_pair(x)
     limit = _limit_reference(cfg, x, k, um0, up0)
 
-    outcomes = [_rung(cfg, profile, grid, limit, um0, up0, eps)
-                for eps in cfg.ladder]
+    outcomes = _run_rungs(partial(_rung, cfg, profile, grid, limit, um0, up0),
+                          cfg.ladder)
     rows = [o for o in outcomes if isinstance(o, EpsRow)]
     row_errors = {o[0]: o[1] for o in outcomes if not isinstance(o, EpsRow)}
     return ConvergenceReport(regime=cfg.regime, ladder=cfg.ladder,

@@ -1,8 +1,16 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kramerslab
+import kramerslab.convergence as conv
 from kramerslab import gibbs
 from kramerslab.convergence import (Config, _snapshot_observables,
                                     cutoff_average, cutoff_bump,
@@ -322,7 +330,6 @@ def test_product_pairings_match_the_generic_path(snapshots):
 
 
 def test_failed_rung_is_recorded(monkeypatch):
-    import kramerslab.convergence as conv
     from kramerslab.evolve_kramers import SolverError
     real_solve = conv.solve
 
@@ -341,3 +348,110 @@ def test_failed_rung_is_recorded(monkeypatch):
     assert rep.checks == {"ladder_complete": False}
     assert not rep.all_ok
     assert "row_errors" in rep.to_dict()
+
+
+# whether a study here forks: at least 2 CPUs and a single thread
+FORKS = conv._process_count(2) == 2
+
+_FRESH_STUDY = """
+import json, os, sys
+from kramerslab import cli, convergence
+config, out, one_cpu = sys.argv[1:]
+if one_cpu == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+print(convergence._process_count(3))
+sys.exit(cli.main(["converge", "--config", config, "--out", out]))
+"""
+
+
+def _fresh_study(tmp_path, one_cpu):
+    """A fresh single-threaded interpreter's ``converge`` of the MINI study
+    on three rungs (so that a process runs two of them when two share the
+    ladder), limited to one CPU or not: (processes, report bytes)."""
+    config = tmp_path / "mini.json"
+    config.write_text(json.dumps(dict(MINI, ladder=(0.2, 0.15, 0.1))))
+    out = tmp_path / f"one-cpu-{one_cpu}"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (str(Path(kramerslab.__file__).resolve().parents[1])
+                         + os.pathsep + env.get("PYTHONPATH", ""))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    run = subprocess.run([sys.executable, "-c", _FRESH_STUDY, str(config),
+                          str(out), str(int(one_cpu))], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return (int(run.stdout.splitlines()[0]),
+            (out / "report.json").read_bytes())
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="fewer than 2 CPUs: every study runs serially")
+def test_study_bytes_do_not_depend_on_the_cpus(tmp_path):
+    spread, report = _fresh_study(tmp_path, one_cpu=False)
+    serial, report_one_cpu = _fresh_study(tmp_path, one_cpu=True)
+    if spread < 2:
+        pytest.skip("the fresh interpreter runs a second thread")
+    assert serial == 1
+    assert report == report_one_cpu
+
+
+@pytest.mark.skipif(not FORKS, reason="fewer than 2 CPUs or a second thread: "
+                    "no study forks")
+@pytest.mark.parametrize("eps", [0.2, 0.1], ids=["own-rung", "worker-rung"])
+def test_unexpected_error_names_its_rung(monkeypatch, eps):
+    # eps 0.2 fails in this process while a worker runs 0.1, which must be
+    # killed and reaped; eps 0.1 fails in the worker
+    real_solve = conv.solve
+
+    def broken(forms, *args, **kw):
+        if forms.eps == eps:
+            raise ZeroDivisionError("synthetic")
+        return real_solve(forms, *args, **kw)
+
+    monkeypatch.setattr(conv, "solve", broken)
+    cfg = Config(ladder=(0.2, 0.1), nx=17, nxi=21, dt=1e-2, t_final=0.1,
+                 times=(0.1,))
+    with pytest.raises(RuntimeError,
+                       match=f"eps = {eps} raised ZeroDivisionError"):
+        run_ladder_study(cfg)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not FORKS, reason="fewer than 2 CPUs or a second thread: "
+                    "no study forks")
+def test_worker_that_exits_without_outcomes_is_named(monkeypatch):
+    parent, real_solve = os.getpid(), conv.solve
+
+    def dying(forms, *args, **kw):
+        if forms.eps == 0.1 and os.getpid() != parent:
+            os._exit(3)
+        return real_solve(forms, *args, **kw)
+
+    monkeypatch.setattr(conv, "solve", dying)
+    cfg = Config(ladder=(0.2, 0.1), nx=17, nxi=21, dt=1e-2, t_final=0.1,
+                 times=(0.1,))
+    with pytest.raises(RuntimeError, match=r"eps \[0\.1\] exited with "
+                       "status 3 without sending its outcomes"):
+        run_ladder_study(cfg)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_fork_beside_a_second_thread(monkeypatch):
+    def no_fork():
+        raise AssertionError("a study forked beside a second thread")
+
+    monkeypatch.setattr(conv.os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        rep = run_ladder_study(Config(ladder=(0.2, 0.1), nx=17, nxi=21,
+                                      dt=1e-2, t_final=0.1, times=(0.1,)))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [r.eps for r in rep.rows] == [0.2, 0.1]

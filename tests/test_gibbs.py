@@ -146,21 +146,31 @@ def test_measure_matches_the_inline_formulas_bitwise(quartic, eps):
 
 
 def test_each_scale_integrates_log_z_once(monkeypatch, tmp_path):
-    calls = dict.fromkeys(("log_partition", "log_barrier_integral",
-                           "adaptive_integral"), 0)
-    for name in calls:
+    # each call appends its name to a file, so that the calls of the rungs
+    # a forked ladder worker runs are counted too
+    log = tmp_path / "calls.log"
+    names = ("log_partition", "log_barrier_integral", "adaptive_integral")
+    for name in names:
         def counted(*args, _name=name, _fn=getattr(gibbs, name), **kwargs):
-            calls[_name] += 1
+            with open(log, "a") as fh:
+                fh.write(_name + "\n")
             return _fn(*args, **kwargs)
         monkeypatch.setattr(gibbs, name, counted)
+
+    def logged():
+        lines = log.read_text().split() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return {name: lines.count(name) for name in names}
+
     report = run_ladder_study(Config(
         ladder=LADDER, nx=17, nxi=21, dt=0.01, t_final=0.02, times=(0.02,)))
+    calls = logged()
     assert len(report.rows) == 3
     assert calls["log_partition"] == 3
     # ``rates``: Z_eps and the barrier integral once each per scale
-    calls.update(dict.fromkeys(calls, 0))
     assert cli.main(["rates", "--ladder", "0.2,0.1,0.05",
                      "--out", str(tmp_path)]) == 0
+    calls = logged()
     assert calls == {"log_partition": 3, "log_barrier_integral": 3,
                      "adaptive_integral": 6}
 
