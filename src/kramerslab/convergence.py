@@ -20,12 +20,12 @@ from .enthalpy import from_coefficients, quartic_default, validate
 from .evolve_kramers import (ENERGY_RESIDUAL_BOUND, MASS_DRIFT_BOUND, SCHEMES,
                              SolverError, energy_excess, solve, step_index)
 from .evolve_limit import solve_limit
-from .grid_forms import (AssemblyError, LimitField, ModalLimitForms,
-                         ProductTest, apply_x, assemble, assemble_limit,
-                         b_form, build_grid, check_grid, l2_norm_x,
+from .grid_forms import (AssemblyError, LimitField, ProductTest, apply_x,
+                         assemble, assemble_limit, b_form, build_grid,
+                         check_grid, l2_norm_x,
                          nonlinear_observable, nonlinear_observable_limit,
                          nonlinear_observables, pair_limit, pair_measure)
-from .quadrature import QuadratureError
+from .quadrature import QUAD_ORDER, QuadratureError
 from .transition import k_eps, lift, limit_rate, q_eps
 
 __all__ = [
@@ -284,7 +284,7 @@ class Config:
 
     # constants, not fields: perfbench/child.py passes them to build_grid
     grading = "three_zone"
-    quad_order = 4
+    quad_order = QUAD_ORDER
 
     profile: dict | None = None  # None = the quartic; or {"coeffs": [...]}
     skew_gap: float = 0.0
@@ -432,18 +432,20 @@ def _monotone(errs, floor=MONOTONE_FLOOR):
     return all(b < a or b <= floor for a, b in zip(errs, errs[1:]))
 
 
-def _limit_reference(cfg, x, k, um0, up0):
-    """The limit side of the study: its forms, its trajectory and its
-    values at the sample times, against which every rung is measured."""
+def _limit_reference(cfg, grid, k, um0, up0):
+    """The limit side of the study on the grid's x-nodes: its trajectory
+    and its values at the sample times, against which every rung is
+    measured."""
+    x = grid.x_nodes
     # off the critical scaling the limit has no reaction: the sub regime
     # keeps the initial pair, the super regime starts it at equilibrium
     k_target = k if cfg.regime == "critical" else 0.0
     lm0, lp0 = um0, up0
     if cfg.regime == "super":
         lm0 = lp0 = 0.5 * (um0 + up0)
-    lforms = assemble_limit(x, k_target)
-    ltraj = solve_limit(lforms, LimitField(lm0, lp0, x), cfg.t_final, cfg.dt,
-                        scheme=cfg.scheme, snapshot_times=(0.0,) + cfg.times)
+    ltraj = solve_limit(assemble_limit(x, k_target), LimitField(lm0, lp0, x),
+                        cfg.t_final, cfg.dt, scheme=cfg.scheme,
+                        snapshot_times=(0.0,) + cfg.times)
     values = {"pairing": {}, "b": {}, "a": {}, "observables": {}, "gap": {}}
     tests, observables = default_test_functions(), _snapshot_observables()
     for t in cfg.times:
@@ -451,13 +453,13 @@ def _limit_reference(cfg, x, k, um0, up0):
         n = step_index(t, cfg.dt)
         values["b"][t] = float(ltraj.b[n])
         values["a"][t] = float(ltraj.a[n])
-        values["gap"][t] = l2_norm_x(lforms.M_x, w.u_plus - w.u_minus)
+        values["gap"][t] = l2_norm_x(grid.x_mass, w.u_plus - w.u_minus)
         for name, test in tests.items():
             values["pairing"].setdefault(name, {})[t] = pair_limit(w, test)
         for name, f in observables.items():
             values["observables"].setdefault(name, {})[t] = (
                 nonlinear_observable_limit(w, f))
-    return lforms, ltraj, values
+    return ltraj, values
 
 
 def _rung(cfg, profile, grid, limit, um0, up0, eps):
@@ -480,7 +482,7 @@ def _rung(cfg, profile, grid, limit, um0, up0, eps):
 def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
     """The rung's row, each snapshot measured against the limit; b, a1 and
     a2 at t are the trajectory's record at the step of t."""
-    lforms, ltraj, lv = limit
+    ltraj, lv = limit
     eps = forms.eps
     row = EpsRow(eps=eps, rate=rate,
                  rate_effective=rate_eff, q=q_eps(forms.measure),
@@ -498,10 +500,10 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
             continue
         lw = ltraj.snapshot_at(t)
         tr = traces(state)
-        err2 = (l2_norm_x(lforms.M_x, tr.u_minus - lw.u_minus) ** 2
-                + l2_norm_x(lforms.M_x, tr.u_plus - lw.u_plus) ** 2)
+        err2 = (l2_norm_x(forms.M_x, tr.u_minus - lw.u_minus) ** 2
+                + l2_norm_x(forms.M_x, tr.u_plus - lw.u_plus) ** 2)
         row.trace_err[t] = math.sqrt(err2)
-        row.gap_norm[t] = l2_norm_x(lforms.M_x, tr.u_plus - tr.u_minus)
+        row.gap_norm[t] = l2_norm_x(forms.M_x, tr.u_plus - tr.u_minus)
         n = step_index(t, cfg.dt)
         b, a1, a2 = float(traj.b[n]), float(traj.a1[n]), float(traj.a2[n])
         row.b_vals[t] = (b, lv["b"][t], abs(b - lv["b"][t]))
@@ -674,10 +676,9 @@ def run_ladder_study(cfg):
                           "sample time")
     profile = profile_from_config(cfg)
     grid = build_grid(cfg.nx, cfg.nxi)
-    x = grid.x_nodes
     k = limit_rate(profile)
-    um0, up0 = cfg.initial_pair(x)
-    limit = _limit_reference(cfg, x, k, um0, up0)
+    um0, up0 = cfg.initial_pair(grid.x_nodes)
+    limit = _limit_reference(cfg, grid, k, um0, up0)
 
     outcomes = _run_rungs(partial(_rung, cfg, profile, grid, limit, um0, up0),
                           cfg.ladder)
@@ -685,7 +686,7 @@ def run_ladder_study(cfg):
     row_errors = {o[0]: o[1] for o in outcomes if not isinstance(o, EpsRow)}
     return ConvergenceReport(regime=cfg.regime, ladder=cfg.ladder,
                              times=cfg.times, limit_rate=k, rows=rows,
-                             limit_values=limit[2],
+                             limit_values=limit[1],
                              checks=_certificates(cfg, rows, row_errors),
                              row_errors=row_errors)
 
@@ -716,7 +717,7 @@ def gamma_limsup_check(u_minus, u_plus, ladder, grid, profile,
     um = np.asarray(u_minus(x) if callable(u_minus) else u_minus, dtype=float)
     up = np.asarray(u_plus(x) if callable(u_plus) else u_plus, dtype=float)
     k = limit_rate(profile)
-    modal = ModalLimitForms(assemble_limit(x, k))
+    modal = assemble_limit(x, k)
     y = modal.coefficients(LimitField(um, up, x))
     b_lim = b_form(modal.apply_m, y)
     a_lim = modal.mass_and_stencil(y)[1].a

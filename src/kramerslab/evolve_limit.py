@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evolve_kramers import SolverError, _integrate, _ThetaSystem
-from .grid_forms import LimitField, ModalLimitForms
+from .grid_forms import LimitField
 
 __all__ = ["LimitSystem", "solve_limit"]
 
@@ -61,10 +61,11 @@ class LimitSystem(_ThetaSystem):
 def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     """Integrate the limit system M dw/dt + A w = 0 for w = (u_minus, u_plus).
 
-    Steps the x-modes of the forms (:class:`ModalLimitForms`, which needs
-    uniform x-nodes) through :class:`LimitSystem`, each solve certified
-    against the exact action of the forms; the snapshots are nodal pairs,
-    the one at t = 0 a copy of ``u0``. Returns an ``evolve_kramers``
+    Steps the limit forms ``lforms`` (a ``grid_forms.ModalLimitForms``, as
+    ``assemble_limit`` builds them) in their x-modes through
+    :class:`LimitSystem`, each solve certified against the exact action of
+    the forms; the snapshots are nodal pairs, the one at t = 0 a copy of
+    ``u0``. Returns an ``evolve_kramers``
     ``Trajectory`` whose energy split is (diffusion, reaction). Raises
     :class:`SolverError`, naming the step, t and the quantity, as soon as a
     step drifts the mass or breaks the energy identity beyond the
@@ -75,8 +76,7 @@ def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     x = lforms.x_nodes
     if not np.array_equal(u0.x_nodes, x):
         raise ValueError("initial data and forms live on different x-grids")
-    modal = ModalLimitForms(lforms)
     return _integrate(
-        modal, LimitSystem, modal.coefficients(u0), T, dt, scheme,
-        snapshot_times, lambda y: LimitField(*modal.values(y), x),
+        lforms, LimitSystem, lforms.coefficients(u0), T, dt, scheme,
+        snapshot_times, lambda y: LimitField(*lforms.values(y), x),
         LimitField(u0.u_minus.copy(), u0.u_plus.copy(), x), "limit system")

@@ -24,9 +24,8 @@ __all__ = [
     "laplace_i_shifted",
 ]
 
-# Double-precision working range for form assembly: at eps = 0.02 the barrier
-# weight e^{-1/eps} ~ 2e-22 already sits near the roundoff floor of the well
-# entries; below that the stiffness loses the barrier region entirely.
+# The lowest scale measured and certified on the README grids ("Valid
+# scales"); assembly holds below it (least M_xi entry 3.7e-90 at eps 0.005).
 EPS_FLOOR = 0.02
 EPS_CEIL = 1.0
 
@@ -35,8 +34,8 @@ def check_scale(eps):
     """Reject a scale outside the working range [EPS_FLOOR, EPS_CEIL]."""
     if not EPS_FLOOR <= eps <= EPS_CEIL:
         raise ValueError(f"eps = {eps!r} outside [{EPS_FLOOR}, {EPS_CEIL}]: "
-                         "below the floor the barrier weight exp(-1/eps) "
-                         "drowns in roundoff during form assembly")
+                         "the floor is the lowest scale measured and "
+                         "certified on the documented grids")
 
 
 def _check_eps(eps):

@@ -1,10 +1,10 @@
 """Tensor-product hat-function discretization of (0,1) x (-1,1).
 
 Assembles the weighted mass form and the split stiffness (spatial part plus
-time-rescaled reaction-coordinate part) of the evolution problem, and the
-forms of the two-species limit system, both kept as their 1-D factors. The
-weight is evaluated at the quadrature points, never lumped, so the discrete
-energy identities of the variational formulation hold exactly.
+time-rescaled reaction-coordinate part) of the evolution problem as 1-D
+factors, and the forms of the two-species limit system in their x-modes.
+The weight is evaluated at the quadrature points, never lumped, so the
+discrete energy identities of the variational formulation hold exactly.
 """
 from __future__ import annotations
 
@@ -17,13 +17,13 @@ from typing import Callable
 import numpy as np
 
 from . import gibbs
-from .quadrature import PanelRule, check_quad_order
+from .quadrature import QUAD_ORDER, PanelRule, check_quad_order
 
 __all__ = [
     "AssemblyError", "Grid", "Field", "LimitField", "FormMatrices", "XBasis",
-    "ModalForms", "LimitFormMatrices", "ModalLimitForms", "Stencil",
-    "graded_nodes", "build_grid", "assemble", "assemble_limit",
-    "assemble_limit_rates", "b_form", "pair_measure", "pair_limit", "nonlinear_observable",
+    "ModalForms", "ModalLimitForms", "Stencil", "graded_nodes", "build_grid",
+    "assemble", "assemble_limit", "assemble_limit_rates", "b_form",
+    "pair_measure", "pair_limit", "nonlinear_observable",
     "nonlinear_observables", "nonlinear_observable_limit", "paired",
     "ProductTest", "apply_x", "l2_norm_x", "check_grid",
 ]
@@ -90,7 +90,7 @@ class Grid:
 
     nx: int
     xi_nodes: np.ndarray
-    quad_order: int = 4
+    quad_order: int = QUAD_ORDER
 
     def __post_init__(self):
         xi = np.ascontiguousarray(self.xi_nodes, dtype=float)
@@ -116,6 +116,11 @@ class Grid:
         return PanelRule(self.x_nodes, self.quad_order)
 
     @functools.cached_property
+    def x_mass(self):
+        """The bands of the x-mass M_x of every assembly on this grid."""
+        return _mass(self.x_rule)
+
+    @functools.cached_property
     def xi_rule(self):
         """The panel rule of the xi-partition, built on first use."""
         return PanelRule(self.xi_nodes, self.quad_order)
@@ -125,7 +130,7 @@ class Grid:
         return len(self.xi_nodes)
 
 
-def build_grid(nx, nxi, grading="three_zone", quad_order=4):
+def build_grid(nx, nxi, grading="three_zone", quad_order=QUAD_ORDER):
     """Tensor grid with ``nx`` uniform x-nodes and ``nxi`` three-zone graded
     xi-nodes, after the rules of :func:`check_grid`."""
     check_grid(nx, nxi, grading)
@@ -540,7 +545,6 @@ def assemble(grid, profile, eps, log_tau_shift=0.0):
                 + (1.0 - np.asarray(h(xi), dtype=float)) / eps
                 - measure.log_z)
 
-    M_x = _mass(grid.x_rule)
     g_x, K_x = _stiffness(grid.x_rule)
 
     M_xi = _mass(grid.xi_rule, measure.log_density)
@@ -553,8 +557,8 @@ def assemble(grid, profile, eps, log_tau_shift=0.0):
 
     g_xi, K_xi = _stiffness(grid.xi_rule, stiff_exponent)
 
-    return FormMatrices(M_x=M_x, K_x=K_x, M_xi=M_xi, K_xi=K_xi, g_x=g_x,
-                        g_xi=g_xi, grid=grid, measure=measure)
+    return FormMatrices(M_x=grid.x_mass, K_x=K_x, M_xi=M_xi, K_xi=K_xi,
+                        g_x=g_x, g_xi=g_xi, grid=grid, measure=measure)
 
 
 def b_form(apply_m, u):
@@ -565,23 +569,11 @@ def b_form(apply_m, u):
     return float(uu @ apply_m(uu))
 
 
-@dataclass(frozen=True)
-class LimitFormMatrices:
-    """The 1-D factors, as bands, of the two-species limit forms over
-    (u_minus, u_plus): M = 1/2 I (x) M_x and A = 1/2 I (x) K_x + 1/2 R (x)
-    M_x, with the reaction matrix R = [[k_f, -k_b], [-k_f, k_b]]; stepped
-    in x-modes (:class:`ModalLimitForms`)."""
-
-    M_x: np.ndarray
-    K_x: np.ndarray
-    x_nodes: np.ndarray
-    rate_forward: float   # minus -> plus
-    rate_backward: float  # plus -> minus
-
-
 class ModalLimitForms:
-    """The limit forms in the x-eigenbasis (:class:`XBasis`, which needs
-    uniform x-nodes), where the limit system steps.
+    """The two-species limit forms M = 1/2 I (x) M_x and A = 1/2 I (x) K_x
+    + 1/2 R (x) M_x on the nodal pair (u_minus, u_plus), R = [[k_f, -k_b],
+    [-k_f, k_b]] (k_f: minus -> plus), held in the x-eigenbasis (XBasis) of
+    the uniform ``x_nodes``: other nodes or a rate outside [0, inf) raise.
 
     The state is the flat pair y = (V^T M_x u_minus, V^T M_x u_plus), in
     which M = 1/2 I and A = 1/2 I (x) diag(lam) + 1/2 R (x) I: mode k of the
@@ -592,8 +584,13 @@ class ModalLimitForms:
     mass is mode 0 alone (``one`` holds the modes of the constant pair).
     """
 
-    def __init__(self, lforms):
-        x = lforms.x_nodes
+    def __init__(self, x_nodes, rate_forward, rate_backward):
+        for name, rate in (("rate_forward", rate_forward),
+                           ("rate_backward", rate_backward)):
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {rate!r}")
+        self.x_nodes = x = np.asarray(x_nodes, dtype=float)
         if not np.array_equal(x, np.linspace(0.0, 1.0, len(x))):
             raise ValueError("the limit x-modes need the uniform x-nodes "
                              "linspace(0, 1, nx)")
@@ -601,8 +598,7 @@ class ModalLimitForms:
         self.n = 2 * len(x)
         self.one = np.zeros(self.n)
         self.one[[0, len(x)]] = 1.0
-        self.rate_forward = lforms.rate_forward
-        self.rate_backward = lforms.rate_backward
+        self.rate_forward, self.rate_backward = rate_forward, rate_backward
         self._half_lam = np.tile(0.5 * self.basis.lam, 2)
 
     def coefficients(self, field):
@@ -641,23 +637,15 @@ class ModalLimitForms:
         return mv, Stencil(au, ((y, F1), (D, F2)))
 
 
-def assemble_limit_rates(x_nodes, rate_forward, rate_backward, quad_order=4):
-    """Limit forms of the two-species system with distinct rates; the
-    stiffness is nonsymmetric unless the two rates coincide."""
-    for name, rate in (("rate_forward", rate_forward),
-                       ("rate_backward", rate_backward)):
-        if not 0.0 <= rate < math.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, "
-                             f"got {rate!r}")
-    rule = PanelRule(x_nodes, quad_order)
-    return LimitFormMatrices(
-        M_x=_mass(rule), K_x=_stiffness(rule)[1], x_nodes=rule.nodes,
-        rate_forward=rate_forward, rate_backward=rate_backward)
+def assemble_limit_rates(x_nodes, rate_forward, rate_backward):
+    """The :class:`ModalLimitForms` with rates k_f, k_b: nonsymmetric
+    unless the two coincide."""
+    return ModalLimitForms(x_nodes, rate_forward, rate_backward)
 
 
-def assemble_limit(x_nodes, k, quad_order=4):
+def assemble_limit(x_nodes, k):
     """Symmetric limit forms: equal exchange rate ``k`` between the wells."""
-    return assemble_limit_rates(x_nodes, k, k, quad_order=quad_order)
+    return assemble_limit_rates(x_nodes, k, k)
 
 
 # tensor Gauss points that nonlinear_observables evaluates at once: the
@@ -740,10 +728,10 @@ def pair_measure(forms, field, test):
     return float(a @ (field.values @ c))
 
 
-def nonlinear_observable_limit(lf, f, quad_order=4):
+def nonlinear_observable_limit(lf, f):
     """Limit counterpart of :func:`nonlinear_observable`: f(x, xi, u)
     averaged over the two well lines xi = -1 and xi = 1."""
-    rule = PanelRule(lf.x_nodes, quad_order)
+    rule = PanelRule(lf.x_nodes, QUAD_ORDER)
     um, up = rule.interp(lf.u_minus), rule.interp(lf.u_plus)
     fm = np.broadcast_to(np.asarray(f(rule.pts, -1.0, um), dtype=float),
                          um.shape)
@@ -752,11 +740,11 @@ def nonlinear_observable_limit(lf, f, quad_order=4):
     return 0.5 * (float((rule.wts * fm).sum()) + float((rule.wts * fp).sum()))
 
 
-def pair_limit(lf, test, quad_order=4):
+def pair_limit(lf, test):
     """Pairing of the two-line limit measure with the product test
     f_x(x) f_xi(xi): (f_xi(-1) a.u_minus + f_xi(1) a.u_plus) / 2, with a
     the x node functional of f_x (see :func:`pair_measure`)."""
-    a = PanelRule(lf.x_nodes, quad_order).functional(test.f_x)
+    a = PanelRule(lf.x_nodes, QUAD_ORDER).functional(test.f_x)
     return 0.5 * (float(test.f_xi(-1.0)) * float(a @ lf.u_minus)
                   + float(test.f_xi(1.0)) * float(a @ lf.u_plus))
 

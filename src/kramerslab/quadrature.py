@@ -109,6 +109,10 @@ def gauss_rule(order):
     return g, w
 
 
+# the panel order of a default Grid and of the limit functionals
+QUAD_ORDER = 4
+
+
 def check_quad_order(order):
     """Raise ValueError("quad_order: ...") unless ``order`` is an integer,
     not a bool, of at least 2: the 1-point rule makes every cell's 2x2

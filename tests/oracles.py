@@ -4,9 +4,9 @@ Everything here deliberately avoids the package's own quadrature and
 assembly paths: fixed-grid composite rules, scipy's QUADPACK integrator,
 finite differences, the closed chain solution of the piecewise-linear
 connection program, the sparse matrices of the 1-D form factors' bands and
-their 2-D Kronecker products and block matrices, the semi-discrete limit
-solution in a dense eigenbasis, and whole-grid tensor quadrature of
-observables. Only
+their 2-D Kronecker products, the closed-form nodal x-factors of the limit
+forms and their block matrices, the semi-discrete limit solution in a dense
+eigenbasis, and whole-grid tensor quadrature of observables. Only
 the tests import ``scipy.integrate``. The one exception is
 :func:`inline_scale`, which reuses the package's Gibbs integrals and its
 ``PanelRule`` (points, weights and hat values) on purpose, to match the
@@ -107,21 +107,37 @@ def csr(bands):
                     format="csr")
 
 
+def x_factors(x_nodes):
+    """The sparse hat-function mass M_x and stiffness K_x on the 1-D nodes
+    ``x_nodes``, from the exact cell integrals h/3, h/6 and 1/h: the nodal
+    x-factors of the limit forms."""
+    h = np.diff(x_nodes)
+
+    def chain(off, cell):
+        diag = np.zeros(len(h) + 1)
+        diag[:-1] += cell
+        diag[1:] += cell
+        return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+
+    return chain(h / 6.0, h / 3.0), chain(-1.0 / h, 1.0 / h)
+
+
 def limit_pair_solution(lf, u_minus, u_plus, t):
     """The exact solution at time ``t`` of the semi-discrete limit system
     M w' + A w = 0 of the limit forms ``lf`` from the nodal pair
     (``u_minus``, ``u_plus``): (u_minus(t), u_plus(t)).
 
-    In the eigenbasis of the pencil (K_x, M_x), from a dense generalized
-    eigensolver, mode k obeys y_k' = -(lam_k I + R) y_k with
-    R = [[k_f, -k_b], [-k_f, k_b]]. R^2 = s R for s = k_f + k_b, so
+    In the eigenbasis of the pencil (K_x, M_x) of :func:`x_factors` on the
+    nodes of ``lf``, from a dense generalized eigensolver, mode k obeys
+    y_k' = -(lam_k I + R) y_k with R = [[k_f, -k_b], [-k_f, k_b]].
+    R^2 = s R for s = k_f + k_b, so
     y_k(t) = e^{-lam_k t} (y_k - phi(t) R y_k), phi(t) = (1 - e^{-st}) / s
     (phi = t at s = 0). Mode 0, the constants, is the two-state exchange:
     the total is conserved and the deviation from the stationary split
     decays at the rate s (2k for equal rates k).
     """
-    M_x = csr(lf.M_x)
-    lam, V = scipy.linalg.eigh(csr(lf.K_x).toarray(), M_x.toarray())
+    M_x, K_x = x_factors(lf.x_nodes)
+    lam, V = scipy.linalg.eigh(K_x.toarray(), M_x.toarray())
     Y = V.T @ (M_x @ np.stack([u_minus, u_plus], axis=1))
     s = lf.rate_forward + lf.rate_backward
     phi = t if s == 0.0 else -math.expm1(-s * t) / s
@@ -147,10 +163,10 @@ def kron_forms(forms):
 def block_forms(lf):
     """The block mass M = 1/2 I (x) M_x and stiffness
     A = 1/2 I (x) K_x + 1/2 R (x) M_x, R = [[k_f, -k_b], [-k_f, k_b]], of
-    limit forms, assembled with ``scipy.sparse.bmat`` from their 1-D
-    factors."""
+    limit forms, assembled with ``scipy.sparse.bmat`` from the
+    :func:`x_factors` on their nodes."""
     half, kf, kb = 0.5, lf.rate_forward, lf.rate_backward
-    M_x, K_x = csr(lf.M_x), csr(lf.K_x)
+    M_x, K_x = x_factors(lf.x_nodes)
     M = sp.bmat([[half * M_x, None], [None, half * M_x]], format="csr")
     react = sp.bmat([[half * kf * M_x, -half * kb * M_x],
                      [-half * kf * M_x, half * kb * M_x]], format="csr")

@@ -121,3 +121,14 @@ for name in workloads.NAMES:
 print(json.dumps(counts))
 """
     assert _run(code) == {"converge-default": 1, "refine-setup": 21}
+
+
+def test_probe_limit_runs():
+    # probe.probe_limit reaches assemble_limit and solve_limit by name and
+    # times a 50-step limit solve at nx 1025
+    code = """
+import json
+import probe
+print(json.dumps({"solve_limit_ms": probe.probe_limit()}))
+"""
+    assert _run(code)["solve_limit_ms"] > 0.0

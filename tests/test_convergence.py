@@ -292,7 +292,7 @@ def test_initial_pairing_matches_recovery_objects(quartic):
     lf0 = LimitField(um, up, x)
     for name, fn in default_test_functions().items():
         ve = pair_measure(forms, state0, fn)
-        vl = pair_limit(lf0, fn, grid.quad_order)
+        vl = pair_limit(lf0, fn)
         assert np.isfinite(ve) and np.isfinite(vl)
         # the recovery-family error at t = 0 is exactly this difference
         assert abs(ve - vl) == abs(pair_measure(forms, state0, fn) - vl)

@@ -1,10 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from kramerslab import evolve_kramers, evolve_limit
+from kramerslab import evolve_kramers
 from kramerslab.evolve_kramers import (KroneckerSystem, LinearSolver,
                                        SolverError, Trajectory, solve)
 from kramerslab.evolve_limit import LimitSystem, solve_limit
@@ -133,15 +132,12 @@ def test_grid_mismatch_rejected():
                     T=0.1, dt=1e-3)
 
 
-def test_limit_needs_uniform_x_nodes(monkeypatch):
+def test_limit_needs_uniform_x_nodes():
     # the x-modes are the closed-form eigenbasis of uniform hats; graded
-    # nodes are refused before any step
+    # nodes are refused at assembly, so before any step
     x = np.linspace(0.0, 1.0, 17) ** 2
-    lf = assemble_limit(x, K)
-    monkeypatch.setattr(evolve_limit, "_integrate", None)
     with pytest.raises(ValueError, match="uniform x-nodes"):
-        solve_limit(lf, LimitField(np.zeros(17), np.ones(17), x),
-                    T=0.1, dt=1e-3)
+        assemble_limit(x, K)
 
 
 # equal, skewed (ratio e) and zero exchange rates
@@ -157,7 +153,7 @@ def test_limit_is_second_order_against_the_exact_modes(rates):
     w0 = LimitField(np.cos(np.pi * x) + 0.5 * np.cos(3.0 * np.pi * x),
                     1.0 + x * x, x)
     exact = oracles.limit_pair_solution(lf, w0.u_minus, w0.u_plus, 0.1)
-    M_x = oracles.csr(lf.M_x)
+    M_x = oracles.x_factors(x)[0]
     errors = []
     for dt in (2e-3, 1e-3, 5e-4):
         final = solve_limit(lf, w0, T=0.1, dt=dt,
@@ -175,10 +171,9 @@ def test_limit_system_matches_sparse_lu(rates, c, monkeypatch):
     # the modal solve of V^T r against SuperLU on the nodal block system
     # with the right-hand side r = (I (x) M_x V) rhs, whose modes are rhs
     x = np.linspace(0.0, 1.0, 257)
-    lf = assemble_limit_rates(x, *rates)
-    modal = ModalLimitForms(lf)
+    modal = assemble_limit_rates(x, *rates)
     system = LimitSystem(modal, c)
-    M, A = oracles.block_forms(lf)
+    M, A = oracles.block_forms(modal)
     rng = np.random.default_rng(41)
     rhs = rng.normal(size=modal.n)
     structured = LinearSolver(system, target=1e-11).solve(rhs)
@@ -187,8 +182,8 @@ def test_limit_system_matches_sparse_lu(rates, c, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(evolve_kramers, "MAX_REFINE", 0)
         LinearSolver(system, target=1e-14).solve(rhs)
-    r = np.concatenate([oracles.csr(lf.M_x) @ v
-                        for v in modal.values(rhs)])
+    M_x = oracles.x_factors(x)[0]
+    r = np.concatenate([M_x @ v for v in modal.values(rhs)])
     direct = LinearSolver((M + c * A).tocsr(), target=1e-11).solve(r)
     nodal = np.concatenate(modal.values(structured))
     assert np.linalg.norm(nodal - direct) <= 1e-12 * np.linalg.norm(direct)
@@ -200,9 +195,8 @@ def test_limit_norm_is_exact(rates, c):
     # the modal system is the nodal block system in the basis V: per mode
     # the block 1/2 [(1 + c lam_k) I + c R]; its norm is the exact row sum
     x = np.linspace(0.0, 1.0, 257)
-    lf = assemble_limit_rates(x, *rates)
-    modal = ModalLimitForms(lf)
-    M, A = oracles.block_forms(lf)
+    modal = assemble_limit_rates(x, *rates)
+    M, A = oracles.block_forms(modal)
     V = modal.basis.values(np.eye(257)).T
     Vb = np.kron(np.eye(2), V)
     transformed = Vb.T @ (M + c * A).toarray() @ Vb
@@ -219,10 +213,10 @@ def test_limit_factorization_rejects_indefinite():
     # rates below -1/c give a block a non-positive determinant;
     # assemble_limit_rates refuses them, so they are put in afterwards
     _, lf = make_setup()
-    lf = dataclasses.replace(lf, rate_forward=-2000.0, rate_backward=-1000.0)
+    lf.rate_forward, lf.rate_backward = -2000.0, -1000.0
     with pytest.raises(SolverError, match=r"M \+ 0\.001 A.*k_f = -2000, "
                                           r"k_b = -1000"):
-        LimitSystem(ModalLimitForms(lf), 1e-3).factorize()
+        LimitSystem(lf, 1e-3).factorize()
 
 
 def test_skewed_fine_grid_certificates():
@@ -254,15 +248,14 @@ class _LeakyForms(ModalLimitForms):
         return mv, st
 
 
-def test_guard_stops_nonconservative_step(monkeypatch):
+def test_guard_stops_nonconservative_step():
     # a stiffness whose columns do not sum to zero leaks mass at every step
-    x, lf = make_setup()
-    monkeypatch.setattr(evolve_limit, "ModalLimitForms", _LeakyForms)
+    x = np.linspace(0.0, 1.0, 33)
     w0 = LimitField(np.zeros(33), np.ones(33), x)
     with pytest.raises(SolverError,
                        match=r"limit system, step 1 \(t = 0\.001\): "
                              r"mass drift"):
-        solve_limit(lf, w0, T=0.01, dt=1e-3)
+        solve_limit(_LeakyForms(x, K, K), w0, T=0.01, dt=1e-3)
 
 
 def _kramers_run(T, snapshot_times):
@@ -311,7 +304,7 @@ def _limit_level():
     x = np.linspace(0.0, 1.0, 33)
     lf = assemble_limit_rates(x, *RATES[1])
     w0 = LimitField(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), x)
-    return (ModalLimitForms(lf), (2, 33),
+    return (lf, (2, 33),
             lambda T: solve_limit(lf, w0, T, 1e-3))
 
 
@@ -439,8 +432,9 @@ def test_theta_system_writes_its_products_into_one_workspace(level):
 def test_limit_energy_split_matches_block_form(rates):
     times = tuple(k * 1e-3 for k in range(11))
     _, traj = _limit_run(0.01, times, rates)
-    lf = assemble_limit_rates(np.linspace(0.0, 1.0, 33), *rates)
-    _, A = oracles.block_forms(lf)
+    x = np.linspace(0.0, 1.0, 33)
+    _, A = oracles.block_forms(assemble_limit_rates(x, *rates))
+    M_x = oracles.x_factors(x)[0]
     assert len(traj.snapshots) == 11
     for idx, (t, state) in enumerate(traj.snapshots):
         w = state.stack()
@@ -450,7 +444,7 @@ def test_limit_energy_split_matches_block_form(rates):
             # equal rates: the reaction part is k/2 times the squared gap
             gap = state.u_plus - state.u_minus
             assert traj.a2[idx] == pytest.approx(
-                0.5 * K * float(gap @ (oracles.csr(lf.M_x) @ gap)),
+                0.5 * K * float(gap @ (M_x @ gap)),
                 rel=1e-12)
 
 

@@ -14,8 +14,7 @@ from kramerslab.grid_forms import (Field, Grid, LimitField, ModalForms,
                                    assemble_limit, assemble_limit_rates,
                                    b_form, build_grid, graded_nodes,
                                    l2_norm_x, nonlinear_observable,
-                                   nonlinear_observables,
-                                   nonlinear_observable_limit, pair_limit,
+                                   nonlinear_observables, pair_limit,
                                    pair_measure, paired)
 from kramerslab.transition import lift, q_eps, transition_mass
 
@@ -220,10 +219,9 @@ def test_limit_stencil_matches_block_forms():
     um, up = u.reshape(2, -1)
     for rates in ((1.8, 1.8), (1.8 * math.exp(0.5), 1.8 * math.exp(-0.5)),
                   (0.0, 0.0)):
-        lf = assemble_limit_rates(x, *rates)
-        modal = ModalLimitForms(lf)
-        M, A = oracles.block_forms(lf)
-        M_x, K_x = oracles.csr(lf.M_x), oracles.csr(lf.K_x)
+        modal = assemble_limit_rates(x, *rates)
+        M, A = oracles.block_forms(modal)
+        M_x, K_x = oracles.x_factors(x)
         y, z = (modal.coefficients(LimitField(*v.reshape(2, -1), x))
                 for v in (u, w))
         mv, st = modal.mass_and_stencil(y)
@@ -286,13 +284,15 @@ def test_assemble_builds_no_2d_matrix(quartic, eps):
 
 @pytest.mark.parametrize("rates", [(1.8, 1.8), (2.0, 0.5)])
 def test_assemble_limit_builds_no_block_matrix(rates):
+    # the limit forms are their x-modes: no x-matrix and no block matrix,
+    # only vectors no longer than the state, theirs and their basis's
     lf = assemble_limit_rates(np.linspace(0.0, 1.0, 33), *rates)
-    assert lf.M_x.shape == lf.K_x.shape == (3, 33)
-    for name, value in vars(lf).items():
+    assert isinstance(lf, ModalLimitForms) and lf.n == 66
+    for name, value in {**vars(lf), **vars(lf.basis)}.items():
         assert not sp.issparse(value), name
         if isinstance(value, np.ndarray):
-            assert max(value.shape) < 66, name
-    assert not hasattr(lf, "M") and not hasattr(lf, "A")
+            assert value.ndim == 1 and value.size <= 66, name
+    assert not {"M", "A", "M_x", "K_x"} & set(vars(lf))
 
 
 def test_lift_mass_is_q_form(quartic):
@@ -344,9 +344,8 @@ def test_refinement_order_of_energy(quartic):
 def test_limit_forms_basic():
     x = np.linspace(0.0, 1.0, 17)
     k = 1.8
-    lf = assemble_limit(x, k)
-    modal = ModalLimitForms(lf)
-    _, A = oracles.block_forms(lf)
+    modal = assemble_limit(x, k)
+    _, A = oracles.block_forms(modal)
     ones = modal.coefficients(LimitField(np.ones(17), np.ones(17), x))
     assert np.abs(ones - modal.one).max() <= 1e-15
     assert b_form(modal.apply_m, ones) == pytest.approx(1.0, abs=1e-12)
@@ -380,32 +379,11 @@ def test_limit_rates_reject_bad_rates(rates):
         assemble_limit_rates(np.linspace(0.0, 1.0, 9), *rates)
 
 
-_X9 = np.linspace(0.0, 1.0, 9)
-_PAIR9 = LimitField(np.cos(np.pi * _X9), 1.0 + np.cos(np.pi * _X9), _X9)
-
-
-@pytest.mark.parametrize("order", [1, True])
-@pytest.mark.parametrize("entry", [
-    lambda q: assemble_limit(_X9, 1.0, quad_order=q),
-    lambda q: assemble_limit_rates(_X9, 1.0, 2.0, quad_order=q),
-    lambda q: pair_limit(_PAIR9, ONE, quad_order=q),
-    lambda q: nonlinear_observable_limit(_PAIR9, lambda x, xi, u: u * u,
-                                         quad_order=q),
-], ids=["assemble_limit", "assemble_limit_rates", "pair_limit",
-        "nonlinear_observable_limit"])
-def test_limit_entry_points_reject_bad_quad_order(entry, order):
-    # the limit forms and functionals take their order from the caller, not
-    # from a checked Grid; a 1-point M_x is singular
-    with pytest.raises(ValueError, match="quad_order"):
-        entry(order)
-
-
 def test_limit_rates_pair_nonsymmetric():
     x = np.linspace(0.0, 1.0, 9)
-    lf = assemble_limit_rates(x, 1.0, 2.0)
-    dense = oracles.block_forms(lf)[1].toarray()
+    modal = assemble_limit_rates(x, 1.0, 2.0)
+    dense = oracles.block_forms(modal)[1].toarray()
     assert np.max(np.abs(dense - dense.T)) > 0.0
-    modal = ModalLimitForms(lf)
     y, z = np.random.default_rng(9).normal(size=(2, modal.n))
     assert abs(float(y @ modal.mass_and_stencil(z)[1].au)
                - float(z @ modal.mass_and_stencil(y)[1].au)) > 0.1
@@ -597,8 +575,7 @@ def test_flat_modal_kernels_match_the_per_mode_formulas(quartic, shape, eps):
 def test_flat_limit_kernels_match_the_pair_formulas(rates):
     # the flat modal pair against the per-species formulas on the (2, nx)
     # modes: M = 1/2 I, diffusion fluxes lam y / 2, half the net transfer
-    modal = ModalLimitForms(
-        assemble_limit_rates(np.linspace(0.0, 1.0, 257), *rates))
+    modal = assemble_limit_rates(np.linspace(0.0, 1.0, 257), *rates)
     Y = np.random.default_rng(23).normal(size=(2, 257))
     y = Y.reshape(-1)
     mv, st = modal.mass_and_stencil(y)
