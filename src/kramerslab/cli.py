@@ -19,9 +19,8 @@ import numpy as np
 
 from . import gibbs
 from .convergence import (REGIMES, Config, ConfigError, _number, check_times,
-                          profile_from_config, run_ladder_study,
-                          within_horizon)
-from .evolve_kramers import SCHEMES, SolverError, solve, step_index
+                          profile_from_config, run_ladder_study)
+from .evolve_kramers import SCHEMES, SolverError, solve
 from .evolve_limit import solve_limit
 # assemble_limit is unused here but stays a name of this module:
 # perfbench/tracer.py wraps it by name
@@ -46,22 +45,14 @@ READS = {
 
 def config_from_dict(data, command=None):
     """The Config of a JSON object of known keys, less those that
-    ``command`` does not read; the default sample times are those on a
-    step within the horizon; :class:`Config` checks every rule."""
+    ``command`` does not read; :class:`Config` checks every rule."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
     unknown = set(data) - set(Config.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    data = {k: v for k, v in data.items()
-            if command is None or k in READS[command]}
-    if "times" not in data:
-        t_final = _number("t_final", data.get("t_final", Config.t_final))
-        dt = _number("dt", data.get("dt", Config.dt))
-        data = {**data, "times": [
-            t for t in Config.times if within_horizon(t, t_final)
-            and dt > 0.0 and step_index(t, dt) is not None] or [t_final]}
-    return Config(**data)
+    return Config(**{k: v for k, v in data.items()
+                     if command is None or k in READS[command]})
 
 
 def parse_config(path=None, overrides=None, command=None):

@@ -22,7 +22,7 @@ from .evolve_kramers import (ENERGY_RESIDUAL_BOUND, MASS_DRIFT_BOUND, SCHEMES,
 from .evolve_limit import solve_limit
 from .grid_forms import (AssemblyError, LimitField, ProductTest, apply_x,
                          assemble, assemble_limit, b_form, build_grid,
-                         check_grid, l2_norm_x,
+                         l2_norm_x,
                          nonlinear_observable, nonlinear_observable_limit,
                          nonlinear_observables, pair_limit, pair_measure)
 from .quadrature import QUAD_ORDER, QuadratureError
@@ -32,7 +32,7 @@ __all__ = [
     "Config", "EpsRow", "ConvergenceReport", "traces", "cutoff_bump",
     "cutoff_average", "cutoff_mass", "gamma_limsup_check", "LimsupTable",
     "run_ladder_study", "ConfigError", "check_study", "check_times",
-    "profile_from_config", "REGIMES", "within_horizon",
+    "profile_from_config", "REGIMES",
     "nonlinear_observable", "nonlinear_observable_limit", "pair_measure",
     "fiber_bound_margin", "gradient_bound_margin", "xi_flatness",
     "default_test_functions", "MONOTONE_FLOOR",
@@ -194,21 +194,21 @@ def _numbers(field, value):
     return tuple(_number(field, v) for v in value)
 
 
-def within_horizon(t, t_final):
-    """Whether the time ``t`` lies at or before ``t_final``, to the
-    tolerance of the integrator's plan."""
-    return t <= t_final + 1e-12
+def _on_horizon(t, dt, t_final):
+    """The step of ``t`` if it is a positive whole number of steps ``dt`` at
+    most that of ``t_final`` (:func:`step_index`), else None."""
+    n, last = step_index(t, dt), step_index(t_final, dt)
+    return n if None not in (n, last) and 1 <= n <= last else None
 
 
 def check_times(field, times, dt, t_final):
     """Reject a time that is not a positive whole number of steps dt within
-    t_final, to the tolerance of the integrator's plan, or that repeats the
-    step or the %g label (which names its snapshot file and its checks) of
-    an earlier time."""
+    t_final, or that repeats the step or the %g label (which names its
+    snapshot file and its checks) of an earlier time."""
     seen = set()
     for t in times:
-        n = step_index(t, dt)
-        if n is None or n < 1 or not within_horizon(t, t_final):
+        n = _on_horizon(t, dt, t_final)
+        if n is None:
             raise ConfigError(f"{field}: {t!r} is not a positive multiple of "
                               f"dt = {dt!r} up to t_final = {t_final!r}")
         # steps are ints and labels strings, so the two never collide
@@ -294,6 +294,7 @@ class Config:
     nxi: int = 161
     dt: float = 1e-3
     t_final: float = 1.0
+    # omitted: those of these on a step within the horizon, or else t_final
     times: tuple = (0.1, 0.5, 1.0)
     scheme: str = "CN_rannacher"
     regime: str = "critical"
@@ -314,16 +315,20 @@ class Config:
                 raise ConfigError("profile: expected null or {'coeffs': [...]}, "
                                   f"got {prof!r}")
             _numbers("profile.coeffs", prof["coeffs"])
+        omitted = self.times is Config.times
         for name in ("ladder", "times"):
             put(name, _numbers(name, getattr(self, name)))
         for name in ("eps", "dt", "t_final", "skew_gap"):
             put(name, _number(name, getattr(self, name)))
+        if omitted and self.dt > 0.0:
+            put("times", tuple(t for t in self.times if _on_horizon(
+                t, self.dt, self.t_final)) or (self.t_final,))
         check_study(self.ladder, self.dt, self.t_final, self.times,
                     self.scheme, self.regime)
         _rule("eps", gibbs.check_scale, self.eps)
         try:
             # each grid rule names its parameter, which is the field
-            check_grid(self.nx, self.nxi)
+            build_grid(self.nx, self.nxi)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.rate is not None:
@@ -445,7 +450,7 @@ def _limit_reference(cfg, grid, k, um0, up0):
         lm0 = lp0 = 0.5 * (um0 + up0)
     ltraj = solve_limit(assemble_limit(x, k_target), LimitField(lm0, lp0, x),
                         cfg.t_final, cfg.dt, scheme=cfg.scheme,
-                        snapshot_times=(0.0,) + cfg.times)
+                        snapshot_times=cfg.times)
     values = {"pairing": {}, "b": {}, "a": {}, "observables": {}, "gap": {}}
     tests, observables = default_test_functions(), _snapshot_observables()
     for t in cfg.times:

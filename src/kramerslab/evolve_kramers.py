@@ -105,9 +105,9 @@ class KroneckerSystem(_ThetaSystem):
         the M_xi row sums, and D_j = r_j - e_j, L_j = e_j / D_j,
         r_{j+1} = excess_{j+1} - L_j r_j has no cancellation where the
         off-diagonals e_j are <= 0. The elimination runs with these pivots
-        from both wells toward the saddle row m = (nxi - 1)/2, where the
-        twist pivot excess_m - L r (top) - L r (bottom) is again a sum of
-        nonnegative terms.
+        from both wells toward the saddle row m = (nxi - 1)/2 (a Grid's
+        count is odd), where the twist pivot excess_m - L r (top) - L r
+        (bottom) is again a sum of nonnegative terms.
 
         The factors lie as (m, 2, nx): pass j of the sweep is row j of the
         top half and row nxi-1-j of the bottom half of every block, one
@@ -118,9 +118,6 @@ class KroneckerSystem(_ThetaSystem):
         """
         f, c = self.forms, self.c
         nx, nxi = f.shape
-        if nxi % 2 == 0:
-            raise ValueError(f"nxi: the two-ended sweep needs an odd count "
-                             f"so that the saddle row is one node, got {nxi}")
         m = nxi // 2
         scale = 1.0 + c * f.lam
         off = scale[:, None] * f.M_xi[2, :-1] - c * f.g_xi
@@ -307,7 +304,8 @@ SCHEMES = ("CN_rannacher", "BE")
 
 def step_index(t, dt):
     """The step round(t / dt) on which the time ``t`` falls, or None if
-    ``t`` is not a whole number of steps ``dt`` to 1e-9 relative."""
+    ``t`` is not a whole number of steps ``dt`` to 1e-9 relative. A time
+    lies within a horizon when its step is at most the horizon's."""
     q = t / dt
     n = int(round(q)) if np.isfinite(q) else np.nan
     return n if abs(n * dt - t) <= 1e-9 * max(abs(t), 1.0) else None

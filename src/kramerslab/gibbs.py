@@ -31,11 +31,15 @@ EPS_CEIL = 1.0
 
 
 def check_scale(eps):
-    """Reject a scale outside the working range [EPS_FLOOR, EPS_CEIL]."""
-    if not EPS_FLOOR <= eps <= EPS_CEIL:
-        raise ValueError(f"eps = {eps!r} outside [{EPS_FLOOR}, {EPS_CEIL}]: "
-                         "the floor is the lowest scale measured and "
-                         "certified on the documented grids")
+    """Reject a scale outside the working range [EPS_FLOOR, EPS_CEIL],
+    naming the bound it crosses."""
+    if not EPS_FLOOR <= eps:
+        raise ValueError(f"eps = {eps!r} below the floor {EPS_FLOOR}, the "
+                         "lowest scale measured and certified on the "
+                         "documented grids")
+    if eps > EPS_CEIL:
+        raise ValueError(f"eps = {eps!r} above the ceiling {EPS_CEIL} of "
+                         "the working range")
 
 
 def _check_eps(eps):

@@ -25,7 +25,7 @@ __all__ = [
     "assemble", "assemble_limit", "assemble_limit_rates", "b_form",
     "pair_measure", "pair_limit", "nonlinear_observable",
     "nonlinear_observables", "nonlinear_observable_limit", "paired",
-    "ProductTest", "apply_x", "l2_norm_x", "check_grid",
+    "ProductTest", "apply_x", "l2_norm_x",
 ]
 
 
@@ -66,27 +66,14 @@ def _whole(n, least):
         and n >= least
 
 
-def check_grid(nx, nxi, grading="three_zone"):
-    """Raise ValueError("<parameter>: ...") for the first grid rule that
-    the arguments of :func:`build_grid` break: ``nx`` and ``nxi`` are
-    integers >= 4, ``nxi`` is odd so that the saddle xi = 0 is a node, and
-    the grading is the three-zone one, which needs ``nxi`` >= 11."""
-    for name, n in (("nx", nx), ("nxi", nxi)):
-        if not _whole(n, 4):
-            raise ValueError(f"{name}: must be an integer >= 4, got {n!r}")
-    if nxi % 2 == 0:
-        raise ValueError("nxi: must be odd so that xi = 0 is a node")
-    if grading != "three_zone":
-        raise ValueError(f"grading: unknown grading {grading!r}")
-    # the least count with a cell in each zone of graded_nodes
-    if nxi < 11:
-        raise ValueError(f"nxi: the three-zone grading needs at least 11 "
-                         f"nodes, got {nxi}")
-
-
 @dataclass(frozen=True)
 class Grid:
-    """Tensor grid: ``nx`` uniform x-nodes on [0, 1], xi-nodes on [-1, 1]."""
+    """Tensor grid: ``nx`` uniform x-nodes on [0, 1], xi-nodes on [-1, 1].
+
+    Construction raises ValueError("nx: ..." or "nxi: ...") for the first
+    rule broken: ``nx`` is an integer >= 4, and the xi-nodes are an odd
+    count, so that the two-ended sweep meets in one saddle row, strictly
+    increasing, spanning [-1, 1], with 0 a node."""
 
     nx: int
     xi_nodes: np.ndarray
@@ -95,14 +82,16 @@ class Grid:
     def __post_init__(self):
         xi = np.ascontiguousarray(self.xi_nodes, dtype=float)
         object.__setattr__(self, "xi_nodes", xi)
-        if not _whole(self.nx, 3):
-            raise ValueError(f"nx: must be an integer >= 3, got {self.nx!r}")
-        if len(xi) < 3 or np.any(np.diff(xi) <= 0.0):
-            raise ValueError("need at least 3 strictly increasing xi-nodes")
-        if xi[0] != -1.0 or xi[-1] != 1.0:
-            raise ValueError("xi-nodes must span [-1, 1] exactly")
-        if not np.any(xi == 0.0):
-            raise ValueError("xi = 0 must be a node")
+        if not _whole(self.nx, 4):
+            raise ValueError(f"nx: must be an integer >= 4, got {self.nx!r}")
+        if len(xi) % 2 == 0:
+            raise ValueError(f"nxi: the two-ended sweep needs an odd count "
+                             f"so that the saddle row is one node, got {len(xi)}")
+        if np.any(np.diff(xi) <= 0.0):
+            raise ValueError("nxi: the xi-nodes must increase strictly")
+        if xi[0] != -1.0 or xi[-1] != 1.0 or not np.any(xi == 0.0):
+            raise ValueError("nxi: the xi-nodes must span [-1, 1] exactly "
+                             "and have 0 as a node")
         check_quad_order(self.quad_order)
 
     @functools.cached_property
@@ -132,8 +121,15 @@ class Grid:
 
 def build_grid(nx, nxi, grading="three_zone", quad_order=QUAD_ORDER):
     """Tensor grid with ``nx`` uniform x-nodes and ``nxi`` three-zone graded
-    xi-nodes, after the rules of :func:`check_grid`."""
-    check_grid(nx, nxi, grading)
+    xi-nodes; raises ValueError("grading: ..." or "nxi: ...") for a
+    grading or count that :func:`graded_nodes` cannot make, and :class:`Grid`
+    checks the rest."""
+    if grading != "three_zone":
+        raise ValueError(f"grading: unknown grading {grading!r}")
+    # the least odd count with a cell in each zone of graded_nodes
+    if not _whole(nxi, 11) or nxi % 2 == 0:
+        raise ValueError(f"nxi: the three-zone grading needs an odd integer "
+                         f">= 11, got {nxi!r}")
     return Grid(nx, graded_nodes(nxi), quad_order)
 
 

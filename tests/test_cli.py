@@ -41,6 +41,28 @@ def test_eps_floor_rejected():
         config_from_dict({"ladder": [0.2, 0.001]})
 
 
+@pytest.mark.parametrize("eps, bound", [
+    (0.001, "below the floor 0.02"), (2.0, "above the ceiling 1.0")],
+    ids=["floor", "ceiling"])
+def test_eps_range_names_the_bound_crossed(eps, bound):
+    with pytest.raises(ConfigError, match=f"^eps: eps = {eps} {bound}"):
+        Config(eps=eps)
+
+
+def test_config_owns_the_default_sample_times():
+    # those of (0.1, 0.5, 1.0) on a step within the horizon, or else the
+    # horizon alone, for the library and the front end alike
+    assert Config(t_final=0.1) == config_from_dict({"t_final": 0.1})
+    assert Config(t_final=0.1).times == (0.1,)
+    assert Config(t_final=0.05).times == (0.05,)
+    assert Config().times == (0.1, 0.5, 1.0)
+    # only an omitted list takes the default
+    with pytest.raises(ConfigError, match="^times: 0.5 is not"):
+        Config(t_final=0.1, times=(0.1, 0.5, 1.0))
+    with pytest.raises(ConfigError, match="^times: expected a list"):
+        config_from_dict({"times": None})
+
+
 def test_unknown_keys_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError, match="unknown config keys"):
         config_from_dict({"laddder": [0.2]})

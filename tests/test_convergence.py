@@ -12,7 +12,8 @@ import pytest
 import kramerslab
 import kramerslab.convergence as conv
 from kramerslab import gibbs
-from kramerslab.convergence import (Config, _snapshot_observables,
+from kramerslab.convergence import (Config, ConfigError,
+                                    _snapshot_observables, check_times,
                                     cutoff_average, cutoff_bump,
                                     cutoff_mass, default_test_functions,
                                     fiber_bound_margin,
@@ -23,6 +24,7 @@ from kramerslab.convergence import (Config, _snapshot_observables,
 from kramerslab.grid_forms import (Field, LimitField, apply_x, assemble,
                                    b_form, build_grid, nonlinear_observables,
                                    pair_limit, pair_measure, paired)
+from kramerslab.evolve_kramers import solve
 from kramerslab.transition import k_eps, lift
 
 # coarse, fast settings: the full-scale certification lives in the
@@ -34,6 +36,23 @@ MINI = dict(ladder=(0.2, 0.1), nx=33, nxi=41, dt=5e-3, t_final=0.5,
 @pytest.fixture(scope="module")
 def mini_report():
     return run_ladder_study(Config(**MINI))
+
+
+def test_sample_times_and_the_solver_share_one_horizon(quartic):
+    # the step index owns the tolerance, 1e-9 relative: a time that close to
+    # the horizon's step lies within it, for the config and the solver alike
+    grid = build_grid(4, 11)
+    forms = assemble(grid, quartic, 0.2)
+    u0 = lift(np.ones(4), np.ones(4), quartic, 0.2, grid)
+    T, dt = 1.0, 0.1
+    t = T * (1 + 5e-10)
+    check_times("times", (t,), dt, T)
+    assert solve(forms, u0, T, dt, snapshot_times=(t,)).snapshots[0][0] == t
+    t = T * (1 + 2e-9)
+    with pytest.raises(ConfigError, match="is not a positive multiple"):
+        check_times("times", (t,), dt, T)
+    with pytest.raises(ValueError, match="not a step multiple within"):
+        solve(forms, u0, T, dt, snapshot_times=(t,))
 
 
 def test_traces_of_lift_are_inputs(quartic):

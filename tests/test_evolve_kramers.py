@@ -8,8 +8,7 @@ from kramerslab import evolve_kramers
 from kramerslab.evolve_kramers import (MASS_RESIDUAL_BOUND, KroneckerSystem,
                                        LinearSolver, SolverError,
                                        _certify_step, solve)
-from kramerslab.grid_forms import (Field, Grid, ModalForms, assemble,
-                                   build_grid)
+from kramerslab.grid_forms import Field, ModalForms, assemble, build_grid
 from kramerslab.transition import k_eps, lift
 
 import oracles
@@ -387,16 +386,6 @@ def test_indefinite_block_raises_naming_eps(quartic):
     modal.M_xi = modal.M_xi.copy()
     modal.M_xi[1, 10] = -1e3
     with pytest.raises(SolverError, match="at eps = 0.2 lost positive"):
-        KroneckerSystem(modal, 1e-3).factorize()
-
-
-def test_sweep_rejects_an_even_xi_count(quartic):
-    # a Grid built directly may hold an even count with xi = 0 a node; the
-    # two halves would differ in length
-    grid = Grid(4, np.array([-1.0, -0.5, 0.0, 0.5, 0.75, 1.0]))
-    modal = ModalForms(assemble(grid, quartic, 0.2))
-    with pytest.raises(ValueError, match="^nxi: the two-ended sweep needs "
-                                         "an odd count"):
         KroneckerSystem(modal, 1e-3).factorize()
 
 

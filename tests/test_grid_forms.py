@@ -38,14 +38,21 @@ def test_graded_grid_structure():
 
 
 def test_bad_grids_rejected():
-    with pytest.raises(ValueError):
+    # each message names the parameter, which is the config field
+    with pytest.raises(ValueError, match="^nx: must be an integer >= 4"):
         build_grid(3, 11)
+    with pytest.raises(ValueError, match="^nx: must be an integer >= 4"):
+        Grid(3, graded_nodes(11))
     with pytest.raises(ValueError):
         build_grid(8, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^nxi: the three-zone grading"):
         build_grid(8, 10)  # even: xi = 0 would not be a node
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grading: "):
         build_grid(8, 11, grading="nope")
+    for nodes in ([-1.0, 0.5, 0.0, 0.5, 1.0], [-1.0, -0.5, 0.1, 0.5, 1.0],
+                  [-0.9, -0.5, 0.0, 0.5, 1.0]):
+        with pytest.raises(ValueError, match="^nxi: the xi-nodes must"):
+            Grid(8, np.array(nodes))
     with pytest.raises(ValueError):
         graded_nodes(10)
     # the 1-point rule makes every cell's mass block rank one; a bool is
@@ -55,6 +62,14 @@ def test_bad_grids_rejected():
             build_grid(8, 11, quad_order=order)
         with pytest.raises(ValueError, match="quad_order"):
             Grid(8, graded_nodes(11), quad_order=order)
+
+
+def test_grid_rejects_an_even_xi_count():
+    # an even count with xi = 0 a node would give the two-ended sweep two
+    # halves of different lengths: the Grid refuses it, before any assembly
+    with pytest.raises(ValueError, match="^nxi: the two-ended sweep needs "
+                                         "an odd count"):
+        Grid(4, np.array([-1.0, -0.5, 0.0, 0.5, 0.75, 1.0]))
 
 
 @pytest.fixture(scope="module")
@@ -251,7 +266,7 @@ def test_limit_stencil_matches_block_forms():
         assert st.cross(sw) == pytest.approx(exact, rel=1e-12)
 
 
-@pytest.mark.parametrize("nx", [3, 4, 33, 129])
+@pytest.mark.parametrize("nx", [4, 33, 129])
 def test_fft_transforms_match_the_dense_basis(quartic, nx):
     # the limit level's O(n log n) transforms against the eps level's dense
     # V^T M_x and V, from one owner of the constants
@@ -264,6 +279,18 @@ def test_fft_transforms_match_the_dense_basis(quartic, nx):
         assert np.abs(fast - dense).max() <= 1e-14 * np.abs(dense).max()
     assert np.abs(basis.values(basis.coefficients(U)) - U).max() \
         <= 1e-14 * np.abs(U).max()
+
+
+def test_three_node_basis_diagonalizes_the_x_factors():
+    # the least x-basis, below the least Grid: V = values(I) is M_x-
+    # orthonormal, diagonalizes K_x, and coefficients(I) is V^T M_x
+    basis = XBasis(3)
+    M_x, K_x = (f.toarray() for f in oracles.x_factors(np.linspace(0, 1, 3)))
+    V = basis.values(np.eye(3)).T
+    assert np.abs(V.T @ M_x @ V - np.eye(3)).max() <= 1e-14
+    assert np.abs(V.T @ K_x @ V - np.diag(basis.lam)).max() \
+        <= 1e-14 * basis.lam.max()
+    assert np.abs(basis.coefficients(np.eye(3)).T - V.T @ M_x).max() <= 1e-14
 
 
 @pytest.mark.parametrize("eps", LADDER)
