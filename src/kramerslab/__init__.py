@@ -19,8 +19,8 @@ from .grid_forms import (Field, FormMatrices, Grid, LimitField,
                          graded_nodes, pair_limit, pair_measure)
 from .transition import (k_eps, lift, limit_rate, q_eps, transition_mass,
                          transition_profile)
-from .evolve_kramers import LinearSolver, SolverError, Trajectory, solve
-from .evolve_limit import solve_limit
+from .evolve_kramers import (LinearSolver, SolverError, Trajectory, solve,
+                             solve_limit)
 from .convergence import (Config, ConvergenceReport, cutoff_average,
                           cutoff_mass, gamma_limsup_check,
                           nonlinear_observable, nonlinear_observable_limit,

@@ -20,8 +20,7 @@ import numpy as np
 from . import gibbs
 from .convergence import (REGIMES, Config, ConfigError, _number, check_times,
                           profile_from_config, run_ladder_study)
-from .evolve_kramers import SCHEMES, SolverError, solve
-from .evolve_limit import solve_limit
+from .evolve_kramers import SCHEMES, SolverError, solve, solve_limit
 # assemble_limit is unused here but stays a name of this module:
 # perfbench/tracer.py wraps it by name
 from .grid_forms import (LimitField, assemble, assemble_limit,

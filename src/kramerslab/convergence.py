@@ -18,8 +18,8 @@ import numpy as np
 from . import gibbs
 from .enthalpy import from_coefficients, quartic_default, validate
 from .evolve_kramers import (ENERGY_RESIDUAL_BOUND, MASS_DRIFT_BOUND, SCHEMES,
-                             SolverError, energy_excess, solve, step_index)
-from .evolve_limit import solve_limit
+                             SolverError, energy_excess, horizon_steps, solve,
+                             solve_limit, step_index)
 from .grid_forms import (AssemblyError, LimitField, ProductTest, apply_x,
                          assemble, assemble_limit, b_form, build_grid,
                          l2_norm_x,
@@ -228,7 +228,7 @@ def check_study(ladder, dt, t_final, times, scheme, regime):
         _rule("ladder", gibbs.check_scale, eps)
     if not 0.0 < dt < math.inf:
         raise ConfigError(f"dt: must be finite and positive, got {dt!r}")
-    check_times("t_final", (t_final,), dt, t_final)
+    _rule("t_final", horizon_steps, t_final, dt)
     check_times("times", times, dt, t_final)
     if scheme not in SCHEMES:
         raise ConfigError(f"scheme: must be one of {SCHEMES}, got {scheme!r}")
@@ -495,8 +495,8 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
                  observables={}, gap_norm={}, fiber_margin={},
                  jensen_margin={}, flatness={},
                  mass_drift=float(np.abs(np.diff(traj.mass)).max()),
-                 energy_residual_max=float(max(0.0, *map(
-                     energy_excess, traj.energy_residual, traj.thetas))))
+                 energy_residual_max=float(np.max([0.0, *map(
+                     energy_excess, traj.energy_residual, traj.thetas)])))
     tests, observables = default_test_functions(), _snapshot_observables()
     for t, state in traj.snapshots:
         row.fiber_margin[t] = fiber_bound_margin(forms, state, rate_eff)

@@ -1,4 +1,4 @@
-"""Theta-scheme time integration of the eps-level evolution.
+"""Theta-scheme time integration of the eps-level evolution and its limit.
 
 The scheme is unconditionally stable, so the step size is purely an accuracy
 knob. The default starts with two damped half-steps before switching to the
@@ -9,11 +9,12 @@ steps preserve the discrete energy identity exactly.
 The eps level steps in the x-eigenbasis (``grid_forms.ModalForms``), where
 M + cA is block diagonal; nodal fields are formed only at entry and at
 snapshots. The same integrator steps the two-species limit system
-(``evolve_limit``): both levels are gradient flows of an energy ``a`` in the
-metric ``b`` and differ only in their forms and in the structured solver of
-M + cA. Both solvers run in numpy alone, over all x-modes at once (here
-:class:`KroneckerSystem`'s two-ended tridiagonal sweep; at the limit the
-closed-form inverse of each 2 x 2 block), so no run loads scipy.
+(:func:`solve_limit`, on ``grid_forms.ModalLimitForms``): both levels are
+gradient flows of an energy ``a`` in the metric ``b`` and differ only in
+their forms, which own the block solve of M + cA (:class:`ThetaSystem`).
+Both solves run in numpy alone, over all x-modes at once (the two-ended
+tridiagonal sweep at the eps level, the closed-form inverse of each 2 x 2
+block at the limit), so no run loads scipy.
 """
 from __future__ import annotations
 
@@ -22,23 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_forms import Field, ModalForms
+from .grid_forms import Field, LimitField, ModalForms, SolverError
 
-__all__ = ["SolverError", "KroneckerSystem", "LinearSolver", "Trajectory",
-           "SCHEMES", "solve", "energy_excess"]
-
-
-class SolverError(RuntimeError):
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+__all__ = ["SolverError", "ThetaSystem", "LinearSolver", "Trajectory",
+           "SCHEMES", "solve", "solve_limit", "energy_excess"]
 
 
-class _ThetaSystem:
-    """The theta-step matrix M + cA of ``forms``; ``S @ v`` is the exact
-    action, with the mass and the stencil from ``forms.mass_and_stencil``.
-    Subclasses add ``norm_inf``, ``factorize`` and ``residual_mass`` (see
-    :class:`LinearSolver`) from the structure of the forms.
+class ThetaSystem:
+    """The theta-step matrix M + cA of the modal ``forms`` of either level;
+    ``S @ v`` is the exact action, with the mass and the stencil from
+    ``forms.mass_and_stencil``. The forms also own its block solve
+    (``forms.norm_inf(c)``, ``forms.factorize(c)`` and
+    ``forms.residual_mass``, read by :class:`LinearSolver`).
 
     The system owns the workspace of its products, allocated once: ``S @ v``
     writes M v and the :class:`Stencil` of v into ``forms.workspace()`` and
@@ -76,117 +72,6 @@ class _ThetaSystem:
         return self.forms.mass_and_stencil(x)
 
 
-class KroneckerSystem(_ThetaSystem):
-    """M + cA of the eps-level forms in x-modes (:class:`ModalForms`): the
-    block diagonal of the nx tridiagonal blocks (1 + c lam_k) M_xi + c K_xi,
-    with the xi-stiffness in incidence form. ``S @ v`` is one contiguous
-    pass per term over the flat modes (the M_xi product, the xi-stencil,
-    the scale by lam), written into the system's workspace, so it and its
-    parts are valid until the next product; the inner solve is one
-    tridiagonal sweep over all blocks at once, from both ends of each
-    (:meth:`factorize`), with no dense product (fast diagonalization in x).
-    """
-
-    def norm_inf(self):
-        """||M + cA||_inf, exactly: the largest row sum of absolute values
-        over the blocks."""
-        f, c = self.forms, self.c
-        scale = 1.0 + c * f.lam[:, None]
-        rows = sum(np.abs(scale * f.M_xi[i] + c * f.K_xi[i]) for i in range(3))
-        return float(rows.max())
-
-    def factorize(self):
-        """Inner solver r -> (M + cA)^{-1} r: one tridiagonal sweep over all
-        blocks at once, from both ends of each.
-
-        The blocks are never diagonalized in xi (M_xi has condition
-        ~exp(1/eps)); each is factored with GTH pivots: the K_xi rows sum to
-        zero, so the row excess of block k is exactly (1 + c lam_k) times
-        the M_xi row sums, and D_j = r_j - e_j, L_j = e_j / D_j,
-        r_{j+1} = excess_{j+1} - L_j r_j has no cancellation where the
-        off-diagonals e_j are <= 0. The elimination runs with these pivots
-        from both wells toward the saddle row m = (nxi - 1)/2 (a Grid's
-        count is odd), where the twist pivot excess_m - L r (top) - L r
-        (bottom) is again a sum of nonnegative terms.
-
-        The factors lie as (m, 2, nx): pass j of the sweep is row j of the
-        top half and row nxi-1-j of the bottom half of every block, one
-        contiguous pass over 2 nx entries. A solve gathers the right-hand
-        side into that layout, runs the forward passes, the twist row, one
-        division by the pivots and the backward passes in one workspace,
-        and writes a fresh solution, which the caller may keep.
-        """
-        f, c = self.forms, self.c
-        nx, nxi = f.shape
-        m = nxi // 2
-        scale = 1.0 + c * f.lam
-        off = scale[:, None] * f.M_xi[2, :-1] - c * f.g_xi
-        excess = scale[:, None] * f.M_xi.sum(axis=0)
-
-        def ends(a):
-            # (m, 2, nx): column j and column -1-j of the (nx, .) array a
-            return np.stack((a[:, :m], a[:, ::-1][:, :m]), axis=1).transpose(
-                2, 1, 0).copy()
-
-        ex, e = ends(excess), ends(off)
-        # the pivots in the layout of the workspace: the pairs, then row m
-        D = np.empty(nxi * nx)
-        pivots = D[:-nx].reshape(m, 2, nx)
-        L = np.empty((m, 2, nx))
-        r = ex[0]
-        for j in range(m):
-            np.subtract(r, e[j], out=pivots[j])
-            np.divide(e[j], pivots[j], out=L[j])
-            lr = L[j] * r
-            if j + 1 < m:
-                r = ex[j + 1] - lr
-        np.subtract(excess[:, m] - lr[0], lr[1], out=D[-nx:])
-        if not np.all(D > 0.0):
-            raise SolverError(f"tensor factorization of M + {c:g} A at "
-                              f"eps = {f.eps:g} lost positive pivots")
-
-        work = np.empty(nxi * nx)
-        pairs, mid = work[:-nx].reshape(m, 2 * nx), work[-nx:]
-        top, bottom = pairs.reshape(m, 2, nx).transpose(1, 0, 2)
-        t = np.empty(2 * nx)
-        t_pair = t.reshape(2, nx)
-        t_top, t_bottom = t_pair
-        # the last pass meets the twist row, the others the next pass
-        L_twist = L[-1]
-        L = L.reshape(m, 2 * nx)
-        L_end, x_end = L[-1], pairs[-1]
-        passes = list(zip(L[:-1], pairs[:-1], pairs[1:]))
-        mul, sub = np.multiply, np.subtract
-
-        def solve(rhs):
-            R = rhs.reshape(nx, nxi)
-            np.copyto(top, R[:, :m].T)
-            np.copyto(bottom, R[:, :m:-1].T)
-            np.copyto(mid, R[:, m])
-            for Lj, xj, xn in passes:
-                mul(Lj, xj, t)
-                sub(xn, t, xn)
-            mul(L_end, x_end, t)
-            sub(mid, t_top, mid)
-            sub(mid, t_bottom, mid)
-            np.divide(work, D, out=work)
-            mul(L_twist, mid, t_pair)
-            sub(x_end, t, x_end)
-            for Lj, xj, xn in reversed(passes):
-                mul(Lj, xn, t)
-                sub(xj, t, xj)
-            x = np.empty((nx, nxi))
-            np.copyto(x[:, :m], top.T)
-            np.copyto(x[:, :m:-1], bottom.T)
-            x[:, m] = mid
-            return x.reshape(-1)
-        return solve
-
-    def residual_mass(self, r):
-        """1^T r of the nodal residual: the sum of its mode-0 block."""
-        return float(r[:self.forms.shape[1]].sum())
-
-
 # the README's per-step certificates
 MASS_DRIFT_BOUND = 1e-10
 ENERGY_RESIDUAL_BOUND = 1e-9
@@ -201,9 +86,8 @@ MAX_REFINE = 6
 class LinearSolver:
     """Linear solve with a backward-error certificate.
 
-    ``S`` is a structured system (:class:`KroneckerSystem`, or
-    ``evolve_limit.LimitSystem``) that supplies its own ``norm_inf`` and
-    ``factorize``, both in numpy alone, or a sparse matrix, factored by
+    ``S`` is a :class:`ThetaSystem`, whose forms supply its ``norm_inf``
+    and ``factorize``, both in numpy alone, or a sparse matrix, factored by
     SuperLU. No run of the package takes the sparse branch, the one user of
     scipy in this module (``scipy.sparse.linalg``, imported there): it
     serves ``perfbench/probe.py`` and the tests, as a reference for the
@@ -218,16 +102,16 @@ class LinearSolver:
     machine precision. A :class:`SolverError` carrying the achieved value is
     raised when the target is not met or the solution is not finite.
 
-    At the eps level every vector is in x-modes (:class:`KroneckerSystem`),
-    so the certificate is the backward error of the modal system. The modes
+    At the eps level every vector is in x-modes (``ModalForms``), so the
+    certificate is the backward error of the modal system. The modes
     y = V^T M_x u measure u in the M_x (x) I norm, and a modal residual
     V^T r measures r in its dual, so with 2-norms throughout the nodal
     backward error is at most cond(M_x) times the modal one; for uniform
     hats cond(M_x) < 4.
 
     The solve returns once it is certified and the mass |1^T r| that the
-    residual leaves, read by ``S.residual_mass`` (the sum of the mode-0
-    block at the eps level), is at most MASS_RESIDUAL_BOUND: the stiffness
+    residual leaves, read by the forms' ``residual_mass`` (the sum of the
+    mode-0 block at the eps level), is at most MASS_RESIDUAL_BOUND: the stiffness
     has zero column sums, so a theta step moves the mass by
     1^T rhs - 1^T r, and a residual along the constant vector, invisible to
     normwise measures, leaks mass directly. The first solve usually meets
@@ -246,10 +130,10 @@ class LinearSolver:
     def __init__(self, S, target=RESIDUAL_TARGET, op=None):
         self.target = float(target)
         self.S = S
-        if hasattr(S, "factorize"):
-            self.norm_S = S.norm_inf()
-            self._inner = S.factorize()
-            self._mass = S.residual_mass
+        if isinstance(S, ThetaSystem):
+            self.norm_S = S.forms.norm_inf(S.c)
+            self._inner = S.forms.factorize(S.c)
+            self._mass = S.forms.residual_mass
         else:
             import scipy.sparse.linalg as spla
             S = S.tocsr()
@@ -311,6 +195,26 @@ def step_index(t, dt):
     return n if abs(n * dt - t) <= 1e-9 * max(abs(t), 1.0) else None
 
 
+# the most steps a run may take: its seven per-step records then take
+# about 560 MB
+MAX_STEPS = 10**7
+
+
+def horizon_steps(T, dt):
+    """The number of steps ``dt`` in the horizon ``T``; raises ValueError
+    unless dt > 0 and T is a positive whole number of steps, at most
+    MAX_STEPS of them."""
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    n = step_index(T, dt)
+    if n is None or n < 1:
+        raise ValueError(f"T = {T!r} is not a positive multiple of dt = {dt!r}")
+    if n > MAX_STEPS:
+        raise ValueError(f"T = {T!r} takes {n:.3g} steps of dt = {dt!r}, "
+                         f"more than the {MAX_STEPS:.0e} a run may take")
+    return n
+
+
 def theta_plan(T, dt, scheme, make_solver):
     """Pre-factorized sub-step plan covering [0, T] in steps of ``dt``.
 
@@ -320,12 +224,7 @@ def theta_plan(T, dt, scheme, make_solver):
     factorization because the trapezoidal system matrix M + (dt/2) A equals
     the half-step damped one.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    n_steps = step_index(T, dt)
-    if n_steps is None or n_steps < 1:
-        raise ValueError(f"T = {T!r} is not a positive multiple of dt = {dt!r}")
-
+    n_steps = horizon_steps(T, dt)
     if scheme == "CN_rannacher":
         solver = make_solver(0.5 * dt)
         first = [(1.0, 0.5 * dt, solver), (1.0, 0.5 * dt, solver)]
@@ -449,12 +348,12 @@ class _CarriedState:
         return 0.5 * self.b - 0.5 * b_u + dt * a_theta
 
 
-def _integrate(forms, system, u, T, dt, scheme, snapshot_times, wrap,
-               start, where):
-    """The theta loop of both levels, from the flat initial state ``u``.
+def _integrate(forms, u, T, dt, scheme, snapshot_times, wrap, start,
+               where):
+    """The theta loop of both levels, from the flat initial state ``u`` in
+    the modes of ``forms``.
 
-    ``system(forms, c)`` is the structured M + cA, ``wrap(vec)`` builds a
-    snapshot from a private copy of the state, ``start`` is the snapshot of
+    ``wrap(vec)`` builds a snapshot from a private copy of the state, ``start`` is the snapshot of
     the initial state, and ``where`` names the run in a
     :class:`SolverError`. The forms are evaluated at the initial state
     only: each sub-step's certified solve applies M + cA to the increment x
@@ -466,7 +365,7 @@ def _integrate(forms, system, u, T, dt, scheme, snapshot_times, wrap,
     """
     n_steps, groups = theta_plan(
         T, dt, scheme,
-        lambda c: LinearSolver(system(forms, c), RESIDUAL_TARGET))
+        lambda c: LinearSolver(ThetaSystem(forms, c), RESIDUAL_TARGET))
     want = _snapshot_steps(snapshot_times, dt, n_steps)
 
     state = _CarriedState(forms, u)
@@ -527,6 +426,28 @@ def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
         raise TypeError("u0 must be a Field")
     modal = ModalForms(forms)
     return _integrate(
-        modal, KroneckerSystem, modal.coefficients(u0.values), T, dt, scheme,
-        snapshot_times, lambda y: Field(modal.values(y), u0.grid),
+        modal, modal.coefficients(u0.values), T, dt, scheme, snapshot_times,
+        lambda y: Field(modal.values(y), u0.grid),
         Field(u0.values.copy(), u0.grid), f"eps = {forms.eps:g}")
+
+
+def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
+    """Integrate the limit system M dw/dt + A w = 0 for w = (u_minus, u_plus).
+
+    Steps the limit forms ``lforms`` (a ``grid_forms.ModalLimitForms``, as
+    ``assemble_limit`` builds them) in their x-modes, each solve certified
+    against the exact action of the forms; the snapshots are nodal pairs,
+    the one at t = 0 a copy of ``u0``. Returns a :class:`Trajectory` whose
+    energy split is (diffusion, reaction). Raises :class:`SolverError`,
+    naming the step, t and the quantity, as soon as a step drifts the mass
+    or breaks the energy identity beyond the certificates.
+    """
+    if not isinstance(u0, LimitField):
+        raise TypeError("u0 must be a LimitField")
+    x = lforms.x_nodes
+    if not np.array_equal(u0.x_nodes, x):
+        raise ValueError("initial data and forms live on different x-grids")
+    return _integrate(
+        lforms, lforms.coefficients(u0), T, dt, scheme, snapshot_times,
+        lambda y: LimitField(*lforms.values(y), x),
+        LimitField(u0.u_minus.copy(), u0.u_plus.copy(), x), "limit system")

@@ -2,9 +2,10 @@
 
 Assembles the weighted mass form and the split stiffness (spatial part plus
 time-rescaled reaction-coordinate part) of the evolution problem as 1-D
-factors, and the forms of the two-species limit system in their x-modes.
-The weight is evaluated at the quadrature points, never lumped, so the
-discrete energy identities of the variational formulation hold exactly.
+factors, and the forms of both levels in their x-modes, where each level's
+forms own the block solve of its theta step M + cA. The weight is evaluated
+at the quadrature points, never lumped, so the discrete energy identities of
+the variational formulation hold exactly.
 """
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ from . import gibbs
 from .quadrature import QUAD_ORDER, PanelRule, check_quad_order
 
 __all__ = [
-    "AssemblyError", "Grid", "Field", "LimitField", "FormMatrices", "XBasis",
-    "ModalForms", "ModalLimitForms", "Stencil", "graded_nodes", "build_grid",
+    "AssemblyError", "SolverError", "Grid", "Field", "LimitField",
+    "FormMatrices", "XBasis", "ModalForms", "ModalLimitForms", "Stencil",
+    "graded_nodes", "build_grid",
     "assemble", "assemble_limit", "assemble_limit_rates", "b_form",
     "pair_measure", "pair_limit", "nonlinear_observable",
     "nonlinear_observables", "nonlinear_observable_limit", "paired",
@@ -31,6 +33,12 @@ __all__ = [
 
 class AssemblyError(RuntimeError):
     pass
+
+
+class SolverError(RuntimeError):
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
 
 
 def graded_nodes(n, delta=0.2, power=2.0, fractions=(0.35, 0.30, 0.35)):
@@ -440,9 +448,11 @@ class ModalForms:
     The state is the (nx, nxi) array of x-mode coefficients Y = V^T M_x U,
     flattened. The forms are Kronecker sums, so each mode relaxes along xi
     on its own: M = I (x) M_xi, A1 = diag(lam) (x) M_xi, A2 = I (x) K_xi,
-    and M + cA is block diagonal. The stencil parts are (y, lam M_xi y) and
-    (dy, g_xi dy), with dy the xi-differences, so b, a1 and a2 are those of
-    the nodal forms. The mass 1^T M u is 1^T M_xi Y_0: mode 0 alone.
+    and M + cA is the block diagonal of the nx tridiagonal blocks
+    (1 + c lam_k) M_xi + c K_xi, which :meth:`factorize` solves. The
+    stencil parts are (y, lam M_xi y) and (dy, g_xi dy), with dy the
+    xi-differences, so b, a1 and a2 are those of the nodal forms. The mass
+    1^T M u is 1^T M_xi Y_0: mode 0 alone.
 
     The operator runs on the flat vector, the mode blocks laid end to end:
     the bands of M_xi tiled once per block (the first left and the last
@@ -483,7 +493,6 @@ class ModalForms:
         self.one = np.zeros(self.n)
         self.one[:nxi] = 1.0
 
-
     def coefficients(self, U):
         """The flat modes V^T M_x U of the nodal (nx, nxi) array ``U``."""
         return np.cumsum(self.VtM @ np.diff(U, axis=1, prepend=0.0),
@@ -518,6 +527,105 @@ class ModalForms:
         au[-1] = F1[-1]
         au[1:] += F2
         return mv, Stencil(au, ((y, F1), (D, F2)))
+
+    def norm_inf(self, c):
+        """||M + cA||_inf, exactly: the largest row sum of absolute values
+        over the blocks (1 + c lam_k) M_xi + c K_xi."""
+        scale = 1.0 + c * self.lam[:, None]
+        rows = sum(np.abs(scale * self.M_xi[i] + c * self.K_xi[i])
+                   for i in range(3))
+        return float(rows.max())
+
+    def factorize(self, c):
+        """Inner solver r -> (M + cA)^{-1} r: one tridiagonal sweep over all
+        blocks at once, from both ends of each, with no dense product (fast
+        diagonalization in x).
+
+        The blocks are never diagonalized in xi (M_xi has condition
+        ~exp(1/eps)); each is factored with GTH pivots: the K_xi rows sum to
+        zero, so the row excess of block k is exactly (1 + c lam_k) times
+        the M_xi row sums, and D_j = r_j - e_j, L_j = e_j / D_j,
+        r_{j+1} = excess_{j+1} - L_j r_j has no cancellation where the
+        off-diagonals e_j are <= 0. The elimination runs with these pivots
+        from both wells toward the saddle row m = (nxi - 1)/2 (a Grid's
+        count is odd), where the twist pivot excess_m - L r (top) - L r
+        (bottom) is again a sum of nonnegative terms.
+
+        The factors lie as (m, 2, nx): pass j of the sweep is row j of the
+        top half and row nxi-1-j of the bottom half of every block, one
+        contiguous pass over 2 nx entries. A solve gathers the right-hand
+        side into that layout, runs the forward passes, the twist row, one
+        division by the pivots and the backward passes in one workspace,
+        and writes a fresh solution, which the caller may keep.
+        """
+        nx, nxi = self.shape
+        m = nxi // 2
+        scale = 1.0 + c * self.lam
+        off = scale[:, None] * self.M_xi[2, :-1] - c * self.g_xi
+        excess = scale[:, None] * self.M_xi.sum(axis=0)
+
+        def ends(a):
+            # (m, 2, nx): column j and column -1-j of the (nx, .) array a
+            return np.stack((a[:, :m], a[:, ::-1][:, :m]), axis=1).transpose(
+                2, 1, 0).copy()
+
+        ex, e = ends(excess), ends(off)
+        # the pivots in the layout of the workspace: the pairs, then row m
+        D = np.empty(nxi * nx)
+        pivots = D[:-nx].reshape(m, 2, nx)
+        L = np.empty((m, 2, nx))
+        r = ex[0]
+        for j in range(m):
+            np.subtract(r, e[j], out=pivots[j])
+            np.divide(e[j], pivots[j], out=L[j])
+            lr = L[j] * r
+            if j + 1 < m:
+                r = ex[j + 1] - lr
+        np.subtract(excess[:, m] - lr[0], lr[1], out=D[-nx:])
+        if not np.all(D > 0.0):
+            raise SolverError(f"tensor factorization of M + {c:g} A at "
+                              f"eps = {self.eps:g} lost positive pivots")
+
+        work = np.empty(nxi * nx)
+        pairs, mid = work[:-nx].reshape(m, 2 * nx), work[-nx:]
+        top, bottom = pairs.reshape(m, 2, nx).transpose(1, 0, 2)
+        t = np.empty(2 * nx)
+        t_pair = t.reshape(2, nx)
+        t_top, t_bottom = t_pair
+        # the last pass meets the twist row, the others the next pass
+        L_twist = L[-1]
+        L = L.reshape(m, 2 * nx)
+        L_end, x_end = L[-1], pairs[-1]
+        passes = list(zip(L[:-1], pairs[:-1], pairs[1:]))
+        mul, sub = np.multiply, np.subtract
+
+        def solve(rhs):
+            R = rhs.reshape(nx, nxi)
+            np.copyto(top, R[:, :m].T)
+            np.copyto(bottom, R[:, :m:-1].T)
+            np.copyto(mid, R[:, m])
+            for Lj, xj, xn in passes:
+                mul(Lj, xj, t)
+                sub(xn, t, xn)
+            mul(L_end, x_end, t)
+            sub(mid, t_top, mid)
+            sub(mid, t_bottom, mid)
+            np.divide(work, D, out=work)
+            mul(L_twist, mid, t_pair)
+            sub(x_end, t, x_end)
+            for Lj, xj, xn in reversed(passes):
+                mul(Lj, xn, t)
+                sub(xj, t, xj)
+            x = np.empty((nx, nxi))
+            np.copyto(x[:, :m], top.T)
+            np.copyto(x[:, :m:-1], bottom.T)
+            x[:, m] = mid
+            return x.reshape(-1)
+        return solve
+
+    def residual_mass(self, r):
+        """1^T r of the nodal residual: the sum of its mode-0 block."""
+        return float(r[:self.shape[1]].sum())
 
 
 def assemble(grid, profile, eps, log_tau_shift=0.0):
@@ -573,10 +681,11 @@ class ModalLimitForms:
 
     The state is the flat pair y = (V^T M_x u_minus, V^T M_x u_plus), in
     which M = 1/2 I and A = 1/2 I (x) diag(lam) + 1/2 R (x) I: mode k of the
-    two species is a 2 x 2 system of its own. The stencil parts are the
-    diffusion (y, lam y / 2) and the reaction: the well gap y_minus - y_plus
-    and half the net transfer k_f y_minus - k_b y_plus, which leaves y_minus
-    and enters y_plus. So b, a1 and a2 are those of the nodal forms, and the
+    two species is a 2 x 2 system of its own, which :meth:`factorize`
+    inverts in closed form. The stencil parts are the diffusion
+    (y, lam y / 2) and the reaction: the well gap y_minus - y_plus and half
+    the net transfer k_f y_minus - k_b y_plus, which leaves y_minus and
+    enters y_plus. So b, a1 and a2 are those of the nodal forms, and the
     mass is mode 0 alone (``one`` holds the modes of the constant pair).
     """
 
@@ -631,6 +740,40 @@ class ModalLimitForms:
         np.add(F1[:nx], F2, out=au[:nx])
         np.subtract(F1[nx:], F2, out=au[nx:])
         return mv, Stencil(au, ((y, F1), (D, F2)))
+
+    def _blocks(self, c):
+        """a_k = 1 + c lam_k, c k_f and c k_b."""
+        return 1.0 + c * self.basis.lam, c * self.rate_forward, \
+            c * self.rate_backward
+
+    def norm_inf(self, c):
+        """||M + cA||_inf, exactly: the largest block row sum,
+        (|a_k + c k_f| + |c k_b|) / 2 or (|a_k + c k_b| + |c k_f|) / 2."""
+        a, cf, cb = self._blocks(c)
+        return 0.5 * float(max((np.abs(a + cf) + abs(cb)).max(),
+                               (np.abs(a + cb) + abs(cf)).max()))
+
+    def factorize(self, c):
+        """Inner solver r -> (M + cA)^{-1} r, mode by mode, in O(n): block k
+        has determinant a_k (a_k + c s) / 4, s = k_f + k_b, and the inverse
+        (2 / a_k) [[a_k + c k_b, c k_b], [c k_f, a_k + c k_f]] / (a_k + c s),
+        each entry 2 / a_k times a ratio in [0, 1], so that large rates do
+        not overflow; zero rates need no special case."""
+        a, cf, cb = self._blocks(c)
+        d = a + (cf + cb)
+        if not np.all(a * d > 0.0):
+            raise SolverError(
+                f"limit system M + {c:g} A has a non-positive block "
+                f"determinant (k_f = {self.rate_forward:g}, "
+                f"k_b = {self.rate_backward:g})")
+        g = [2.0 / a * (v / d) for v in (a + cb, cb, cf, a + cf)]
+        nx = len(a)
+        return lambda r: np.concatenate([g[0] * r[:nx] + g[1] * r[nx:],
+                                         g[2] * r[:nx] + g[3] * r[nx:]])
+
+    def residual_mass(self, r):
+        """1^T r of the nodal residual: mode 0 of both species."""
+        return float(r[0] + r[self.n // 2])
 
 
 def assemble_limit_rates(x_nodes, rate_forward, rate_backward):

@@ -12,8 +12,7 @@ import pytest
 from kramerslab import gibbs
 from kramerslab.convergence import (Config, gamma_limsup_check,
                                     run_ladder_study)
-from kramerslab.evolve_kramers import solve
-from kramerslab.evolve_limit import solve_limit
+from kramerslab.evolve_kramers import solve, solve_limit
 from kramerslab.grid_forms import (Field, LimitField, assemble,
                                    assemble_limit, build_grid, graded_nodes)
 from kramerslab.transition import k_eps, lift, q_eps

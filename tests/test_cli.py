@@ -437,13 +437,15 @@ _SMALL = ["--nx", "9", "--dt", "0.01", "--T", "0.1"]
     (["converge"], {"times": []}),
     (["simulate", "--eps", "0.5", "--nx", "5", "--nxi", "11", "--dt", "0.5",
       "--T", "100000.5", "--snapshots", "100000,100000.5"], None),
+    (["converge", "--T", "1", "--dt", "1e-300", "--times", "1", "--nx", "5",
+      "--nxi", "11"], None),
 ], ids=["k-inf", "skew-nan", "skew-overflow", "T-inf", "ladder-scalar",
         "dt-string", "cosine-mode", "u0-one-value", "tabulated-x-decreasing",
         "snapshot-off-step", "T-off-step", "ladder-text", "times-repeated",
         "u0-kind-list", "profile-coeffs", "profile-name", "config-root-list",
         "quad-order-bool", "ladder-bool",
         "nxi-three-zone-too-few", "times-empty", "times-empty-config",
-        "snapshot-label-repeated"])
+        "snapshot-label-repeated", "steps-beyond-cap"])
 def test_malformed_input_is_a_config_error(argv, config, tmp_path, capsys):
     out = tmp_path / "out"
     if config is not None:

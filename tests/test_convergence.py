@@ -369,6 +369,24 @@ def test_failed_rung_is_recorded(monkeypatch):
     assert "row_errors" in rep.to_dict()
 
 
+def test_a_nan_energy_residual_fails_the_certificate(monkeypatch):
+    # the per-step guard raises first in a real run; the report must not
+    # pass a NaN that reaches it anyway
+    real_solve = conv.solve
+
+    def spoiled(forms, *args, **kw):
+        traj = real_solve(forms, *args, **kw)
+        traj.energy_residual[1] = np.nan
+        return traj
+
+    monkeypatch.setattr(conv, "solve", spoiled)
+    rep = run_ladder_study(Config(ladder=(0.2, 0.1), nx=17, nxi=21, dt=1e-2,
+                                  t_final=0.1, times=(0.1,)))
+    assert all(np.isnan(r.energy_residual_max) for r in rep.rows)
+    assert rep.checks["energy_identity"] is False
+    assert not rep.all_ok
+
+
 # whether a study here forks: at least 2 CPUs and a single thread
 FORKS = conv._process_count(2) == 2
 

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from kramerslab import evolve_kramers
-from kramerslab.evolve_kramers import (MASS_RESIDUAL_BOUND, KroneckerSystem,
-                                       LinearSolver, SolverError,
+from kramerslab.evolve_kramers import (MASS_RESIDUAL_BOUND, LinearSolver,
+                                       SolverError, ThetaSystem,
                                        _certify_step, solve)
 from kramerslab.grid_forms import Field, ModalForms, assemble, build_grid
 from kramerslab.transition import k_eps, lift
@@ -289,7 +289,7 @@ def test_tensor_solver_matches_sparse_lu(forms_65, eps, c, monkeypatch):
     # M + cA; a modal residual r is the nodal one (M_x V (x) I) r
     forms = forms_65[eps]
     modal = ModalForms(forms)
-    system = KroneckerSystem(modal, c)
+    system = ThetaSystem(modal, c)
     S = (forms.M + c * forms.A).tocsr()
     rng = np.random.default_rng(17)
     rhs = forms.M @ rng.normal(size=forms.n)
@@ -316,8 +316,7 @@ def test_tensor_norm_is_exact(forms_65, eps, c):
          + c * sp.kron(sp.identity(forms.grid.nx),
                        oracles.csr(forms.K_xi))).tocsr()
     exact = float(np.abs(S).sum(axis=1).max())
-    assert KroneckerSystem(modal, c).norm_inf() == pytest.approx(exact,
-                                                                 rel=1e-14)
+    assert modal.norm_inf(c) == pytest.approx(exact, rel=1e-14)
 
 
 def test_modal_residual_mass_is_the_nodal_one(forms_65):
@@ -325,7 +324,7 @@ def test_modal_residual_mass_is_the_nodal_one(forms_65):
     modal = ModalForms(forms_65[0.05])
     R = np.random.default_rng(19).normal(size=modal.shape)
     residual = (modal.V.T @ R).reshape(-1)
-    mass = KroneckerSystem(modal, 1e-3).residual_mass(residual)
+    mass = modal.residual_mass(residual)
     assert abs(mass - R.sum()) <= 1e-14 * np.abs(R).sum()
 
 
@@ -360,7 +359,7 @@ def test_two_ended_sweep_against_per_block_oracle(quartic, nx, nxi, eps):
     modal = ModalForms(assemble(build_grid(nx, nxi), quartic, eps))
     rhs = np.random.default_rng(nx + nxi).normal(size=(nx, nxi))
     for c in (1e-4, 1e-3, 1e-2, 1e-1):
-        x = KroneckerSystem(modal, c).factorize()(rhs.reshape(-1))
+        x = modal.factorize(c)(rhs.reshape(-1))
         x = x.reshape(nx, nxi)
         diag, off = _blocks(modal, c)
         assert _block_backward_errors(diag, off, x, rhs).max() <= 1e-14
@@ -380,18 +379,18 @@ def test_indefinite_block_raises_naming_eps(quartic):
     # a large negative c: 1 + c lam_k < 0 for every k >= 1
     with pytest.raises(SolverError, match=r"^tensor factorization of "
                        r"M \+ -1 A at eps = 0\.2 lost positive pivots$"):
-        KroneckerSystem(modal, -1.0).factorize()
+        modal.factorize(-1.0)
     # the twist pivot alone: a negative mass row sum at the saddle row,
     # which no pivot of either half reads
     modal.M_xi = modal.M_xi.copy()
     modal.M_xi[1, 10] = -1e3
     with pytest.raises(SolverError, match="at eps = 0.2 lost positive"):
-        KroneckerSystem(modal, 1e-3).factorize()
+        modal.factorize(1e-3)
 
 
 def test_sweep_returns_a_fresh_solution(forms_65):
     # callers keep the solutions across solves, and the rhs stays as it was
-    solve = KroneckerSystem(ModalForms(forms_65[0.2]), 1e-3).factorize()
+    solve = ModalForms(forms_65[0.2]).factorize(1e-3)
     rhs = np.random.default_rng(29).normal(size=forms_65[0.2].n)
     before = rhs.copy()
     first = solve(rhs)
@@ -413,6 +412,18 @@ def test_small_eps_certificates(quartic, eps):
     assert np.abs(np.diff(traj.mass)).max() <= 1e-10
     assert np.abs(traj.energy_residual[1:]).max() <= 1e-9 * max(1.0, traj.b[0])
     assert traj.energy_residual[0] <= 1e-9 * max(1.0, traj.b[0])
+
+
+def test_horizon_is_capped_at_max_steps():
+    # the cap is checked before any solver is built or any record allocated
+    assert evolve_kramers.horizon_steps(1.0, 1e-7) == evolve_kramers.MAX_STEPS
+
+    def no_solver(c):
+        raise AssertionError("a solver was built")
+    for dt in (1e-300, 0.5e-7):
+        with pytest.raises(ValueError, match=r"^T = 1\.0 takes .* steps of "
+                           r"dt = .*, more than the 1e\+07 a run may take$"):
+            evolve_kramers.theta_plan(1.0, dt, "BE", no_solver)
 
 
 def test_step_certificate_bounds():

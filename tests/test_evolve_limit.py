@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kramerslab import evolve_kramers
-from kramerslab.evolve_kramers import (KroneckerSystem, LinearSolver,
-                                       SolverError, Trajectory, solve)
-from kramerslab.evolve_limit import LimitSystem, solve_limit
+from kramerslab.evolve_kramers import (LinearSolver, SolverError,
+                                       ThetaSystem, Trajectory, solve,
+                                       solve_limit)
 from kramerslab.enthalpy import quartic_default
 from kramerslab.grid_forms import (LimitField, ModalForms, ModalLimitForms,
                                    assemble, assemble_limit,
@@ -172,7 +172,7 @@ def test_limit_system_matches_sparse_lu(rates, c, monkeypatch):
     # with the right-hand side r = (I (x) M_x V) rhs, whose modes are rhs
     x = np.linspace(0.0, 1.0, 257)
     modal = assemble_limit_rates(x, *rates)
-    system = LimitSystem(modal, c)
+    system = ThetaSystem(modal, c)
     M, A = oracles.block_forms(modal)
     rng = np.random.default_rng(41)
     rhs = rng.normal(size=modal.n)
@@ -206,7 +206,7 @@ def test_limit_norm_is_exact(rates, c):
                              [-c * kf * np.eye(257), np.diag(a + c * kb)]])
     assert np.abs(transformed - blocks).max() <= 1e-12 * np.abs(blocks).max()
     exact = float(np.abs(blocks).sum(axis=1).max())
-    assert LimitSystem(modal, c).norm_inf() == pytest.approx(exact, rel=1e-14)
+    assert modal.norm_inf(c) == pytest.approx(exact, rel=1e-14)
 
 
 def test_limit_factorization_rejects_indefinite():
@@ -216,7 +216,7 @@ def test_limit_factorization_rejects_indefinite():
     lf.rate_forward, lf.rate_backward = -2000.0, -1000.0
     with pytest.raises(SolverError, match=r"M \+ 0\.001 A.*k_f = -2000, "
                                           r"k_b = -1000"):
-        LimitSystem(lf, 1e-3).factorize()
+        lf.factorize(1e-3)
 
 
 def test_skewed_fine_grid_certificates():
@@ -378,7 +378,7 @@ def test_theta_system_hands_on_only_its_last_product():
     # the integrator takes M x and the stencil of x from the product the
     # solve made last; any other array gets a fresh evaluation
     forms, _, _ = _eps_level()
-    system = KroneckerSystem(forms, 1e-3)
+    system = ThetaSystem(forms, 1e-3)
     rng = np.random.default_rng(3)
     v = rng.normal(size=forms.n)
     product = system @ v
@@ -405,8 +405,7 @@ def test_theta_system_writes_its_products_into_one_workspace(level):
     # a product and its parts live in buffers the system allocated once,
     # valid until its next product; any other array gets a fresh evaluation
     forms, _, _ = level()
-    system = (KroneckerSystem if isinstance(forms, ModalForms)
-              else LimitSystem)(forms, 1e-3)
+    system = ThetaSystem(forms, 1e-3)
     rng = np.random.default_rng(29)
     v, w = rng.normal(size=(2, forms.n))
     first = system @ v
