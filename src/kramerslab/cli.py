@@ -227,7 +227,7 @@ def cmd_converge(cfg):
     form_rows = []
     for row in report.rows:
         for t in report.times:
-            form_rows.append([row.eps, t, *row.b_vals[t], *row.a_vals[t],
+            form_rows.append([row.eps, t, *row.b[t], *row.a[t],
                               row.trace_err[t]])
     _write_csv(out / "forms.csv",
                ["eps", "t", "b_eps", "b_limit", "b_error", "a_eps", "a_limit",

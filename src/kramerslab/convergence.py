@@ -112,7 +112,7 @@ def gradient_bound_margin(forms, field):
     vp = field.values @ wp
     bound = (float(vm @ apply_x(forms.K_x, vm)) / wm.sum()
              + float(vp @ apply_x(forms.K_x, vp)) / wp.sum())
-    return forms.a1_energy(field) - bound
+    return float(forms.a1_energy(field) - bound)
 
 
 def xi_flatness(forms, field):
@@ -185,7 +185,7 @@ def _number(field, value):
         x = math.nan
     if not math.isfinite(x):
         raise ConfigError(f"{field}: expected a finite number, got {value!r}")
-    return x
+    return x + 0.0  # -0.0 becomes 0.0; exact for every other x
 
 
 def _numbers(field, value):
@@ -370,8 +370,8 @@ class EpsRow:
     q: float
     pairing: dict            # name -> {t: (value_eps, value_limit, abs_err)}
     trace_err: dict          # t -> L2(x) distance of traces to the limit pair
-    b_vals: dict             # t -> (b_eps, b_limit, abs_err)
-    a_vals: dict             # t -> (a_eps, a_limit, abs_err)
+    b: dict                  # t -> (b_eps, b_limit, abs_err)
+    a: dict                  # t -> (a_eps, a_limit, abs_err)
     a_split: dict            # t -> (a1_eps, a2_eps, reaction_limit)
     observables: dict        # name -> {t: (value_eps, value_limit, abs_err)}
     gap_norm: dict           # t -> L2(x) norm of the trace gap
@@ -407,30 +407,8 @@ class ConvergenceReport:
         return sorted(name for name, ok in self.checks.items() if not ok)
 
     def to_dict(self):
-        d = _plain(dataclasses.asdict(self))
-        for row in d["rows"]:
-            row["b"], row["a"] = row.pop("b_vals"), row.pop("a_vals")
-        # per-name limit tables keep float t keys, which json sorts as numbers
-        d["limit_values"] = {
-            n: {str(k): _plain(v, str_keys=False) for k, v in tv.items()}
-            for n, tv in self.limit_values.items()}
-        d["all_ok"] = self.all_ok
-        return d
-
-
-def _plain(value, str_keys=True):
-    """JSON-ready copy: tuples become lists, numpy scalars floats (np.bool_
-    bool) and, with ``str_keys``, dict keys strings."""
-    if isinstance(value, dict):
-        return {str(k) if str_keys else k: _plain(v, str_keys)
-                for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v, str_keys) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.generic):
-        return float(value)
-    return value
+        """The report's fields and ``all_ok``, for ``json`` to write as is."""
+        return {**dataclasses.asdict(self), "all_ok": self.all_ok}
 
 
 def _monotone(errs, floor=MONOTONE_FLOOR):
@@ -491,7 +469,7 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
     eps = forms.eps
     row = EpsRow(eps=eps, rate=rate,
                  rate_effective=rate_eff, q=q_eps(forms.measure),
-                 pairing={}, trace_err={}, b_vals={}, a_vals={}, a_split={},
+                 pairing={}, trace_err={}, b={}, a={}, a_split={},
                  observables={}, gap_norm={}, fiber_margin={},
                  jensen_margin={}, flatness={},
                  mass_drift=float(np.abs(np.diff(traj.mass)).max()),
@@ -511,8 +489,8 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
         row.gap_norm[t] = l2_norm_x(forms.M_x, tr.u_plus - tr.u_minus)
         n = step_index(t, cfg.dt)
         b, a1, a2 = float(traj.b[n]), float(traj.a1[n]), float(traj.a2[n])
-        row.b_vals[t] = (b, lv["b"][t], abs(b - lv["b"][t]))
-        row.a_vals[t] = (a1 + a2, lv["a"][t], abs(a1 + a2 - lv["a"][t]))
+        row.b[t] = (b, lv["b"][t], abs(b - lv["b"][t]))
+        row.a[t] = (a1 + a2, lv["a"][t], abs(a1 + a2 - lv["a"][t]))
         # the limit trajectory records the reaction energy of its state
         row.a_split[t] = (a1, a2, float(ltraj.a2[n]))
         row.flatness[t] = xi_flatness(forms, state)
@@ -544,9 +522,9 @@ def _certificates(cfg, rows, row_errors):
         checks[f"trace_monotone[t={t:g}]"] = _monotone(
             [r.trace_err[t] for r in rows])
         checks[f"b_monotone[t={t:g}]"] = _monotone(
-            [r.b_vals[t][2] for r in rows])
+            [r.b[t][2] for r in rows])
         checks[f"a_monotone[t={t:g}]"] = _monotone(
-            [r.a_vals[t][2] for r in rows])
+            [r.a[t][2] for r in rows])
         checks[f"flatness_decreasing[t={t:g}]"] = _monotone(
             [r.flatness[t] for r in rows], floor=1e-14)
         for name in rows[0].observables:
@@ -558,7 +536,7 @@ def _certificates(cfg, rows, row_errors):
                                  for m in r.jensen_margin.values())
     checks["mass_conserved"] = all(r.mass_drift <= MASS_DRIFT_BOUND
                                    for r in rows)
-    b0 = rows[0].b_vals[cfg.times[0]][0]
+    b0 = rows[0].b[cfg.times[0]][0]
     checks["energy_identity"] = all(
         r.energy_residual_max <= ENERGY_RESIDUAL_BOUND * max(1.0, b0)
         for r in rows)
@@ -726,15 +704,15 @@ def gamma_limsup_check(u_minus, u_plus, ladder, grid, profile,
     y = modal.coefficients(LimitField(um, up, x))
     b_lim = b_form(modal.apply_m, y)
     a_lim = modal.mass_and_stencil(y)[1].a
-    b_vals, a_vals = [], []
+    b_eps, a_eps = [], []
     for eps in ladder:
         forms = assemble(grid, profile, eps)
         v = lift(um, up, profile, eps, grid)
-        b_vals.append(b_form(forms.apply_m, v))
-        a_vals.append(forms.a_energy(v))
-    b_err = [abs(bv - b_lim) for bv in b_vals]
-    a_err = [abs(av - a_lim) for av in a_vals]
-    return LimsupTable(ladder=tuple(ladder), b_eps=b_vals, a_eps=a_vals,
+        b_eps.append(b_form(forms.apply_m, v))
+        a_eps.append(forms.a_energy(v))
+    b_err = [abs(bv - b_lim) for bv in b_eps]
+    a_err = [abs(av - a_lim) for av in a_eps]
+    return LimsupTable(ladder=tuple(ladder), b_eps=b_eps, a_eps=a_eps,
                        b_limit=b_lim, a_limit=a_lim, b_errors=b_err,
                        a_errors=a_err,
                        b_monotone=_monotone(b_err, floor=degenerate_floor),

@@ -177,6 +177,17 @@ def test_simulate_outputs(tmp_path):
     assert len(snap) == 1 + 17 * 21
 
 
+@pytest.mark.parametrize("snapshots", ["-0", "0,-0"])
+def test_simulate_minus_zero_snapshot_is_the_initial_state(snapshots,
+                                                           tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--eps", "0.1", "--nx", "17", "--nxi", "21",
+                 "--dt", "0.01", "--T", "0.02", f"--snapshots={snapshots}",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("field_t*.csv")) \
+        == ["field_t0.csv"]
+
+
 def test_limit_outputs(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**MINI, "out": str(tmp_path / "lim")}))
@@ -213,6 +224,29 @@ def test_converge_be_certifies_the_energy_identity(tmp_path):
           "0.01,0.02", "--out", str(tmp_path / "be")])
     report = json.loads((tmp_path / "be" / "report.json").read_text())
     assert report["checks"]["energy_identity"] is True
+
+
+def test_report_json_lists_times_by_value(tmp_path):
+    # "1e-05" sorts after "0.001" as a string: every time-keyed table of
+    # the report must still list its times in ascending order
+    out = tmp_path / "conv"
+    code = main(["converge", "--ladder", "0.2,0.1", "--nx", "5", "--nxi",
+                 "11", "--dt", "0.00001", "--T", "0.001", "--times",
+                 "0.00001,0.001", "--out", str(out)])
+    assert code in (0, 1)
+    report = json.loads((out / "report.json").read_text())
+    limit = report["limit_values"]
+    tables = [limit["b"], limit["a"], limit["gap"],
+              *limit["pairing"].values(), *limit["observables"].values()]
+    for row in report["rows"]:
+        tables += [row[k] for k in ("trace_err", "b", "a", "a_split",
+                                    "gap_norm", "fiber_margin",
+                                    "jensen_margin", "flatness")]
+        tables += [*row["pairing"].values(), *row["observables"].values()]
+    assert len(report["rows"]) == 2
+    for table in tables:
+        times = [float(t) for t in table]
+        assert len(times) >= 2 and times == sorted(times), list(table)
 
 
 def _old_writer_bytes(path):

@@ -153,7 +153,7 @@ def test_mini_study_rows_complete(mini_report):
     for row in mini_report.rows:
         for t in MINI["times"]:
             assert np.isfinite(row.trace_err[t])
-            assert np.isfinite(row.b_vals[t][2])
+            assert np.isfinite(row.b[t][2])
             assert row.fiber_margin[t] >= -1e-8
             assert row.jensen_margin[t] >= -1e-8
         assert row.fiber_margin[0.0] >= -1e-8
@@ -166,6 +166,22 @@ def test_report_serializes(mini_report):
     assert isinstance(d["checks"], dict)
     import json
     json.dumps(d)
+
+
+def test_report_holds_no_numpy_scalar(mini_report):
+    # json writes the report's dataclasses as they stand, so every number
+    # in them, key or value, is a Python one
+    def walk(value):
+        assert not isinstance(value, np.generic), repr(value)
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(k)
+                walk(v)
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                walk(v)
+
+    walk(dataclasses.asdict(mini_report))
 
 
 def test_critical_study_overrides_regime(mini_report):
@@ -181,8 +197,8 @@ def test_constant_data_is_exact():
     rep = run_ladder_study(cfg)
     for row in rep.rows:
         for t in MINI["times"]:
-            assert row.b_vals[t][2] <= 1e-9
-            assert row.a_vals[t][2] <= 1e-9
+            assert row.b[t][2] <= 1e-9
+            assert row.a[t][2] <= 1e-9
             assert row.trace_err[t] <= 1e-9
 
 
