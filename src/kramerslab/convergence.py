@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import pickle
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -35,7 +32,7 @@ __all__ = [
     "profile_from_config", "REGIMES",
     "nonlinear_observable", "nonlinear_observable_limit", "pair_measure",
     "fiber_bound_margin", "gradient_bound_margin", "xi_flatness",
-    "default_test_functions", "MONOTONE_FLOOR",
+    "default_test_functions", "MONOTONE_FLOOR", "DROPPED_NORM_BOUND",
 ]
 
 REGIMES = ("critical", "sub", "super")
@@ -45,6 +42,12 @@ REGIMES = ("critical", "sub", "super")
 # conservation accuracy (e.g. the constant test function) sit at roundoff
 # where strict ordering is meaningless.
 MONOTONE_FLOOR = 1e-8
+
+# The most M-norm a rung may leave unstepped in the x-modes that its initial
+# state barely occupies (evolve_kramers.DROP_TOL): the rung is then within
+# this distance of the run over every mode at every step, the size of the
+# per-step mass certificate.
+DROPPED_NORM_BOUND = 1e-10
 
 
 def traces(field):
@@ -380,6 +383,7 @@ class EpsRow:
     flatness: dict           # t -> outer xi-derivative mass
     mass_drift: float
     energy_residual_max: float
+    dropped_norm: float      # M-norm of the initial x-modes not stepped
 
 
 @dataclass
@@ -474,7 +478,8 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
                  jensen_margin={}, flatness={},
                  mass_drift=float(np.abs(np.diff(traj.mass)).max()),
                  energy_residual_max=float(np.max([0.0, *map(
-                     energy_excess, traj.energy_residual, traj.thetas)])))
+                     energy_excess, traj.energy_residual, traj.thetas)])),
+                 dropped_norm=traj.dropped_norm)
     tests, observables = default_test_functions(), _snapshot_observables()
     for t, state in traj.snapshots:
         row.fiber_margin[t] = fiber_bound_margin(forms, state, rate_eff)
@@ -536,6 +541,8 @@ def _certificates(cfg, rows, row_errors):
                                  for m in r.jensen_margin.values())
     checks["mass_conserved"] = all(r.mass_drift <= MASS_DRIFT_BOUND
                                    for r in rows)
+    checks["modes_dropped_small"] = all(r.dropped_norm <= DROPPED_NORM_BOUND
+                                        for r in rows)
     b0 = rows[0].b[cfg.times[0]][0]
     checks["energy_identity"] = all(
         r.energy_residual_max <= ENERGY_RESIDUAL_BOUND * max(1.0, b0)
@@ -554,103 +561,12 @@ def _certificates(cfg, rows, row_errors):
     return checks
 
 
-def _process_count(n):
-    """How many processes share ``n`` rungs: one per CPU this process may
-    run on, up to ``n``. One, with no fork, where the process cannot fork
-    or count its threads, or already runs a second thread: a forked child
-    of a threaded process may deadlock, and a default BLAS helper thread
-    spins on the CPUs that workers would take."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        threads = len(os.listdir("/proc/self/task"))
-    except (AttributeError, OSError):
-        return 1
-    if threads > 1 or not hasattr(os, "fork"):
-        return 1
-    return min(n, cpus)
-
-
-def _run_share(run, share):
-    """``run(eps)`` for each eps of ``share`` in order; an exception that
-    ``run`` does not turn into an outcome is raised again naming its eps."""
-    outcomes = []
-    for eps in share:
-        try:
-            outcomes.append(run(eps))
-        except Exception as exc:
-            raise RuntimeError(f"rung eps = {eps!r} raised "
-                               f"{type(exc).__name__}: {exc}") from exc
-    return outcomes
-
-
-def _fork_share(run, share):
-    """Fork a worker that runs ``share`` and writes its outcomes, pickled,
-    to a pipe, then exits; returns (pid, the pipe's read end)."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write)
-        return pid, os.fdopen(read, "rb")
-    # the worker: exit 0 only once every outcome is written, and never
-    # return into the caller's stack
-    status = 1
-    try:
-        os.close(read)
-        try:
-            message = ("outcomes", _run_share(run, share))
-        except Exception as exc:
-            message = ("error", str(exc))
-        with os.fdopen(write, "wb") as pipe:
-            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _run_rungs(run, ladder):
-    """``[run(eps) for eps in ladder]``, spread over :func:`_process_count`
-    processes: with ``w`` of them this process runs ``ladder[0::w]`` and
-    forked worker ``i`` runs ``ladder[i::w]``. The outcomes are the same
-    whatever ``w``, since every rung runs the same code on the same inputs.
-    Every worker is reaped before this returns; on an error, the ones still
-    running are killed first."""
-    w = _process_count(len(ladder))
-    outcomes = [None] * len(ladder)
-    workers, reaped = [], set()
-    try:
-        for i in range(1, w):
-            workers.append(_fork_share(run, ladder[i::w]))
-        outcomes[0::w] = _run_share(run, ladder[0::w])
-        for i, (pid, pipe) in enumerate(workers, start=1):
-            data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped.add(pid)
-            if status != 0:
-                raise RuntimeError(
-                    f"the worker running eps {list(ladder[i::w])} exited "
-                    f"with status {status} without sending its outcomes")
-            kind, value = pickle.loads(data)
-            if kind == "error":
-                raise RuntimeError(value)
-            outcomes[i::w] = value
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            if pid not in reaped:
-                # only a failed study kills, and importing signal costs
-                # about 1.4 ms; an unreaped child keeps its pid, so the
-                # kill cannot miss
-                import signal
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return outcomes
-
-
 def run_ladder_study(cfg):
     """Run the full ladder of the :class:`Config` and assemble the report
     with its certificates: the limit reference first, then one rung per eps
-    (spread over processes by :func:`_run_rungs`), then the certificates in
-    ladder order. A study needs two rungs and a sample time."""
+    in ladder order, then the certificates. A study needs two rungs and a
+    sample time. An exception that a rung does not turn into a row error
+    is raised again naming its eps."""
     if len(cfg.ladder) < 2:
         raise ConfigError("ladder: a convergence study needs at least 2 "
                           f"scales, got {list(cfg.ladder)}")
@@ -663,8 +579,13 @@ def run_ladder_study(cfg):
     um0, up0 = cfg.initial_pair(grid.x_nodes)
     limit = _limit_reference(cfg, grid, k, um0, up0)
 
-    outcomes = _run_rungs(partial(_rung, cfg, profile, grid, limit, um0, up0),
-                          cfg.ladder)
+    outcomes = []
+    for eps in cfg.ladder:
+        try:
+            outcomes.append(_rung(cfg, profile, grid, limit, um0, up0, eps))
+        except Exception as exc:
+            raise RuntimeError(f"rung eps = {eps!r} raised "
+                               f"{type(exc).__name__}: {exc}") from exc
     rows = [o for o in outcomes if isinstance(o, EpsRow)]
     row_errors = {o[0]: o[1] for o in outcomes if not isinstance(o, EpsRow)}
     return ConvergenceReport(regime=cfg.regime, ladder=cfg.ladder,

@@ -7,14 +7,15 @@ clock, and the damped start kills its stiff transients while the trapezoidal
 steps preserve the discrete energy identity exactly.
 
 The eps level steps in the x-eigenbasis (``grid_forms.ModalForms``), where
-M + cA is block diagonal; nodal fields are formed only at entry and at
-snapshots. The same integrator steps the two-species limit system
-(:func:`solve_limit`, on ``grid_forms.ModalLimitForms``): both levels are
-gradient flows of an energy ``a`` in the metric ``b`` and differ only in
-their forms, which own the block solve of M + cA (:class:`ThetaSystem`).
-Both solves run in numpy alone, over all x-modes at once (the two-ended
-tridiagonal sweep at the eps level, the closed-form inverse of each 2 x 2
-block at the limit), so no run loads scipy.
+M + cA is block diagonal, and only the blocks that the initial state
+occupies; nodal fields are formed only at entry and at snapshots. The same
+integrator steps the two-species limit system (:func:`solve_limit`, on
+``grid_forms.ModalLimitForms``): both levels are gradient flows of an
+energy ``a`` in the metric ``b`` and differ only in their forms, which own
+the block solve of M + cA (:class:`ThetaSystem`). Both solves run in numpy
+alone, over all stepped x-modes at once (the two-ended tridiagonal sweep at
+the eps level, the closed-form inverse of each 2 x 2 block at the limit),
+so no run loads scipy.
 """
 from __future__ import annotations
 
@@ -196,7 +197,7 @@ def step_index(t, dt):
 
 
 # the most steps a run may take: its seven per-step records then take
-# about 560 MB
+# about 560 MB, and nothing else that a run holds grows with its steps
 MAX_STEPS = 10**7
 
 
@@ -219,23 +220,21 @@ def theta_plan(T, dt, scheme, make_solver):
     """Pre-factorized sub-step plan covering [0, T] in steps of ``dt``.
 
     ``make_solver(c)`` returns the solver of M + c A. Returns
-    (n_steps, groups): each group is a list of sub-steps (theta, dt_sub,
-    solver) that together advance one dt. The damped-start scheme shares one
-    factorization because the trapezoidal system matrix M + (dt/2) A equals
-    the half-step damped one.
+    (n_steps, first, rest): the sub-steps (theta, dt_sub, solver) that
+    advance the first dt, and those that advance each later one. The
+    damped-start scheme shares one factorization because the trapezoidal
+    system matrix M + (dt/2) A equals the half-step damped one.
     """
     n_steps = horizon_steps(T, dt)
     if scheme == "CN_rannacher":
         solver = make_solver(0.5 * dt)
         first = [(1.0, 0.5 * dt, solver), (1.0, 0.5 * dt, solver)]
         rest = [(0.5, dt, solver)]
-        groups = [first] + [rest] * (n_steps - 1)
     elif scheme == "BE":
-        solver = make_solver(dt)
-        groups = [[(1.0, dt, solver)]] * n_steps
+        first = rest = [(1.0, dt, make_solver(dt))]
     else:
         raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
-    return n_steps, groups
+    return n_steps, first, rest
 
 
 @dataclass
@@ -247,6 +246,8 @@ class Trajectory:
     ``a1`` and ``a2`` split the energy: x- and xi-parts at the eps level,
     diffusion and reaction parts for the limit system.
     States are stored only at the requested snapshot times.
+    ``dropped_norm`` is the M-norm of the initial x-mode blocks that the run
+    did not step (:func:`solve`; the limit steps every mode, so 0 there).
     """
 
     times: np.ndarray
@@ -258,6 +259,7 @@ class Trajectory:
     thetas: np.ndarray
     snapshots: list
     dt: float
+    dropped_norm: float = 0.0
 
     @property
     def a(self):
@@ -363,7 +365,7 @@ def _integrate(forms, u, T, dt, scheme, snapshot_times, wrap, start,
     next right-hand side, and b, a1, a2 and the energy a(u_theta) of the
     energy identity come from the carried parts.
     """
-    n_steps, groups = theta_plan(
+    n_steps, first, rest = theta_plan(
         T, dt, scheme,
         lambda c: LinearSolver(ThetaSystem(forms, c), RESIDUAL_TARGET))
     want = _snapshot_steps(snapshot_times, dt, n_steps)
@@ -387,7 +389,8 @@ def _integrate(forms, u, T, dt, scheme, snapshot_times, wrap, start,
 
     record(0, 0.0)
     t = 0.0
-    for step, group in enumerate(groups, start=1):
+    for step in range(1, n_steps + 1):
+        group = first if step == 1 else rest
         residual = 0.0
         for theta, dt_sub, solver in group:
             try:
@@ -408,27 +411,47 @@ def _integrate(forms, u, T, dt, scheme, snapshot_times, wrap, start,
                       snapshots=snapshots, dt=dt)
 
 
+# an x-mode block of the initial state whose M-norm is at most this share
+# of the state's is not stepped
+DROP_TOL = 1e-13
+
+
 def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     """Integrate M du/dt + A u = 0 from the nodal field ``u0`` to time T.
 
-    Steps the x-modes of the forms (:class:`ModalForms`); the snapshots are
-    nodal fields, and the one at t = 0 is a copy of ``u0``. Records mass,
-    the squared norm b and the energy split (a1, a2) at every step, the
-    per-step residual of the discrete energy identity
-    b(u_next)/2 - b(u)/2 + dt a(u_theta) (zero up to solver tolerance on
-    trapezoidal steps, nonpositive on damped ones), and full states at
-    ``snapshot_times``. Every step's solve is certified to the backward
-    error RESIDUAL_TARGET. Raises :class:`SolverError`, naming eps, the
-    step, t and the quantity, as soon as a step drifts the mass or breaks
-    the energy identity beyond the certificates.
+    Steps the x-modes that ``u0`` occupies (:class:`ModalForms`): block k
+    of the coefficients is kept when its M_xi-norm exceeds DROP_TOL times
+    ||u0||_M, and mode 0, which carries the mass, always. The modes never
+    couple, and a theta step with theta >= 1/2 is non-expansive in each
+    block's M_xi-norm, so at every step the run is within the M-norm of the
+    dropped blocks, recorded as ``dropped_norm``, of the run over all
+    modes. The snapshots are nodal fields, and the one at t = 0 is a copy
+    of ``u0``. Records mass, the squared norm b and the energy split
+    (a1, a2) at every step, the per-step residual of the discrete energy
+    identity b(u_next)/2 - b(u)/2 + dt a(u_theta) (zero up to solver
+    tolerance on trapezoidal steps, nonpositive on damped ones), and full
+    states at ``snapshot_times``. Every step's solve is certified to the
+    backward error RESIDUAL_TARGET. Raises :class:`SolverError`, naming
+    eps, the step, t and the quantity, as soon as a step drifts the mass or
+    breaks the energy identity beyond the certificates.
     """
     if not isinstance(u0, Field):
         raise TypeError("u0 must be a Field")
-    modal = ModalForms(forms)
-    return _integrate(
-        modal, modal.coefficients(u0.values), T, dt, scheme, snapshot_times,
+    full = ModalForms(forms)
+    y = full.coefficients(u0.values)
+    Y = y.reshape(full.shape)
+    # the squared M_xi-norm of each block
+    sq = np.maximum((Y * full.apply_m(y).reshape(full.shape)).sum(axis=1),
+                    0.0)
+    keep = np.sqrt(sq) > DROP_TOL * math.sqrt(sq.sum())
+    keep[0] = True
+    modal = ModalForms(forms, np.flatnonzero(keep))
+    traj = _integrate(
+        modal, Y[keep].reshape(-1), T, dt, scheme, snapshot_times,
         lambda y: Field(modal.values(y), u0.grid),
         Field(u0.values.copy(), u0.grid), f"eps = {forms.eps:g}")
+    traj.dropped_norm = math.sqrt(sq[~keep].sum())
+    return traj
 
 
 def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):

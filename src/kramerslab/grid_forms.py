@@ -443,16 +443,18 @@ class XBasis:
 
 class ModalForms:
     """The eps-level forms in the x-eigenbasis (:class:`XBasis`), where the
-    theta loop steps.
+    theta loop steps, restricted to the x-modes ``modes`` (all nx of them by
+    default; mode 0 is always kept, since it carries the mass).
 
-    The state is the (nx, nxi) array of x-mode coefficients Y = V^T M_x U,
-    flattened. The forms are Kronecker sums, so each mode relaxes along xi
-    on its own: M = I (x) M_xi, A1 = diag(lam) (x) M_xi, A2 = I (x) K_xi,
-    and M + cA is the block diagonal of the nx tridiagonal blocks
-    (1 + c lam_k) M_xi + c K_xi, which :meth:`factorize` solves. The
+    The state is the (len(modes), nxi) array of the kept x-mode coefficients
+    Y = V^T M_x U, flattened, in increasing mode order. The forms are
+    Kronecker sums, so each mode relaxes along xi on its own, and a mode
+    left out stays out: M = I (x) M_xi, A1 = diag(lam) (x) M_xi,
+    A2 = I (x) K_xi, and M + cA is the block diagonal of the tridiagonal
+    blocks (1 + c lam_k) M_xi + c K_xi, which :meth:`factorize` solves. The
     stencil parts are (y, lam M_xi y) and (dy, g_xi dy), with dy the
-    xi-differences, so b, a1 and a2 are those of the nodal forms. The mass
-    1^T M u is 1^T M_xi Y_0: mode 0 alone.
+    xi-differences, so b, a1 and a2 are those of the nodal forms of V Y.
+    The mass 1^T M u is 1^T M_xi Y_0: mode 0 alone.
 
     The operator runs on the flat vector, the mode blocks laid end to end:
     the bands of M_xi tiled once per block (the first left and the last
@@ -462,39 +464,42 @@ class ModalForms:
     is one contiguous pass, and every flux is still proportional to its
     local difference.
 
-    The transforms are the dense V and V^T M_x. They act on column 0 and
+    The transforms are the kept columns of the dense V and the kept rows
+    of V^T M_x, its inverse on the full basis. They act on column 0 and
     the xi-differences, and then sum along xi: exactly equal adjacent
     columns stay exactly equal, where the xi-conductances are of size
     e^{1/eps} and any rounding between them would be a stiff error that the
     theta steps never damp.
     """
 
-    def __init__(self, forms):
+    def __init__(self, forms, modes=None):
         nx, nxi = forms.grid.nx, forms.grid.nxi
-        self.shape = (nx, nxi)
-        self.n, self.eps = forms.n, forms.eps
         n = nx - 1
-        k = np.arange(nx)
+        j = np.arange(nx)
+        k = self.modes = j if modes is None else np.union1d(0, modes)
+        self.shape = (len(k), nxi)
+        self.n, self.eps = len(k) * nxi, forms.eps
         basis = XBasis(nx)
-        self.lam = basis.lam
-        self.V = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n) / basis.norm
-        # V^T M_x, the inverse of V
+        self.lam = basis.lam[k]
+        self.V = np.cos(np.pi * (np.outer(j, k) % (2 * n)) / n) / basis.norm[k]
+        # the kept rows of V^T M_x, the inverse of the full V
         self.VtM = np.ascontiguousarray(
-            (basis.w[:, None] * self.V * basis.mu).T)
+            (basis.w[:, None] * self.V * basis.mu[k]).T)
         self.M_xi, self.K_xi, self.g_xi = forms.M_xi, forms.K_xi, forms.g_xi
         # the flat layout; M_xi is symmetric, so its right coefficients are
         # the left ones shifted, read from the same memory
-        left, diag, _ = np.tile(forms.M_xi, nx)
+        left, diag, _ = np.tile(forms.M_xi, len(k))
         off = np.append(left, 0.0)
         self._m = (off[:-1], diag, off[1:])
         self._lam = np.repeat(self.lam, nxi)
-        self._g = np.tile(np.append(forms.g_xi, 0.0), nx)[:-1]
+        self._g = np.tile(np.append(forms.g_xi, 0.0), len(k))[:-1]
         # the modes of the constant function 1: mode 0 alone, all ones
         self.one = np.zeros(self.n)
         self.one[:nxi] = 1.0
 
     def coefficients(self, U):
-        """The flat modes V^T M_x U of the nodal (nx, nxi) array ``U``."""
+        """The flat kept modes V^T M_x U of the nodal (nx, nxi) array
+        ``U``."""
         return np.cumsum(self.VtM @ np.diff(U, axis=1, prepend=0.0),
                          axis=1).reshape(-1)
 
@@ -530,7 +535,10 @@ class ModalForms:
 
     def norm_inf(self, c):
         """||M + cA||_inf, exactly: the largest row sum of absolute values
-        over the blocks (1 + c lam_k) M_xi + c K_xi."""
+        over the kept blocks (1 + c lam_k) M_xi + c K_xi. The blocks of the
+        modes left out do not count, so a restricted state's backward-error
+        certificate ||r|| / (||S|| ||x|| + ||rhs||) has the smaller ||S||
+        of the system it steps and is stricter than the full one's."""
         scale = 1.0 + c * self.lam[:, None]
         rows = sum(np.abs(scale * self.M_xi[i] + c * self.K_xi[i])
                    for i in range(3))
@@ -538,8 +546,8 @@ class ModalForms:
 
     def factorize(self, c):
         """Inner solver r -> (M + cA)^{-1} r: one tridiagonal sweep over all
-        blocks at once, from both ends of each, with no dense product (fast
-        diagonalization in x).
+        kept blocks at once, from both ends of each, with no dense product
+        (fast diagonalization in x).
 
         The blocks are never diagonalized in xi (M_xi has condition
         ~exp(1/eps)); each is factored with GTH pivots: the K_xi rows sum to
@@ -551,29 +559,29 @@ class ModalForms:
         count is odd), where the twist pivot excess_m - L r (top) - L r
         (bottom) is again a sum of nonnegative terms.
 
-        The factors lie as (m, 2, nx): pass j of the sweep is row j of the
+        The factors lie as (m, 2, nb): pass j of the sweep is row j of the
         top half and row nxi-1-j of the bottom half of every block, one
-        contiguous pass over 2 nx entries. A solve gathers the right-hand
+        contiguous pass over 2 nb entries. A solve gathers the right-hand
         side into that layout, runs the forward passes, the twist row, one
         division by the pivots and the backward passes in one workspace,
         and writes a fresh solution, which the caller may keep.
         """
-        nx, nxi = self.shape
+        nb, nxi = self.shape
         m = nxi // 2
         scale = 1.0 + c * self.lam
         off = scale[:, None] * self.M_xi[2, :-1] - c * self.g_xi
         excess = scale[:, None] * self.M_xi.sum(axis=0)
 
         def ends(a):
-            # (m, 2, nx): column j and column -1-j of the (nx, .) array a
+            # (m, 2, nb): column j and column -1-j of the (nb, .) array a
             return np.stack((a[:, :m], a[:, ::-1][:, :m]), axis=1).transpose(
                 2, 1, 0).copy()
 
         ex, e = ends(excess), ends(off)
         # the pivots in the layout of the workspace: the pairs, then row m
-        D = np.empty(nxi * nx)
-        pivots = D[:-nx].reshape(m, 2, nx)
-        L = np.empty((m, 2, nx))
+        D = np.empty(nxi * nb)
+        pivots = D[:-nb].reshape(m, 2, nb)
+        L = np.empty((m, 2, nb))
         r = ex[0]
         for j in range(m):
             np.subtract(r, e[j], out=pivots[j])
@@ -581,26 +589,26 @@ class ModalForms:
             lr = L[j] * r
             if j + 1 < m:
                 r = ex[j + 1] - lr
-        np.subtract(excess[:, m] - lr[0], lr[1], out=D[-nx:])
+        np.subtract(excess[:, m] - lr[0], lr[1], out=D[-nb:])
         if not np.all(D > 0.0):
             raise SolverError(f"tensor factorization of M + {c:g} A at "
                               f"eps = {self.eps:g} lost positive pivots")
 
-        work = np.empty(nxi * nx)
-        pairs, mid = work[:-nx].reshape(m, 2 * nx), work[-nx:]
-        top, bottom = pairs.reshape(m, 2, nx).transpose(1, 0, 2)
-        t = np.empty(2 * nx)
-        t_pair = t.reshape(2, nx)
+        work = np.empty(nxi * nb)
+        pairs, mid = work[:-nb].reshape(m, 2 * nb), work[-nb:]
+        top, bottom = pairs.reshape(m, 2, nb).transpose(1, 0, 2)
+        t = np.empty(2 * nb)
+        t_pair = t.reshape(2, nb)
         t_top, t_bottom = t_pair
         # the last pass meets the twist row, the others the next pass
         L_twist = L[-1]
-        L = L.reshape(m, 2 * nx)
+        L = L.reshape(m, 2 * nb)
         L_end, x_end = L[-1], pairs[-1]
         passes = list(zip(L[:-1], pairs[:-1], pairs[1:]))
         mul, sub = np.multiply, np.subtract
 
         def solve(rhs):
-            R = rhs.reshape(nx, nxi)
+            R = rhs.reshape(nb, nxi)
             np.copyto(top, R[:, :m].T)
             np.copyto(bottom, R[:, :m:-1].T)
             np.copyto(mid, R[:, m])
@@ -616,7 +624,7 @@ class ModalForms:
             for Lj, xj, xn in reversed(passes):
                 mul(Lj, xn, t)
                 sub(xj, t, xj)
-            x = np.empty((nx, nxi))
+            x = np.empty((nb, nxi))
             np.copyto(x[:, :m], top.T)
             np.copyto(x[:, :m:-1], bottom.T)
             x[:, m] = mid

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +156,9 @@ def test_mini_study_rows_complete(mini_report):
             assert row.fiber_margin[t] >= -1e-8
             assert row.jensen_margin[t] >= -1e-8
         assert row.fiber_margin[0.0] >= -1e-8
+        # cosine data: the modes left unstepped hold only roundoff
+        assert 0.0 < row.dropped_norm <= 1e-15
+    assert mini_report.checks["modes_dropped_small"]
 
 
 def test_report_serializes(mini_report):
@@ -403,24 +405,35 @@ def test_a_nan_energy_residual_fails_the_certificate(monkeypatch):
     assert not rep.all_ok
 
 
-# whether a study here forks: at least 2 CPUs and a single thread
-FORKS = conv._process_count(2) == 2
+def test_a_large_dropped_norm_fails_its_check(monkeypatch):
+    real_solve = conv.solve
+
+    def truncated(forms, *args, **kw):
+        traj = real_solve(forms, *args, **kw)
+        traj.dropped_norm = 2.0 * conv.DROPPED_NORM_BOUND
+        return traj
+
+    monkeypatch.setattr(conv, "solve", truncated)
+    rep = run_ladder_study(Config(ladder=(0.2, 0.1), nx=17, nxi=21, dt=1e-2,
+                                  t_final=0.1, times=(0.1,)))
+    assert all(r.dropped_norm == 2e-10 for r in rep.rows)
+    assert rep.checks["modes_dropped_small"] is False
+    assert not rep.all_ok
+
 
 _FRESH_STUDY = """
-import json, os, sys
-from kramerslab import cli, convergence
+import os, sys
+from kramerslab import cli
 config, out, one_cpu = sys.argv[1:]
 if one_cpu == "1":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-print(convergence._process_count(3))
 sys.exit(cli.main(["converge", "--config", config, "--out", out]))
 """
 
 
 def _fresh_study(tmp_path, one_cpu):
-    """A fresh single-threaded interpreter's ``converge`` of the MINI study
-    on three rungs (so that a process runs two of them when two share the
-    ladder), limited to one CPU or not: (processes, report bytes)."""
+    """The ``report.json`` bytes of a fresh interpreter's ``converge`` of
+    the MINI study on three rungs, limited to one CPU or not."""
     config = tmp_path / "mini.json"
     config.write_text(json.dumps(dict(MINI, ladder=(0.2, 0.15, 0.1))))
     out = tmp_path / f"one-cpu-{one_cpu}"
@@ -433,28 +446,19 @@ def _fresh_study(tmp_path, one_cpu):
                           str(out), str(int(one_cpu))], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    return (int(run.stdout.splitlines()[0]),
-            (out / "report.json").read_bytes())
+    return (out / "report.json").read_bytes()
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
-                    or len(os.sched_getaffinity(0)) < 2,
-                    reason="fewer than 2 CPUs: every study runs serially")
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the process cannot be limited to one CPU")
 def test_study_bytes_do_not_depend_on_the_cpus(tmp_path):
-    spread, report = _fresh_study(tmp_path, one_cpu=False)
-    serial, report_one_cpu = _fresh_study(tmp_path, one_cpu=True)
-    if spread < 2:
-        pytest.skip("the fresh interpreter runs a second thread")
-    assert serial == 1
-    assert report == report_one_cpu
+    assert _fresh_study(tmp_path, one_cpu=False) == _fresh_study(
+        tmp_path, one_cpu=True)
 
 
-@pytest.mark.skipif(not FORKS, reason="fewer than 2 CPUs or a second thread: "
-                    "no study forks")
 @pytest.mark.parametrize("eps", [0.2, 0.1], ids=["own-rung", "worker-rung"])
 def test_unexpected_error_names_its_rung(monkeypatch, eps):
-    # eps 0.2 fails in this process while a worker runs 0.1, which must be
-    # killed and reaped; eps 0.1 fails in the worker
+    # eps 0.2 fails on the first rung, eps 0.1 after a finished one
     real_solve = conv.solve
 
     def broken(forms, *args, **kw):
@@ -468,43 +472,18 @@ def test_unexpected_error_names_its_rung(monkeypatch, eps):
     with pytest.raises(RuntimeError,
                        match=f"eps = {eps} raised ZeroDivisionError"):
         run_ladder_study(cfg)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(not FORKS, reason="fewer than 2 CPUs or a second thread: "
-                    "no study forks")
-def test_worker_that_exits_without_outcomes_is_named(monkeypatch):
-    parent, real_solve = os.getpid(), conv.solve
+def test_every_rung_runs_in_this_process(monkeypatch):
+    # an in-process counter sees every rung of the study
+    seen, real_solve = [], conv.solve
 
-    def dying(forms, *args, **kw):
-        if forms.eps == 0.1 and os.getpid() != parent:
-            os._exit(3)
+    def counted(forms, *args, **kw):
+        seen.append(forms.eps)
         return real_solve(forms, *args, **kw)
 
-    monkeypatch.setattr(conv, "solve", dying)
-    cfg = Config(ladder=(0.2, 0.1), nx=17, nxi=21, dt=1e-2, t_final=0.1,
-                 times=(0.1,))
-    with pytest.raises(RuntimeError, match=r"eps \[0\.1\] exited with "
-                       "status 3 without sending its outcomes"):
-        run_ladder_study(cfg)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_no_fork_beside_a_second_thread(monkeypatch):
-    def no_fork():
-        raise AssertionError("a study forked beside a second thread")
-
-    monkeypatch.setattr(conv.os, "fork", no_fork)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        rep = run_ladder_study(Config(ladder=(0.2, 0.1), nx=17, nxi=21,
-                                      dt=1e-2, t_final=0.1, times=(0.1,)))
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert [r.eps for r in rep.rows] == [0.2, 0.1]
+    monkeypatch.setattr(conv, "solve", counted)
+    rep = run_ladder_study(Config(ladder=(0.2, 0.15, 0.1), nx=17, nxi=21,
+                                  dt=1e-2, t_final=0.1, times=(0.1,)))
+    assert seen == [0.2, 0.15, 0.1]
+    assert [r.eps for r in rep.rows] == seen

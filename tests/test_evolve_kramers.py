@@ -469,3 +469,70 @@ def test_step_doubling_accuracy(quartic):
         traj = solve(forms, u0, T=0.25, dt=dt)
         b_vals[dt] = traj.b[-1]
     assert abs(b_vals[1e-3] - b_vals[5e-4]) < 1e-4
+
+
+def _stepped(monkeypatch, forms, u0, T, dt, snapshot_times=()):
+    """The x-modes that ``solve`` steps for ``u0``, and its trajectory: the
+    modes of the last forms it builds."""
+    built = []
+
+    class Recorded(ModalForms):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(evolve_kramers, "ModalForms", Recorded)
+    traj = solve(forms, u0, T, dt, snapshot_times=snapshot_times)
+    return list(built[-1].modes), traj
+
+
+def test_data_in_every_mode_keep_every_block(quartic, monkeypatch):
+    # a tabulated pair has content in every x-mode, so the run steps every
+    # block and is bitwise the run over all modes
+    grid = build_grid(17, 21)
+    forms = assemble(grid, quartic, EPS)
+    x = grid.x_nodes
+    u0 = lift(np.interp(x, [0.0, 0.3, 1.0], [1.0, 3.0, 0.5]),
+              np.interp(x, [0.0, 0.7, 1.0], [2.0, 0.0, 1.0]), quartic, EPS,
+              grid)
+    modes, traj = _stepped(monkeypatch, forms, u0, 0.02, 1e-3, (0.01, 0.02))
+    assert modes == list(range(grid.nx))
+    assert traj.dropped_norm == 0.0
+    full = ModalForms(forms)
+    ref = evolve_kramers._integrate(
+        full, full.coefficients(u0.values), 0.02, 1e-3, "CN_rannacher",
+        (0.01, 0.02), lambda y: Field(full.values(y), grid), u0, "all modes")
+    for name in ("times", "mass", "b", "a1", "a2", "energy_residual"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name))
+    for t in (0.01, 0.02):
+        assert np.array_equal(traj.snapshot_at(t).values,
+                              ref.snapshot_at(t).values)
+
+
+def test_cosine_data_keep_their_mode(quartic, monkeypatch):
+    # a mode-3 cosine pair occupies modes 0 and 3 alone; the rest is
+    # transform roundoff
+    grid = build_grid(33, 41)
+    forms = assemble(grid, quartic, EPS)
+    x = grid.x_nodes
+    c3 = np.cos(3.0 * np.pi * x)
+    u0 = lift(c3, 1.0 + c3, quartic, EPS, grid)
+    modes, traj = _stepped(monkeypatch, forms, u0, 0.01, 1e-3)
+    assert modes == [0, 3]
+    M, _, _ = oracles.kron_forms(forms)
+    norm = math.sqrt(float(u0.ravel() @ (M @ u0.ravel())))
+    assert 0.0 < traj.dropped_norm <= 1e-15 * norm
+
+
+def test_x_constant_data_keep_mode_zero(quartic, monkeypatch):
+    # data constant along x step mode 0 alone, stay constant along x and
+    # conserve the mass
+    grid = build_grid(33, 41)
+    forms = assemble(grid, quartic, EPS)
+    u0 = lift(np.full(33, 0.3), np.full(33, 1.2), quartic, EPS, grid)
+    modes, traj = _stepped(monkeypatch, forms, u0, 0.05, 1e-3, (0.05,))
+    assert modes == [0]
+    assert np.abs(np.diff(traj.mass)).max() <= 1e-10
+    assert abs(traj.mass[-1] - traj.mass[0]) <= 1e-12 * abs(traj.mass[0])
+    out = traj.snapshot_at(0.05).values
+    assert np.all(out == out[0])

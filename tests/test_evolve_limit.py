@@ -290,13 +290,14 @@ def test_both_levels_share_one_trajectory():
 
 def _eps_level():
     # the forms the eps-level integrator steps: the x-modes of the nodal ones
+    # that the data occupy, 0 and 1 for cos(pi x)
     grid = build_grid(17, 21)
     profile = quartic_default()
     forms = assemble(grid, profile, 0.1)
     x = grid.x_nodes
     u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), profile, 0.1, grid)
-    return (ModalForms(forms), (grid.nx, grid.nxi),
-            lambda T: solve(forms, u0, T, 1e-3))
+    modal = ModalForms(forms, (0, 1))
+    return (modal, modal.shape, lambda T: solve(forms, u0, T, 1e-3))
 
 
 def _limit_level():

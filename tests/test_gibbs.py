@@ -146,21 +146,18 @@ def test_measure_matches_the_inline_formulas_bitwise(quartic, eps):
 
 
 def test_each_scale_integrates_log_z_once(monkeypatch, tmp_path):
-    # each call appends its name to a file, so that the calls of the rungs
-    # a forked ladder worker runs are counted too
-    log = tmp_path / "calls.log"
     names = ("log_partition", "log_barrier_integral", "adaptive_integral")
+    log = []
     for name in names:
         def counted(*args, _name=name, _fn=getattr(gibbs, name), **kwargs):
-            with open(log, "a") as fh:
-                fh.write(_name + "\n")
+            log.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(gibbs, name, counted)
 
     def logged():
-        lines = log.read_text().split() if log.exists() else []
-        log.unlink(missing_ok=True)
-        return {name: lines.count(name) for name in names}
+        counts = {name: log.count(name) for name in names}
+        log.clear()
+        return counts
 
     report = run_ladder_study(Config(
         ladder=LADDER, nx=17, nxi=21, dt=0.01, t_final=0.02, times=(0.02,)))

@@ -568,6 +568,34 @@ def test_modal_forms_match_the_nodal_ones(small_forms, eps):
                                                                rel=1e-14)
 
 
+def test_restricted_modal_forms_are_the_kept_blocks(small_forms):
+    # forms on a few x-modes act, solve and transform exactly as the full
+    # forms do on those blocks of a state that is zero elsewhere; mode 0
+    # is always kept, and the norm of the smaller system is at most the
+    # full one's
+    forms = small_forms[0.1]
+    full, part = ModalForms(forms), ModalForms(forms, [3, 1])
+    keep = [0, 1, 3]
+    assert list(part.modes) == keep and part.shape == (3, 21)
+    assert np.array_equal(part.lam, full.lam[keep])
+    assert np.array_equal(part.V, full.V[:, keep])
+    assert np.array_equal(part.VtM, full.VtM[keep])
+    rng = np.random.default_rng(5)
+    Y = np.zeros(full.shape)
+    Y[keep] = rng.normal(size=(3, 21))
+    mv, st = full.mass_and_stencil(Y.reshape(-1))
+    pmv, pst = part.mass_and_stencil(Y[keep].reshape(-1))
+    assert np.array_equal(pmv, mv.reshape(full.shape)[keep].reshape(-1))
+    assert np.array_equal(pst.au, st.au.reshape(full.shape)[keep].reshape(-1))
+    assert pst.a1 == pytest.approx(st.a1, rel=1e-15)
+    assert pst.a2 == pytest.approx(st.a2, rel=1e-15)
+    R = rng.normal(size=full.shape)
+    x = full.factorize(1e-3)(R.reshape(-1)).reshape(full.shape)[keep]
+    assert np.array_equal(part.factorize(1e-3)(R[keep].reshape(-1)),
+                          x.reshape(-1))
+    assert part.norm_inf(1e-3) < full.norm_inf(1e-3)
+
+
 @pytest.mark.parametrize("shape", [(129, 161), (65, 81), (33, 1025)],
                          ids=["129x161", "65x81", "33x1025"])
 @pytest.mark.parametrize("eps", [0.2, 0.02])
