@@ -44,9 +44,9 @@ REGIMES = ("critical", "sub", "super")
 MONOTONE_FLOOR = 1e-8
 
 # The most M-norm a rung may leave unstepped in the x-modes that its initial
-# state barely occupies (evolve_kramers.DROP_TOL): the rung is then within
-# this distance of the run over every mode at every step, the size of the
-# per-step mass certificate.
+# state barely occupies (evolve_kramers.DROP_TOL), per max(1, ||u0||_M): the
+# rung is then within this share of the data of the run over every mode at
+# every step. The drop rule leaves at most DROP_TOL sqrt(nx - 1) ||u0||_M.
 DROPPED_NORM_BOUND = 1e-10
 
 
@@ -384,6 +384,7 @@ class EpsRow:
     mass_drift: float
     energy_residual_max: float
     dropped_norm: float      # M-norm of the initial x-modes not stepped
+    initial_norm: float      # M-norm of the initial state, ||u0||_M
 
 
 @dataclass
@@ -479,7 +480,9 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
                  mass_drift=float(np.abs(np.diff(traj.mass)).max()),
                  energy_residual_max=float(np.max([0.0, *map(
                      energy_excess, traj.energy_residual, traj.thetas)])),
-                 dropped_norm=traj.dropped_norm)
+                 dropped_norm=traj.dropped_norm,
+                 initial_norm=math.hypot(math.sqrt(traj.b[0]),
+                                         traj.dropped_norm))
     tests, observables = default_test_functions(), _snapshot_observables()
     for t, state in traj.snapshots:
         row.fiber_margin[t] = fiber_bound_margin(forms, state, rate_eff)
@@ -541,8 +544,9 @@ def _certificates(cfg, rows, row_errors):
                                  for m in r.jensen_margin.values())
     checks["mass_conserved"] = all(r.mass_drift <= MASS_DRIFT_BOUND
                                    for r in rows)
-    checks["modes_dropped_small"] = all(r.dropped_norm <= DROPPED_NORM_BOUND
-                                        for r in rows)
+    checks["modes_dropped_small"] = all(
+        r.dropped_norm <= DROPPED_NORM_BOUND * max(1.0, r.initial_norm)
+        for r in rows)
     b0 = rows[0].b[cfg.times[0]][0]
     checks["energy_identity"] = all(
         r.energy_residual_max <= ENERGY_RESIDUAL_BOUND * max(1.0, b0)

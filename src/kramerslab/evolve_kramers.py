@@ -420,37 +420,33 @@ def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     """Integrate M du/dt + A u = 0 from the nodal field ``u0`` to time T.
 
     Steps the x-modes that ``u0`` occupies (:class:`ModalForms`): block k
-    of the coefficients is kept when its M_xi-norm exceeds DROP_TOL times
-    ||u0||_M, and mode 0, which carries the mass, always. The modes never
-    couple, and a theta step with theta >= 1/2 is non-expansive in each
-    block's M_xi-norm, so at every step the run is within the M-norm of the
-    dropped blocks, recorded as ``dropped_norm``, of the run over all
-    modes. The snapshots are nodal fields, and the one at t = 0 is a copy
-    of ``u0``. Records mass, the squared norm b and the energy split
-    (a1, a2) at every step, the per-step residual of the discrete energy
-    identity b(u_next)/2 - b(u)/2 + dt a(u_theta) (zero up to solver
-    tolerance on trapezoidal steps, nonpositive on damped ones), and full
-    states at ``snapshot_times``. Every step's solve is certified to the
-    backward error RESIDUAL_TARGET. Raises :class:`SolverError`, naming
-    eps, the step, t and the quantity, as soon as a step drifts the mass or
-    breaks the energy identity beyond the certificates.
+    of the coefficients is kept when its M_xi-norm (``forms.mode_norms``,
+    which builds no dense transform) exceeds DROP_TOL times ||u0||_M, and
+    mode 0, which carries the mass, always. The modes never couple, and a
+    theta step with theta >= 1/2 is non-expansive in each block's M_xi-norm,
+    so at every step the run is within the M-norm of the dropped blocks,
+    recorded as ``dropped_norm``, of the run over all modes. The snapshots
+    are nodal fields, and the one at t = 0 is a copy of ``u0``. Records
+    mass, the squared norm b and the energy split (a1, a2) at every step,
+    the per-step residual of the discrete energy identity
+    b(u_next)/2 - b(u)/2 + dt a(u_theta) (zero up to solver tolerance on
+    trapezoidal steps, nonpositive on damped ones), and full states at
+    ``snapshot_times``. Every step's solve is certified to the backward
+    error RESIDUAL_TARGET. Raises :class:`SolverError`, naming eps, the
+    step, t and the quantity, as soon as a step drifts the mass or breaks
+    the energy identity beyond the certificates.
     """
     if not isinstance(u0, Field):
         raise TypeError("u0 must be a Field")
-    full = ModalForms(forms)
-    y = full.coefficients(u0.values)
-    Y = y.reshape(full.shape)
-    # the squared M_xi-norm of each block
-    sq = np.maximum((Y * full.apply_m(y).reshape(full.shape)).sum(axis=1),
-                    0.0)
-    keep = np.sqrt(sq) > DROP_TOL * math.sqrt(sq.sum())
+    norms = forms.mode_norms(u0)
+    keep = norms > DROP_TOL * np.linalg.norm(norms)
     keep[0] = True
     modal = ModalForms(forms, np.flatnonzero(keep))
     traj = _integrate(
-        modal, Y[keep].reshape(-1), T, dt, scheme, snapshot_times,
+        modal, modal.coefficients(u0.values), T, dt, scheme, snapshot_times,
         lambda y: Field(modal.values(y), u0.grid),
         Field(u0.values.copy(), u0.grid), f"eps = {forms.eps:g}")
-    traj.dropped_norm = math.sqrt(sq[~keep].sum())
+    traj.dropped_norm = float(np.linalg.norm(norms[~keep]))
     return traj
 
 

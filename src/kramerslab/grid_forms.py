@@ -357,6 +357,14 @@ class FormMatrices:
         U = self._as_grid(u)
         return apply_x(self.M_x, _tridiag(self.M_xi, U)).reshape(-1)
 
+    def mode_norms(self, u):
+        """The M_xi-norm of each x-mode block V^T M_x U of ``u`` (the
+        O(n log n) transform of :class:`XBasis`); their squares sum to
+        ||u||_M^2 up to rounding."""
+        Y = XBasis(self.grid.nx).coefficients(self._as_grid(u).T).T
+        return np.sqrt(np.maximum((Y * _tridiag(self.M_xi, Y)).sum(axis=1),
+                                  0.0))
+
     def _x_part(self, U):
         """x-differences of U and their fluxes g_x (dU M_xi)."""
         V = np.diff(U, axis=0)

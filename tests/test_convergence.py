@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -157,7 +158,8 @@ def test_mini_study_rows_complete(mini_report):
             assert row.jensen_margin[t] >= -1e-8
         assert row.fiber_margin[0.0] >= -1e-8
         # cosine data: the modes left unstepped hold only roundoff
-        assert 0.0 < row.dropped_norm <= 1e-15
+        assert row.initial_norm > 0.0
+        assert 0.0 <= row.dropped_norm <= 1e-15 * row.initial_norm
     assert mini_report.checks["modes_dropped_small"]
 
 
@@ -405,20 +407,38 @@ def test_a_nan_energy_residual_fails_the_certificate(monkeypatch):
     assert not rep.all_ok
 
 
-def test_a_large_dropped_norm_fails_its_check(monkeypatch):
+def _truncated_study(monkeypatch, share, **cfg):
+    # each rung reports a dropped norm of ``share`` times max(1, ||u0||_M)
     real_solve = conv.solve
 
     def truncated(forms, *args, **kw):
         traj = real_solve(forms, *args, **kw)
-        traj.dropped_norm = 2.0 * conv.DROPPED_NORM_BOUND
+        traj.dropped_norm = share * max(1.0, math.sqrt(traj.b[0]))
         return traj
 
     monkeypatch.setattr(conv, "solve", truncated)
-    rep = run_ladder_study(Config(ladder=(0.2, 0.1), nx=17, nxi=21, dt=1e-2,
-                                  t_final=0.1, times=(0.1,)))
-    assert all(r.dropped_norm == 2e-10 for r in rep.rows)
+    return run_ladder_study(Config(ladder=(0.2, 0.1), nx=17, nxi=21, dt=1e-2,
+                                   t_final=0.1, times=(0.1,), **cfg))
+
+
+def test_a_large_dropped_norm_fails_its_check(monkeypatch):
+    rep = _truncated_study(monkeypatch, 2.0 * conv.DROPPED_NORM_BOUND)
+    assert all(r.dropped_norm >= 2e-10 for r in rep.rows)
     assert rep.checks["modes_dropped_small"] is False
     assert not rep.all_ok
+
+
+def test_dropped_norm_bound_scales_with_the_data(monkeypatch):
+    # the drop rule is relative to ||u0||_M, and so is its check: data
+    # scaled up leave more M-norm unstepped and still pass
+    big = {side: {"kind": "cosine", "offset": 500.0, "amplitude": 300.0}
+           for side in ("minus", "plus")}
+    rep = _truncated_study(monkeypatch, 0.5 * conv.DROPPED_NORM_BOUND, u0=big)
+    assert len(rep.rows) == 2
+    for row in rep.rows:
+        assert row.initial_norm > 2.0
+        assert row.dropped_norm > conv.DROPPED_NORM_BOUND
+    assert rep.checks["modes_dropped_small"] is True
 
 
 _FRESH_STUDY = """

@@ -521,7 +521,7 @@ def test_cosine_data_keep_their_mode(quartic, monkeypatch):
     assert modes == [0, 3]
     M, _, _ = oracles.kron_forms(forms)
     norm = math.sqrt(float(u0.ravel() @ (M @ u0.ravel())))
-    assert 0.0 < traj.dropped_norm <= 1e-15 * norm
+    assert 0.0 <= traj.dropped_norm <= 1e-15 * norm
 
 
 def test_x_constant_data_keep_mode_zero(quartic, monkeypatch):

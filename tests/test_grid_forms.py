@@ -596,6 +596,21 @@ def test_restricted_modal_forms_are_the_kept_blocks(small_forms):
     assert part.norm_inf(1e-3) < full.norm_inf(1e-3)
 
 
+def test_mode_norms_are_the_block_norms(small_forms):
+    # the fast transform's block norms are the dense modes' M_xi-norms, and
+    # their squares sum to ||u||_M^2
+    forms = small_forms[0.1]
+    full = ModalForms(forms)
+    U = np.random.default_rng(7).normal(size=full.shape)
+    Y = full.coefficients(U).reshape(full.shape)
+    M_xi = oracles.csr(forms.M_xi).toarray()
+    dense = np.sqrt((Y * (Y @ M_xi)).sum(axis=1))
+    norms = forms.mode_norms(U)
+    assert norms == pytest.approx(dense, rel=1e-13)
+    m = float(U.reshape(-1) @ forms.apply_m(U))
+    assert float(norms @ norms) == pytest.approx(m, rel=1e-13)
+
+
 @pytest.mark.parametrize("shape", [(129, 161), (65, 81), (33, 1025)],
                          ids=["129x161", "65x81", "33x1025"])
 @pytest.mark.parametrize("eps", [0.2, 0.02])
