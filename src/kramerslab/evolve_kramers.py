@@ -13,9 +13,11 @@ integrator steps the two-species limit system (:func:`solve_limit`, on
 ``grid_forms.ModalLimitForms``): both levels are gradient flows of an
 energy ``a`` in the metric ``b`` and differ only in their forms, which own
 the block solve of M + cA (:class:`ThetaSystem`). Both solves run in numpy
-alone, over all stepped x-modes at once (the two-ended tridiagonal sweep at
-the eps level, the closed-form inverse of each 2 x 2 block at the limit),
-so no run loads scipy.
+alone, over all stepped x-modes at once (at the eps level the two-ended
+tridiagonal sweep, and from a factorization's INVERSE_AFTER-th solve on one
+batched product with the blocks' explicit inverse when few blocks are kept
+and their condition admits it; at the limit the closed-form inverse of each
+2 x 2 block), so no run loads scipy.
 """
 from __future__ import annotations
 

@@ -449,6 +449,73 @@ class XBasis:
         return _dct1(y / (self.norm * self.w))
 
 
+# ModalForms.factorize solves by the kept blocks' explicit inverse from
+# the INVERSE_AFTER-th solve of a factorization on (at least 4, so that a
+# two-step run, 3 solves, never builds one), when the inverses take at most
+# INVERSE_BYTES and the condition number ||M + cA||_inf ||(M + cA)^{-1}||_inf
+# is at most INVERSE_MAX_COND = 1 / u, u = 2^-53: kappa u <= 1, where the
+# solves by the inverse were first seen to break a certificate at about 1e4
+INVERSE_AFTER = 16
+INVERSE_BYTES = 2 << 20
+INVERSE_MAX_COND = 2.0 ** 53
+
+
+def _two_ended_sweep(L, D, cols=()):
+    """The solve of the GTH factors of :meth:`ModalForms.factorize`: ``L``
+    (m, 2, nb) and the pivots ``D`` (nxi nb), both in the sweep's layout, as
+    a function rhs -> x from right-hand sides of nb nxi entries, or of shape
+    (nb, nxi, *``cols``), to a fresh (nb, nxi, *cols) solution. The factors
+    broadcast along the trailing column axes, so one sweep solves every
+    column.
+
+    Pass j of the sweep is row j of the top half and row nxi-1-j of the
+    bottom half of every block, one contiguous pass over 2 nb entries (times
+    the columns). A solve gathers the right-hand side into that layout, runs
+    the forward passes, the twist row, one division by the pivots and the
+    backward passes in one workspace, and scatters the solution.
+    """
+    m, _, nb = L.shape
+    nxi = 2 * m + 1
+    ones = (1,) * len(cols)
+    D = D.reshape(-1, *ones)
+    work = np.empty((nxi * nb, *cols))
+    pairs, mid = work[:-nb].reshape(m, 2 * nb, *cols), work[-nb:]
+    top, bottom = pairs.reshape(m, 2, nb, *cols).swapaxes(0, 1)
+    t = np.empty((2 * nb, *cols))
+    t_pair = t.reshape(2, nb, *cols)
+    t_top, t_bottom = t_pair
+    # the last pass meets the twist row, the others the next pass
+    L_twist = L[-1].reshape(2, nb, *ones)
+    L = L.reshape(m, 2 * nb, *ones)
+    L_end, x_end = L[-1], pairs[-1]
+    passes = list(zip(L[:-1], pairs[:-1], pairs[1:]))
+    mul, sub = np.multiply, np.subtract
+
+    def solve(rhs):
+        R = rhs.reshape(nb, nxi, *cols)
+        np.copyto(top, R[:, :m].swapaxes(0, 1))
+        np.copyto(bottom, R[:, :m:-1].swapaxes(0, 1))
+        np.copyto(mid, R[:, m])
+        for Lj, xj, xn in passes:
+            mul(Lj, xj, t)
+            sub(xn, t, xn)
+        mul(L_end, x_end, t)
+        sub(mid, t_top, mid)
+        sub(mid, t_bottom, mid)
+        np.divide(work, D, out=work)
+        mul(L_twist, mid, t_pair)
+        sub(x_end, t, x_end)
+        for Lj, xj, xn in reversed(passes):
+            mul(Lj, xn, t)
+            sub(xj, t, xj)
+        x = np.empty((nb, nxi, *cols))
+        np.copyto(x[:, :m], top.swapaxes(0, 1))
+        np.copyto(x[:, :m:-1], bottom.swapaxes(0, 1))
+        x[:, m] = mid
+        return x
+    return solve
+
+
 class ModalForms:
     """The eps-level forms in the x-eigenbasis (:class:`XBasis`), where the
     theta loop steps, restricted to the x-modes ``modes`` (all nx of them by
@@ -484,7 +551,8 @@ class ModalForms:
         nx, nxi = forms.grid.nx, forms.grid.nxi
         n = nx - 1
         j = np.arange(nx)
-        k = self.modes = j if modes is None else np.union1d(0, modes)
+        k = self.modes = j if modes is None else np.array(
+            sorted({0, *map(int, modes)}))
         self.shape = (len(k), nxi)
         self.n, self.eps = len(k) * nxi, forms.eps
         basis = XBasis(nx)
@@ -553,9 +621,10 @@ class ModalForms:
         return float(rows.max())
 
     def factorize(self, c):
-        """Inner solver r -> (M + cA)^{-1} r: one tridiagonal sweep over all
-        kept blocks at once, from both ends of each, with no dense product
-        (fast diagonalization in x).
+        """Inner solver r -> (M + cA)^{-1} r over all kept blocks at once:
+        a tridiagonal sweep from both ends of each block, and for a long run
+        of few well-conditioned blocks their explicit inverse (fast
+        diagonalization in x).
 
         The blocks are never diagonalized in xi (M_xi has condition
         ~exp(1/eps)); each is factored with GTH pivots: the K_xi rows sum to
@@ -565,14 +634,18 @@ class ModalForms:
         off-diagonals e_j are <= 0. The elimination runs with these pivots
         from both wells toward the saddle row m = (nxi - 1)/2 (a Grid's
         count is odd), where the twist pivot excess_m - L r (top) - L r
-        (bottom) is again a sum of nonnegative terms.
+        (bottom) is again a sum of nonnegative terms. The factors lie as
+        (m, 2, nb), the layout of :func:`_two_ended_sweep`.
 
-        The factors lie as (m, 2, nb): pass j of the sweep is row j of the
-        top half and row nxi-1-j of the bottom half of every block, one
-        contiguous pass over 2 nb entries. A solve gathers the right-hand
-        side into that layout, runs the forward passes, the twist row, one
-        division by the pivots and the backward passes in one workspace,
-        and writes a fresh solution, which the caller may keep.
+        The first solves run the sweep. At the INVERSE_AFTER-th solve of
+        the factorization, if the kept blocks' inverses take at most
+        INVERSE_BYTES, one sweep over the identity's columns builds them;
+        they are kept if ||M + cA||_inf ||(M + cA)^{-1}||_inf is at most
+        INVERSE_MAX_COND, and from then on each solve is one batched
+        ``np.matmul``. Otherwise the sweep serves every solve: well past
+        that condition (eps <= 0.0275 on the README grids) solves by the
+        inverse leak mass or break the energy identity partway through a
+        run. Each solve writes a fresh solution, which the caller may keep.
         """
         nb, nxi = self.shape
         m = nxi // 2
@@ -602,41 +675,23 @@ class ModalForms:
             raise SolverError(f"tensor factorization of M + {c:g} A at "
                               f"eps = {self.eps:g} lost positive pivots")
 
-        work = np.empty(nxi * nb)
-        pairs, mid = work[:-nb].reshape(m, 2 * nb), work[-nb:]
-        top, bottom = pairs.reshape(m, 2, nb).transpose(1, 0, 2)
-        t = np.empty(2 * nb)
-        t_pair = t.reshape(2, nb)
-        t_top, t_bottom = t_pair
-        # the last pass meets the twist row, the others the next pass
-        L_twist = L[-1]
-        L = L.reshape(m, 2 * nb)
-        L_end, x_end = L[-1], pairs[-1]
-        passes = list(zip(L[:-1], pairs[:-1], pairs[1:]))
-        mul, sub = np.multiply, np.subtract
+        sweep = _two_ended_sweep(L, D)
+        fits = nb * nxi * nxi * 8 <= INVERSE_BYTES
+        solves = 0
+        inverse = None
 
         def solve(rhs):
-            R = rhs.reshape(nb, nxi)
-            np.copyto(top, R[:, :m].T)
-            np.copyto(bottom, R[:, :m:-1].T)
-            np.copyto(mid, R[:, m])
-            for Lj, xj, xn in passes:
-                mul(Lj, xj, t)
-                sub(xn, t, xn)
-            mul(L_end, x_end, t)
-            sub(mid, t_top, mid)
-            sub(mid, t_bottom, mid)
-            np.divide(work, D, out=work)
-            mul(L_twist, mid, t_pair)
-            sub(x_end, t, x_end)
-            for Lj, xj, xn in reversed(passes):
-                mul(Lj, xn, t)
-                sub(xj, t, xj)
-            x = np.empty((nb, nxi))
-            np.copyto(x[:, :m], top.T)
-            np.copyto(x[:, :m:-1], bottom.T)
-            x[:, m] = mid
-            return x.reshape(-1)
+            nonlocal solves, inverse
+            solves += 1
+            if solves == INVERSE_AFTER and fits:
+                inv = _two_ended_sweep(L, D, (nxi,))(
+                    np.broadcast_to(np.eye(nxi), (nb, nxi, nxi)))
+                if (self.norm_inf(c) * np.abs(inv).sum(axis=2).max()
+                        <= INVERSE_MAX_COND):
+                    inverse = inv
+            if inverse is None:
+                return sweep(rhs).reshape(-1)
+            return np.matmul(inverse, rhs.reshape(nb, nxi, 1)).reshape(-1)
         return solve
 
     def residual_mass(self, r):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kramerslab import evolve_kramers
+from kramerslab import evolve_kramers, grid_forms
 from kramerslab.evolve_kramers import (MASS_RESIDUAL_BOUND, LinearSolver,
                                        SolverError, ThetaSystem,
                                        _certify_step, solve)
@@ -372,6 +372,65 @@ def test_two_ended_sweep_against_per_block_oracle(quartic, nx, nxi, eps):
         dense = np.linalg.solve(S, rhs[..., None])[..., 0]
         error = np.abs(x - dense).max(axis=1) / np.abs(dense).max(axis=1)
         assert np.all(error <= 1e-15 * np.linalg.cond(S, p=np.inf))
+
+
+@pytest.mark.parametrize("eps, admitted", [(0.2, True), (0.05, True),
+                                           (0.03, False), (0.02, False)])
+@pytest.mark.parametrize("nx, nxi", [(65, 81), (129, 161), (193, 257)])
+def test_block_inverse_is_admitted_by_condition(quartic, nx, nxi, eps,
+                                                admitted):
+    # the default run's two kept blocks fit the budget; the first
+    # INVERSE_AFTER - 1 solves of a factorization are the sweep's bit for
+    # bit, and from the INVERSE_AFTER-th on the explicit inverse serves
+    # where kappa_inf u <= 1 (eps >= 0.05 on these grids), with the sweep's
+    # per-block backward error, and the sweep where it is not (eps <= 0.03)
+    modal = ModalForms(assemble(build_grid(nx, nxi), quartic, eps), [0, 1])
+    assert 2 * nxi * nxi * 8 <= grid_forms.INVERSE_BYTES
+    after = grid_forms.INVERSE_AFTER
+    rhs = np.random.default_rng(nx + nxi).normal(size=modal.shape)
+    for c in (1e-4, 1e-3, 1e-2):
+        sweep = modal.factorize(c)(rhs.reshape(-1))
+        solve = modal.factorize(c)
+        xs = [solve(rhs.reshape(-1)) for _ in range(after + 1)]
+        assert all(np.array_equal(x, sweep) for x in xs[:after - 1])
+        assert np.array_equal(xs[after - 1], xs[after])
+        assert np.array_equal(xs[after], sweep) is not admitted
+        diag, off = _blocks(modal, c)
+        x = xs[after].reshape(modal.shape)
+        assert _block_backward_errors(diag, off, x, rhs).max() <= 1e-14
+
+
+def test_all_modes_exceed_the_inverse_budget(quartic):
+    # 129 blocks of 161^2 entries take 26.7 MB: every solve is the sweep's
+    modal = ModalForms(assemble(build_grid(129, 161), quartic, 0.2))
+    assert modal.shape[0] * 161 * 161 * 8 > grid_forms.INVERSE_BYTES
+    rhs = np.random.default_rng(31).normal(size=modal.n)
+    sweep = modal.factorize(1e-3)(rhs)
+    solve = modal.factorize(1e-3)
+    for _ in range(grid_forms.INVERSE_AFTER + 1):
+        assert np.array_equal(solve(rhs), sweep)
+
+
+@pytest.mark.parametrize("eps, nx, nxi", [(0.0275, 193, 257),
+                                          (0.02, 129, 161)])
+def test_long_runs_past_the_inverse_stay_certified(quartic, monkeypatch,
+                                                   eps, nx, nxi):
+    # 31 solves of one factorization, past INVERSE_AFTER: the condition
+    # rule keeps the sweep, and every step conserves mass and the energy
+    # identity to rounding; an inverse admitted by memory alone breaks a
+    # certificate partway through both runs
+    grid = build_grid(nx, nxi)
+    forms = assemble(grid, quartic, eps)
+    x = grid.x_nodes
+    u0 = lift(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), quartic, eps, grid)
+    traj = solve(forms, u0, T=0.03, dt=1e-3)
+    assert np.abs(np.diff(traj.mass)).max() <= 1e-15
+    excess = [evolve_kramers.energy_excess(r, theta)
+              for r, theta in zip(traj.energy_residual, traj.thetas)]
+    assert max(excess) <= 1e-15
+    monkeypatch.setattr(grid_forms, "INVERSE_MAX_COND", math.inf)
+    with pytest.raises(SolverError, match=f"^eps = {eps:g}, step "):
+        solve(forms, u0, T=0.03, dt=1e-3)
 
 
 def test_indefinite_block_raises_naming_eps(quartic):
