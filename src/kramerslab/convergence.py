@@ -43,10 +43,12 @@ REGIMES = ("critical", "sub", "super")
 # where strict ordering is meaningless.
 MONOTONE_FLOOR = 1e-8
 
-# The most M-norm a rung may leave unstepped in the x-modes that its initial
-# state barely occupies (evolve_kramers.DROP_TOL), per max(1, ||u0||_M): the
-# rung is then within this share of the data of the run over every mode at
-# every step. The drop rule leaves at most DROP_TOL sqrt(nx - 1) ||u0||_M.
+# The most M-norm a rung or the limit reference may leave unstepped in the
+# x-modes that its initial state barely occupies (evolve_kramers.DROP_TOL),
+# per max(1, ||u0||_M): the run is then within this share of the data of the
+# run over every mode at every step (the limit reference has equal rates, so
+# its bound's rate constant is 1). The drop rule leaves at most
+# DROP_TOL sqrt(nx - 1) ||u0||_M.
 DROPPED_NORM_BOUND = 1e-10
 
 
@@ -401,6 +403,8 @@ class ConvergenceReport:
     limit_rate: float
     rows: list
     limit_values: dict
+    limit_dropped_norm: float   # M-norm of the limit's initial modes not stepped
+    limit_initial_norm: float   # M-norm of the limit's initial pair, ||w0||_M
     checks: dict
     row_errors: dict
 
@@ -450,6 +454,12 @@ def _limit_reference(cfg, grid, k, um0, up0):
     return ltraj, values
 
 
+def _initial_norm(traj):
+    """||u0||_M of a run: its stepped part, sqrt(b(0)), with the dropped
+    norm."""
+    return math.hypot(math.sqrt(traj.b[0]), traj.dropped_norm)
+
+
 def _rung(cfg, profile, grid, limit, um0, up0, eps):
     """One rung: assemble -> lift -> integrate -> diagnose. A failed
     sub-solve aborts this rung only, returning (eps, reason) for the row."""
@@ -481,8 +491,7 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
                  energy_residual_max=float(np.max([0.0, *map(
                      energy_excess, traj.energy_residual, traj.thetas)])),
                  dropped_norm=traj.dropped_norm,
-                 initial_norm=math.hypot(math.sqrt(traj.b[0]),
-                                         traj.dropped_norm))
+                 initial_norm=_initial_norm(traj))
     tests, observables = default_test_functions(), _snapshot_observables()
     for t, state in traj.snapshots:
         row.fiber_margin[t] = fiber_bound_margin(forms, state, rate_eff)
@@ -515,9 +524,10 @@ def _diagnose(cfg, limit, forms, traj, rate, rate_eff):
     return row
 
 
-def _certificates(cfg, rows, row_errors):
+def _certificates(cfg, rows, row_errors, limit_norms):
     """The report's booleans; a ladder with a failed rung certifies
-    nothing beyond ``ladder_complete``."""
+    nothing beyond ``ladder_complete``. ``limit_norms`` are the limit
+    reference's dropped and initial M-norms."""
     checks = {"ladder_complete": not row_errors}
     if row_errors:
         return checks
@@ -545,8 +555,9 @@ def _certificates(cfg, rows, row_errors):
     checks["mass_conserved"] = all(r.mass_drift <= MASS_DRIFT_BOUND
                                    for r in rows)
     checks["modes_dropped_small"] = all(
-        r.dropped_norm <= DROPPED_NORM_BOUND * max(1.0, r.initial_norm)
-        for r in rows)
+        dropped <= DROPPED_NORM_BOUND * max(1.0, initial)
+        for dropped, initial in [(r.dropped_norm, r.initial_norm)
+                                 for r in rows] + [limit_norms])
     b0 = rows[0].b[cfg.times[0]][0]
     checks["energy_identity"] = all(
         r.energy_residual_max <= ENERGY_RESIDUAL_BOUND * max(1.0, b0)
@@ -592,11 +603,14 @@ def run_ladder_study(cfg):
                                f"{type(exc).__name__}: {exc}") from exc
     rows = [o for o in outcomes if isinstance(o, EpsRow)]
     row_errors = {o[0]: o[1] for o in outcomes if not isinstance(o, EpsRow)}
-    return ConvergenceReport(regime=cfg.regime, ladder=cfg.ladder,
-                             times=cfg.times, limit_rate=k, rows=rows,
-                             limit_values=limit[1],
-                             checks=_certificates(cfg, rows, row_errors),
-                             row_errors=row_errors)
+    ltraj = limit[0]
+    limit_norms = ltraj.dropped_norm, _initial_norm(ltraj)
+    return ConvergenceReport(
+        regime=cfg.regime, ladder=cfg.ladder, times=cfg.times, limit_rate=k,
+        rows=rows, limit_values=limit[1], limit_dropped_norm=limit_norms[0],
+        limit_initial_norm=limit_norms[1],
+        checks=_certificates(cfg, rows, row_errors, limit_norms),
+        row_errors=row_errors)
 
 
 @dataclass

@@ -10,14 +10,15 @@ The eps level steps in the x-eigenbasis (``grid_forms.ModalForms``), where
 M + cA is block diagonal, and only the blocks that the initial state
 occupies; nodal fields are formed only at entry and at snapshots. The same
 integrator steps the two-species limit system (:func:`solve_limit`, on
-``grid_forms.ModalLimitForms``): both levels are gradient flows of an
-energy ``a`` in the metric ``b`` and differ only in their forms, which own
-the block solve of M + cA (:class:`ThetaSystem`). Both solves run in numpy
-alone, over all stepped x-modes at once (at the eps level the two-ended
-tridiagonal sweep, and from a factorization's INVERSE_AFTER-th solve on one
-batched product with the blocks' explicit inverse when few blocks are kept
-and their condition admits it; at the limit the closed-form inverse of each
-2 x 2 block), so no run loads scipy.
+``grid_forms.ModalLimitForms``) under the same drop rule
+(:func:`kept_modes`): both levels are gradient flows of an energy ``a`` in
+the metric ``b`` and differ only in their forms, which own the block solve
+of M + cA (:class:`ThetaSystem`). Both solves run in numpy alone, over all
+stepped x-modes at once (at the eps level the two-ended tridiagonal sweep,
+and from a factorization's INVERSE_AFTER-th solve on one batched product
+with the blocks' explicit inverse when few blocks are kept and their
+condition admits it; at the limit the closed-form inverse of each 2 x 2
+block), so no run loads scipy.
 """
 from __future__ import annotations
 
@@ -29,7 +30,8 @@ import numpy as np
 from .grid_forms import Field, LimitField, ModalForms, SolverError
 
 __all__ = ["SolverError", "ThetaSystem", "LinearSolver", "Trajectory",
-           "SCHEMES", "solve", "solve_limit", "energy_excess"]
+           "SCHEMES", "kept_modes", "solve", "solve_limit",
+           "energy_excess"]
 
 
 class ThetaSystem:
@@ -248,8 +250,8 @@ class Trajectory:
     ``a1`` and ``a2`` split the energy: x- and xi-parts at the eps level,
     diffusion and reaction parts for the limit system.
     States are stored only at the requested snapshot times.
-    ``dropped_norm`` is the M-norm of the initial x-mode blocks that the run
-    did not step (:func:`solve`; the limit steps every mode, so 0 there).
+    ``dropped_norm`` is the M-norm of the initial x-modes that the run did
+    not step (:func:`kept_modes`, at both levels).
     """
 
     times: np.ndarray
@@ -413,62 +415,86 @@ def _integrate(forms, u, T, dt, scheme, snapshot_times, wrap, start,
                       snapshots=snapshots, dt=dt)
 
 
-# an x-mode block of the initial state whose M-norm is at most this share
-# of the state's is not stepped
+# an x-mode of the initial state whose M-norm is at most this share of the
+# state's is not stepped
 DROP_TOL = 1e-13
+
+
+def kept_modes(norms):
+    """The x-modes a run steps and the M-norm it drops, from the M-norm of
+    each x-mode of the initial state: mode k is kept when its norm exceeds
+    DROP_TOL times the state's, the 2-norm of ``norms``, and mode 0, which
+    carries the mass, always. The one drop rule of both levels."""
+    keep = norms > DROP_TOL * np.linalg.norm(norms)
+    keep[0] = True
+    return np.flatnonzero(keep), float(np.linalg.norm(norms[~keep]))
 
 
 def solve(forms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     """Integrate M du/dt + A u = 0 from the nodal field ``u0`` to time T.
 
-    Steps the x-modes that ``u0`` occupies (:class:`ModalForms`): block k
-    of the coefficients is kept when its M_xi-norm (``forms.mode_norms``,
-    which builds no dense transform) exceeds DROP_TOL times ||u0||_M, and
-    mode 0, which carries the mass, always. The modes never couple, and a
-    theta step with theta >= 1/2 is non-expansive in each block's M_xi-norm,
-    so at every step the run is within the M-norm of the dropped blocks,
-    recorded as ``dropped_norm``, of the run over all modes. The snapshots
-    are nodal fields, and the one at t = 0 is a copy of ``u0``. Records
-    mass, the squared norm b and the energy split (a1, a2) at every step,
-    the per-step residual of the discrete energy identity
-    b(u_next)/2 - b(u)/2 + dt a(u_theta) (zero up to solver tolerance on
-    trapezoidal steps, nonpositive on damped ones), and full states at
-    ``snapshot_times``. Every step's solve is certified to the backward
-    error RESIDUAL_TARGET. Raises :class:`SolverError`, naming eps, the
-    step, t and the quantity, as soon as a step drifts the mass or breaks
-    the energy identity beyond the certificates.
+    Steps the x-modes that ``u0`` occupies (:class:`ModalForms`), picked by
+    :func:`kept_modes` from the M_xi-norm of each block of the coefficients
+    (``forms.mode_norms``, which builds no dense transform). The modes
+    never couple, and a theta step with theta >= 1/2 is non-expansive in
+    each block's M_xi-norm, so at every step the run is within the M-norm
+    of the dropped blocks, recorded as ``dropped_norm``, of the run over
+    all modes. The snapshots are nodal fields, and the one at t = 0 is a
+    copy of ``u0``. Records mass, the squared norm b and the energy split
+    (a1, a2) at every step, the per-step residual of the discrete energy
+    identity b(u_next)/2 - b(u)/2 + dt a(u_theta) (zero up to solver
+    tolerance on trapezoidal steps, nonpositive on damped ones), and full
+    states at ``snapshot_times``. Every step's solve is certified to the
+    backward error RESIDUAL_TARGET. Raises :class:`SolverError`, naming eps,
+    the step, t and the quantity, as soon as a step drifts the mass or
+    breaks the energy identity beyond the certificates.
     """
     if not isinstance(u0, Field):
         raise TypeError("u0 must be a Field")
-    norms = forms.mode_norms(u0)
-    keep = norms > DROP_TOL * np.linalg.norm(norms)
-    keep[0] = True
-    modal = ModalForms(forms, np.flatnonzero(keep))
+    modes, dropped = kept_modes(forms.mode_norms(u0))
+    modal = ModalForms(forms, modes)
     traj = _integrate(
         modal, modal.coefficients(u0.values), T, dt, scheme, snapshot_times,
         lambda y: Field(modal.values(y), u0.grid),
         Field(u0.values.copy(), u0.grid), f"eps = {forms.eps:g}")
-    traj.dropped_norm = float(np.linalg.norm(norms[~keep]))
+    traj.dropped_norm = dropped
     return traj
 
 
 def solve_limit(lforms, u0, T, dt, scheme="CN_rannacher", snapshot_times=()):
     """Integrate the limit system M dw/dt + A w = 0 for w = (u_minus, u_plus).
 
-    Steps the limit forms ``lforms`` (a ``grid_forms.ModalLimitForms``, as
-    ``assemble_limit`` builds them) in their x-modes, each solve certified
-    against the exact action of the forms; the snapshots are nodal pairs,
-    the one at t = 0 a copy of ``u0``. Returns a :class:`Trajectory` whose
-    energy split is (diffusion, reaction). Raises :class:`SolverError`,
-    naming the step, t and the quantity, as soon as a step drifts the mass
-    or breaks the energy identity beyond the certificates.
+    Steps the x-modes that ``u0`` occupies, on forms of the class, nodes
+    and rates of ``lforms`` (a ``grid_forms.ModalLimitForms``, as
+    ``assemble_limit`` builds them) restricted to those modes. They are
+    picked by :func:`kept_modes` from the M-norm of each mode pair,
+    sqrt((y_minus,k^2 + y_plus,k^2) / 2) (``lforms.mode_norms``). The modes
+    never couple, and a theta step with theta >= 1/2 is non-expansive in
+    the norm weighted by 1/pi, pi ~ (k_b, k_f) the stationary pair, where
+    W R is symmetric positive semidefinite. So at every step the run is
+    within sqrt(max(k_f, k_b) / min(k_f, k_b)) times the dropped M-norm,
+    recorded as ``dropped_norm``, of the run over all modes: that constant
+    is 1 for equal rates and e^{|gap|/2} for a rate ratio e^gap. With
+    exactly one zero rate it is infinite, and every mode is stepped. Each
+    solve is certified against the exact action of the forms; the
+    snapshots are nodal pairs, the one at t = 0 a copy of ``u0``. Returns a
+    :class:`Trajectory` whose energy split is (diffusion, reaction).
+    Raises :class:`SolverError`, naming the step, t and the quantity, as
+    soon as a step drifts the mass or breaks the energy identity beyond the
+    certificates.
     """
     if not isinstance(u0, LimitField):
         raise TypeError("u0 must be a LimitField")
     x = lforms.x_nodes
     if not np.array_equal(u0.x_nodes, x):
         raise ValueError("initial data and forms live on different x-grids")
-    return _integrate(
-        lforms, lforms.coefficients(u0), T, dt, scheme, snapshot_times,
-        lambda y: LimitField(*lforms.values(y), x),
+    kf, kb = lforms.rate_forward, lforms.rate_backward
+    modes, dropped = (None, 0.0) if (kf == 0.0) != (kb == 0.0) else \
+        kept_modes(lforms.mode_norms(u0))
+    modal = type(lforms)(x, kf, kb, modes)
+    traj = _integrate(
+        modal, modal.coefficients(u0), T, dt, scheme, snapshot_times,
+        lambda y: LimitField(*modal.values(y), x),
         LimitField(u0.u_minus.copy(), u0.u_plus.copy(), x), "limit system")
+    traj.dropped_norm = dropped
+    return traj

@@ -516,6 +516,15 @@ def _two_ended_sweep(L, D, cols=()):
     return solve
 
 
+def _mode_set(nx, modes=None):
+    """The sorted x-modes that modal forms on ``nx`` nodes keep: all of
+    them when ``modes`` is None, else those given and mode 0, which
+    carries the mass."""
+    if modes is None:
+        return np.arange(nx)
+    return np.array(sorted({0, *map(int, modes)}))
+
+
 class ModalForms:
     """The eps-level forms in the x-eigenbasis (:class:`XBasis`), where the
     theta loop steps, restricted to the x-modes ``modes`` (all nx of them by
@@ -551,8 +560,7 @@ class ModalForms:
         nx, nxi = forms.grid.nx, forms.grid.nxi
         n = nx - 1
         j = np.arange(nx)
-        k = self.modes = j if modes is None else np.array(
-            sorted({0, *map(int, modes)}))
+        k = self.modes = _mode_set(nx, modes)
         self.shape = (len(k), nxi)
         self.n, self.eps = len(k) * nxi, forms.eps
         basis = XBasis(nx)
@@ -749,18 +757,23 @@ class ModalLimitForms:
     + 1/2 R (x) M_x on the nodal pair (u_minus, u_plus), R = [[k_f, -k_b],
     [-k_f, k_b]] (k_f: minus -> plus), held in the x-eigenbasis (XBasis) of
     the uniform ``x_nodes``: other nodes or a rate outside [0, inf) raise.
+    They are restricted to the x-modes ``modes`` (all nx of them by
+    default; mode 0 is always kept, since it carries the mass).
 
-    The state is the flat pair y = (V^T M_x u_minus, V^T M_x u_plus), in
-    which M = 1/2 I and A = 1/2 I (x) diag(lam) + 1/2 R (x) I: mode k of the
-    two species is a 2 x 2 system of its own, which :meth:`factorize`
-    inverts in closed form. The stencil parts are the diffusion
-    (y, lam y / 2) and the reaction: the well gap y_minus - y_plus and half
-    the net transfer k_f y_minus - k_b y_plus, which leaves y_minus and
-    enters y_plus. So b, a1 and a2 are those of the nodal forms, and the
-    mass is mode 0 alone (``one`` holds the modes of the constant pair).
+    The state is the flat pair y = (V^T M_x u_minus, V^T M_x u_plus) of the
+    kept modes, in increasing mode order, in which M = 1/2 I and
+    A = 1/2 I (x) diag(lam) + 1/2 R (x) I: mode k of the two species is a
+    2 x 2 system of its own, which :meth:`factorize` inverts in closed
+    form, and a mode left out stays out. The stencil parts are the
+    diffusion (y, lam y / 2) and the reaction: the well gap
+    y_minus - y_plus and half the net transfer k_f y_minus - k_b y_plus,
+    which leaves y_minus and enters y_plus. So b, a1 and a2 are those of
+    the nodal forms, and the mass is mode 0 alone (``one`` holds the modes
+    of the constant pair). The transforms are the O(n log n) ones of the
+    full basis, gathering the kept modes and scattering them back.
     """
 
-    def __init__(self, x_nodes, rate_forward, rate_backward):
+    def __init__(self, x_nodes, rate_forward, rate_backward, modes=None):
         for name, rate in (("rate_forward", rate_forward),
                            ("rate_backward", rate_backward)):
             if not 0.0 <= rate < math.inf:
@@ -771,19 +784,31 @@ class ModalLimitForms:
             raise ValueError("the limit x-modes need the uniform x-nodes "
                              "linspace(0, 1, nx)")
         self.basis = XBasis(len(x))
-        self.n = 2 * len(x)
+        k = self.modes = _mode_set(len(x), modes)
+        self.lam = self.basis.lam[k]
+        self.n = 2 * len(k)
         self.one = np.zeros(self.n)
-        self.one[[0, len(x)]] = 1.0
+        self.one[[0, len(k)]] = 1.0
         self.rate_forward, self.rate_backward = rate_forward, rate_backward
-        self._half_lam = np.tile(0.5 * self.basis.lam, 2)
+        self._half_lam = np.tile(0.5 * self.lam, 2)
+
+    def mode_norms(self, field):
+        """The M-norm sqrt((y_minus,k^2 + y_plus,k^2) / 2) of each x-mode k
+        of the :class:`LimitField` ``field`` (M = 1/2 I in modes), over the
+        full basis; their squares sum to ||field||_M^2."""
+        Y = self.basis.coefficients(field.stack().reshape(2, -1))
+        return np.sqrt(0.5 * (Y * Y).sum(axis=0))
 
     def coefficients(self, field):
-        """The flat modes of the :class:`LimitField` ``field``."""
-        return self.basis.coefficients(field.stack().reshape(2, -1)).ravel()
+        """The flat kept modes of the :class:`LimitField` ``field``."""
+        return self.basis.coefficients(
+            field.stack().reshape(2, -1))[:, self.modes].ravel()
 
     def values(self, y):
-        """The nodal pair (u_minus, u_plus) of the flat modes ``y``."""
-        return self.basis.values(y.reshape(2, -1))
+        """The nodal pair (u_minus, u_plus) of the flat kept modes ``y``."""
+        Y = np.zeros((2, len(self.basis.lam)))
+        Y[:, self.modes] = y.reshape(2, -1)
+        return self.basis.values(Y)
 
     def apply_m(self, y):
         return 0.5 * y
@@ -798,23 +823,23 @@ class ModalLimitForms:
         term, written into ``out`` (a :meth:`workspace`) if given; the
         stencil's first part holds ``y`` itself."""
         mv, au, F1, gap = self.workspace() if out is None else out
-        nx = self.n // 2
-        ym, yp = y[:nx], y[nx:]
-        D, F2 = gap[:nx], gap[nx:]
+        m = self.n // 2
+        ym, yp = y[:m], y[m:]
+        D, F2 = gap[:m], gap[m:]
         np.multiply(y, 0.5, out=mv)
         np.multiply(self._half_lam, y, out=F1)
         np.subtract(ym, yp, out=D)
         # au takes the backward transfer until it is written
         np.multiply(self.rate_forward, ym, out=F2)
-        F2 -= np.multiply(self.rate_backward, yp, out=au[:nx])
+        F2 -= np.multiply(self.rate_backward, yp, out=au[:m])
         F2 *= 0.5
-        np.add(F1[:nx], F2, out=au[:nx])
-        np.subtract(F1[nx:], F2, out=au[nx:])
+        np.add(F1[:m], F2, out=au[:m])
+        np.subtract(F1[m:], F2, out=au[m:])
         return mv, Stencil(au, ((y, F1), (D, F2)))
 
     def _blocks(self, c):
-        """a_k = 1 + c lam_k, c k_f and c k_b."""
-        return 1.0 + c * self.basis.lam, c * self.rate_forward, \
+        """a_k = 1 + c lam_k, c k_f and c k_b over the kept modes."""
+        return 1.0 + c * self.lam, c * self.rate_forward, \
             c * self.rate_backward
 
     def norm_inf(self, c):
@@ -825,11 +850,12 @@ class ModalLimitForms:
                                (np.abs(a + cb) + abs(cf)).max()))
 
     def factorize(self, c):
-        """Inner solver r -> (M + cA)^{-1} r, mode by mode, in O(n): block k
-        has determinant a_k (a_k + c s) / 4, s = k_f + k_b, and the inverse
-        (2 / a_k) [[a_k + c k_b, c k_b], [c k_f, a_k + c k_f]] / (a_k + c s),
-        each entry 2 / a_k times a ratio in [0, 1], so that large rates do
-        not overflow; zero rates need no special case."""
+        """Inner solver r -> (M + cA)^{-1} r, mode by mode, in O(kept
+        modes): block k has determinant a_k (a_k + c s) / 4, s = k_f + k_b,
+        and the inverse (2 / a_k) [[a_k + c k_b, c k_b], [c k_f,
+        a_k + c k_f]] / (a_k + c s), each entry 2 / a_k times a ratio in
+        [0, 1], so that large rates do not overflow; zero rates need no
+        special case."""
         a, cf, cb = self._blocks(c)
         d = a + (cf + cb)
         if not np.all(a * d > 0.0):
@@ -838,9 +864,9 @@ class ModalLimitForms:
                 f"determinant (k_f = {self.rate_forward:g}, "
                 f"k_b = {self.rate_backward:g})")
         g = [2.0 / a * (v / d) for v in (a + cb, cb, cf, a + cf)]
-        nx = len(a)
-        return lambda r: np.concatenate([g[0] * r[:nx] + g[1] * r[nx:],
-                                         g[2] * r[:nx] + g[3] * r[nx:]])
+        m = len(a)
+        return lambda r: np.concatenate([g[0] * r[:m] + g[1] * r[m:],
+                                         g[2] * r[:m] + g[3] * r[m:]])
 
     def residual_mass(self, r):
         """1^T r of the nodal residual: mode 0 of both species."""

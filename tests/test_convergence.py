@@ -160,6 +160,10 @@ def test_mini_study_rows_complete(mini_report):
         # cosine data: the modes left unstepped hold only roundoff
         assert row.initial_norm > 0.0
         assert 0.0 <= row.dropped_norm <= 1e-15 * row.initial_norm
+    # so does the limit reference, under the same drop rule
+    assert mini_report.limit_initial_norm > 0.0
+    assert 0.0 <= mini_report.limit_dropped_norm \
+        <= 1e-15 * mini_report.limit_initial_norm
     assert mini_report.checks["modes_dropped_small"]
 
 
@@ -424,6 +428,26 @@ def _truncated_study(monkeypatch, share, **cfg):
 def test_a_large_dropped_norm_fails_its_check(monkeypatch):
     rep = _truncated_study(monkeypatch, 2.0 * conv.DROPPED_NORM_BOUND)
     assert all(r.dropped_norm >= 2e-10 for r in rep.rows)
+    assert rep.checks["modes_dropped_small"] is False
+    assert not rep.all_ok
+
+
+def test_a_large_limit_dropped_norm_fails_its_check(monkeypatch):
+    # the limit reference's dropped norm is bounded as the rungs' are
+    real_solve_limit = conv.solve_limit
+
+    def truncated(*args, **kw):
+        traj = real_solve_limit(*args, **kw)
+        traj.dropped_norm = 2.0 * conv.DROPPED_NORM_BOUND * max(
+            1.0, math.sqrt(traj.b[0]))
+        return traj
+
+    monkeypatch.setattr(conv, "solve_limit", truncated)
+    rep = run_ladder_study(Config(ladder=(0.2, 0.1), nx=17, nxi=21, dt=1e-2,
+                                  t_final=0.1, times=(0.1,)))
+    assert rep.limit_dropped_norm >= 2e-10
+    assert rep.to_dict()["limit_dropped_norm"] == rep.limit_dropped_norm
+    assert all(r.dropped_norm <= conv.DROPPED_NORM_BOUND for r in rep.rows)
     assert rep.checks["modes_dropped_small"] is False
     assert not rep.all_ok
 

@@ -258,6 +258,101 @@ def test_guard_stops_nonconservative_step():
         solve_limit(_LeakyForms(x, K, K), w0, T=0.01, dt=1e-3)
 
 
+def _stepped(x, rates, w0, T, dt, snapshot_times=()):
+    """The x-modes that ``solve_limit`` steps for ``w0``, and its trajectory:
+    the modes of the last forms it builds, which keep the caller's class."""
+    built = []
+
+    class Recorded(ModalLimitForms):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    traj = solve_limit(Recorded(x, *rates), w0, T, dt,
+                       snapshot_times=snapshot_times)
+    return list(built[-1].modes), traj
+
+
+def _all_modes(x, rates, w0, T, dt, snapshot_times):
+    full = assemble_limit_rates(x, *rates)
+    return evolve_kramers._integrate(
+        full, full.coefficients(w0), T, dt, "CN_rannacher", snapshot_times,
+        lambda y: LimitField(*full.values(y), x), w0, "all modes")
+
+
+def test_data_in_every_mode_keep_every_block():
+    # a tabulated pair has content in every x-mode, so the run steps every
+    # block and is bitwise the run over all modes
+    x = np.linspace(0.0, 1.0, 33)
+    w0 = LimitField(np.interp(x, [0.0, 0.3, 1.0], [1.0, 3.0, 0.5]),
+                    np.interp(x, [0.0, 0.7, 1.0], [2.0, 0.0, 1.0]), x)
+    modes, traj = _stepped(x, RATES[1], w0, 0.02, 1e-3, (0.01, 0.02))
+    assert modes == list(range(33))
+    assert traj.dropped_norm == 0.0
+    ref = _all_modes(x, RATES[1], w0, 0.02, 1e-3, (0.01, 0.02))
+    for name in ("times", "mass", "b", "a1", "a2", "energy_residual"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name))
+    for t in (0.01, 0.02):
+        assert np.array_equal(traj.snapshot_at(t).stack(),
+                              ref.snapshot_at(t).stack())
+
+
+def test_cosine_data_keep_their_mode():
+    # a mode-3 cosine pair occupies modes 0 and 3 alone; the rest is
+    # transform roundoff
+    x = np.linspace(0.0, 1.0, 33)
+    c3 = np.cos(3.0 * np.pi * x)
+    w0 = LimitField(c3, 1.0 + c3, x)
+    modes, traj = _stepped(x, RATES[0], w0, 0.01, 1e-3)
+    assert modes == [0, 3]
+    M_x = oracles.x_factors(x)[0]
+    norm = math.sqrt(0.5 * sum(float(u @ (M_x @ u)) for u in (c3, 1.0 + c3)))
+    assert 0.0 <= traj.dropped_norm <= 1e-15 * norm
+
+
+@pytest.mark.parametrize("gap", [0.0, 2.0, 8.0])
+def test_skewed_truncation_stays_within_its_bound(gap):
+    # cosine data plus content below DROP_TOL in every other mode: the run
+    # drops those modes and stays within e^{|gap|/2} times the dropped
+    # M-norm of the run over all modes, at every step
+    x = np.linspace(0.0, 1.0, 33)
+    rates = (K * math.exp(gap / 2.0), K * math.exp(-gap / 2.0))
+    c1 = np.cos(np.pi * x)
+    basis = assemble_limit_rates(x, *rates).basis
+    # modes 2.. of (minus, plus) at +-s: M-norm s each, half the drop share
+    # of ||w0||_M = 1
+    s = 0.5 * evolve_kramers.DROP_TOL
+    Y = np.zeros((2, 33))
+    Y[0, 2:], Y[1, 2:] = s, -s
+    small = basis.values(Y)
+    w0 = LimitField(c1 + small[0], 1.0 + c1 + small[1], x)
+    times = tuple(k * 1e-3 for k in range(51))
+    modes, traj = _stepped(x, rates, w0, 0.05, 1e-3, times)
+    assert modes == [0, 1]
+    assert traj.dropped_norm == pytest.approx(s * math.sqrt(31), rel=1e-2)
+    ref = _all_modes(x, rates, w0, 0.05, 1e-3, times)
+    M_x = oracles.x_factors(x)[0]
+    bound = math.exp(abs(gap) / 2.0) * traj.dropped_norm
+    for t in times:
+        e = traj.snapshot_at(t).stack() - ref.snapshot_at(t).stack()
+        e = e.reshape(2, -1)
+        assert math.sqrt(0.5 * sum(float(v @ (M_x @ v)) for v in e)) <= bound
+
+
+@pytest.mark.parametrize("rates, kept", [
+    ((K, 0.0), list(range(33))), ((0.0, K), list(range(33))),
+    ((0.0, 0.0), [0, 1])])
+def test_one_zero_rate_keeps_every_mode(rates, kept):
+    # with exactly one zero rate no weighted norm bounds the dropped modes'
+    # growth, so every mode is stepped; two zero rates decouple the species
+    x = np.linspace(0.0, 1.0, 33)
+    w0 = LimitField(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), x)
+    modes, traj = _stepped(x, rates, w0, 0.01, 1e-3)
+    assert modes == kept
+    if len(kept) == 33:
+        assert traj.dropped_norm == 0.0
+
+
 def _kramers_run(T, snapshot_times):
     grid = build_grid(17, 21)
     profile = quartic_default()
@@ -301,11 +396,13 @@ def _eps_level():
 
 
 def _limit_level():
-    # the forms the limit integrator steps: the x-modes of the pair
+    # the forms the limit integrator steps: the x-modes of the pair that the
+    # data occupy, 0 and 1 for cos(pi x)
     x = np.linspace(0.0, 1.0, 33)
     lf = assemble_limit_rates(x, *RATES[1])
     w0 = LimitField(np.cos(np.pi * x), 1.0 + np.cos(np.pi * x), x)
-    return (lf, (2, 33),
+    modal = ModalLimitForms(x, *RATES[1], (0, 1))
+    return (modal, (2, 2),
             lambda T: solve_limit(lf, w0, T, 1e-3))
 
 

@@ -596,6 +596,47 @@ def test_restricted_modal_forms_are_the_kept_blocks(small_forms):
     assert part.norm_inf(1e-3) < full.norm_inf(1e-3)
 
 
+@pytest.mark.parametrize("rates", [(2.0, 0.5), (0.0, 0.0)])
+def test_restricted_limit_forms_are_the_kept_blocks(rates):
+    # limit forms on a few x-modes act, solve and transform exactly as the
+    # full forms do on those modes of a pair that is zero elsewhere; mode 0
+    # is always kept, and the norm of the smaller system is at most the
+    # full one's
+    x = np.linspace(0.0, 1.0, 33)
+    full = ModalLimitForms(x, *rates)
+    part = ModalLimitForms(x, *rates, [3, 1])
+    keep = [0, 1, 3]
+    assert list(part.modes) == keep and part.n == 6
+    assert np.array_equal(part.lam, full.lam[keep])
+    assert np.array_equal(part.one, full.one.reshape(2, -1)[:, keep].ravel())
+    rng = np.random.default_rng(5)
+    Y = np.zeros((2, 33))
+    Y[:, keep] = rng.normal(size=(2, 3))
+    mv, st = full.mass_and_stencil(Y.reshape(-1))
+    pmv, pst = part.mass_and_stencil(Y[:, keep].reshape(-1))
+    assert np.array_equal(pmv, mv.reshape(2, -1)[:, keep].reshape(-1))
+    assert np.array_equal(pst.au, st.au.reshape(2, -1)[:, keep].reshape(-1))
+    assert pst.a1 == pytest.approx(st.a1, rel=1e-15)
+    assert pst.a2 == pytest.approx(st.a2, rel=1e-15)
+    R = rng.normal(size=(2, 33))
+    sol = full.factorize(1e-3)(R.reshape(-1)).reshape(2, -1)[:, keep]
+    assert np.array_equal(part.factorize(1e-3)(R[:, keep].reshape(-1)),
+                          sol.reshape(-1))
+    assert part.norm_inf(1e-3) < full.norm_inf(1e-3)
+    # the transforms gather the kept modes and scatter them back
+    field = LimitField(*full.values(Y.reshape(-1)), x)
+    assert np.array_equal(part.values(Y[:, keep].reshape(-1)).reshape(-1),
+                          field.stack())
+    assert np.array_equal(part.coefficients(field),
+                          full.coefficients(field).reshape(2, -1)[:, keep]
+                          .reshape(-1))
+    # the mode norms are those of M = 1/2 I, over every mode
+    norms = part.mode_norms(field)
+    assert norms.shape == (33,)
+    assert float(norms @ norms) == pytest.approx(
+        0.5 * float(Y.reshape(-1) @ Y.reshape(-1)), rel=1e-13)
+
+
 def test_mode_norms_are_the_block_norms(small_forms):
     # the fast transform's block norms are the dense modes' M_xi-norms, and
     # their squares sum to ||u||_M^2
